@@ -6,7 +6,7 @@ Modules:
     channel     offsets, multipath fading, AWGN
     jammer      adversary strategies (Gaussian, disguised OFDM)
     sync        two-stage synchronization (pre-FFT and post-FFT)
-    rxchain     demodulation, secure decoding, LLRs, LDPC belief propagation
+    rxchain     QPSK LLRs, LDPC belief propagation
     avc         symbol-level jamming channel analysis (capacity, MI, symmetry)
     harness     Monte-Carlo experiment orchestration and persistence
 """

@@ -38,15 +38,19 @@ class FadingSpec:
     """Multipath profile: taps of (delay seconds, complex gain, doppler rad/s)."""
 
     taps: tuple = field(default_factory=lambda: ((0.0, 1.0 + 0j, 0.0),))
-    rician_k0: float | None = None
-    noise_sigma2: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma2 < 0:
-            raise ValueError("noise variance must be non-negative")
         for delay, _, _ in self.taps:
             if delay < 0:
                 raise ValueError("tap delays must be non-negative")
+
+
+def _delay(x: np.ndarray, n: int) -> np.ndarray:
+    """x delayed by n whole samples, zero-filled, same length."""
+    out = np.zeros_like(x)
+    if n < x.size:
+        out[n:] = x[: x.size - n] if n else x
+    return out
 
 
 def apply_offsets(signal: ComplexSignal, spec: OffsetSpec,
@@ -64,20 +68,13 @@ def apply_offsets(signal: ComplexSignal, spec: OffsetSpec,
     shift = spec.t0 / dt
     n_int = int(round(shift))
     if abs(shift - n_int) < 1e-9:
-        delayed = np.zeros_like(x)
-        if n_int < x.size:
-            delayed[n_int:] = x[: x.size - n_int] if n_int else x
+        delayed = _delay(x, n_int)
     elif interpolate:
         n0 = int(np.floor(shift))
         frac = shift - n0
-        delayed = np.zeros_like(x)
         src = np.zeros(x.size + 1, dtype=complex)
         src[1:] = x
-        a = (1 - frac) * src[1:]
-        b = frac * src[:-1]
-        both = a + b
-        if n0 < x.size:
-            delayed[n0:] = both[: x.size - n0]
+        delayed = _delay((1 - frac) * src[1:] + frac * src[:-1], n0)
     else:
         raise ValueError(
             "t0 not on the sample grid; pass interpolate=True for sub-sample offsets"
@@ -104,11 +101,7 @@ def apply_fading(signal: ComplexSignal, spec: FadingSpec,
                 f"tap delay {delay} exceeds CP bound {cp_bound}; ISI expected",
                 stacklevel=2,
             )
-        n = int(round(delay / dt))
-        shifted = np.zeros_like(x)
-        if n < x.size:
-            shifted[n:] = x[: x.size - n] if n else x
-        out += gain * np.exp(1j * doppler * t) * shifted
+        out += gain * np.exp(1j * doppler * t) * _delay(x, int(round(delay / dt)))
     return ComplexSignal(out, dt, signal.start_time)
 
 
@@ -120,8 +113,7 @@ def add_awgn(signal: ComplexSignal, sigma2: float,
     if sigma2 == 0:
         return ComplexSignal(signal.samples.copy(), signal.sample_interval,
                              signal.start_time)
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned unaltered
     n = signal.samples.size
     noise = rng.normal(0.0, np.sqrt(sigma2 / 2), size=(n, 2))
     return ComplexSignal(signal.samples + noise[:, 0] + 1j * noise[:, 1],

@@ -10,11 +10,11 @@ bit for bit and trials never share randomness.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -87,7 +87,6 @@ class Scenario:
     master_seed: int = 0
     key_hex: str = DEFAULT_KEY_HEX
     epoch: int = 0
-    code_rate: str = "1_3"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -96,6 +95,16 @@ class Scenario:
             raise ValueError(f"unknown channel kind {self.channel!r}")
         pilots = tuple((int(i), complex(v)) for i, v in self.pilot_positions)
         object.__setattr__(self, "pilot_positions", pilots)
+        # configurations under which every synchronization trial would fail
+        carriers = sorted(dict(pilots))
+        if (len(carriers) < 2 or (carriers[1] - carriers[0]) * self.cp2_samples
+                > self.n_carriers):
+            raise ValueError(
+                "pilot_positions: need two distinct pilots whose spacing times "
+                "cp2_samples is at most n_carriers (unambiguous fine time)")
+        for name in ("n_candidates", "sync_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def ofdm_config(self) -> OfdmConfig:
         return OfdmConfig(
@@ -136,8 +145,6 @@ class Scenario:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def scenario_hash(self) -> str:
-        import hashlib
-
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
@@ -208,20 +215,13 @@ class ExperimentReport:
     wall_clock_s: float = 0.0
 
     def records_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for rec in self.records:
-            writer.writerow([_csv_cell(rec[c]) for c in self.columns])
-        return buf.getvalue()
+        return _csv_text(self.columns, ([_csv_cell(rec[c]) for c in self.columns]
+                                        for rec in self.records))
 
     def aggregates_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in sorted(_flatten(self.aggregates).items()):
-            writer.writerow([key, _csv_cell(value)])
-        return buf.getvalue()
+        return _csv_text(["key", "value"], (
+            [key, _csv_cell(value)]
+            for key, value in sorted(_flatten(self.aggregates).items())))
 
     def summary_text(self) -> str:
         lines = [
@@ -233,6 +233,14 @@ class ExperimentReport:
         for key, value in sorted(_flatten(self.aggregates).items()):
             lines.append(f"{key}: {_csv_cell(value)}")
         return "\n".join(lines) + "\n"
+
+
+def _csv_text(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _csv_cell(value):
@@ -279,10 +287,6 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict:
 # Synchronization experiment
 
 
-def _trial_rng(scenario: Scenario, trial: int) -> np.random.Generator:
-    return np.random.default_rng([scenario.master_seed, trial])
-
-
 def _draw_fading(scenario: Scenario, config: OfdmConfig,
                  rng: np.random.Generator) -> FadingSpec | None:
     if scenario.channel == "awgn":
@@ -307,10 +311,26 @@ def _draw_offsets(scenario: Scenario, config: OfdmConfig,
     return OffsetSpec(t0=t0, omega0=omega0, phi0=phi0)
 
 
+def _receive(scenario: Scenario, config: OfdmConfig, wave: ComplexSignal,
+             rng: np.random.Generator, jam_offsets) -> ComplexSignal:
+    """The transmitted wave plus the scenario's jamming, emitted with the
+    offsets ``jam_offsets()`` returns, plus receiver noise."""
+    jam = None
+    if scenario.jammer_strategy != "none" and scenario.sjr_db is not None:
+        jam_spec = JammerSpec(
+            strategy=scenario.jammer_strategy,
+            power=scenario.jammer_power(),
+            offsets=jam_offsets(),
+            cp_phase_mode=scenario.jammer_cp_mode,
+        )
+        jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
+    return combine(wave, jam, scenario.noise_sigma2(), rng)
+
+
 def _sync_trial(scenario: Scenario, trial: int) -> dict:
     config = scenario.ofdm_config()
     sync_cfg = scenario.sync_config()
-    rng = _trial_rng(scenario, trial)
+    rng = np.random.default_rng([scenario.master_seed, trial])
     dt = config.sample_interval
 
     k0 = int(rng.integers(0, scenario.n_candidates))
@@ -325,18 +345,8 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
     if fading is not None:
         wave = apply_fading(wave, fading)
     wave = apply_offsets(wave, offsets)
-
-    jam = None
-    if scenario.jammer_strategy != "none" and scenario.sjr_db is not None:
-        jam_offsets = _draw_offsets(scenario, config, rng)
-        jam_spec = JammerSpec(
-            strategy=scenario.jammer_strategy,
-            power=scenario.jammer_power(),
-            offsets=jam_offsets,
-            cp_phase_mode=scenario.jammer_cp_mode,
-        )
-        jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
-    r = combine(wave, jam, scenario.noise_sigma2(), rng)
+    r = _receive(scenario, config, wave, rng,
+                 lambda: _draw_offsets(scenario, config, rng))
 
     phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
                               config.n_carriers, config.psk_order)
@@ -382,7 +392,7 @@ def _cdf_fraction(errors: np.ndarray, threshold: float) -> float:
     return float(below / errors.size)
 
 
-def run_sync_experiment(scenario: Scenario, n_workers: int = 1) -> ExperimentReport:
+def run_sync_experiment(scenario: Scenario) -> ExperimentReport:
     """Monte-Carlo synchronization error CDFs.
 
     Per trial: random offsets, sequence offset and data are drawn, the full
@@ -391,12 +401,7 @@ def run_sync_experiment(scenario: Scenario, n_workers: int = 1) -> ExperimentRep
     frequency by the subcarrier spacing.
     """
     start = time.monotonic()
-    trials = range(scenario.trials)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(lambda t: _sync_trial(scenario, t), trials))
-    else:
-        records = [_sync_trial(scenario, t) for t in trials]
+    records = [_sync_trial(scenario, t) for t in range(scenario.trials)]
 
     time_err = np.array([r["time_error"] for r in records])
     freq_err = np.array([r["freq_error"] for r in records])
@@ -547,23 +552,6 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
 # Correlation surfaces
 
 
-def _plain_surface(r: ComplexSignal, config: OfdmConfig,
-                   sync_cfg: SyncConfig) -> np.ndarray:
-    """Averaged CP1 correlation over trial time offsets with no despreading
-    (classical receiver, unit CP phase): complex array over the tau grid."""
-    x = r.samples
-    n_c = config.n_carriers
-    block = config.block_samples
-    cp = config.cp_samples
-    cp1 = config.cp1_samples
-    prods = x[: x.size - n_c] * np.conj(x[n_c:]) * r.sample_interval
-    csum = np.concatenate([[0.0 + 0j], np.cumsum(prods)])
-    w = csum[cp1:] - csum[:-cp1]
-    ks = np.arange(sync_cfg.first_block, sync_cfg.first_block + sync_cfg.n_blocks)
-    starts = ks[:, None] * block + np.arange(block)[None, :] - cp
-    return w[starts].mean(axis=0)
-
-
 def correlation_surface(scenario: Scenario, precoding: bool = True,
                         n_trials: int = 1,
                         signal_offset_samples: int | None = None,
@@ -601,22 +589,11 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
         else:
             wave = build_plain_waveform(blocks, config)
         wave = apply_offsets(wave, OffsetSpec(t0=signal_offset_samples * dt))
+        r = _receive(scenario, config, wave, rng,
+                     lambda: OffsetSpec(t0=jammer_offset_samples * dt))
 
-        jam = None
-        if scenario.jammer_strategy != "none":
-            jam_spec = JammerSpec(
-                strategy=scenario.jammer_strategy,
-                power=scenario.jammer_power(),
-                offsets=OffsetSpec(t0=jammer_offset_samples * dt),
-                cp_phase_mode=scenario.jammer_cp_mode,
-            )
-            jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
-        r = combine(wave, jam, scenario.noise_sigma2(), rng)
-
-        if precoding:
-            surf = np.abs(pre_fft_surface(r, config, sync_cfg, phase_seq))
-        else:
-            surf = np.abs(_plain_surface(r, config, sync_cfg))
+        surf = np.abs(pre_fft_surface(r, config, sync_cfg,
+                                      phase_seq if precoding else None))
         acc = surf if acc is None else acc + surf
 
     return {
@@ -631,16 +608,12 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
 
 def surface_csv(result: dict) -> str:
     """Plot-ready CSV of a correlation surface (one row per grid cell)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     surf = result["surface"]
     if surf.ndim == 1:
-        writer.writerow(["tau_samples", "magnitude"])
-        for tau, mag in zip(result["tau_samples"], surf):
-            writer.writerow([tau, repr(float(mag))])
-    else:
-        writer.writerow(["tau_samples", "candidate", "magnitude"])
-        for i, tau in enumerate(result["tau_samples"]):
-            for j, d in enumerate(result["candidates"]):
-                writer.writerow([tau, d, repr(float(surf[i, j]))])
-    return buf.getvalue()
+        return _csv_text(["tau_samples", "magnitude"], (
+            [tau, repr(float(mag))]
+            for tau, mag in zip(result["tau_samples"], surf)))
+    return _csv_text(["tau_samples", "candidate", "magnitude"], (
+        [tau, d, repr(float(surf[i, j]))]
+        for i, tau in enumerate(result["tau_samples"])
+        for j, d in enumerate(result["candidates"])))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import OffsetSpec, apply_offsets
+from .channel import OffsetSpec, add_awgn, apply_offsets
 from .txchain import ComplexSignal, OfdmConfig, build_plain_waveform, random_symbol_blocks
 
 __all__ = ["JammerSpec", "generate_jamming", "combine"]
@@ -55,8 +55,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     """
     if duration_samples <= 0:
         raise ValueError("duration must be positive")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned unaltered
     dt = config.sample_interval
 
     if spec.strategy == "none" or spec.power == 0.0:
@@ -85,8 +84,6 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
 def combine(signal: ComplexSignal, jam: ComplexSignal | None, noise_sigma2: float,
             rng: np.random.Generator | int) -> ComplexSignal:
     """Elementwise sum of signal, jamming and AWGN (shorter input zero-padded)."""
-    from .channel import add_awgn
-
     if jam is None:
         total = signal.samples.copy()
     else:

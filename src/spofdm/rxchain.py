@@ -1,4 +1,7 @@
-"""Receiver chain: FFT demodulation, secure decoding, QPSK LLRs, LDPC BP.
+"""Receiver chain: QPSK LLRs and LDPC belief propagation.
+
+FFT demodulation lives in :mod:`spofdm.sync` (``demod_fft``) and secure
+decoding in :mod:`spofdm.txchain` (``decode_phases``).
 
 Parity-check matrices are pluggable: any alist-format file can be loaded, and
 a deterministic near-regular construction is provided for desk-scale codes.
@@ -11,15 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .keystream import PhasePlan
-from .txchain import ComplexSignal, OfdmConfig
-
 __all__ = [
-    "DecodedBlock",
     "ParityCheckCode",
     "LdpcEncoder",
-    "crop_and_fft",
-    "secure_decode",
     "qpsk_map",
     "llr_qpsk",
     "ldpc_bp_decode",
@@ -28,35 +25,6 @@ __all__ = [
     "make_regular_parity_check",
     "bundled_code_path",
 ]
-
-@dataclass
-class DecodedBlock:
-    """Symbol vector of one OFDM block after secure decoding."""
-
-    block_index: int
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=complex)
-
-
-def crop_and_fft(r: ComplexSignal, k: int, config: OfdmConfig,
-                 start_offset: int = 0) -> np.ndarray:
-    """Crop the CP of block k and FFT the body (unscaled N_c-point DFT)."""
-    start = start_offset + k * config.block_samples + config.cp_samples
-    body = r.samples[start:start + config.n_carriers]
-    if body.size != config.n_carriers:
-        raise ValueError("block body out of range")
-    return np.fft.fft(body)
-
-
-def secure_decode(demodulated: np.ndarray, plan: PhasePlan) -> DecodedBlock:
-    """Undo the secret precoding: R_i = e^{+j Theta_i} * Rtilde_i."""
-    demodulated = np.asarray(demodulated, dtype=complex)
-    if demodulated.size != plan.subcarrier_phases.size:
-        raise ValueError("phase plan length does not match symbol vector")
-    return DecodedBlock(plan.block_index,
-                        demodulated * np.exp(1j * plan.subcarrier_phases))
 
 
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
@@ -128,45 +96,52 @@ class ParityCheckCode:
 
 
 def load_alist(path: str | Path) -> ParityCheckCode:
-    """Read a parity-check matrix in MacKay alist format."""
-    tokens = Path(path).read_text().split("\n")
-    rows = [line.split() for line in tokens if line.strip()]
+    """Read a parity-check matrix in MacKay alist format.
+
+    The row section must list the same edges as the column section."""
+    rows = [line.split() for line in Path(path).read_text().split("\n")
+            if line.strip()]
     n, m = int(rows[0][0]), int(rows[0][1])
-    col_degrees = [int(v) for v in rows[2]]
-    if len(col_degrees) != n:
-        raise ValueError("alist column degree list has wrong length")
-    var_of_edge = []
-    check_of_edge = []
-    for j in range(n):
-        entries = [int(v) for v in rows[4 + j] if int(v) > 0]
-        if len(entries) != col_degrees[j]:
-            raise ValueError(f"alist column {j} degree mismatch")
-        var_of_edge.extend([j] * len(entries))
-        check_of_edge.extend(e - 1 for e in entries)
+    edges = []
+    for name, size, lines, degrees in (("column", n, rows[4:4 + n], rows[2]),
+                                       ("row", m, rows[4 + n:], rows[3])):
+        if len(degrees) != size or len(lines) != size:
+            raise ValueError(f"alist {name} section must have {size} entries")
+        owner = np.repeat(np.arange(size), [len(line) for line in lines])
+        idx = np.array([v for line in lines for v in line], dtype=np.int64)
+        owner, idx = owner[idx > 0], idx[idx > 0] - 1  # drop zero padding
+        bad = np.flatnonzero(np.bincount(owner, minlength=size)
+                             != np.array(degrees, dtype=np.int64))
+        if bad.size:
+            raise ValueError(f"alist {name} {bad[0]} degree mismatch")
+        edges.append((owner, idx))
+    (var_c, check_c), (check_r, var_r) = edges
+    by_col, by_row = (e[:, np.lexsort(e)] for e in (np.stack([check_c, var_c]),
+                                                    np.stack([check_r, var_r])))
+    if by_col.shape != by_row.shape or not np.array_equal(by_col, by_row):
+        raise ValueError("alist row section disagrees with the column section")
     return ParityCheckCode(
         n=n, m=m,
-        check_of_edge=np.array(check_of_edge),
-        var_of_edge=np.array(var_of_edge),
+        check_of_edge=by_col[0],
+        var_of_edge=by_col[1],
         rate=(n - m) / n,
     )
 
 
 def save_alist(code: ParityCheckCode, path: str | Path) -> None:
-    h = code.dense()
-    col_deg = h.sum(axis=0)
-    row_deg = h.sum(axis=1)
+    # 1-based check indices per column, then variable indices per row
+    cols = np.split(code.check_of_edge + 1, code._var_starts[1:])
+    rows = np.split(code.var_of_edge[code._by_check] + 1, code._check_starts[1:])
+    col_deg = [c.size for c in cols]
+    row_deg = [r.size for r in rows]
     lines = [
         f"{code.n} {code.m}",
-        f"{col_deg.max()} {row_deg.max()}",
+        f"{max(col_deg)} {max(row_deg)}",
         " ".join(str(d) for d in col_deg),
         " ".join(str(d) for d in row_deg),
     ]
-    for j in range(code.n):
-        checks = np.flatnonzero(h[:, j]) + 1
-        lines.append(" ".join(str(c) for c in checks))
-    for i in range(code.m):
-        vars_ = np.flatnonzero(h[i]) + 1
-        lines.append(" ".join(str(v) for v in vars_))
+    for idx in cols + rows:
+        lines.append(" ".join(str(i) for i in idx))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -186,16 +161,11 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
         cols = np.repeat(np.arange(n), col_degree)
         # repair parallel edges by random swaps
         for _ in range(100):
-            pairs = set(zip(cols.tolist(), sockets.tolist()))
-            if len(pairs) == n_edges:
+            # every repeat of an earlier (column, check) pair
+            _, first = np.unique(cols * m + sockets, return_index=True)
+            dup_idx = np.setdiff1d(np.arange(n_edges), first)
+            if dup_idx.size == 0:
                 break
-            seen = {}
-            dup_idx = []
-            for e, key in enumerate(zip(cols.tolist(), sockets.tolist())):
-                if key in seen:
-                    dup_idx.append(e)
-                else:
-                    seen[key] = e
             swap_with = rng.integers(0, n_edges, size=len(dup_idx))
             for e, f in zip(dup_idx, swap_with):
                 sockets[e], sockets[f] = sockets[f], sockets[e]

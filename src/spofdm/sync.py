@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+# first block index used in the averages: block 0 is skipped so every
+# correlation window, whatever the trial offset, lies inside the signal
+FIRST_BLOCK = 1
+
+
 @dataclass(frozen=True)
 class SyncConfig:
     """Synchronizer parameters."""
@@ -40,8 +45,6 @@ class SyncConfig:
     candidates: np.ndarray = field(default_factory=lambda: np.arange(50))
     n_l: int = -2                           # integer CFO search bounds
     n_u: int = 2
-    backoff_samples: int | None = None      # FFT window backoff into CP2
-    first_block: int = 1                    # first block index used in averages
 
     def __post_init__(self):
         object.__setattr__(self, "candidates",
@@ -58,8 +61,7 @@ class SyncConfig:
         return config.n_carriers + self.n_u - self.n_l
 
     def backoff(self, config: OfdmConfig) -> int:
-        if self.backoff_samples is not None:
-            return self.backoff_samples
+        """FFT window backoff into CP2, in samples."""
         return config.cp2_samples // 2
 
 
@@ -108,12 +110,13 @@ def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
 
 
 def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                    phase_seq: PhaseSequence) -> np.ndarray:
+                    phase_seq: PhaseSequence | None = None) -> np.ndarray:
     """Averaged correlation (1/K) sum_k Y_k(tau, d) over the (tau, d) grid.
 
     Returns a complex array of shape (block_samples, n_candidates); row tau is
     the trial time offset in samples, column j the candidate offset
-    sync_cfg.candidates[j].
+    sync_cfg.candidates[j]. Without a phase sequence (classical receiver,
+    unit CP phase) the candidate axis collapses: shape (block_samples,).
     """
     x = r.samples
     dt = r.sample_interval
@@ -121,11 +124,8 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     block = config.block_samples
     cp = config.cp_samples
     cp1 = config.cp1_samples
-    k_first = sync_cfg.first_block
     k_count = sync_cfg.n_blocks
-    if k_first * block < cp:
-        raise ValueError("first_block too small: correlation window underruns")
-    needed = (k_first + k_count) * block - config.cp2_samples + n_c
+    needed = (FIRST_BLOCK + k_count) * block - config.cp2_samples + n_c
     if x.size < needed:
         raise ValueError(
             f"signal too short for K={k_count} blocks: need {needed} samples, "
@@ -138,9 +138,11 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     # W[s] = sum prods[s : s+cp1]
     w = csum[cp1:] - csum[:-cp1]
 
-    ks = np.arange(k_first, k_first + k_count)
+    ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + k_count)
     starts = ks[:, None] * block + np.arange(block)[None, :] - cp  # (K, tau)
     y = w[starts]                                                  # (K, tau)
+    if phase_seq is None:
+        return y.mean(axis=0)                                      # (tau,)
 
     d_vals = sync_cfg.candidates
     k_max = int(ks[-1] + d_vals.max())
@@ -205,35 +207,52 @@ def _gamma_avg(r_blocks: np.ndarray, pilot_phases: np.ndarray,
     return gamma.mean(axis=0)
 
 
-def _zeta_from_peak(peak: complex, n0: int, config: OfdmConfig) -> float:
-    # peak phase is -2*pi*(n0+zeta0)*T_b/T_s; remove the known integer part
-    tb_over_ts = config.block_samples / config.n_body_samples
-    resid = np.angle(peak * np.exp(2j * np.pi * n0 * tb_over_ts))
-    return float(-resid / (2 * np.pi * tb_over_ts))
-
-
-def estimate_integer_cfo(r_blocks: np.ndarray, pilot_index: int,
-                         pilot_phases: np.ndarray, config: OfdmConfig,
+def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
+                         phases: np.ndarray, config: OfdmConfig,
                          sync_cfg: SyncConfig):
     """Integer CFO and residual fractional error from cross-block pilot
     correlations.
 
-    ``r_blocks``: (K+1, N_c') demodulated blocks; ``pilot_phases``: (K+1,)
-    secret phases of the pilot subcarrier for the same blocks. The peak
-    search runs only over the feasible bins (pilot_index + n0) mod N_c' for
-    n0 in [n_l, n_u]; the bound on the integer offset is known a priori.
-    Returns (n0_hat, zeta0_hat, gamma_avg, low_confidence).
+    ``r_blocks``: (K+1, N_c') demodulated blocks; ``pilots``: [(index,
+    value), ...]; ``phases``: (K+1, P) secret phases of the pilot
+    subcarriers for the same blocks. The 1/|p|^2-weighted metrics of all
+    pilots and block lags 1..3 are added before the peak search, which runs
+    only over the feasible bins (index + n0) mod N_c' for n0 in [n_l, n_u];
+    the bound on the integer offset is known a priori.
+    Returns (n0_hat, zeta0_hat, low_confidence).
     """
     n_fft = r_blocks.shape[1]
-    g = _gamma_avg(r_blocks, pilot_phases)
+    k_count = r_blocks.shape[0] - 1
+    tb_over_ts = config.block_samples / config.n_body_samples
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    scores = np.abs(g[(pilot_index + n0_cands) % n_fft])
-    best = int(np.argmax(scores))
+    gammas = {lag: [_gamma_avg(r_blocks, phases[:, j], lag)
+                    for j in range(len(pilots))]
+              for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
+    # each lag contributes an independent average
+    scores = sum(sum(np.abs(g[(idx + n0_cands) % n_fft]) / abs(value) ** 2
+                     for g, (idx, value) in zip(gammas[lag], pilots))
+                 for lag in (1, 2, 3) if lag in gammas)
+    n0 = int(n0_cands[int(np.argmax(scores))])
     order = np.sort(scores)
     low_conf = bool(order[-1] < 1.5 * order[-2]) if scores.size > 1 else False
-    n0 = int(n0_cands[best])
-    peak = g[(pilot_index + n0) % n_fft]
-    return n0, _zeta_from_peak(peak, n0, config), g, low_conf
+
+    def zeta_at(lag: int) -> float:
+        # peak phase is -2*pi*(n0+zeta0)*lag*T_b/T_s; remove the known
+        # integer part
+        rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
+        peak = sum(g[(idx + n0) % n_fft] * rot / abs(value) ** 2
+                   for g, (idx, value) in zip(gammas[lag], pilots))
+        return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
+
+    zeta0 = zeta_at(1)
+    # refine zeta0 with a longer block lag: the phase slope grows with the
+    # lag, so its noise shrinks; the lag-1 estimate picks the branch
+    lag = min(4, k_count)
+    if lag > 1:
+        zeta_l = zeta_at(lag)
+        period = 1.0 / (lag * tb_over_ts)
+        zeta0 = zeta_l + period * round((zeta0 - zeta_l) / period)
+    return n0, zeta0, low_conf
 
 
 def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
@@ -265,42 +284,32 @@ def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
     return min(max(t0p, 0.0), np.nextafter(config.t_cp2, 0.0))
 
 
-def _pilot_phase_mean(r_blocks: np.ndarray, pilot_index: int,
-                      pilot_value: complex, pilot_phases: np.ndarray, n0: int,
-                      zeta0: float, t0p_samples: float, config: OfdmConfig,
-                      t_window0: float = 0.0) -> complex:
-    """K-block average of the despread pilot after compensating the residual
-    CFO phase at each FFT window start and the fine-time phase ramp; its
-    angle is the carrier phase referenced to t = 0."""
-    n_fft = r_blocks.shape[1]
-    k_count = r_blocks.shape[0]
-    b = (pilot_index + n0) % n_fft
-    # residual CFO phase e^{j 2*pi*(n0+zeta0)*t_wk/T_s} at window start t_wk
-    ks = np.arange(k_count)
-    t_wk = t_window0 + ks * config.t_block
-    drift = np.exp(-2j * np.pi * (n0 + zeta0) * t_wk / config.t_body)
-    # The window-start shift ramps the spectrum before the CFO shifts it, so
-    # the ramp is evaluated at the pilot's own carrier, not the moved bin.
-    base_bin = pilot_index % config.n_carriers
-    ramp = np.exp(2j * np.pi * base_bin * t0p_samples / config.n_carriers)
-    vals = (r_blocks[:, b] * np.exp(1j * pilot_phases) * np.conj(pilot_value)
-            * drift * ramp)
-    return complex(vals.mean())
+def estimate_phase(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
+                   n0: int, zeta0: float, t0p_samples: float,
+                   config: OfdmConfig, t_window0: float = 0.0) -> float:
+    """Carrier phase from the 1/|p|^2-weighted sum of the K-block averages
+    of the despread pilots, after compensating the residual CFO phase at
+    each FFT window start and the fine-time phase ramp.
 
-
-def estimate_phase(r_blocks: np.ndarray, pilot_index: int, pilot_value: complex,
-                   pilot_phases: np.ndarray, n0: int, zeta0: float,
-                   t0p_samples: float, config: OfdmConfig,
-                   t_window0: float = 0.0) -> float:
-    """Carrier phase from the averaged despread pilot, after compensating the
-    residual CFO phase at each FFT window start and the fine-time phase ramp.
-
-    ``t_window0`` is the absolute start time of the first demodulation window,
-    so the returned phase is referenced to t = 0.
+    ``pilots``: [(index, value), ...]; ``phases``: (K, P) secret phases of
+    the pilot subcarriers. ``t_window0`` is the absolute start time of the
+    first demodulation window, so the returned phase is referenced to t = 0.
     """
-    return float(np.angle(_pilot_phase_mean(
-        r_blocks, pilot_index, pilot_value, pilot_phases, n0, zeta0,
-        t0p_samples, config, t_window0)))
+    n_fft = r_blocks.shape[1]
+    # residual CFO phase e^{j 2*pi*(n0+zeta0)*t_wk/T_s} at window start t_wk
+    t_wk = t_window0 + np.arange(r_blocks.shape[0]) * config.t_block
+    drift = np.exp(-2j * np.pi * (n0 + zeta0) * t_wk / config.t_body)
+    total = 0.0
+    for j, (idx, value) in enumerate(pilots):
+        # The window-start shift ramps the spectrum before the CFO shifts
+        # it, so the ramp is evaluated at the pilot's own carrier, not the
+        # moved bin.
+        base_bin = idx % config.n_carriers
+        ramp = np.exp(2j * np.pi * base_bin * t0p_samples / config.n_carriers)
+        vals = (r_blocks[:, (idx + n0) % n_fft] * np.exp(1j * phases[:, j])
+                * np.conj(value) * drift * ramp)
+        total += complex(vals.mean()) / abs(value) ** 2
+    return float(np.angle(total))
 
 
 def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
@@ -309,85 +318,39 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
 
     After the coarse stage the fractional CFO is compensated on absolute time
     and the FFT window is backed off into CP2 so the fine-time estimator sees
-    a strictly positive residual offset.
+    a strictly positive residual offset. The post-FFT stages use the first
+    two pilots in carrier order.
     """
     est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
     dt = r.sample_interval
-    n_c = config.n_carriers
     tau_samp = int(round(est.t0_hat / dt))
-    backoff = sync_cfg.backoff(config)
 
     t_abs = np.arange(r.samples.size) * dt
     corrected = ComplexSignal(
         r.samples * np.exp(-2j * np.pi * est.frac_cfo_hat * t_abs / config.t_body),
         dt, r.start_time)
 
-    k_first = sync_cfg.first_block
-    k_count = sync_cfg.n_blocks
-    n_fft = sync_cfg.n_fft(config)
-    r_blocks = np.empty((k_count + 1, n_fft), dtype=complex)
-    for i, k in enumerate(range(k_first, k_first + k_count + 1)):
-        start = tau_samp - backoff + k * config.block_samples + config.cp_samples
-        r_blocks[i] = demod_fft(corrected, start, config, sync_cfg)
-
-    pilot_items = sorted(config.pilot_positions.items())
-    if len(pilot_items) < 2:
+    pilots = sorted(config.pilot_positions.items())[:2]
+    if len(pilots) < 2:
         raise ValueError("post-FFT synchronization needs two pilot carriers")
-    (ip1, p1), (ip2, p2) = pilot_items[0], pilot_items[1]
-    plans = [phase_seq.plan(k + est.k0_hat)
-             for k in range(k_first, k_first + k_count + 1)]
-    th1 = np.array([pl.subcarrier_phases[ip1] for pl in plans])
-    th2 = np.array([pl.subcarrier_phases[ip2] for pl in plans])
+    ks = range(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
+    window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
+    r_blocks = np.array([
+        demod_fft(corrected, window0 + k * config.block_samples, config,
+                  sync_cfg) for k in ks])
+    carriers = [i for i, _ in pilots]
+    phases = np.array([phase_seq.plan(k + est.k0_hat).subcarrier_phases[carriers]
+                       for k in ks])
 
-    # combine the cross-block metrics of both pilots and several block lags
-    # before the peak search; each lag contributes an independent average
-    g1 = _gamma_avg(r_blocks, th1)
-    g2 = _gamma_avg(r_blocks, th2)
-    n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    scores = (np.abs(g1[(ip1 + n0_cands) % n_fft]) / abs(p1) ** 2
-              + np.abs(g2[(ip2 + n0_cands) % n_fft]) / abs(p2) ** 2)
-    for extra_lag in (2, 3):
-        if extra_lag <= k_count:
-            scores += (np.abs(_gamma_avg(r_blocks, th1, extra_lag)[
-                (ip1 + n0_cands) % n_fft]) / abs(p1) ** 2
-                + np.abs(_gamma_avg(r_blocks, th2, extra_lag)[
-                    (ip2 + n0_cands) % n_fft]) / abs(p2) ** 2)
-    n0 = int(n0_cands[int(np.argmax(scores))])
-    order = np.sort(scores)
-    cfo_low_conf = bool(order[-1] < 1.5 * order[-2]) if scores.size > 1 else False
-    tb_over_ts = config.block_samples / config.n_body_samples
-    rot = np.exp(2j * np.pi * n0 * tb_over_ts)
-    combined = (g1[(ip1 + n0) % n_fft] * rot / abs(p1) ** 2
-                + g2[(ip2 + n0) % n_fft] * rot / abs(p2) ** 2)
-    zeta0 = float(-np.angle(combined) / (2 * np.pi * tb_over_ts))
-
-    # refine zeta0 with a longer block lag: the phase slope grows with the
-    # lag, so its noise shrinks; the lag-1 estimate picks the branch
-    lag = min(4, k_count)
-    if lag > 1:
-        rot_l = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
-        c_l = (_gamma_avg(r_blocks, th1, lag)[(ip1 + n0) % n_fft] * rot_l
-               / abs(p1) ** 2
-               + _gamma_avg(r_blocks, th2, lag)[(ip2 + n0) % n_fft] * rot_l
-               / abs(p2) ** 2)
-        zeta_l = float(-np.angle(c_l) / (2 * np.pi * lag * tb_over_ts))
-        period = 1.0 / (lag * tb_over_ts)
-        zeta0 = zeta_l + period * round((zeta0 - zeta_l) / period)
-
-    t0p = estimate_fine_time(
-        r_blocks[:-1], [(ip1, p1), (ip2, p2)],
-        np.column_stack([th1[:-1], th2[:-1]]), n0, config, sync_cfg)
-    t_window0 = (tau_samp - backoff + config.cp_samples
-                 + k_first * config.block_samples) * dt
-    v1 = _pilot_phase_mean(r_blocks[:-1], ip1, p1, th1[:-1], n0, zeta0,
-                           t0p / dt, config, t_window0) / abs(p1) ** 2
-    v2 = _pilot_phase_mean(r_blocks[:-1], ip2, p2, th2[:-1], n0, zeta0,
-                           t0p / dt, config, t_window0) / abs(p2) ** 2
-    phi0 = float(np.angle(v1 + v2))
-
+    n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,
+                                                   config, sync_cfg)
+    t0p = estimate_fine_time(r_blocks[:-1], pilots, phases[:-1], n0, config,
+                             sync_cfg)
+    t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
     est.zeta0_hat = zeta0
     est.t0p_hat = t0p
-    est.phi0_hat = phi0
+    est.phi0_hat = estimate_phase(r_blocks[:-1], pilots, phases[:-1], n0,
+                                  zeta0, t0p / dt, config, t_window0)
     est.low_confidence = est.low_confidence or cfo_low_conf
     return est, surface

@@ -32,6 +32,8 @@ __all__ = [
     "read_iq",
 ]
 
+IQ_FORMAT = "interleaved_float64_iq"
+
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 
 
@@ -140,13 +142,6 @@ class ComplexSignal:
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
 
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.samples.size) * self.sample_interval
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.sample_interval
-
 
 def make_symbol_block(block_index: int, data_symbols: np.ndarray,
                       config: OfdmConfig) -> SymbolBlock:
@@ -160,12 +155,12 @@ def make_symbol_block(block_index: int, data_symbols: np.ndarray,
 
 
 def random_symbol_blocks(rng: np.random.Generator, n_blocks: int,
-                         config: OfdmConfig, first_index: int = 0) -> list[SymbolBlock]:
+                         config: OfdmConfig) -> list[SymbolBlock]:
     """Blocks of i.i.d. constellation symbols with pilots inserted."""
     picks = rng.integers(0, config.constellation.size,
                          size=(n_blocks, config.n_carriers))
     return [
-        make_symbol_block(first_index + i, config.constellation[picks[i]], config)
+        make_symbol_block(i, config.constellation[picks[i]], config)
         for i in range(n_blocks)
     ]
 
@@ -245,7 +240,7 @@ def write_iq(signal: ComplexSignal, path: str | Path, config_hash: str = "") -> 
     inter.tofile(path)
     header = path.with_suffix(path.suffix + ".hdr")
     header.write_text(
-        f"format=interleaved_float64_iq\n"
+        f"format={IQ_FORMAT}\n"
         f"n_samples={signal.samples.size}\n"
         f"sample_interval={signal.sample_interval!r}\n"
         f"start_time={signal.start_time!r}\n"
@@ -254,11 +249,20 @@ def write_iq(signal: ComplexSignal, path: str | Path, config_hash: str = "") -> 
 
 
 def read_iq(path: str | Path) -> ComplexSignal:
+    """Read a file written by :func:`write_iq`; the header's format and
+    sample count are checked against the binary file."""
     path = Path(path)
+    header = path.with_suffix(path.suffix + ".hdr")
     fields = {}
-    for line in path.with_suffix(path.suffix + ".hdr").read_text().splitlines():
+    for line in header.read_text().splitlines():
         k, _, v = line.partition("=")
         fields[k] = v
+    size = path.stat().st_size
+    if fields.get("format") != IQ_FORMAT:
+        raise ValueError(f"{header}: field 'format' must be {IQ_FORMAT!r}")
+    if fields.get("n_samples") != str(size // 16) or size % 16:
+        raise ValueError(f"{header}: field 'n_samples' does not match the "
+                         f"{size}-byte sample file")
     raw = np.fromfile(path)
     samples = raw[0::2] + 1j * raw[1::2]
     return ComplexSignal(samples, float(fields["sample_interval"]),

@@ -40,6 +40,24 @@ class TestScenario:
         with pytest.raises(ValueError):
             table1_scenario(trials=0)
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(pilot_positions=((24, 1),)), "pilot_positions"),
+        (dict(pilot_positions=((24, 1), (24, 1))), "pilot_positions"),
+        (dict(pilot_positions=((24, 1), (120, 1))), "pilot_positions"),
+        (dict(n_candidates=0), "n_candidates"),
+        (dict(sync_blocks=0), "sync_blocks"),
+    ])
+    def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
+                                                         field):
+        with pytest.raises(ValueError, match=field):
+            table1_scenario(**overrides)
+
+    def test_pilot_spacing_at_fine_time_limit_accepted(self):
+        # |24 - 40| * cp2_samples == n_carriers: still unambiguous
+        sc = table1_scenario(pilot_positions=((24, 1), (40, 1)), trials=2,
+                             sync_blocks=5)
+        assert run_sync_experiment(sc).aggregates["n_failed"] == 0
+
     def test_hash_tracks_content(self):
         a = table1_scenario()
         b = table1_scenario(snr_db=10.0)
@@ -84,6 +102,20 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("pilot_positions", {"24": [1.0, 0.0]}),
+        ("pilot_positions", {"24": [1.0, 0.0], "120": [1.0, 0.0]}),
+        ("n_candidates", 0),
+        ("sync_blocks", 0),
+    ])
+    def test_unusable_sync_config_named(self, tmp_path, field, value):
+        payload = json.loads(table1_scenario().to_json())
+        payload[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ScenarioFormatError, match=field):
+            load_scenario(path)
+
     def test_bad_pilot_table(self, tmp_path):
         payload = json.loads(table1_scenario().to_json())
         payload["pilot_positions"] = {"24": [1.0]}
@@ -110,12 +142,6 @@ class TestSyncExperiment:
         a = run_sync_experiment(sc).records_csv()
         b = run_sync_experiment(sc).records_csv()
         assert a == b
-
-    def test_threaded_matches_serial(self):
-        sc = table1_scenario(trials=6, sync_blocks=10)
-        serial = run_sync_experiment(sc, n_workers=1).records_csv()
-        threaded = run_sync_experiment(sc, n_workers=3).records_csv()
-        assert serial == threaded
 
     def test_aggregates_recomputable_from_records(self):
         sc = table1_scenario(trials=20, sync_blocks=10)

@@ -1,4 +1,8 @@
-"""Tests for the receiver chain: demodulation, decoding, LLRs, LDPC BP."""
+"""Tests for the receiver chain: demodulation, decoding, LLRs, LDPC BP.
+
+Demodulation is ``sync.demod_fft`` on the plain N_c-bin grid (no CFO search
+margin) and decoding is ``txchain.decode_phases``.
+"""
 
 import numpy as np
 import pytest
@@ -6,24 +10,33 @@ from scipy import stats
 
 from spofdm.keystream import PhasePlan, SecretKey, phase_plan
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
-                            crop_and_fft, ldpc_bp_decode, llr_qpsk, load_alist,
-                            make_regular_parity_check, qpsk_map, save_alist,
-                            secure_decode)
+                            ldpc_bp_decode, llr_qpsk, load_alist,
+                            make_regular_parity_check, qpsk_map, save_alist)
+from spofdm.sync import SyncConfig, demod_fft
 from spofdm.txchain import (OfdmConfig, build_plain_waveform, build_waveform,
-                            random_symbol_blocks)
+                            decode_phases, random_symbol_blocks)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
                     psk_order=16)
+PLAIN_GRID = SyncConfig(n_l=0, n_u=0)
+
+
+def block_fft(r, k, start_offset=0):
+    """Drop the CP of block k and take the N_c-point FFT of its body."""
+    start = start_offset + k * CONFIG.block_samples + CONFIG.cp_samples
+    return demod_fft(r, start, CONFIG, PLAIN_GRID)
 
 
 class TestCropAndFft:
+    """Crop-and-FFT demodulation: demod_fft without a CFO search margin."""
+
     def test_plain_loopback(self):
         rng = np.random.default_rng(0)
         blocks = random_symbol_blocks(rng, 3, CONFIG)
         wave = build_plain_waveform(blocks, CONFIG)
         for k, block in enumerate(blocks):
-            out = crop_and_fft(wave, k, CONFIG)
+            out = block_fft(wave, k)
             assert np.max(np.abs(out - block.data_symbols)) < 1e-9
 
     def test_precoded_loopback_carries_secret_rotation(self):
@@ -32,7 +45,7 @@ class TestCropAndFft:
         wave = build_waveform(blocks, KEY, 0, CONFIG)
         for k, block in enumerate(blocks):
             plan = phase_plan(KEY, 0, k, CONFIG.n_carriers, CONFIG.psk_order)
-            out = crop_and_fft(wave, k, CONFIG)
+            out = block_fft(wave, k)
             expect = block.data_symbols * np.exp(-1j * plan.subcarrier_phases)
             assert np.max(np.abs(out - expect)) < 1e-9
 
@@ -42,7 +55,7 @@ class TestCropAndFft:
         wave = build_plain_waveform(blocks, CONFIG)
         padded = type(wave)(np.concatenate([np.zeros(10), wave.samples]),
                             wave.sample_interval)
-        out = crop_and_fft(padded, 1, CONFIG, start_offset=10)
+        out = block_fft(padded, 1, start_offset=10)
         assert np.max(np.abs(out - blocks[1].data_symbols)) < 1e-9
 
     def test_out_of_range(self):
@@ -50,19 +63,20 @@ class TestCropAndFft:
         wave = build_plain_waveform(random_symbol_blocks(rng, 1, CONFIG),
                                     CONFIG)
         with pytest.raises(ValueError):
-            crop_and_fft(wave, 1, CONFIG)
+            block_fft(wave, 1)
 
 
 class TestSecureDecode:
+    """Secure decoding: decode_phases undoes the secret rotation."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         blocks = random_symbol_blocks(rng, 2, CONFIG)
         wave = build_waveform(blocks, KEY, 0, CONFIG)
         for k, block in enumerate(blocks):
             plan = phase_plan(KEY, 0, k, CONFIG.n_carriers, CONFIG.psk_order)
-            decoded = secure_decode(crop_and_fft(wave, k, CONFIG), plan)
-            assert decoded.block_index == k
-            assert np.max(np.abs(decoded.symbols - block.data_symbols)) < 1e-9
+            decoded = decode_phases(block_fft(wave, k), plan)
+            assert np.max(np.abs(decoded - block.data_symbols)) < 1e-9
 
     def test_wrong_key_scrambles_most_symbols(self):
         rng = np.random.default_rng(5)
@@ -75,9 +89,9 @@ class TestSecureDecode:
         qpsk = qpsk_map(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).ravel())
         for k, block in enumerate(blocks):
             plan = phase_plan(wrong, 0, k, CONFIG.n_carriers, CONFIG.psk_order)
-            decoded = secure_decode(crop_and_fft(wave, k, CONFIG), plan)
+            decoded = decode_phases(block_fft(wave, k), plan)
             picks = np.argmin(
-                np.abs(decoded.symbols[:, None] - qpsk[None, :]), axis=1)
+                np.abs(decoded[:, None] - qpsk[None, :]), axis=1)
             truth = np.argmin(
                 np.abs(block.data_symbols[:, None] - qpsk[None, :]), axis=1)
             errors += int(np.sum(picks != truth))
@@ -94,7 +108,7 @@ class TestSecureDecode:
         wave = build_waveform(blocks, KEY, 0, CONFIG)
         steps = []
         for k, block in enumerate(blocks):
-            raw = crop_and_fft(wave, k, CONFIG)
+            raw = block_fft(wave, k)
             rot = np.angle(raw / block.data_symbols)
             steps.append(np.round(rot * 16 / (2 * np.pi)).astype(int) % 16)
         counts = np.bincount(np.concatenate(steps), minlength=16)
@@ -104,7 +118,7 @@ class TestSecureDecode:
     def test_length_mismatch(self):
         plan = phase_plan(KEY, 0, 0, 64, 16)
         with pytest.raises(ValueError):
-            secure_decode(np.zeros(128, dtype=complex), plan)
+            decode_phases(np.zeros(128, dtype=complex), plan)
 
 
 class TestQpskAndLlr:
@@ -171,6 +185,21 @@ class TestParityCheckCode:
         back = load_alist(path)
         assert back.n == code.n and back.m == code.m
         assert np.array_equal(back.dense(), code.dense())
+
+    def test_alist_row_section_cross_checked(self, tmp_path):
+        code = make_regular_parity_check(30, 15, seed=3)
+        path = tmp_path / "code.alist"
+        save_alist(code, path)
+        lines = path.read_text().splitlines()
+        first_row = [int(v) for v in lines[4 + code.n].split()]
+        absent = next(v for v in range(1, code.n + 1) if v not in first_row)
+        lines[4 + code.n] = " ".join(map(str, [absent] + first_row[1:]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="row section disagrees"):
+            load_alist(path)
+        path.write_text("\n".join(lines[:4 + code.n]) + "\n")
+        with pytest.raises(ValueError, match="row section must have 15 entries"):
+            load_alist(path)
 
     def test_bundled_codes(self):
         for label, rate in [("1_4", 0.25), ("1_3", 1 / 3), ("1_2", 0.5),

@@ -6,9 +6,9 @@ import pytest
 from spofdm.channel import OffsetSpec, apply_offsets
 from spofdm.jammer import JammerSpec, combine, generate_jamming
 from spofdm.keystream import PhaseSequence, SecretKey
-from spofdm.sync import (SyncConfig, corr_pre_fft, demod_fft,
+from spofdm.sync import (SyncConfig, _gamma_avg, corr_pre_fft, demod_fft,
                          estimate_fine_time, estimate_integer_cfo,
-                         estimate_pre_fft, pre_fft_surface, synchronize,
+                         estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize,
                          v_expected)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             random_symbol_blocks)
@@ -208,11 +208,12 @@ class TestEstimateIntegerCfo:
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
         r_blocks = synthetic_pilot_blocks(132, 24, 1.0 + 0j, phases, 0, 0.0,
                                           152 / 128)
-        n0, zeta0, gamma, low = estimate_integer_cfo(r_blocks, 24, phases,
-                                                     config, sync_cfg)
+        n0, zeta0, low = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
+                                              phases[:, None], config,
+                                              sync_cfg)
         assert n0 == 0
         assert abs(zeta0) < 1e-12
-        assert abs(gamma[24] - 1.0) < 1e-12
+        assert abs(_gamma_avg(r_blocks, phases)[24] - 1.0) < 1e-12
         assert not low
 
     def test_integer_offset_moves_peak(self):
@@ -223,8 +224,9 @@ class TestEstimateIntegerCfo:
         for n0_true in (-2, -1, 1, 2):
             r_blocks = synthetic_pilot_blocks(132, 24, 1.0 + 0j, phases,
                                               n0_true, 0.0, 152 / 128)
-            n0, zeta0, _, _ = estimate_integer_cfo(r_blocks, 24, phases,
-                                                   config, sync_cfg)
+            n0, zeta0, _ = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
+                                                phases[:, None], config,
+                                                sync_cfg)
             assert n0 == n0_true
             assert abs(zeta0) < 1e-12
 
@@ -235,8 +237,8 @@ class TestEstimateIntegerCfo:
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
         r_blocks = synthetic_pilot_blocks(132, 24, 1.0 + 0j, phases, 1, 0.013,
                                           152 / 128)
-        n0, zeta0, _, _ = estimate_integer_cfo(r_blocks, 24, phases, config,
-                                               sync_cfg)
+        n0, zeta0, _ = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
+                                            phases[:, None], config, sync_cfg)
         assert n0 == 1
         assert abs(zeta0 - 0.013) < 1e-9
 
@@ -280,6 +282,20 @@ class TestEstimateFineTime:
         with pytest.raises(ValueError):
             estimate_fine_time(r, [(24, 1.0 + 0j), (24, 1.0 + 0j)],
                                np.zeros((8, 2)), 0, config, sync_cfg)
+
+
+class TestEstimatePhase:
+    def test_weighted_pilots_recover_phase(self):
+        config = table1_config()
+        rng = np.random.default_rng(17)
+        pilots = [(24, 1.0 + 0j), (32, 2j)]
+        phases = 2 * np.pi * rng.integers(0, 16, (8, 2)) / 16
+        phi0 = 0.7
+        r = sum(synthetic_pilot_blocks(132, i, p * np.exp(1j * phi0),
+                                       phases[:, j], 0, 0.0, 152 / 128)
+                for j, (i, p) in enumerate(pilots))
+        got = estimate_phase(r, pilots, phases, 0, 0.0, 0.0, config)
+        assert abs(got - phi0) < 1e-12
 
 
 class TestSynchronizeNoiseless:

@@ -231,3 +231,24 @@ class TestIqFiles:
         assert np.array_equal(back.samples, wave.samples)
         assert back.sample_interval == wave.sample_interval
         assert back.start_time == wave.start_time
+
+    def test_rejects_size_mismatch(self, tmp_path):
+        config = table1_config()
+        path = tmp_path / "wave.iq"
+        write_iq(ComplexSignal(np.ones(4, dtype=complex),
+                               config.sample_interval), path)
+        with open(path, "ab") as f:
+            f.write(bytes(8))
+        with pytest.raises(ValueError, match="n_samples"):
+            read_iq(path)
+
+    def test_rejects_unknown_format(self, tmp_path):
+        config = table1_config()
+        path = tmp_path / "wave.iq"
+        write_iq(ComplexSignal(np.ones(4, dtype=complex),
+                               config.sample_interval), path)
+        header = tmp_path / "wave.iq.hdr"
+        header.write_text(header.read_text().replace(
+            "interleaved_float64_iq", "interleaved_int16_iq"))
+        with pytest.raises(ValueError, match="format"):
+            read_iq(path)
