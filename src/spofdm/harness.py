@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -28,8 +29,8 @@ from .keystream import PhaseSequence, SecretKey
 from .rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
                       llr_qpsk, load_alist, qpsk_map)
 from .sync import SyncConfig, pre_fft_surface, synchronize
-from .txchain import (ComplexSignal, OfdmConfig, build_plain_waveform,
-                      build_waveform, random_symbol_blocks)
+from .txchain import (ComplexSignal, OfdmConfig, build_waveform,
+                      modulate_block, random_symbol_blocks)
 
 __all__ = [
     "Scenario",
@@ -105,6 +106,11 @@ class Scenario:
         for name in ("n_candidates", "sync_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # jammer_strategy="none", not a missing SJR, switches jamming off
+        for name in ("snr_db", "sjr_db"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
     def ofdm_config(self) -> OfdmConfig:
         return OfdmConfig(
@@ -316,7 +322,7 @@ def _receive(scenario: Scenario, config: OfdmConfig, wave: ComplexSignal,
     """The transmitted wave plus the scenario's jamming, emitted with the
     offsets ``jam_offsets()`` returns, plus receiver noise."""
     jam = None
-    if scenario.jammer_strategy != "none" and scenario.sjr_db is not None:
+    if scenario.jammer_strategy != "none":
         jam_spec = JammerSpec(
             strategy=scenario.jammer_strategy,
             power=scenario.jammer_power(),
@@ -336,11 +342,12 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
     k0 = int(rng.integers(0, scenario.n_candidates))
     offsets = _draw_offsets(scenario, config, rng)
     nu_true = offsets.omega0 * config.t_body / (2 * np.pi)
+    phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
+                              config.n_carriers, config.psk_order)
 
     n_blocks = scenario.sync_blocks + 4
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    wave = build_waveform(blocks, scenario.key(), scenario.epoch, config,
-                          phase_index_offset=k0)
+    wave = build_waveform(blocks, phase_seq.plan(k0, k0 + n_blocks - 1), config)
     fading = _draw_fading(scenario, config, rng)
     if fading is not None:
         wave = apply_fading(wave, fading)
@@ -348,8 +355,6 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
     r = _receive(scenario, config, wave, rng,
                  lambda: _draw_offsets(scenario, config, rng))
 
-    phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
-                              config.n_carriers, config.psk_order)
     record = {
         "trial": trial,
         "t0_true": offsets.t0,
@@ -363,7 +368,7 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
     }
     try:
         est, _ = synchronize(r, config, sync_cfg, phase_seq)
-    except Exception as exc:  # trial-level failures are recorded, not fatal
+    except ValueError as exc:  # estimation failures are recorded, not fatal
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
 
@@ -584,10 +589,10 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
         blocks = random_symbol_blocks(rng, n_blocks, config)
         if precoding:
-            wave = build_waveform(blocks, scenario.key(), scenario.epoch,
-                                  config, phase_index_offset=k0)
+            wave = build_waveform(
+                blocks, phase_seq.plan(k0, k0 + n_blocks - 1), config)
         else:
-            wave = build_plain_waveform(blocks, config)
+            wave = modulate_block(blocks, 1.0, config)
         wave = apply_offsets(wave, OffsetSpec(t0=signal_offset_samples * dt))
         r = _receive(scenario, config, wave, rng,
                      lambda: OffsetSpec(t0=jammer_offset_samples * dt))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import OffsetSpec, add_awgn, apply_offsets
-from .txchain import ComplexSignal, OfdmConfig, build_plain_waveform, random_symbol_blocks
+from .txchain import ComplexSignal, OfdmConfig, modulate_block, random_symbol_blocks
 
 __all__ = ["JammerSpec", "generate_jamming", "combine"]
 
@@ -68,11 +68,11 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     # disguised_ofdm: independent data, own offsets, classical or random CP1.
     n_blocks = -(-duration_samples // config.block_samples) + 2
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    cp_phases = None
+    cp_phases = 1.0
     if spec.cp_phase_mode == "random_cp":
         m = config.psk_order
         cp_phases = np.exp(2j * np.pi * rng.integers(0, m, n_blocks) / m)
-    wave = build_plain_waveform(blocks, config, cp_phases)
+    wave = modulate_block(blocks, cp_phases, config)
     wave = apply_offsets(wave, spec.offsets, t_block=None)
     samples = wave.samples[:duration_samples]
     # CP samples carry the same per-sample power as the body, so the analytic

@@ -11,7 +11,6 @@ offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -19,10 +18,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 __all__ = [
     "SecretKey",
     "StreamState",
-    "PhasePlan",
     "derive_bits",
     "map_psk",
-    "phase_plan",
+    "phase_plans",
     "PhaseSequence",
 ]
 
@@ -83,25 +81,6 @@ class StreamState:
             raise ValueError("intra_block_counter must be non-negative")
 
 
-@dataclass(frozen=True)
-class PhasePlan:
-    """Per-block secret randomness: CP phase symbol plus subcarrier phases.
-
-    ``cp_phase`` is a unit-magnitude M-PSK point; ``subcarrier_phases`` holds
-    the per-carrier angles (each an exact multiple of 2*pi/M).
-    """
-
-    block_index: int
-    cp_phase: complex
-    subcarrier_phases: np.ndarray
-    psk_order: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "subcarrier_phases", np.asarray(self.subcarrier_phases, dtype=float)
-        )
-
-
 def aes_encrypt_block(key: SecretKey, block: bytes) -> bytes:
     """Single-block AES encryption (ECB on one block); exposed for self-test."""
     if len(block) != _AES_BLOCK_BYTES:
@@ -110,16 +89,23 @@ def aes_encrypt_block(key: SecretKey, block: bytes) -> bytes:
     return enc.update(block) + enc.finalize()
 
 
-def _counter_blocks(state: StreamState, n_blocks: int) -> bytes:
-    """Counter block layout: epoch (4B) | block_index (8B) | counter (4B)."""
-    if state.block_index >= 1 << 64 or state.epoch >= 1 << 32:
+def _keystream(key: SecretKey, epoch: int, k_first: int, count: int,
+               counter0: int, n_aes: int) -> np.ndarray:
+    """AES-ECB encryption of the counter blocks of stream blocks
+    k_first..k_first+count-1, counters counter0..counter0+n_aes-1 each, in one
+    cipher call. Counter block layout: epoch (4B) | block_index (8B) |
+    counter (4B). Returns uint8 keystream bytes, one row per stream block."""
+    if (not 0 <= epoch < 1 << 32 or k_first + count > 1 << 64
+            or counter0 + n_aes > 1 << 32):
         raise ValueError("stream address out of range")
-    prefix = state.epoch.to_bytes(4, "big") + state.block_index.to_bytes(8, "big")
-    ctrs = [
-        prefix + (state.intra_block_counter + i).to_bytes(4, "big")
-        for i in range(n_blocks)
-    ]
-    return b"".join(ctrs)
+    ctr = np.empty((count, n_aes), dtype=[("epoch", ">u4"), ("block", ">u8"),
+                                          ("counter", ">u4")])
+    ctr["epoch"] = epoch
+    ctr["block"] = np.uint64(k_first) + np.arange(count, dtype=np.uint64)[:, None]
+    ctr["counter"] = counter0 + np.arange(n_aes, dtype=np.uint64)
+    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
+    stream = enc.update(ctr.tobytes()) + enc.finalize()
+    return np.frombuffer(stream, dtype=np.uint8).reshape(count, -1)
 
 
 def derive_bits(key: SecretKey, state: StreamState, n_bits: int) -> np.ndarray:
@@ -131,11 +117,9 @@ def derive_bits(key: SecretKey, state: StreamState, n_bits: int) -> np.ndarray:
     if n_bits <= 0:
         raise ValueError("n_bits must be positive")
     n_blocks = -(-n_bits // _AES_BLOCK_BITS)
-    counters = _counter_blocks(state, n_blocks)
-    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
-    stream = enc.update(counters) + enc.finalize()
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
-    return bits[:n_bits]
+    stream = _keystream(key, state.epoch, state.block_index, 1,
+                        state.intra_block_counter, n_blocks)
+    return np.unpackbits(stream[0])[:n_bits]
 
 
 def map_psk(bits: np.ndarray, psk_order: int) -> np.ndarray:
@@ -155,34 +139,31 @@ def map_psk(bits: np.ndarray, psk_order: int) -> np.ndarray:
     return 2.0 * np.pi * values / m
 
 
-def phase_plan(key: SecretKey, epoch: int, k: int, n_carriers: int,
-               psk_order: int) -> PhasePlan:
-    """Phase plan for OFDM block k: CP phase symbol paired with the length-N_c
-    subcarrier phase vector.
+def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
+                n_carriers: int, psk_order: int) -> np.ndarray:
+    """Secret angles of OFDM blocks k_first..k_first+count-1, shape
+    (count, N_c+1): column 0 is the CP phase angle and columns 1.. are the
+    subcarrier phases, each an exact multiple of 2*pi/M.
 
-    Random access: derives block k directly from its stream address without
-    touching any earlier block.
+    Random access: row i is derived from the stream address of block
+    k_first+i without touching any earlier block; all rows come from one
+    AES call.
     """
-    if k < 0:
+    if k_first < 0:
         raise ValueError("block index must be non-negative")
-    log2m = int(psk_order).bit_length() - 1
-    n_bits = (n_carriers + 1) * log2m
-    bits = derive_bits(key, StreamState(epoch, k, 0), n_bits)
-    angles = map_psk(bits, psk_order)
-    cp_phase = complex(np.exp(1j * angles[0]))
-    return PhasePlan(
-        block_index=k,
-        cp_phase=cp_phase,
-        subcarrier_phases=angles[1:],
-        psk_order=psk_order,
-    )
+    n_bits = (n_carriers + 1) * (int(psk_order).bit_length() - 1)
+    stream = _keystream(key, epoch, k_first, count, 0,
+                        -(-n_bits // _AES_BLOCK_BITS))
+    bits = np.unpackbits(stream, axis=1)[:, :n_bits]
+    return map_psk(bits, psk_order).reshape(count, n_carriers + 1)
 
 
 class PhaseSequence:
-    """Cached view of the phase plan sequence for one (key, epoch).
+    """Cached phase plans of one (key, epoch), one row per block as in
+    :func:`phase_plans`; rows 0..k are derived when block k is first needed.
 
     The receiver's nominal sequence; the transmitter's sequence is the same
-    object evaluated at a shifted block index.
+    rows at a shifted block index.
     """
 
     def __init__(self, key: SecretKey, epoch: int, n_carriers: int, psk_order: int):
@@ -190,17 +171,16 @@ class PhaseSequence:
         self.epoch = epoch
         self.n_carriers = n_carriers
         self.psk_order = psk_order
-        self._plan = lru_cache(maxsize=None)(self._plan_uncached)
+        self._angles = np.empty((0, n_carriers + 1))
 
-    def _plan_uncached(self, k: int) -> PhasePlan:
-        return phase_plan(self.key, self.epoch, k, self.n_carriers, self.psk_order)
-
-    def plan(self, k: int) -> PhasePlan:
-        return self._plan(k)
-
-    def cp_phase(self, k: int) -> complex:
-        return self._plan(k).cp_phase
-
-    def cp_phases(self, k_first: int, k_last: int) -> np.ndarray:
-        """CP phase symbols for blocks k_first..k_last inclusive."""
-        return np.array([self.cp_phase(k) for k in range(k_first, k_last + 1)])
+    def plan(self, k_first: int, k_last: int) -> np.ndarray:
+        """Rows of blocks k_first..k_last inclusive (read-only)."""
+        if not 0 <= k_first <= k_last:
+            raise ValueError("need 0 <= k_first <= k_last")
+        have = len(self._angles)
+        if k_last >= have:
+            more = phase_plans(self.key, self.epoch, have, k_last + 1 - have,
+                               self.n_carriers, self.psk_order)
+            self._angles = np.concatenate([self._angles, more])
+            self._angles.flags.writeable = False
+        return self._angles[k_first:k_last + 1]

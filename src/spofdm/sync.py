@@ -105,8 +105,8 @@ def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
     if start < 0 or stop + n_c > x.size:
         raise ValueError("correlation window out of range")
     window = x[start:stop] * np.conj(x[start + n_c:stop + n_c])
-    return complex(np.sum(window) * np.conj(phase_seq.cp_phase(k + d))
-                   * r.sample_interval)
+    cp_phase = np.exp(1j * phase_seq.plan(k + d, k + d)[0, 0])
+    return complex(np.sum(window) * np.conj(cp_phase) * r.sample_interval)
 
 
 def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
@@ -147,7 +147,7 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     d_vals = sync_cfg.candidates
     k_max = int(ks[-1] + d_vals.max())
     k_min = int(ks[0] + d_vals.min())
-    cp_seq = phase_seq.cp_phases(k_min, k_max)
+    cp_seq = np.exp(1j * phase_seq.plan(k_min, k_max)[:, 0])
     idx = (ks[:, None] + d_vals[None, :]) - k_min                  # (K, D)
     c = cp_seq[idx]
     return (y.T @ np.conj(c)) / k_count                            # (tau, D)
@@ -179,22 +179,24 @@ def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     return est, surface
 
 
-def demod_fft(r: ComplexSignal, body_start: int, config: OfdmConfig,
+def demod_fft(r: ComplexSignal, body_starts, config: OfdmConfig,
               sync_cfg: SyncConfig) -> np.ndarray:
-    """Extended-grid demodulation of one block body.
+    """Extended-grid demodulation of the block bodies at ``body_starts`` (a
+    sample index, or an array of them for one output row each).
 
     The N_c body samples are spectrally resampled onto the N_c' = N_c+N_u-N_l
     bin grid (scale N_c'/N_c), leaving room for integer CFO shifts up to the
     search bounds. With N_u = N_l = 0 this is the plain N_c-point FFT.
     """
     n_c = config.n_carriers
-    body = r.samples[body_start:body_start + n_c]
-    if body.size != n_c:
+    starts = np.asarray(body_starts)
+    if np.any(starts < 0) or np.any(starts > r.samples.size - n_c):
         raise ValueError("block body out of range")
-    spec = np.fft.fft(body)
+    spec = np.fft.fft(r.samples[starts[..., None] + np.arange(n_c)], axis=-1)
     n_fft = sync_cfg.n_fft(config)
     bins = np.arange(n_fft) % n_c
-    return (n_fft / n_c) * spec[bins]
+    # C order keeps the block averages downstream summing in row order
+    return (n_fft / n_c) * np.ascontiguousarray(spec[..., bins])
 
 
 def _gamma_avg(r_blocks: np.ndarray, pilot_phases: np.ndarray,
@@ -333,14 +335,13 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     pilots = sorted(config.pilot_positions.items())[:2]
     if len(pilots) < 2:
         raise ValueError("post-FFT synchronization needs two pilot carriers")
-    ks = range(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
+    ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
-    r_blocks = np.array([
-        demod_fft(corrected, window0 + k * config.block_samples, config,
-                  sync_cfg) for k in ks])
-    carriers = [i for i, _ in pilots]
-    phases = np.array([phase_seq.plan(k + est.k0_hat).subcarrier_phases[carriers]
-                       for k in ks])
+    r_blocks = demod_fft(corrected, window0 + ks * config.block_samples,
+                         config, sync_cfg)
+    plans = phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
+    # C order, as in demod_fft
+    phases = np.ascontiguousarray(plans[:, [1 + i for i, _ in pilots]])
 
     n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,
                                                    config, sync_cfg)

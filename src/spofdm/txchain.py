@@ -1,10 +1,10 @@
 """SP-OFDM transmit chain.
 
-Symbol blocks go through the secure phase precoder, an IDFT (1/N_c scaling)
-for the block body, and the split cyclic prefix: CP1 is the body tail segment
-rotated by the block's secret CP phase symbol, CP2 is a verbatim copy of the
-very end of the body. Blocks are concatenated back to back into the baseband
-waveform, sampled at the critical rate N_c/T_s.
+Symbol blocks, a (B, N_c) array, go through the secure phase precoder, an
+IDFT (1/N_c scaling) for the block body, and the split cyclic prefix: CP1 is
+the body tail segment rotated by the block's secret CP phase symbol, CP2 is a
+verbatim copy of the very end of the body. Blocks are concatenated back to
+back into the baseband waveform, sampled at the critical rate N_c/T_s.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .keystream import PhasePlan, PhaseSequence, SecretKey, phase_plan
-
 __all__ = [
     "OfdmConfig",
-    "SymbolBlock",
     "ComplexSignal",
     "precode",
     "decode_phases",
     "modulate_block",
     "build_waveform",
-    "make_symbol_block",
     "random_symbol_blocks",
     "write_iq",
     "read_iq",
@@ -88,10 +84,6 @@ class OfdmConfig:
         return self.n_body_samples * self.sample_interval
 
     @property
-    def t_cp1(self) -> float:
-        return self.cp1_samples * self.sample_interval
-
-    @property
     def t_cp2(self) -> float:
         return self.cp2_samples * self.sample_interval
 
@@ -119,17 +111,6 @@ class OfdmConfig:
 
 
 @dataclass
-class SymbolBlock:
-    """Length-N_c symbol vector of one OFDM block (pilots already placed)."""
-
-    block_index: int
-    data_symbols: np.ndarray
-
-    def __post_init__(self):
-        self.data_symbols = np.asarray(self.data_symbols, dtype=complex)
-
-
-@dataclass
 class ComplexSignal:
     """Uniformly sampled complex baseband sequence."""
 
@@ -143,92 +124,65 @@ class ComplexSignal:
             raise ValueError("sample_interval must be positive")
 
 
-def make_symbol_block(block_index: int, data_symbols: np.ndarray,
-                      config: OfdmConfig) -> SymbolBlock:
-    """Place pilot values on their fixed subcarriers of a data vector."""
-    symbols = np.asarray(data_symbols, dtype=complex).copy()
-    if symbols.size != config.n_carriers:
-        raise ValueError("data vector length must equal n_carriers")
-    for idx, value in config.pilot_positions.items():
-        symbols[idx] = value
-    return SymbolBlock(block_index, symbols)
-
-
 def random_symbol_blocks(rng: np.random.Generator, n_blocks: int,
-                         config: OfdmConfig) -> list[SymbolBlock]:
-    """Blocks of i.i.d. constellation symbols with pilots inserted."""
+                         config: OfdmConfig) -> np.ndarray:
+    """(n_blocks, N_c) i.i.d. constellation symbols with the pilot values
+    placed on their fixed subcarriers."""
     picks = rng.integers(0, config.constellation.size,
                          size=(n_blocks, config.n_carriers))
-    return [
-        make_symbol_block(i, config.constellation[picks[i]], config)
-        for i in range(n_blocks)
-    ]
+    symbols = config.constellation[picks]
+    for idx, value in config.pilot_positions.items():
+        symbols[:, idx] = value
+    return symbols
 
 
-def precode(block: SymbolBlock, plan: PhasePlan) -> np.ndarray:
-    """Apply the secret per-carrier phase rotations: out_i = S_i * e^{-j Theta_i}."""
-    if plan.subcarrier_phases.size != block.data_symbols.size:
+def precode(symbols: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Apply the secret per-carrier phase rotations: out_i = S_i * e^{-j Theta_i}.
+
+    Broadcasts over leading axes: one block or a (B, N_c) batch.
+    """
+    if np.shape(phases)[-1] != np.shape(symbols)[-1]:
         raise ValueError("phase plan length does not match symbol vector")
-    return block.data_symbols * np.exp(-1j * plan.subcarrier_phases)
+    return symbols * np.exp(-1j * phases)
 
 
-def decode_phases(precoded: np.ndarray, plan: PhasePlan) -> np.ndarray:
+def decode_phases(precoded: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Inverse of :func:`precode` (conjugate phase rotations)."""
-    if plan.subcarrier_phases.size != precoded.size:
-        raise ValueError("phase plan length does not match symbol vector")
-    return precoded * np.exp(1j * plan.subcarrier_phases)
+    return precode(precoded, -np.asarray(phases))
 
 
-def modulate_block(precoded: np.ndarray, cp_phase: complex,
+def modulate_block(precoded: np.ndarray, cp_phase,
                    config: OfdmConfig) -> ComplexSignal:
-    """One OFDM block in the time domain: [CP1 | CP2 | body].
+    """OFDM blocks in the time domain, each [CP1 | CP2 | body], back to back.
 
-    body = IDFT of the precoded vector with 1/N_c scaling. CP2 copies the last
-    cp2 body samples verbatim; CP1 copies the cp1 samples immediately before
-    the CP2 source region, rotated by the block's secret CP phase symbol.
+    ``precoded`` is one length-N_c vector or a (B, N_c) batch, ``cp_phase``
+    one secret CP phase symbol or one per block. body = IDFT of the precoded
+    vector with 1/N_c scaling. CP2 copies the last cp2 body samples verbatim;
+    CP1 copies the cp1 samples immediately before the CP2 source region,
+    rotated by the block's CP phase symbol (1 for classical OFDM).
     """
     precoded = np.asarray(precoded, dtype=complex)
-    if precoded.size != config.n_carriers:
+    if precoded.shape[-1] != config.n_carriers:
         raise ValueError("precoded vector length must equal n_carriers")
-    body = np.fft.ifft(precoded)  # numpy ifft carries the 1/N scaling
-    cp2 = body[-config.cp2_samples:]
-    cp1 = cp_phase * body[-config.cp_samples:-config.cp2_samples]
-    samples = np.concatenate([cp1, cp2, body])
-    return ComplexSignal(samples, config.sample_interval)
+    body = np.fft.ifft(precoded, axis=-1)  # numpy ifft carries the 1/N scaling
+    cp2 = body[..., -config.cp2_samples:]
+    cp1 = (np.asarray(cp_phase)[..., None]
+           * body[..., -config.cp_samples:-config.cp2_samples])
+    samples = np.concatenate([cp1, cp2, body], axis=-1)
+    return ComplexSignal(samples.ravel(), config.sample_interval)
 
 
-def build_waveform(blocks: list[SymbolBlock], key: SecretKey, epoch: int,
-                   config: OfdmConfig, phase_index_offset: int = 0) -> ComplexSignal:
-    """Concatenated SP-OFDM waveform for consecutively indexed blocks.
+def build_waveform(symbols: np.ndarray, angles: np.ndarray,
+                   config: OfdmConfig) -> ComplexSignal:
+    """SP-OFDM waveform of consecutive blocks.
 
-    ``phase_index_offset`` shifts the keystream block index used for each
-    block, modelling the clock offset between the transmitter's sequence and
-    the receiver's nominal one.
+    Row b of ``angles`` is the secret randomness of block b as returned by
+    :func:`spofdm.keystream.phase_plans`: the CP phase angle, then the
+    subcarrier phases.
     """
-    if not blocks:
-        raise ValueError("need at least one block")
-    for prev, cur in zip(blocks, blocks[1:]):
-        if cur.block_index != prev.block_index + 1:
-            raise ValueError("blocks must be indexed consecutively")
-    parts = []
-    for block in blocks:
-        plan = phase_plan(key, epoch, block.block_index + phase_index_offset,
-                          config.n_carriers, config.psk_order)
-        parts.append(modulate_block(precode(block, plan), plan.cp_phase, config).samples)
-    return ComplexSignal(np.concatenate(parts), config.sample_interval)
-
-
-def build_plain_waveform(blocks: list[SymbolBlock], config: OfdmConfig,
-                         cp_phases: np.ndarray | None = None) -> ComplexSignal:
-    """Classical OFDM waveform: no precoding, CP1 rotation C_k (default 1).
-
-    Used for the traditional-OFDM baseline and for the disguised jammer.
-    """
-    parts = []
-    for i, block in enumerate(blocks):
-        c = 1.0 if cp_phases is None else cp_phases[i]
-        parts.append(modulate_block(block.data_symbols, c, config).samples)
-    return ComplexSignal(np.concatenate(parts), config.sample_interval)
+    angles = np.asarray(angles)
+    return modulate_block(precode(symbols, angles[..., 1:]),
+                          np.exp(1j * angles[..., 0]), config)
 
 
 def write_iq(signal: ComplexSignal, path: str | Path, config_hash: str = "") -> None:

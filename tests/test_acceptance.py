@@ -16,7 +16,7 @@ from spofdm.avc import (InputDist, JammingDist, SymbolChannelSpec,
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             run_sync_experiment, table1_scenario)
 from spofdm.keystream import (SecretKey, StreamState, aes_encrypt_block,
-                              derive_bits, phase_plan)
+                              derive_bits, phase_plans)
 from spofdm.sync import SyncConfig, demod_fft, v_expected
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, precode,
@@ -228,16 +228,16 @@ class TestCriterion8Exactness:
             and np.max(np.abs(sig[:16] - c * body[-24:-8])) < 1e-12)
 
         blocks = random_symbol_blocks(rng, 2, config)
-        wave = build_waveform(blocks, KEY, 0, config)
+        wave = build_waveform(blocks, phase_plans(KEY, 0, 0, 2, 128, 16),
+                              config)
         round_ok = True
         plain_grid = SyncConfig(n_l=0, n_u=0)
         for k, block in enumerate(blocks):
-            plan = phase_plan(KEY, 0, k, 128, 16)
+            phases = phase_plans(KEY, 0, k, 1, 128, 16)[0, 1:]
             start = k * config.block_samples + config.cp_samples
             decoded = decode_phases(
-                demod_fft(wave, start, config, plain_grid), plan)
-            round_ok &= bool(
-                np.max(np.abs(decoded - block.data_symbols)) < 1e-9)
+                demod_fft(wave, start, config, plain_grid), phases)
+            round_ok &= bool(np.max(np.abs(decoded - block)) < 1e-9)
         checks["fft_round_trip"] = round_ok
 
         a = derive_bits(KEY, StreamState(2, block_index=5), 256)

@@ -46,6 +46,10 @@ class TestScenario:
         (dict(pilot_positions=((24, 1), (120, 1))), "pilot_positions"),
         (dict(n_candidates=0), "n_candidates"),
         (dict(sync_blocks=0), "sync_blocks"),
+        (dict(snr_db=float("nan")), "snr_db"),
+        (dict(snr_db=None), "snr_db"),
+        (dict(sjr_db=None), "sjr_db"),
+        (dict(sjr_db=float("inf")), "sjr_db"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -107,6 +111,9 @@ class TestScenarioFiles:
         ("pilot_positions", {"24": [1.0, 0.0], "120": [1.0, 0.0]}),
         ("n_candidates", 0),
         ("sync_blocks", 0),
+        ("snr_db", float("nan")),
+        ("sjr_db", None),
+        ("sjr_db", float("-inf")),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -136,6 +143,17 @@ class TestSyncExperiment:
         assert np.all(freq_err < 1e-9)
         assert report.aggregates["n_failed"] == 0
         assert report.aggregates["time_cdf"]["lt_0.01"] == 1.0
+
+    def test_programming_errors_are_not_recorded_as_failed_trials(
+            self, monkeypatch):
+        import spofdm.harness as harness
+
+        def broken_synchronize(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(harness, "synchronize", broken_synchronize)
+        with pytest.raises(TypeError, match="bug"):
+            run_sync_experiment(table1_scenario(trials=2, sync_blocks=5))
 
     def test_deterministic_records(self):
         sc = table1_scenario(trials=5, sync_blocks=10)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from spofdm.keystream import (KeystreamConfigError, PhasePlan, PhaseSequence,
-                              SecretKey, StreamState, aes_encrypt_block,
-                              derive_bits, map_psk, phase_plan)
+from spofdm.keystream import (KeystreamConfigError, PhaseSequence, SecretKey,
+                              StreamState, aes_encrypt_block, derive_bits,
+                              map_psk, phase_plans)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 KEY2 = SecretKey.from_hex("ffeeddccbbaa99887766554433221100")
@@ -124,28 +124,32 @@ class TestMapPsk:
         assert np.all(np.abs(freqs - 1 / 16) < 0.002)
 
 
+def phase_plan(key, epoch, k, n_carriers, psk_order):
+    """Row of block k: CP phase angle, then the subcarrier phases."""
+    return phase_plans(key, epoch, k, 1, n_carriers, psk_order)[0]
+
+
 class TestPhasePlan:
     def test_shared_secret_determinism(self):
         a = phase_plan(KEY, 0, 5, 128, 16)
         b = phase_plan(KEY, 0, 5, 128, 16)
-        assert a.cp_phase == b.cp_phase
-        assert np.array_equal(a.subcarrier_phases, b.subcarrier_phases)
+        assert np.exp(1j * a[0]) == np.exp(1j * b[0])
+        assert np.array_equal(a[1:], b[1:])
 
     def test_shapes_and_alphabet(self):
         plan = phase_plan(KEY, 0, 0, 128, 16)
-        assert plan.subcarrier_phases.size == 128
-        assert abs(abs(plan.cp_phase) - 1.0) < 1e-12
-        steps = plan.subcarrier_phases * 16 / (2 * np.pi)
+        assert plan[1:].size == 128
+        assert abs(abs(np.exp(1j * plan[0])) - 1.0) < 1e-12
+        steps = plan[1:] * 16 / (2 * np.pi)
         assert np.allclose(steps, np.round(steps))
 
     def test_random_access_matches_sequential(self):
         direct = phase_plan(KEY, 0, 40, 128, 16)
         seq = PhaseSequence(KEY, 0, 128, 16)
         for k in range(41):
-            sequential = seq.plan(k)
-        assert sequential.cp_phase == direct.cp_phase
-        assert np.array_equal(sequential.subcarrier_phases,
-                              direct.subcarrier_phases)
+            sequential = seq.plan(k, k)[0]
+        assert np.exp(1j * sequential[0]) == np.exp(1j * direct[0])
+        assert np.array_equal(sequential[1:], direct[1:])
 
     def test_rejects_negative_block(self):
         with pytest.raises(ValueError):
@@ -154,19 +158,32 @@ class TestPhasePlan:
     def test_adjacent_blocks_uncorrelated(self):
         n_blocks = 1000
         seq = PhaseSequence(KEY, 0, 128, 16)
-        u = np.array([np.exp(1j * seq.plan(k).subcarrier_phases)
-                      for k in range(n_blocks + 1)])
+        u = np.exp(1j * seq.plan(0, n_blocks)[:, 1:])
         rho = np.mean(u[:-1] * np.conj(u[1:]))
         assert abs(rho) < 0.05
 
+    def test_rejects_out_of_range_address(self):
+        with pytest.raises(ValueError, match="out of range"):
+            phase_plans(KEY, 1 << 32, 0, 1, 128, 16)
+        with pytest.raises(ValueError, match="out of range"):
+            phase_plans(KEY, 0, (1 << 64) - 1, 2, 128, 16)
+        assert phase_plans(KEY, 0, (1 << 64) - 1, 1, 128, 16).shape == (1, 129)
+
 
 class TestPhaseSequence:
-    def test_cp_phases_slice(self):
+    def test_plan_slice(self):
         seq = PhaseSequence(KEY, 0, 128, 16)
-        arr = seq.cp_phases(3, 7)
-        assert arr.size == 5
-        assert arr[0] == seq.cp_phase(3)
-        assert arr[-1] == seq.cp_phase(7)
+        arr = seq.plan(3, 7)
+        assert arr.shape == (5, 129)
+        assert np.array_equal(arr[0], seq.plan(3, 3)[0])
+        assert np.array_equal(arr[-1], seq.plan(7, 7)[0])
+
+    def test_plan_rows_are_read_only(self):
+        seq = PhaseSequence(KEY, 0, 128, 16)
+        with pytest.raises(ValueError):
+            seq.plan(0, 2)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            seq.plan(3, 2)
 
     def test_cp_phase_stream_uniform_and_uncorrelated(self):
         n = 100_000

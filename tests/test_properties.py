@@ -1,12 +1,19 @@
 """Property tests for invariants of the link: the pre-FFT surface against its
-direct correlator, the precode/demodulate/decode round trip, and the
-classical receiver as the secure receiver with unit CP phases."""
+direct correlator, the precode/demodulate/decode round trip, the classical
+receiver as the secure receiver with unit CP phases, batched keystream,
+modulation and demodulation against their per-block forms, and the bundled
+LDPC codes' encoder."""
+
+from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spofdm.keystream import PhaseSequence, SecretKey, phase_plan
+from spofdm.keystream import (PhaseSequence, SecretKey, StreamState,
+                              derive_bits, map_psk, phase_plans)
+from spofdm.rxchain import LdpcEncoder, bundled_code_path, load_alist
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, corr_pre_fft, demod_fft,
                          pre_fft_surface)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
@@ -35,7 +42,8 @@ def small_links(draw):
     delay = draw(st.integers(0, config.block_samples - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = random_symbol_blocks(rng, n_blocks + 3, config)
-    wave = build_waveform(blocks, KEY, 0, config, phase_index_offset=k0)
+    angles = phase_plans(KEY, 0, k0, n_blocks + 3, n_c, config.psk_order)
+    wave = build_waveform(blocks, angles, config)
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave.samples])
     samples += 0.1 * (rng.normal(size=samples.size)
                       + 1j * rng.normal(size=samples.size))
@@ -46,8 +54,8 @@ def small_links(draw):
 class UnitCpPhases:
     """Phase sequence stand-in whose CP phase is 1 for every block."""
 
-    def cp_phases(self, k_first, k_last):
-        return np.ones(k_last - k_first + 1, dtype=complex)
+    def plan(self, k_first, k_last):
+        return np.zeros((k_last - k_first + 1, 1))
 
 
 @FAST
@@ -87,8 +95,100 @@ def test_precode_modulate_demodulate_decode_round_trip(n_c, psk_order,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     rng = np.random.default_rng(seed)
     block = random_symbol_blocks(rng, 1, config)[0]
-    plan = phase_plan(KEY, 0, block_index, n_c, psk_order)
-    sig = modulate_block(precode(block, plan), plan.cp_phase, config)
+    plan = phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0]
+    sig = modulate_block(precode(block, plan[1:]), np.exp(1j * plan[0]),
+                         config)
     demod = demod_fft(sig, config.cp_samples, config, SyncConfig(n_l=0, n_u=0))
-    decoded = decode_phases(demod, plan)
-    assert np.max(np.abs(decoded - block.data_symbols)) < 1e-9
+    decoded = decode_phases(demod, plan[1:])
+    assert np.max(np.abs(decoded - block)) < 1e-9
+
+
+@FAST
+@given(epoch=st.integers(0, 2 ** 32 - 1),
+       k_first=st.integers(0, 2 ** 64 - 9),
+       count=st.integers(1, 8),
+       n_c=st.sampled_from([1, 8, 16, 127, 128]),
+       psk_order=st.sampled_from([2, 4, 16, 256]))
+def test_batched_keystream_equals_per_block_keystream(epoch, k_first, count,
+                                                       n_c, psk_order):
+    rows = phase_plans(KEY, epoch, k_first, count, n_c, psk_order)
+    n_bits = (n_c + 1) * (psk_order.bit_length() - 1)
+    assert rows.shape == (count, n_c + 1)
+    for i, row in enumerate(rows):
+        bits = derive_bits(KEY, StreamState(epoch, k_first + i), n_bits)
+        assert np.array_equal(row, map_psk(bits, psk_order))
+
+
+@FAST
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                min_size=1, max_size=6))
+def test_sequence_rows_independent_of_growth_order(ranges):
+    seq = PhaseSequence(KEY, 3, 16, 4)
+    for a, b in ranges:
+        a, b = min(a, b), max(a, b)
+        assert np.array_equal(seq.plan(a, b),
+                              phase_plans(KEY, 3, a, b - a + 1, 16, 4))
+
+
+@FAST
+@given(n_c=st.sampled_from([8, 16, 64]),
+       n_blocks=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_modulate_equals_per_block_calls(n_c, n_blocks, seed):
+    config = OfdmConfig(n_carriers=n_c, cp1_samples=n_c // 8,
+                        cp2_samples=n_c // 8, psk_order=16)
+    rng = np.random.default_rng(seed)
+    precoded = (rng.normal(size=(n_blocks, n_c))
+                + 1j * rng.normal(size=(n_blocks, n_c)))
+    cp_phases = np.exp(2j * np.pi * rng.integers(0, 16, n_blocks) / 16)
+    batched = modulate_block(precoded, cp_phases, config).samples
+    rows = [modulate_block(precoded[b], cp_phases[b], config).samples
+            for b in range(n_blocks)]
+    assert np.array_equal(batched, np.concatenate(rows))
+    plain = modulate_block(precoded, 1.0, config).samples
+    assert np.array_equal(plain, np.concatenate(
+        [modulate_block(row, 1.0, config).samples for row in precoded]))
+
+
+@FAST
+@given(n_c=st.sampled_from([8, 16, 64]),
+       n_samples=st.integers(64, 300),
+       margin=st.integers(0, 3),
+       data=st.data())
+def test_batched_demod_equals_per_start_calls(n_c, n_samples, margin, data):
+    config = OfdmConfig(n_carriers=n_c, cp1_samples=1, cp2_samples=1,
+                        psk_order=4)
+    sync_cfg = SyncConfig(n_l=-margin, n_u=margin)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    r = ComplexSignal(rng.normal(size=n_samples)
+                      + 1j * rng.normal(size=n_samples), config.sample_interval)
+    last = n_samples - n_c
+    starts = np.array(data.draw(st.lists(st.integers(0, last), min_size=1,
+                                         max_size=6)))
+    batched = demod_fft(r, starts, config, sync_cfg)
+    assert batched.shape == (starts.size, sync_cfg.n_fft(config))
+    for row, start in zip(batched, starts):
+        assert np.array_equal(row, demod_fft(r, int(start), config, sync_cfg))
+    bad = data.draw(st.one_of(st.integers(-n_samples, -1),
+                              st.integers(last + 1, 2 * n_samples)))
+    with pytest.raises(ValueError, match="out of range"):
+        demod_fft(r, np.append(starts, bad), config, sync_cfg)
+
+
+@lru_cache(maxsize=None)
+def bundled_encoder(rate_label):
+    return LdpcEncoder(load_alist(bundled_code_path(rate_label)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(rate=st.sampled_from(["1_4", "1_3", "1_2", "2_3"]),
+       n_words=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bundled_codewords_have_zero_syndrome(rate, n_words, seed):
+    enc = bundled_encoder(rate)
+    msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
+                                               dtype=np.uint8)
+    words = enc.encode(msg)
+    assert not enc.code.syndrome(words).any()
+    assert np.array_equal(enc.extract_message(words), msg)
+    assert np.array_equal(enc.extract_message(enc.encode(msg[0])), msg[0])

@@ -8,18 +8,30 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spofdm.keystream import PhasePlan, SecretKey, phase_plan
+from spofdm.keystream import SecretKey, phase_plans
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
                             ldpc_bp_decode, llr_qpsk, load_alist,
                             make_regular_parity_check, qpsk_map, save_alist)
 from spofdm.sync import SyncConfig, demod_fft
-from spofdm.txchain import (OfdmConfig, build_plain_waveform, build_waveform,
-                            decode_phases, random_symbol_blocks)
+from spofdm.txchain import (OfdmConfig, build_waveform, decode_phases,
+                            modulate_block, random_symbol_blocks)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
                     psk_order=16)
 PLAIN_GRID = SyncConfig(n_l=0, n_u=0)
+
+
+def subcarrier_phases(key, k_first, count):
+    """Secret subcarrier phases of blocks k_first.. (one row per block)."""
+    return phase_plans(key, 0, k_first, count, CONFIG.n_carriers,
+                       CONFIG.psk_order)[:, 1:]
+
+
+def secure_waveform(blocks):
+    return build_waveform(blocks, phase_plans(KEY, 0, 0, len(blocks),
+                                              CONFIG.n_carriers,
+                                              CONFIG.psk_order), CONFIG)
 
 
 def block_fft(r, k, start_offset=0):
@@ -34,34 +46,34 @@ class TestCropAndFft:
     def test_plain_loopback(self):
         rng = np.random.default_rng(0)
         blocks = random_symbol_blocks(rng, 3, CONFIG)
-        wave = build_plain_waveform(blocks, CONFIG)
+        wave = modulate_block(blocks, 1.0, CONFIG)
         for k, block in enumerate(blocks):
             out = block_fft(wave, k)
-            assert np.max(np.abs(out - block.data_symbols)) < 1e-9
+            assert np.max(np.abs(out - block)) < 1e-9
 
     def test_precoded_loopback_carries_secret_rotation(self):
         rng = np.random.default_rng(1)
         blocks = random_symbol_blocks(rng, 2, CONFIG)
-        wave = build_waveform(blocks, KEY, 0, CONFIG)
+        wave = secure_waveform(blocks)
         for k, block in enumerate(blocks):
-            plan = phase_plan(KEY, 0, k, CONFIG.n_carriers, CONFIG.psk_order)
+            phases = subcarrier_phases(KEY, k, 1)[0]
             out = block_fft(wave, k)
-            expect = block.data_symbols * np.exp(-1j * plan.subcarrier_phases)
+            expect = block * np.exp(-1j * phases)
             assert np.max(np.abs(out - expect)) < 1e-9
 
     def test_start_offset(self):
         rng = np.random.default_rng(2)
         blocks = random_symbol_blocks(rng, 2, CONFIG)
-        wave = build_plain_waveform(blocks, CONFIG)
+        wave = modulate_block(blocks, 1.0, CONFIG)
         padded = type(wave)(np.concatenate([np.zeros(10), wave.samples]),
                             wave.sample_interval)
         out = block_fft(padded, 1, start_offset=10)
-        assert np.max(np.abs(out - blocks[1].data_symbols)) < 1e-9
+        assert np.max(np.abs(out - blocks[1])) < 1e-9
 
     def test_out_of_range(self):
         rng = np.random.default_rng(3)
-        wave = build_plain_waveform(random_symbol_blocks(rng, 1, CONFIG),
-                                    CONFIG)
+        wave = modulate_block(random_symbol_blocks(rng, 1, CONFIG), 1.0,
+                              CONFIG)
         with pytest.raises(ValueError):
             block_fft(wave, 1)
 
@@ -72,28 +84,28 @@ class TestSecureDecode:
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         blocks = random_symbol_blocks(rng, 2, CONFIG)
-        wave = build_waveform(blocks, KEY, 0, CONFIG)
+        wave = secure_waveform(blocks)
         for k, block in enumerate(blocks):
-            plan = phase_plan(KEY, 0, k, CONFIG.n_carriers, CONFIG.psk_order)
-            decoded = decode_phases(block_fft(wave, k), plan)
-            assert np.max(np.abs(decoded - block.data_symbols)) < 1e-9
+            phases = subcarrier_phases(KEY, k, 1)[0]
+            decoded = decode_phases(block_fft(wave, k), phases)
+            assert np.max(np.abs(decoded - block)) < 1e-9
 
     def test_wrong_key_scrambles_most_symbols(self):
         rng = np.random.default_rng(5)
         wrong = SecretKey.from_hex("ffeeddccbbaa99887766554433221100")
         n_blocks = 200
         blocks = random_symbol_blocks(rng, n_blocks, CONFIG)
-        wave = build_waveform(blocks, KEY, 0, CONFIG)
+        wave = secure_waveform(blocks)
         errors = 0
         total = 0
         qpsk = qpsk_map(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).ravel())
         for k, block in enumerate(blocks):
-            plan = phase_plan(wrong, 0, k, CONFIG.n_carriers, CONFIG.psk_order)
-            decoded = decode_phases(block_fft(wave, k), plan)
+            phases = subcarrier_phases(wrong, k, 1)[0]
+            decoded = decode_phases(block_fft(wave, k), phases)
             picks = np.argmin(
                 np.abs(decoded[:, None] - qpsk[None, :]), axis=1)
             truth = np.argmin(
-                np.abs(block.data_symbols[:, None] - qpsk[None, :]), axis=1)
+                np.abs(block[:, None] - qpsk[None, :]), axis=1)
             errors += int(np.sum(picks != truth))
             total += picks.size
         ser = errors / total
@@ -105,20 +117,20 @@ class TestSecureDecode:
         rng = np.random.default_rng(6)
         n_blocks = 500
         blocks = random_symbol_blocks(rng, n_blocks, CONFIG)
-        wave = build_waveform(blocks, KEY, 0, CONFIG)
+        wave = secure_waveform(blocks)
         steps = []
         for k, block in enumerate(blocks):
             raw = block_fft(wave, k)
-            rot = np.angle(raw / block.data_symbols)
+            rot = np.angle(raw / block)
             steps.append(np.round(rot * 16 / (2 * np.pi)).astype(int) % 16)
         counts = np.bincount(np.concatenate(steps), minlength=16)
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 
     def test_length_mismatch(self):
-        plan = phase_plan(KEY, 0, 0, 64, 16)
+        phases = phase_plans(KEY, 0, 0, 1, 64, 16)[0, 1:]
         with pytest.raises(ValueError):
-            decode_phases(np.zeros(128, dtype=complex), plan)
+            decode_phases(np.zeros(128, dtype=complex), phases)
 
 
 class TestQpskAndLlr:

@@ -5,7 +5,7 @@ import pytest
 
 from spofdm.channel import OffsetSpec, apply_offsets
 from spofdm.jammer import JammerSpec, combine, generate_jamming
-from spofdm.keystream import PhaseSequence, SecretKey
+from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
 from spofdm.sync import (SyncConfig, _gamma_avg, corr_pre_fft, demod_fft,
                          estimate_fine_time, estimate_integer_cfo,
                          estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize,
@@ -31,7 +31,9 @@ def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
                   seed=0):
     rng = np.random.default_rng(seed)
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    wave = build_waveform(blocks, KEY, 0, config, phase_index_offset=k0)
+    angles = phase_plans(KEY, 0, k0, n_blocks, config.n_carriers,
+                         config.psk_order)
+    wave = build_waveform(blocks, angles, config)
     dt = config.sample_interval
     omega0 = 2 * np.pi * nu / config.t_body
     return apply_offsets(wave, OffsetSpec(t0=t0_samples * dt, omega0=omega0,
@@ -64,7 +66,8 @@ class TestCorrPreFft:
                         acc += (r.samples[start + i]
                                 * np.conj(r.samples[start + i
                                                     + config.n_carriers]))
-                    oracle = acc * np.conj(seq.cp_phase(k + d)) * dt
+                    cp_phase = np.exp(1j * seq.plan(k + d, k + d)[0, 0])
+                    oracle = acc * np.conj(cp_phase) * dt
                     assert abs(got - oracle) < 1e-10
 
     def test_aligned_value_real_positive(self):
@@ -165,13 +168,12 @@ class TestDemodFft:
         sync_cfg = SyncConfig(n_blocks=5, n_l=-2, n_u=2)
         rng = np.random.default_rng(11)
         blocks = random_symbol_blocks(rng, 3, config)
-        wave = build_waveform(blocks, KEY, 0, config)
+        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        wave = build_waveform(blocks, seq.plan(0, 2), config)
         start = config.block_samples + config.cp_samples
         out = demod_fft(wave, start, config, sync_cfg)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
-        plan = seq.plan(1)
-        expected = (132 / 128) * blocks[1].data_symbols * np.exp(
-            -1j * plan.subcarrier_phases)
+        expected = (132 / 128) * blocks[1] * np.exp(
+            -1j * seq.plan(1, 1)[0, 1:])
         assert np.max(np.abs(out[:128] - expected)) < 1e-9
 
     def test_integer_cfo_shifts_bins(self):

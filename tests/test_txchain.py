@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from spofdm.keystream import PhasePlan, SecretKey, phase_plan
-from spofdm.txchain import (QPSK, ComplexSignal, OfdmConfig, build_plain_waveform,
-                            build_waveform, make_symbol_block, modulate_block,
-                            precode, decode_phases, random_symbol_blocks,
-                            read_iq, write_iq)
+from spofdm.keystream import SecretKey, phase_plans
+from spofdm.txchain import (QPSK, ComplexSignal, OfdmConfig, build_waveform,
+                            modulate_block, precode, decode_phases,
+                            random_symbol_blocks, read_iq, write_iq)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -18,9 +17,8 @@ def table1_config(**overrides):
     return OfdmConfig(**defaults)
 
 
-def zero_plan(n_carriers, k=0, m=16):
-    return PhasePlan(block_index=k, cp_phase=1.0 + 0j,
-                     subcarrier_phases=np.zeros(n_carriers), psk_order=m)
+def plans(k_first, count):
+    return phase_plans(KEY, 0, k_first, count, 128, 16)
 
 
 class TestOfdmConfig:
@@ -53,18 +51,14 @@ class TestOfdmConfig:
 
 class TestPrecode:
     def test_zero_phases_are_identity(self):
-        config = table1_config()
-        block = make_symbol_block(0, np.ones(128, dtype=complex), config)
-        out = precode(block, zero_plan(128))
-        assert np.array_equal(out, block.data_symbols)
+        block = np.ones(128, dtype=complex)
+        out = precode(block, np.zeros(128))
+        assert np.array_equal(out, block)
 
     def test_quarter_rotation(self):
         phases = np.zeros(128)
         phases[0] = np.pi / 2
-        plan = PhasePlan(0, 1.0 + 0j, phases, 16)
-        config = table1_config()
-        block = make_symbol_block(0, np.ones(128, dtype=complex), config)
-        out = precode(block, plan)
+        out = precode(np.ones(128, dtype=complex), phases)
         assert out[0] == pytest.approx(-1j, abs=1e-12)
         assert np.max(np.abs(out[1:] - 1.0)) < 1e-12
 
@@ -72,17 +66,24 @@ class TestPrecode:
         rng = np.random.default_rng(0)
         config = table1_config()
         block = random_symbol_blocks(rng, 1, config)[0]
-        plan = phase_plan(KEY, 0, 0, 128, 16)
-        out = precode(block, plan)
-        assert np.max(np.abs(np.abs(out) - np.abs(block.data_symbols))) < 1e-12
-        back = decode_phases(out, plan)
-        assert np.max(np.abs(back - block.data_symbols)) < 1e-12
+        phases = plans(0, 1)[0, 1:]
+        out = precode(block, phases)
+        assert np.max(np.abs(np.abs(out) - np.abs(block))) < 1e-12
+        back = decode_phases(out, phases)
+        assert np.max(np.abs(back - block)) < 1e-12
 
     def test_length_mismatch(self):
-        config = table1_config()
-        block = make_symbol_block(0, np.ones(128, dtype=complex), config)
         with pytest.raises(ValueError):
-            precode(block, zero_plan(64))
+            precode(np.ones(128, dtype=complex), np.zeros(64))
+
+    def test_batch_matches_rows(self):
+        rng = np.random.default_rng(15)
+        blocks = random_symbol_blocks(rng, 3, table1_config())
+        phases = plans(0, 3)[:, 1:]
+        out = precode(blocks, phases)
+        for b in range(3):
+            assert np.array_equal(out[b], precode(blocks[b], phases[b]))
+        assert np.max(np.abs(decode_phases(out, phases) - blocks)) < 1e-12
 
 
 class TestModulateBlock:
@@ -145,58 +146,51 @@ class TestBuildWaveform:
     def test_single_block_matches_modulate(self):
         rng = np.random.default_rng(6)
         config = table1_config()
-        block = random_symbol_blocks(rng, 1, config)[0]
-        plan = phase_plan(KEY, 0, 0, 128, 16)
-        direct = modulate_block(precode(block, plan), plan.cp_phase, config)
-        wave = build_waveform([block], KEY, 0, config)
+        blocks = random_symbol_blocks(rng, 1, config)
+        plan = plans(0, 1)[0]
+        direct = modulate_block(precode(blocks[0], plan[1:]),
+                                np.exp(1j * plan[0]), config)
+        wave = build_waveform(blocks, plans(0, 1), config)
         assert np.array_equal(wave.samples, direct.samples)
 
     def test_length_and_block_boundaries(self):
         rng = np.random.default_rng(7)
         config = table1_config()
         blocks = random_symbol_blocks(rng, 5, config)
-        wave = build_waveform(blocks, KEY, 0, config)
+        wave = build_waveform(blocks, plans(0, 5), config)
         assert wave.samples.size == 5 * 152
         # each block boundary starts that block's first CP segment
         for k, block in enumerate(blocks):
-            plan = phase_plan(KEY, 0, k, 128, 16)
-            seg = modulate_block(precode(block, plan), plan.cp_phase,
-                                 config).samples
+            plan = plans(k, 1)[0]
+            seg = modulate_block(precode(block, plan[1:]),
+                                 np.exp(1j * plan[0]), config).samples
             assert np.array_equal(wave.samples[k * 152:(k + 1) * 152], seg)
-
-    def test_rejects_nonconsecutive_blocks(self):
-        rng = np.random.default_rng(8)
-        config = table1_config()
-        blocks = random_symbol_blocks(rng, 2, config)
-        blocks[1].block_index = 5
-        with pytest.raises(ValueError):
-            build_waveform(blocks, KEY, 0, config)
 
     def test_body_power(self):
         rng = np.random.default_rng(9)
         config = table1_config()
         blocks = random_symbol_blocks(rng, 100, config)
-        wave = build_waveform(blocks, KEY, 0, config)
+        wave = build_waveform(blocks, plans(0, 100), config)
         samples = wave.samples.reshape(100, 152)
         body_power = np.mean(np.abs(samples[:, 24:]) ** 2)
         # mean per-sample body power is symbol power / carrier count
         assert abs(body_power - 1 / 128) / (1 / 128) < 0.05
 
-    def test_phase_index_offset(self):
+    def test_shifted_sequence(self):
         rng = np.random.default_rng(10)
         config = table1_config()
         blocks = random_symbol_blocks(rng, 2, config)
-        shifted = build_waveform(blocks, KEY, 0, config, phase_index_offset=7)
-        plan7 = phase_plan(KEY, 0, 7, 128, 16)
-        direct = modulate_block(precode(blocks[0], plan7), plan7.cp_phase,
-                                config)
+        shifted = build_waveform(blocks, plans(7, 2), config)
+        plan7 = plans(7, 1)[0]
+        direct = modulate_block(precode(blocks[0], plan7[1:]),
+                                np.exp(1j * plan7[0]), config)
         assert np.array_equal(shifted.samples[:152], direct.samples)
 
     def test_plain_waveform_has_classical_cp(self):
         rng = np.random.default_rng(11)
         config = table1_config()
         blocks = random_symbol_blocks(rng, 3, config)
-        wave = build_plain_waveform(blocks, config)
+        wave = modulate_block(blocks, 1.0, config)
         for k in range(3):
             seg = wave.samples[k * 152:(k + 1) * 152]
             assert np.array_equal(seg[:24], seg[-24:])
@@ -207,14 +201,14 @@ class TestPilots:
         config = table1_config(pilot_positions={24: 1.0 + 0j, 32: 1.0 + 0j})
         rng = np.random.default_rng(12)
         block = random_symbol_blocks(rng, 1, config)[0]
-        assert block.data_symbols[24] == 1.0 + 0j
-        assert block.data_symbols[32] == 1.0 + 0j
+        assert block[24] == 1.0 + 0j
+        assert block[32] == 1.0 + 0j
 
     def test_non_pilot_entries_from_constellation(self):
         config = table1_config(pilot_positions={24: 1.0 + 0j})
         rng = np.random.default_rng(13)
         block = random_symbol_blocks(rng, 1, config)[0]
-        others = np.delete(block.data_symbols, 24)
+        others = np.delete(block, 24)
         dists = np.abs(others[:, None] - QPSK[None, :]).min(axis=1)
         assert np.max(dists) < 1e-12
 
@@ -223,8 +217,8 @@ class TestIqFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         config = table1_config()
-        wave = build_waveform(random_symbol_blocks(rng, 2, config), KEY, 0,
-                              config)
+        wave = build_waveform(random_symbol_blocks(rng, 2, config),
+                              plans(0, 2), config)
         path = tmp_path / "wave.iq"
         write_iq(wave, path, config.config_hash())
         back = read_iq(path)
