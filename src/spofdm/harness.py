@@ -524,12 +524,26 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
 
     Runs at the symbol level with perfect synchronization; the disguised
     jammer sends an independent codeword from the same codebook at the
-    scenario's SJR.
+    scenario's SJR. Every argument is checked before the first point runs.
     """
     start = time.monotonic()
     records = []
     tag = 0
     k0_list = [None] if rician_k0_db_list is None else rician_k0_db_list
+    for rate in rates:
+        try:
+            bundled_code_path(rate)
+        except FileNotFoundError:
+            raise ValueError(f"rates: unknown rate label {rate!r}") from None
+    for name, values in (("snrs_db", snrs_db),
+                         ("rician_k0_db_list", rician_k0_db_list or [])):
+        for value in values:
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite numbers, got {value!r}")
+    if max_codewords < 1:
+        raise ValueError(f"max_codewords must be at least 1, got {max_codewords}")
+    if target_errors <= 0:
+        raise ValueError(f"target_errors must be positive, got {target_errors}")
     for k0_db in k0_list:
         for rate in rates:
             for snr in snrs_db:

@@ -58,7 +58,9 @@ def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:
 
 @dataclass
 class ParityCheckCode:
-    """Binary parity-check matrix in edge-list form plus the declared rate."""
+    """Binary parity-check matrix in edge-list form plus the declared rate.
+
+    Every check and every variable must have at least one edge."""
 
     n: int
     m: int
@@ -70,17 +72,31 @@ class ParityCheckCode:
         if self.n <= 0 or self.m <= 0:
             raise ValueError("H must be nonempty")
         order = np.lexsort((self.check_of_edge, self.var_of_edge))
-        self.var_of_edge = np.asarray(self.var_of_edge)[order]
-        self.check_of_edge = np.asarray(self.check_of_edge)[order]
-        # permutation into check-sorted order and group boundaries
-        self._by_check = np.lexsort((self.var_of_edge, self.check_of_edge))
-        self._var_starts = np.searchsorted(self.var_of_edge, np.arange(self.n))
-        sorted_checks = self.check_of_edge[self._by_check]
-        self._check_starts = np.searchsorted(sorted_checks, np.arange(self.m))
-
-    @property
-    def n_edges(self) -> int:
-        return self.var_of_edge.size
+        self.var_of_edge = np.asarray(self.var_of_edge, dtype=np.int64)[order]
+        self.check_of_edge = np.asarray(self.check_of_edge, dtype=np.int64)[order]
+        degrees = {}
+        for name, idx, size in (("check", self.check_of_edge, self.m),
+                                ("variable", self.var_of_edge, self.n)):
+            degrees[name] = deg = np.bincount(idx, minlength=size)
+            if deg.size > size:
+                raise ValueError(f"{name} index {deg.size - 1} out of range")
+            if not deg.all():  # reduceat would hand it its neighbour's edges
+                raise ValueError(f"{name} {np.argmin(deg)} has no edges")
+        # check-ordered variable index and group boundaries, for the syndrome
+        self._var_by_check = self.var_of_edge[
+            np.lexsort((self.var_of_edge, self.check_of_edge))]
+        self._var_starts = np.cumsum(degrees["variable"]) - degrees["variable"]
+        self._check_starts = np.cumsum(degrees["check"]) - degrees["check"]
+        # BP edge order: checks grouped by degree, each group a dense
+        # (checks, degree) block; _bp_to_var puts edges in variable order
+        bp = np.lexsort((self.var_of_edge, self.check_of_edge,
+                         degrees["check"][self.check_of_edge]))
+        self._bp_var = self.var_of_edge[bp]
+        self._bp_to_var = np.argsort(bp)
+        group_deg, group_checks = np.unique(degrees["check"], return_counts=True)
+        ends = np.cumsum(group_deg * group_checks).tolist()
+        self._bp_groups = [(d, slice(e - d * c, e)) for d, c, e in
+                           zip(group_deg.tolist(), group_checks.tolist(), ends)]
 
     def dense(self) -> np.ndarray:
         h = np.zeros((self.m, self.n), dtype=np.uint8)
@@ -88,11 +104,9 @@ class ParityCheckCode:
         return h
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits)
-        contrib = bits[..., self.var_of_edge]
-        acc = np.zeros(bits.shape[:-1] + (self.m,), dtype=np.int64)
-        np.add.at(acc, (..., self.check_of_edge), contrib)
-        return (acc % 2).astype(np.uint8)
+        bits = np.asarray(bits, dtype=np.uint8)
+        return np.bitwise_xor.reduceat(bits[..., self._var_by_check],
+                                       self._check_starts, axis=-1)
 
 
 def load_alist(path: str | Path) -> ParityCheckCode:
@@ -120,28 +134,17 @@ def load_alist(path: str | Path) -> ParityCheckCode:
                                                     np.stack([check_r, var_r])))
     if by_col.shape != by_row.shape or not np.array_equal(by_col, by_row):
         raise ValueError("alist row section disagrees with the column section")
-    return ParityCheckCode(
-        n=n, m=m,
-        check_of_edge=by_col[0],
-        var_of_edge=by_col[1],
-        rate=(n - m) / n,
-    )
+    return ParityCheckCode(n=n, m=m, check_of_edge=by_col[0],
+                           var_of_edge=by_col[1], rate=(n - m) / n)
 
 
 def save_alist(code: ParityCheckCode, path: str | Path) -> None:
     # 1-based check indices per column, then variable indices per row
     cols = np.split(code.check_of_edge + 1, code._var_starts[1:])
-    rows = np.split(code.var_of_edge[code._by_check] + 1, code._check_starts[1:])
-    col_deg = [c.size for c in cols]
-    row_deg = [r.size for r in rows]
-    lines = [
-        f"{code.n} {code.m}",
-        f"{max(col_deg)} {max(row_deg)}",
-        " ".join(str(d) for d in col_deg),
-        " ".join(str(d) for d in row_deg),
-    ]
-    for idx in cols + rows:
-        lines.append(" ".join(str(i) for i in idx))
+    rows = np.split(code._var_by_check + 1, code._check_starts[1:])
+    col_deg, row_deg = [c.size for c in cols], [r.size for r in rows]
+    lines = [f"{code.n} {code.m}", f"{max(col_deg)} {max(row_deg)}"]
+    lines += [" ".join(map(str, idx)) for idx in [col_deg, row_deg] + cols + rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -171,12 +174,8 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
                 sockets[e], sockets[f] = sockets[f], sockets[e]
         else:
             continue
-        return ParityCheckCode(
-            n=n, m=m,
-            check_of_edge=sockets.astype(np.int64),
-            var_of_edge=cols.astype(np.int64),
-            rate=(n - m) / n,
-        )
+        return ParityCheckCode(n=n, m=m, check_of_edge=sockets,
+                               var_of_edge=cols, rate=(n - m) / n)
     raise RuntimeError("failed to build a simple parity-check matrix")
 
 
@@ -186,6 +185,12 @@ def bundled_code_path(rate_label: str) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"no bundled code for rate {rate_label}")
     return path
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 values packed into uint64 words, zero-padded at the end."""
+    bits = np.pad(bits, ((0, 0), (0, -bits.shape[-1] % 64)))
+    return np.packbits(np.ascontiguousarray(bits), axis=-1).view(np.uint64)
 
 
 class LdpcEncoder:
@@ -199,17 +204,14 @@ class LdpcEncoder:
     def __init__(self, code: ParityCheckCode):
         self.code = code
         h = code.dense().astype(np.uint8)
-        m, n = h.shape
+        n = h.shape[1]
         pivot_cols = []
         row = 0
         for col in range(n):
-            if row >= m:
-                break
             hits = np.flatnonzero(h[row:, col]) + row
             if hits.size == 0:
                 continue
-            if hits[0] != row:
-                h[[row, hits[0]]] = h[[hits[0], row]]
+            h[[row, hits[0]]] = h[[hits[0], row]]
             mask = h[:, col].astype(bool).copy()
             mask[row] = False
             h[mask] ^= h[row]
@@ -218,8 +220,9 @@ class LdpcEncoder:
         self.rank = row
         self.pivot_cols = np.array(pivot_cols)
         self.message_cols = np.setdiff1d(np.arange(n), self.pivot_cols)
-        # parity = A @ message  (mod 2), from the reduced system
-        self.parity_gen = h[: self.rank][:, self.message_cols]
+        # parity = A @ message (mod 2), from the reduced system; row w of
+        # gen_words is 64-bit word w of every bit-packed row of A
+        self.gen_words = _pack_words(h[: self.rank][:, self.message_cols]).T.copy()
 
     @property
     def k(self) -> int:
@@ -232,10 +235,15 @@ class LdpcEncoder:
         msg = np.atleast_2d(message)
         if msg.shape[1] != self.k:
             raise ValueError(f"message length must be {self.k}")
-        parity = (msg @ self.parity_gen.T) % 2
+        msg_words = _pack_words(msg)
+        words = np.zeros((msg.shape[0], self.rank), dtype=np.uint64)
+        for w, gen in enumerate(self.gen_words):
+            words ^= msg_words[:, w, None] & gen
+        for shift in (32, 16, 8, 4, 2, 1):  # fold each word to its parity bit
+            words ^= words >> np.uint64(shift)
         out = np.zeros((msg.shape[0], self.code.n), dtype=np.uint8)
         out[:, self.message_cols] = msg
-        out[:, self.pivot_cols] = parity
+        out[:, self.pivot_cols] = words & np.uint64(1)
         return out[0] if single else out
 
     def extract_message(self, codeword: np.ndarray) -> np.ndarray:
@@ -254,52 +262,41 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray, max_iters: int = 50):
     lin = np.atleast_2d(llr)
     if lin.shape[1] != code.n:
         raise ValueError(f"LLR length must be {code.n}")
-    batch = lin.shape[0]
-    ne = code.n_edges
-    voe = code.var_of_edge
-    coe_sorted = code._by_check
-    var_starts = code._var_starts
-    check_starts = code._check_starts
-    check_of_sorted = code.check_of_edge[coe_sorted]
-
-    v2c = np.broadcast_to(lin[:, voe], (batch, ne)).copy()
-    c2v = np.zeros((batch, ne))
     hard = (lin < 0).astype(np.uint8)
-    converged = (code.syndrome(hard).sum(axis=1) == 0)
-    iters = np.zeros(batch, dtype=int)
-    active = ~converged
+    converged = ~code.syndrome(hard).any(axis=1)
+    iters = np.zeros(lin.shape[0], dtype=int)
 
+    # working arrays hold only the frames still active, messages in BP order
+    active = np.flatnonzero(~converged)
+    lin_a = lin[active]
+    v2c = lin_a[:, code._bp_var]
     for it in range(1, max_iters + 1):
-        if not active.any():
+        if not active.size:
             break
-        t = np.tanh(0.5 * np.clip(v2c[active], -30, 30))
-        t_sorted = t[:, coe_sorted]
-        sign = np.where(t_sorted < 0, -1.0, 1.0)
-        mag = np.clip(np.abs(t_sorted), 1e-12, 1 - 1e-12)
-        logm = np.log(mag)
-        neg = (sign < 0).astype(np.int64)
-        # per-check totals, then leave-one-out by subtraction
-        log_tot = np.add.reduceat(logm, check_starts, axis=1)
-        neg_tot = np.add.reduceat(neg, check_starts, axis=1)
-        log_ext = log_tot[:, check_of_sorted] - logm
-        neg_ext = neg_tot[:, check_of_sorted] - neg
-        prod_ext = np.where(neg_ext % 2 == 1, -1.0, 1.0) * np.exp(log_ext)
-        msg_sorted = 2.0 * np.arctanh(np.clip(prod_ext, -1 + 1e-12, 1 - 1e-12))
-        c2v_active = np.empty_like(msg_sorted)
-        c2v_active[:, coe_sorted] = msg_sorted
-        c2v[active] = c2v_active
-
-        post_edge = np.add.reduceat(c2v[active], var_starts, axis=1)
-        posterior = lin[active] + post_edge
-        v2c[active] = posterior[:, voe] - c2v[active]
-
-        hard_active = (posterior < 0).astype(np.uint8)
-        hard[active] = hard_active
-        ok = code.syndrome(hard_active).sum(axis=1) == 0
-        idx = np.flatnonzero(active)
-        iters[idx] = it
-        converged[idx[ok]] = True
-        active[idx[ok]] = False
+        t = np.tanh(0.5 * np.clip(v2c, -30, 30))
+        # leave-one-out products per check: exclusive prefix times exclusive
+        # suffix, a column at a time (np.cumprod along the short axis is slower)
+        ext = np.empty_like(t)
+        for deg, edges in code._bp_groups:
+            blk = t[:, edges].reshape(len(t), -1, deg)
+            out = ext[:, edges].reshape(blk.shape)
+            out[..., 0], suffix = 1.0, np.ones(blk.shape[:-1])
+            for j in range(1, deg):
+                np.multiply(out[..., j - 1], blk[..., j - 1], out=out[..., j])
+            for j in range(deg - 1, 0, -1):
+                suffix *= blk[..., j]
+                out[..., j - 1] *= suffix
+        c2v = 2.0 * np.arctanh(np.clip(ext, -1 + 1e-12, 1 - 1e-12))
+        posterior = lin_a + np.add.reduceat(c2v[:, code._bp_to_var],
+                                            code._var_starts, axis=1)
+        v2c = posterior[:, code._bp_var] - c2v
+        hard_a = (posterior < 0).astype(np.uint8)
+        hard[active] = hard_a
+        iters[active] = it
+        ok = ~code.syndrome(hard_a).any(axis=1)
+        if ok.any():
+            converged[active[ok]] = True
+            active, lin_a, v2c = active[~ok], lin_a[~ok], v2c[~ok]
 
     if single:
         return hard[0], bool(converged[0]), int(iters[0])

@@ -1,9 +1,14 @@
 """Smoke tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spofdm
 from spofdm.cli import main
 from spofdm.harness import save_scenario, table1_scenario
 
@@ -52,6 +57,17 @@ class TestBer:
                      "--out-dir", str(out_dir)]) == 0
         body = (out_dir / "ber_records.csv").read_text()
         assert body.splitlines()[0].startswith("rate,snr_db")
+
+    def test_unknown_rate_exits_nonzero_with_message(self, tmp_path):
+        out_dir = tmp_path / "results"
+        env = {**os.environ, "PYTHONPATH": str(Path(spofdm.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "spofdm.cli", "ber", "--rates", "1_3", "3_4",
+             "--out-dir", str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode != 0
+        assert "rates: unknown rate label '3_4'" in proc.stderr
+        assert not out_dir.exists()
 
 
 class TestSurface:

@@ -210,6 +210,24 @@ class TestBerExperiment:
         by_snr = {r["snr_db"]: r["ber"] for r in report.records}
         assert by_snr[0.0] > by_snr[15.0]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rates": ["1_3", "3_4"]}, "rates: unknown rate label '3_4'"),
+        ({"snrs_db": [15.0, float("nan")]}, "snrs_db must be finite"),
+        ({"snrs_db": [None]}, "snrs_db must be finite"),
+        ({"rician_k0_db_list": [3.0, float("inf")]},
+         "rician_k0_db_list must be finite"),
+        ({"max_codewords": 0}, "max_codewords must be at least 1"),
+        ({"target_errors": 0}, "target_errors must be positive"),
+    ])
+    def test_rejects_bad_arguments_before_any_point(self, monkeypatch,
+                                                   kwargs, message):
+        def no_point(*args, **kw):
+            raise AssertionError("a point ran before the arguments were checked")
+        monkeypatch.setattr("spofdm.harness._ber_point", no_point)
+        args = {"rates": ["1_3"], "snrs_db": [15.0], **kwargs}
+        with pytest.raises(ValueError, match=message):
+            run_ber_experiment(table1_scenario(), **args)
+
 
 class TestCorrelationSurface:
     def test_precoded_surface_shape_and_peak(self):

@@ -1,19 +1,21 @@
 """Property tests for invariants of the link: the pre-FFT surface against its
 direct correlator, the precode/demodulate/decode round trip, the classical
 receiver as the secure receiver with unit CP phases, batched keystream,
-modulation and demodulation against their per-block forms, and the bundled
-LDPC codes' encoder."""
+modulation and demodulation against their per-block forms, the bundled
+LDPC codes' encoder, and the LDPC syndrome and encoder against their dense
+GF(2) forms."""
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spofdm.keystream import (PhaseSequence, SecretKey, StreamState,
                               derive_bits, map_psk, phase_plans)
-from spofdm.rxchain import LdpcEncoder, bundled_code_path, load_alist
+from spofdm.rxchain import (LdpcEncoder, bundled_code_path, load_alist,
+                            make_regular_parity_check)
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, corr_pre_fft, demod_fft,
                          pre_fft_surface)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
@@ -192,3 +194,73 @@ def test_bundled_codewords_have_zero_syndrome(rate, n_words, seed):
     assert not enc.code.syndrome(words).any()
     assert np.array_equal(enc.extract_message(words), msg)
     assert np.array_equal(enc.extract_message(enc.encode(msg[0])), msg[0])
+
+
+@FAST
+@given(n=st.integers(6, 80), m=st.integers(2, 40),
+       col_degree=st.integers(1, 3), n_words=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_syndrome_is_dense_product(n, m, col_degree, n_words, seed):
+    # n * col_degree not a multiple of m mixes two check degrees
+    assume(m < n and n * col_degree % m and 2 * col_degree <= m)
+    code = make_regular_parity_check(n, m, col_degree, seed=seed % 1000)
+    bits = np.random.default_rng(seed).integers(0, 2, size=(n_words, n),
+                                                dtype=np.uint8)
+    expect = (bits.astype(np.int64) @ code.dense().T) % 2
+    assert np.array_equal(code.syndrome(bits), expect)
+    assert np.array_equal(code.syndrome(bits[0]), expect[0])
+
+
+def dense_encode(code, message):
+    """Reference encoder: row-reduce H over GF(2) with column pivoting, then
+    parity = A @ message as a dense integer product."""
+    h = code.dense()
+    pivots = []
+    for col in range(code.n):
+        hits = np.flatnonzero(h[len(pivots):, col]) + len(pivots)
+        if hits.size:
+            row = len(pivots)
+            h[[row, hits[0]]] = h[[hits[0], row]]
+            mask = h[:, col].astype(bool)
+            mask[row] = False
+            h[mask] ^= h[row]
+            pivots.append(col)
+    message_cols = np.setdiff1d(np.arange(code.n), pivots)
+    a = h[:len(pivots)][:, message_cols].astype(np.int64)
+    out = np.zeros((message.shape[0], code.n), dtype=np.uint8)
+    out[:, message_cols] = message
+    out[:, pivots] = (message.astype(np.int64) @ a.T) % 2
+    return out
+
+
+@lru_cache(maxsize=None)
+def bundled_dense_words(rate_label, n_words, seed):
+    enc = bundled_encoder(rate_label)
+    msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
+                                               dtype=np.uint8)
+    return msg, dense_encode(enc.code, msg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(code=st.one_of(
+           st.sampled_from(["1_4", "1_3", "1_2", "2_3"]),
+           st.tuples(st.integers(30, 260), st.integers(2, 5),
+                     st.integers(0, 1000))),
+       n_words=st.integers(1, 4), seed=st.integers(0, 3))
+@example(code="1_4", n_words=2, seed=0)
+@example(code="1_3", n_words=2, seed=0)
+@example(code="1_2", n_words=2, seed=0)
+@example(code="2_3", n_words=2, seed=0)
+def test_encode_is_dense_product(code, n_words, seed):
+    if isinstance(code, str):
+        enc = bundled_encoder(code)
+        msg, expect = bundled_dense_words(code, n_words, seed)
+    else:
+        n, ratio, code_seed = code  # k = n - rank spans 64-bit word edges
+        enc = LdpcEncoder(make_regular_parity_check(n, n // ratio, 3,
+                                                    seed=code_seed))
+        msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
+                                                   dtype=np.uint8)
+        expect = dense_encode(enc.code, msg)
+    assert np.array_equal(enc.encode(msg), expect)
+    assert np.array_equal(enc.encode(msg[0]), expect[0])

@@ -190,6 +190,26 @@ class TestParityCheckCode:
             ParityCheckCode(n=0, m=1, check_of_edge=np.array([]),
                             var_of_edge=np.array([]), rate=0.5)
 
+    def test_rejects_check_or_variable_without_edges(self):
+        with pytest.raises(ValueError, match="check 1 has no edges"):
+            ParityCheckCode(n=3, m=3, check_of_edge=np.array([0, 2, 0, 2]),
+                            var_of_edge=np.array([0, 1, 2, 2]), rate=0.0)
+        for empty in (0, 2):  # the first and the last variable
+            with pytest.raises(ValueError, match=f"variable {empty} has no edges"):
+                ParityCheckCode(n=3, m=1, check_of_edge=np.zeros(2, dtype=int),
+                                var_of_edge=np.delete(np.arange(3), empty),
+                                rate=0.0)
+        with pytest.raises(ValueError, match="check index 1 out of range"):
+            ParityCheckCode(n=2, m=1, check_of_edge=np.array([0, 1]),
+                            var_of_edge=np.array([0, 1]), rate=0.5)
+
+    def test_alist_zero_degree_variable(self, tmp_path):
+        path = tmp_path / "code.alist"
+        # variable 1 is declared with degree 0 and a zero-padding entry
+        path.write_text("3 2\n1 1\n1 0 1\n1 1\n1\n0\n2\n1\n3\n")
+        with pytest.raises(ValueError, match="variable 1 has no edges"):
+            load_alist(path)
+
     def test_alist_round_trip(self, tmp_path):
         code = make_regular_parity_check(30, 15, seed=3)
         path = tmp_path / "code.alist"
@@ -291,15 +311,23 @@ class TestBpDecode:
         assert np.array_equal(hard, cw)
 
     def test_batch_matches_individual(self):
-        code = make_regular_parity_check(48, 24, seed=8)
-        rng = np.random.default_rng(14)
-        llr = rng.normal(0, 3, (4, 48))
-        batch_hard, batch_conv, batch_iters = ldpc_bp_decode(code, llr)
-        for b in range(4):
-            hard, conv, iters = ldpc_bp_decode(code, llr[b])
-            assert np.array_equal(hard, batch_hard[b])
-            assert conv == batch_conv[b]
-            assert iters == batch_iters[b]
+        # (code, LLR mean shift): check degrees 6, 4 and 5 (bundled rate
+        # 1/3), 2 and 3, and 1 and 2; the shifted frames converge at
+        # different iterations, so the batch's working set shrinks
+        cases = [(make_regular_parity_check(48, 24, seed=8), 0.0),
+                 (load_alist(bundled_code_path("1_3")), 3.0),
+                 (make_regular_parity_check(30, 29, col_degree=2, seed=1), 0.0),
+                 (make_regular_parity_check(30, 20, col_degree=1, seed=1), 0.0)]
+        for code, shift in cases:
+            rng = np.random.default_rng(14)
+            llr = (rng.normal(0, 3, (6, code.n))
+                   + shift * np.linspace(0.5, 1.5, 6)[:, None])
+            batch_hard, batch_conv, batch_iters = ldpc_bp_decode(code, llr)
+            for b in range(6):
+                hard, conv, iters = ldpc_bp_decode(code, llr[b])
+                assert np.array_equal(hard, batch_hard[b])
+                assert conv == batch_conv[b]
+                assert iters == batch_iters[b]
 
     def test_wrong_llr_length(self):
         code = make_regular_parity_check(24, 12, seed=9)
