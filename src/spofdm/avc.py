@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .channel import complex_normal
 from .txchain import QPSK
 
 __all__ = [
@@ -61,8 +62,7 @@ class InputDist:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "gaussian":
-            g = rng.normal(0, math.sqrt(self.power / 2), size=(n, 2))
-            return g[:, 0] + 1j * g[:, 1]
+            return complex_normal(rng, self.power, (n,))
         idx = rng.choice(self.points.size, size=n, p=self.probs)
         return self.points[idx]
 
@@ -77,14 +77,8 @@ class JammingDist(InputDist):
         super().__post_init__()
 
     @classmethod
-    def none(cls) -> "JammingDist":
-        return cls("none")
-
-    @classmethod
-    def disguised(cls, constellation: np.ndarray | None = None,
-                  power: float = 1.0) -> "JammingDist":
-        pts = QPSK if constellation is None else np.asarray(constellation)
-        return cls("discrete", points=pts * math.sqrt(power))
+    def disguised(cls, power: float = 1.0) -> "JammingDist":
+        return cls("discrete", points=QPSK * math.sqrt(power))
 
     def sample(self, rng, n):
         if self.kind == "none":
@@ -107,24 +101,17 @@ class SymbolChannelSpec:
             raise ValueError("phase alphabet size must be positive")
 
 
-def _sample_phases(spec: SymbolChannelSpec, rng: np.random.Generator,
-                   n: int) -> np.ndarray:
-    if spec.phase_order is None:
-        return np.zeros(n)
-    m = spec.phase_order
-    return 2 * np.pi * rng.integers(0, m, size=n) / m
-
-
 def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: JammingDist,
                             n_samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Paired (S, R) draws of R = S + e^{j Theta} J + N."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s = spec.input_dist.sample(rng, n_samples)
     j = jamming.sample(rng, n_samples)
-    theta = _sample_phases(spec, rng, n_samples)
+    m = spec.phase_order
+    theta = (np.zeros(n_samples) if m is None
+             else 2 * np.pi * rng.integers(0, m, size=n_samples) / m)
     if spec.noise_power > 0:
-        g = rng.normal(0, math.sqrt(spec.noise_power / 2), size=(n_samples, 2))
-        noise = g[:, 0] + 1j * g[:, 1]
+        noise = complex_normal(rng, spec.noise_power, (n_samples,))
     else:
         noise = 0.0
     return s, s + np.exp(1j * theta) * j + noise
@@ -217,7 +204,7 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: JammingDist, n_samples: int,
     Uses exact conditional and marginal densities, so the only error is the
     Monte-Carlo average itself.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s, r = simulate_symbol_channel(spec, jamming, n_samples, rng)
     terms = np.empty(n_samples)
     chunk = 50_000  # bounds the (samples x mixture components) work arrays
@@ -254,8 +241,7 @@ class SaddleReport:
 
 
 def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
-                 seed: int = 0, phase_order: int = 16,
-                 deviations: list | None = None) -> SaddleReport:
+                 seed: int = 0, phase_order: int = 16) -> SaddleReport:
     """Numerical check of the capacity saddle point.
 
     Input deviations must not beat the Gaussian input against Gaussian
@@ -270,16 +256,15 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
     saddle = mi_estimate(saddle_spec, gauss_jam, n_samples, rng)
     cap = avc_capacity(p_s, p_j, p_n)
 
-    if deviations is None:
-        deviations = [
-            ("qpsk_input", "input", InputDist.qpsk(p_s)),
-            ("half_power_gaussian_input", "input", InputDist("gaussian", p_s / 2)),
-            ("two_point_jamming", "jamming",
-             JammingDist("discrete",
-                         points=np.array([1.0, -1.0]) * math.sqrt(p_j))),
-            ("half_power_gaussian_jamming", "jamming",
-             JammingDist("gaussian", p_j / 2)),
-        ]
+    deviations = [
+        ("qpsk_input", "input", InputDist.qpsk(p_s)),
+        ("half_power_gaussian_input", "input", InputDist("gaussian", p_s / 2)),
+        ("two_point_jamming", "jamming",
+         JammingDist("discrete",
+                     points=np.array([1.0, -1.0]) * math.sqrt(p_j))),
+        ("half_power_gaussian_jamming", "jamming",
+         JammingDist("gaussian", p_j / 2)),
+    ]
 
     results = []
     for name, side, dist in deviations:
@@ -287,10 +272,8 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
             spec = SymbolChannelSpec(dist, p_n, phase_order)
             mi = mi_estimate(spec, gauss_jam, n_samples, rng)
             ok = mi.bits <= saddle.ci_high or mi.overlaps(saddle)
-        elif side == "jamming":
+        else:
             mi = mi_estimate(saddle_spec, dist, n_samples, rng)
             ok = mi.bits >= saddle.ci_low or mi.overlaps(saddle)
-        else:
-            raise ValueError(f"unknown deviation side {side!r}")
         results.append(SaddleDeviation(name, side, mi, bool(ok)))
     return SaddleReport(cap, saddle, results)

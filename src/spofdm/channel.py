@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +14,8 @@ __all__ = [
     "apply_offsets",
     "apply_fading",
     "add_awgn",
+    "complex_normal",
     "random_multipath_taps",
-    "rician_taps",
 ]
 
 
@@ -53,39 +52,21 @@ def _delay(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def apply_offsets(signal: ComplexSignal, spec: OffsetSpec,
-                  t_block: float | None = None,
-                  interpolate: bool = False) -> ComplexSignal:
-    """Delay by t0 and rotate by e^{j(omega0 t + phi0)} (phase on absolute time).
-
-    t0 is placed on the sample grid by default; ``interpolate=True`` enables
-    linear interpolation for sub-sample offsets.
-    """
-    if t_block is not None and not 0 <= spec.t0 < t_block:
-        raise ValueError(f"t0={spec.t0} outside [0, {t_block})")
+def apply_offsets(signal: ComplexSignal, spec: OffsetSpec) -> ComplexSignal:
+    """Delay by t0, a whole number of samples, and rotate by
+    e^{j(omega0 t + phi0)} (phase on absolute time)."""
     dt = signal.sample_interval
     x = signal.samples
     shift = spec.t0 / dt
     n_int = int(round(shift))
-    if abs(shift - n_int) < 1e-9:
-        delayed = _delay(x, n_int)
-    elif interpolate:
-        n0 = int(np.floor(shift))
-        frac = shift - n0
-        src = np.zeros(x.size + 1, dtype=complex)
-        src[1:] = x
-        delayed = _delay((1 - frac) * src[1:] + frac * src[:-1], n0)
-    else:
-        raise ValueError(
-            "t0 not on the sample grid; pass interpolate=True for sub-sample offsets"
-        )
-    t = signal.start_time + np.arange(x.size) * dt
-    rotated = delayed * np.exp(1j * (spec.omega0 * t + spec.phi0))
-    return ComplexSignal(rotated, dt, signal.start_time)
+    if abs(shift - n_int) >= 1e-9:
+        raise ValueError(f"t0={spec.t0} is not on the sample grid")
+    t = np.arange(x.size) * dt
+    rotated = _delay(x, n_int) * np.exp(1j * (spec.omega0 * t + spec.phi0))
+    return ComplexSignal(rotated, dt)
 
 
-def apply_fading(signal: ComplexSignal, spec: FadingSpec,
-                 cp_bound: float | None = None) -> ComplexSignal:
+def apply_fading(signal: ComplexSignal, spec: FadingSpec) -> ComplexSignal:
     """Sum of delayed, Doppler-shifted, scaled copies of the input.
 
     output(t) = sum_m gain_m * e^{j doppler_m t} * input(t - delay_m), with tap
@@ -93,16 +74,18 @@ def apply_fading(signal: ComplexSignal, spec: FadingSpec,
     """
     dt = signal.sample_interval
     x = signal.samples
-    t = signal.start_time + np.arange(x.size) * dt
+    t = np.arange(x.size) * dt
     out = np.zeros_like(x)
     for delay, gain, doppler in spec.taps:
-        if cp_bound is not None and delay >= cp_bound:
-            warnings.warn(
-                f"tap delay {delay} exceeds CP bound {cp_bound}; ISI expected",
-                stacklevel=2,
-            )
         out += gain * np.exp(1j * doppler * t) * _delay(x, int(round(delay / dt)))
-    return ComplexSignal(out, dt, signal.start_time)
+    return ComplexSignal(out, dt)
+
+
+def complex_normal(rng: np.random.Generator, power: float,
+                   shape: tuple) -> np.ndarray:
+    """CN(0, power) draws of the given shape from one ``rng.normal`` call."""
+    g = rng.normal(0, np.sqrt(power / 2), size=(*shape, 2))
+    return g[..., 0] + 1j * g[..., 1]
 
 
 def add_awgn(signal: ComplexSignal, sigma2: float,
@@ -111,13 +94,10 @@ def add_awgn(signal: ComplexSignal, sigma2: float,
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
     if sigma2 == 0:
-        return ComplexSignal(signal.samples.copy(), signal.sample_interval,
-                             signal.start_time)
+        return ComplexSignal(signal.samples.copy(), signal.sample_interval)
     rng = np.random.default_rng(rng)  # a Generator is returned unaltered
-    n = signal.samples.size
-    noise = rng.normal(0.0, np.sqrt(sigma2 / 2), size=(n, 2))
-    return ComplexSignal(signal.samples + noise[:, 0] + 1j * noise[:, 1],
-                         signal.sample_interval, signal.start_time)
+    noise = complex_normal(rng, sigma2, signal.samples.shape)
+    return ComplexSignal(signal.samples + noise, signal.sample_interval)
 
 
 def random_multipath_taps(rng: np.random.Generator, n_paths: int,
@@ -141,18 +121,4 @@ def random_multipath_taps(rng: np.random.Generator, n_paths: int,
         phase = rng.uniform(0, 2 * np.pi)
         doppler = rng.uniform(-max_doppler, max_doppler) if max_doppler else 0.0
         taps.append((float(d), np.sqrt(p) * np.exp(1j * phase), float(doppler)))
-    return tuple(taps)
-
-
-def rician_taps(rng: np.random.Generator, k0_linear: float, n_scatter: int,
-                max_delay: float) -> tuple:
-    """Direct path of power 1 plus scattered taps of total power 1/K_0."""
-    if k0_linear <= 0:
-        raise ValueError("K0 must be positive")
-    taps = [(0.0, 1.0 + 0j, 0.0)]
-    scatter_amp = np.sqrt(1.0 / k0_linear / n_scatter)
-    delays = np.linspace(0.0, max_delay, n_scatter + 1)[1:]
-    for d in delays:
-        phase = rng.uniform(0, 2 * np.pi)
-        taps.append((float(d), scatter_amp * np.exp(1j * phase), 0.0))
     return tuple(taps)

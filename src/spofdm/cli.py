@@ -38,24 +38,22 @@ def _load(args) -> harness.Scenario:
     return replace(scenario, **overrides) if overrides else scenario
 
 
-def _cmd_sync(args) -> int:
-    scenario = _load(args)
-    report = harness.run_sync_experiment(scenario)
-    paths = harness.emit_report(report, args.out_dir)
+def _emit(report: harness.ExperimentReport, out_dir: Path) -> int:
+    paths = harness.emit_report(report, out_dir)
     print(report.summary_text(), end="")
     print(f"wrote {paths['records']}")
     return 0
+
+
+def _cmd_sync(args) -> int:
+    return _emit(harness.run_sync_experiment(_load(args)), args.out_dir)
 
 
 def _cmd_ber(args) -> int:
-    scenario = _load(args)
     report = harness.run_ber_experiment(
-        scenario, args.rates, args.snrs_db,
+        _load(args), args.rates, args.snrs_db,
         precoding=args.precoding == "on")
-    paths = harness.emit_report(report, args.out_dir)
-    print(report.summary_text(), end="")
-    print(f"wrote {paths['records']}")
-    return 0
+    return _emit(report, args.out_dir)
 
 
 def _cmd_surface(args) -> int:
@@ -127,7 +125,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_keystream_selftest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input: scenario, override, rate or key
+        print(f"spofdm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (FadingSpec, OffsetSpec, apply_fading, apply_offsets,
-                      random_multipath_taps)
-from .jammer import JammerSpec, combine, generate_jamming
+                      complex_normal, random_multipath_taps)
+from .jammer import (CP_PHASE_MODES, STRATEGIES, JammerSpec, combine,
+                     generate_jamming)
 from .keystream import PhaseSequence, SecretKey
 from .rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
                       llr_qpsk, load_alist, qpsk_map)
@@ -90,10 +91,10 @@ class Scenario:
     epoch: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.channel not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.channel!r}")
+        for name, kinds in (("channel", CHANNEL_KINDS), ("jammer_strategy", STRATEGIES),
+                            ("jammer_cp_mode", CP_PHASE_MODES)):
+            if (value := getattr(self, name)) not in kinds:
+                raise ValueError(f"{name} must be one of {kinds}, got {value!r}")
         pilots = tuple((int(i), complex(v)) for i, v in self.pilot_positions)
         object.__setattr__(self, "pilot_positions", pilots)
         # configurations under which every synchronization trial would fail
@@ -103,14 +104,26 @@ class Scenario:
             raise ValueError(
                 "pilot_positions: need two distinct pilots whose spacing times "
                 "cp2_samples is at most n_carriers (unambiguous fine time)")
-        for name in ("n_candidates", "sync_blocks"):
+        for name in ("trials", "n_candidates", "sync_blocks", "n_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not 0 < self.tap_decay <= 1:
+            raise ValueError(f"tap_decay must be in (0, 1], got {self.tap_decay!r}")
+        # the guard interval: a longer echo leaks into the next block
+        if not 0 <= self.max_delay_samples < self.cp1_samples + self.cp2_samples:
+            raise ValueError("max_delay_samples must be in [0, cp1_samples + "
+                             f"cp2_samples), got {self.max_delay_samples!r}")
         # jammer_strategy="none", not a missing SJR, switches jamming off
         for name in ("snr_db", "sjr_db"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        self.ofdm_config()  # their checks run here, not at the first trial
+        self.sync_config()
+        try:
+            self.key()
+        except ValueError as exc:
+            raise ValueError(f"key_hex: {exc}") from None
 
     def ofdm_config(self) -> OfdmConfig:
         return OfdmConfig(
@@ -320,16 +333,16 @@ def _draw_offsets(scenario: Scenario, config: OfdmConfig,
 def _receive(scenario: Scenario, config: OfdmConfig, wave: ComplexSignal,
              rng: np.random.Generator, jam_offsets) -> ComplexSignal:
     """The transmitted wave plus the scenario's jamming, emitted with the
-    offsets ``jam_offsets()`` returns, plus receiver noise."""
-    jam = None
-    if scenario.jammer_strategy != "none":
-        jam_spec = JammerSpec(
-            strategy=scenario.jammer_strategy,
-            power=scenario.jammer_power(),
-            offsets=jam_offsets(),
-            cp_phase_mode=scenario.jammer_cp_mode,
-        )
-        jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
+    offsets ``jam_offsets()`` returns, plus receiver noise. A silent jammer
+    draws no offsets, so the noise keeps its place in the RNG stream."""
+    jam_spec = JammerSpec(
+        strategy=scenario.jammer_strategy,
+        power=scenario.jammer_power(),
+        offsets=(OffsetSpec() if scenario.jammer_strategy == "none"
+                 else jam_offsets()),
+        cp_phase_mode=scenario.jammer_cp_mode,
+    )
+    jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
     return combine(wave, jam, scenario.noise_sigma2(), rng)
 
 
@@ -438,8 +451,7 @@ def _encoder_for_rate(rate_label: str) -> LdpcEncoder:
 
 def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
                precoding: bool, rician_k0_db: float | None, seed_tag: int,
-               target_errors: int, max_codewords: int,
-               batch_size: int = 25) -> dict:
+               target_errors: int, max_codewords: int) -> dict:
     """BER at one (rate, SNR) operating point.
 
     Unit-power QPSK symbols; the jammer transmits an independent codeword
@@ -461,7 +473,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     bits_counted = 0
     codewords = 0
     while bit_errors < target_errors and codewords < max_codewords:
-        b = min(batch_size, max_codewords - codewords)
+        b = min(25, max_codewords - codewords)  # codewords per batch
         msg = rng.integers(0, 2, size=(b, enc.k)).astype(np.uint8)
         cw = enc.encode(msg)
         s = qpsk_map(cw.ravel()).reshape(b, n_sym)
@@ -472,8 +484,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
             theta = 2 * np.pi * rng.integers(0, m, size=(b, n_sym)) / m
             j = j * np.exp(1j * theta)
 
-        g = rng.normal(0, math.sqrt(sigma2 / 2), size=(b, n_sym, 2))
-        noise = g[:, :, 0] + 1j * g[:, :, 1]
+        noise = complex_normal(rng, sigma2, (b, n_sym))
 
         if k0_lin is None:
             r = s + j + noise
@@ -485,8 +496,8 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
             # independent across blocks, and the receiver equalizes with
             # known per-block gains
             n_groups = -(-n_sym // scenario.n_carriers)
-            gh = rng.normal(0, math.sqrt(1 / (2 * k0_lin)), size=(b, n_groups, 2))
-            h_blocks = (1 + gh[:, :, 0] + 1j * gh[:, :, 1]) / math.sqrt(1 + 1 / k0_lin)
+            diffuse = complex_normal(rng, 1 / k0_lin, (b, n_groups))
+            h_blocks = (1 + diffuse) / math.sqrt(1 + 1 / k0_lin)
             h = np.repeat(h_blocks, scenario.n_carriers, axis=1)[:, :n_sym]
             r = (h * s + j + noise) / h
             noise_sym = (jam_amp ** 2 + sigma2) / np.abs(h) ** 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import OffsetSpec, add_awgn, apply_offsets
+from .channel import OffsetSpec, add_awgn, apply_offsets, complex_normal
 from .txchain import ComplexSignal, OfdmConfig, modulate_block, random_symbol_blocks
 
 __all__ = ["JammerSpec", "generate_jamming", "combine"]
@@ -62,8 +62,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
         return ComplexSignal(np.zeros(duration_samples, dtype=complex), dt)
 
     if spec.strategy == "gaussian":
-        noise = rng.normal(0.0, np.sqrt(spec.power / 2), size=(duration_samples, 2))
-        return ComplexSignal(noise[:, 0] + 1j * noise[:, 1], dt)
+        return ComplexSignal(complex_normal(rng, spec.power, (duration_samples,)), dt)
 
     # disguised_ofdm: independent data, own offsets, classical or random CP1.
     n_blocks = -(-duration_samples // config.block_samples) + 2
@@ -73,7 +72,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
         m = config.psk_order
         cp_phases = np.exp(2j * np.pi * rng.integers(0, m, n_blocks) / m)
     wave = modulate_block(blocks, cp_phases, config)
-    wave = apply_offsets(wave, spec.offsets, t_block=None)
+    wave = apply_offsets(wave, spec.offsets)
     samples = wave.samples[:duration_samples]
     # CP samples carry the same per-sample power as the body, so the analytic
     # mean per-sample power of the OFDM waveform is P_S/N_c.
@@ -81,15 +80,11 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     return ComplexSignal(samples * np.sqrt(spec.power / mean_power), dt)
 
 
-def combine(signal: ComplexSignal, jam: ComplexSignal | None, noise_sigma2: float,
+def combine(signal: ComplexSignal, jam: ComplexSignal, noise_sigma2: float,
             rng: np.random.Generator | int) -> ComplexSignal:
     """Elementwise sum of signal, jamming and AWGN (shorter input zero-padded)."""
-    if jam is None:
-        total = signal.samples.copy()
-    else:
-        n = max(signal.samples.size, jam.samples.size)
-        total = np.zeros(n, dtype=complex)
-        total[: signal.samples.size] += signal.samples
-        total[: jam.samples.size] += jam.samples
-    out = ComplexSignal(total, signal.sample_interval, signal.start_time)
-    return add_awgn(out, noise_sigma2, rng)
+    n = max(signal.samples.size, jam.samples.size)
+    total = np.zeros(n, dtype=complex)
+    total[: signal.samples.size] += signal.samples
+    total[: jam.samples.size] += jam.samples
+    return add_awgn(ComplexSignal(total, signal.sample_interval), noise_sigma2, rng)

@@ -58,7 +58,7 @@ def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:
 
 @dataclass
 class ParityCheckCode:
-    """Binary parity-check matrix in edge-list form plus the declared rate.
+    """Binary parity-check matrix in edge-list form.
 
     Every check and every variable must have at least one edge."""
 
@@ -66,7 +66,6 @@ class ParityCheckCode:
     m: int
     check_of_edge: np.ndarray  # edge arrays sorted by variable node
     var_of_edge: np.ndarray
-    rate: float
 
     def __post_init__(self):
         if self.n <= 0 or self.m <= 0:
@@ -135,7 +134,7 @@ def load_alist(path: str | Path) -> ParityCheckCode:
     if by_col.shape != by_row.shape or not np.array_equal(by_col, by_row):
         raise ValueError("alist row section disagrees with the column section")
     return ParityCheckCode(n=n, m=m, check_of_edge=by_col[0],
-                           var_of_edge=by_col[1], rate=(n - m) / n)
+                           var_of_edge=by_col[1])
 
 
 def save_alist(code: ParityCheckCode, path: str | Path) -> None:
@@ -156,6 +155,8 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
     possible. Parallel edges are repaired by swapping; 4-cycles are reduced
     best-effort.
     """
+    if col_degree > m:  # a variable cannot meet more distinct checks than m
+        raise ValueError(f"col_degree {col_degree} exceeds the {m} checks")
     rng = np.random.default_rng(seed)
     n_edges = n * col_degree
     base = np.arange(n_edges) % m
@@ -174,8 +175,7 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
                 sockets[e], sockets[f] = sockets[f], sockets[e]
         else:
             continue
-        return ParityCheckCode(n=n, m=m, check_of_edge=sockets,
-                               var_of_edge=cols, rate=(n - m) / n)
+        return ParityCheckCode(n=n, m=m, check_of_edge=sockets, var_of_edge=cols)
     raise RuntimeError("failed to build a simple parity-check matrix")
 
 
@@ -198,7 +198,7 @@ class LdpcEncoder:
 
     Column pivoting selects m parity positions; the remaining columns carry
     the message bits. Redundant rows reduce the check count and raise the
-    effective rate; the declared rate is kept for reporting.
+    effective rate.
     """
 
     def __init__(self, code: ParityCheckCode):

@@ -225,7 +225,7 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
     """
     n_fft = r_blocks.shape[1]
     k_count = r_blocks.shape[0] - 1
-    tb_over_ts = config.block_samples / config.n_body_samples
+    tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
     gammas = {lag: [_gamma_avg(r_blocks, phases[:, j], lag)
                     for j in range(len(pilots))]
@@ -258,7 +258,7 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
 
 
 def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
-                       n0: int, config: OfdmConfig, sync_cfg: SyncConfig) -> float:
+                       n0: int, config: OfdmConfig) -> float:
     """Residual time offset from the phase slope across two pilot carriers.
 
     ``pilots``: [(i_p1, p1), (i_p2, p2)]; ``phases``: (K, 2) secret phases of
@@ -330,7 +330,7 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     t_abs = np.arange(r.samples.size) * dt
     corrected = ComplexSignal(
         r.samples * np.exp(-2j * np.pi * est.frac_cfo_hat * t_abs / config.t_body),
-        dt, r.start_time)
+        dt)
 
     pilots = sorted(config.pilot_positions.items())[:2]
     if len(pilots) < 2:
@@ -345,8 +345,7 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
 
     n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,
                                                    config, sync_cfg)
-    t0p = estimate_fine_time(r_blocks[:-1], pilots, phases[:-1], n0, config,
-                             sync_cfg)
+    t0p = estimate_fine_time(r_blocks[:-1], pilots, phases[:-1], n0, config)
     t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
     est.zeta0_hat = zeta0

@@ -35,41 +35,31 @@ QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Static system parameters of the OFDM link."""
+    """Static system parameters of the OFDM link. Data carriers are QPSK;
+    the body is critically sampled, one sample per carrier."""
 
     n_carriers: int
     cp1_samples: int
     cp2_samples: int
     psk_order: int
-    constellation: np.ndarray = field(default_factory=lambda: QPSK.copy())
     pilot_positions: dict = field(default_factory=dict)
     sample_interval: float = 1.0 / 128
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "constellation", np.asarray(self.constellation, dtype=complex)
-        )
         if self.n_carriers <= 0:
             raise ValueError("n_carriers must be positive")
         if self.cp1_samples <= 0 or self.cp2_samples <= 0:
-            raise ValueError("CP lengths must be positive")
+            raise ValueError("cp1_samples and cp2_samples must be positive")
         if self.cp1_samples + self.cp2_samples > self.n_carriers:
-            raise ValueError("total CP cannot exceed the body length")
+            raise ValueError("cp1_samples + cp2_samples cannot exceed n_carriers")
         m = self.psk_order
         if m < 2 or m & (m - 1):
             raise ValueError("psk_order must be a power of 2")
-        if self.constellation.size == 0:
-            raise ValueError("constellation must be nonempty")
         if self.sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         for idx in self.pilot_positions:
             if not 0 <= idx < self.n_carriers:
-                raise ValueError(f"pilot index {idx} outside [0, {self.n_carriers})")
-
-    # Body is critically sampled: one sample per carrier.
-    @property
-    def n_body_samples(self) -> int:
-        return self.n_carriers
+                raise ValueError(f"pilot_positions: {idx} not in [0, {self.n_carriers})")
 
     @property
     def cp_samples(self) -> int:
@@ -77,11 +67,11 @@ class OfdmConfig:
 
     @property
     def block_samples(self) -> int:
-        return self.cp_samples + self.n_body_samples
+        return self.cp_samples + self.n_carriers
 
     @property
     def t_body(self) -> float:
-        return self.n_body_samples * self.sample_interval
+        return self.n_carriers * self.sample_interval
 
     @property
     def t_cp2(self) -> float:
@@ -93,7 +83,7 @@ class OfdmConfig:
 
     @property
     def symbol_power(self) -> float:
-        return float(np.mean(np.abs(self.constellation) ** 2))
+        return float(np.mean(np.abs(QPSK) ** 2))
 
     def config_hash(self) -> str:
         payload = {
@@ -101,7 +91,6 @@ class OfdmConfig:
             "cp1_samples": self.cp1_samples,
             "cp2_samples": self.cp2_samples,
             "psk_order": self.psk_order,
-            "constellation": [[z.real, z.imag] for z in self.constellation],
             "pilot_positions": {
                 str(k): [v.real, v.imag] for k, v in sorted(self.pilot_positions.items())
             },
@@ -116,7 +105,6 @@ class ComplexSignal:
 
     samples: np.ndarray
     sample_interval: float
-    start_time: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -126,11 +114,9 @@ class ComplexSignal:
 
 def random_symbol_blocks(rng: np.random.Generator, n_blocks: int,
                          config: OfdmConfig) -> np.ndarray:
-    """(n_blocks, N_c) i.i.d. constellation symbols with the pilot values
-    placed on their fixed subcarriers."""
-    picks = rng.integers(0, config.constellation.size,
-                         size=(n_blocks, config.n_carriers))
-    symbols = config.constellation[picks]
+    """(n_blocks, N_c) i.i.d. QPSK symbols with the pilot values placed on
+    their fixed subcarriers."""
+    symbols = QPSK[rng.integers(0, QPSK.size, size=(n_blocks, config.n_carriers))]
     for idx, value in config.pilot_positions.items():
         symbols[:, idx] = value
     return symbols
@@ -197,7 +183,6 @@ def write_iq(signal: ComplexSignal, path: str | Path, config_hash: str = "") -> 
         f"format={IQ_FORMAT}\n"
         f"n_samples={signal.samples.size}\n"
         f"sample_interval={signal.sample_interval!r}\n"
-        f"start_time={signal.start_time!r}\n"
         f"config_hash={config_hash}\n"
     )
 
@@ -219,5 +204,4 @@ def read_iq(path: str | Path) -> ComplexSignal:
                          f"{size}-byte sample file")
     raw = np.fromfile(path)
     samples = raw[0::2] + 1j * raw[1::2]
-    return ComplexSignal(samples, float(fields["sample_interval"]),
-                         float(fields["start_time"]))
+    return ComplexSignal(samples, float(fields["sample_interval"]))

@@ -32,9 +32,9 @@ class TestDistributions:
 
     def test_none_jamming_is_zero(self):
         rng = np.random.default_rng(1)
-        x = JammingDist.none().sample(rng, 100)
+        x = JammingDist("none").sample(rng, 100)
         assert np.array_equal(x, np.zeros(100))
-        assert JammingDist.none().power == 0.0
+        assert JammingDist("none").power == 0.0
 
     def test_disguised_matches_input_constellation(self):
         jam = JammingDist.disguised(power=1.0)
@@ -46,7 +46,7 @@ class TestDistributions:
 class TestSimulate:
     def test_no_jam_no_noise_is_identity(self):
         spec = SymbolChannelSpec(InputDist.qpsk(), noise_power=0.0)
-        s, r = simulate_symbol_channel(spec, JammingDist.none(), 1000, 2)
+        s, r = simulate_symbol_channel(spec, JammingDist("none"), 1000, 2)
         assert np.array_equal(s, r)
 
     def test_received_power_budget(self):
@@ -145,7 +145,7 @@ class TestMiEstimate:
             p_s = 10 ** (snr_db / 10)
             spec = SymbolChannelSpec(InputDist("gaussian", p_s),
                                      noise_power=1.0, phase_order=None)
-            est = mi_estimate(spec, JammingDist.none(), 100_000, seed)
+            est = mi_estimate(spec, JammingDist("none"), 100_000, seed)
             assert est.contains(math.log2(1 + p_s))
 
     def test_phase_on_beats_phase_off_under_disguised_jamming(self):
@@ -178,9 +178,3 @@ class TestSaddleCheck:
         assert report.saddle_mi.contains(report.capacity)
         assert report.all_satisfied
         assert len(report.deviations) == 4
-
-    def test_rejects_unknown_side(self):
-        with pytest.raises(ValueError):
-            saddle_check(1.0, 1.0, 1.0, n_samples=5_000,
-                         deviations=[("bad", "sideways",
-                                      InputDist("gaussian", 1.0))])

@@ -67,6 +67,24 @@ class TestBer:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode != 0
         assert "rates: unknown rate label '3_4'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out_dir.exists()
+
+
+class TestInputErrors:
+    def test_malformed_scenario_file(self, tmp_path, capsys):
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text('{"name": "x",}')
+        assert main(["sync", "--scenario", str(sc_path),
+                     "--out-dir", str(tmp_path / "results")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spofdm: error: ")
+        assert "invalid JSON" in err and err.count("\n") == 1
+
+    def test_zero_trials(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["sync", "--trials", "0", "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "spofdm: error: trials must be at least 1\n"
         assert not out_dir.exists()
 
 

@@ -50,11 +50,26 @@ class TestScenario:
         (dict(snr_db=None), "snr_db"),
         (dict(sjr_db=None), "sjr_db"),
         (dict(sjr_db=float("inf")), "sjr_db"),
+        (dict(jammer_strategy="loud"), "jammer_strategy"),
+        (dict(jammer_cp_mode="secret_cp"), "jammer_cp_mode"),
+        (dict(channel="multipath", n_paths=0), "n_paths"),
+        (dict(tap_decay=0.0), "tap_decay"),
+        (dict(tap_decay=1.5), "tap_decay"),
+        (dict(max_delay_samples=24.0), "max_delay_samples"),
+        (dict(max_delay_samples=-1.0), "max_delay_samples"),
+        (dict(psk_order=3), "psk_order"),
+        (dict(key_hex="zz"), "key_hex"),
+        (dict(key_hex="0011"), "key_hex"),
+        (dict(n_l=3), "n_l"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
         with pytest.raises(ValueError, match=field):
             table1_scenario(**overrides)
+
+    def test_delay_just_inside_the_guard_interval_accepted(self):
+        sc = table1_scenario(channel="multipath", max_delay_samples=23.0)
+        assert sc.max_delay_samples == 23.0
 
     def test_pilot_spacing_at_fine_time_limit_accepted(self):
         # |24 - 40| * cp2_samples == n_carriers: still unambiguous
@@ -114,6 +129,17 @@ class TestScenarioFiles:
         ("snr_db", float("nan")),
         ("sjr_db", None),
         ("sjr_db", float("-inf")),
+        ("jammer_strategy", "loud"),
+        ("jammer_cp_mode", "secret_cp"),
+        ("n_paths", 0),
+        ("tap_decay", 0.0),
+        ("tap_decay", 1.5),
+        ("max_delay_samples", 24.0),
+        ("max_delay_samples", -1.0),
+        ("psk_order", 3),
+        ("key_hex", "zz"),
+        ("key_hex", "0011"),
+        ("n_l", 3),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())

@@ -92,7 +92,8 @@ class TestCombine:
         rng = np.random.default_rng(0)
         sig = ComplexSignal(rng.normal(size=100) + 1j * rng.normal(size=100),
                             CONFIG.sample_interval)
-        out = combine(sig, None, 0.0, 0)
+        silent = generate_jamming(JammerSpec("none"), CONFIG, 100, 0)
+        out = combine(sig, silent, 0.0, 0)
         assert np.array_equal(out.samples, sig.samples)
 
     def test_superposition_with_zero_signal(self):

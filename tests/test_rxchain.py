@@ -185,23 +185,27 @@ class TestParityCheckCode:
         code = make_regular_parity_check(48, 24, col_degree=3, seed=2)
         assert np.all(code.dense().sum(axis=0) == 3)
 
+    def test_regular_rejects_degree_above_check_count(self):
+        # a variable cannot meet three distinct checks out of two
+        with pytest.raises(ValueError, match="col_degree 3"):
+            make_regular_parity_check(8, 2, col_degree=3)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ParityCheckCode(n=0, m=1, check_of_edge=np.array([]),
-                            var_of_edge=np.array([]), rate=0.5)
+                            var_of_edge=np.array([]))
 
     def test_rejects_check_or_variable_without_edges(self):
         with pytest.raises(ValueError, match="check 1 has no edges"):
             ParityCheckCode(n=3, m=3, check_of_edge=np.array([0, 2, 0, 2]),
-                            var_of_edge=np.array([0, 1, 2, 2]), rate=0.0)
+                            var_of_edge=np.array([0, 1, 2, 2]))
         for empty in (0, 2):  # the first and the last variable
             with pytest.raises(ValueError, match=f"variable {empty} has no edges"):
                 ParityCheckCode(n=3, m=1, check_of_edge=np.zeros(2, dtype=int),
-                                var_of_edge=np.delete(np.arange(3), empty),
-                                rate=0.0)
+                                var_of_edge=np.delete(np.arange(3), empty))
         with pytest.raises(ValueError, match="check index 1 out of range"):
             ParityCheckCode(n=2, m=1, check_of_edge=np.array([0, 1]),
-                            var_of_edge=np.array([0, 1]), rate=0.5)
+                            var_of_edge=np.array([0, 1]))
 
     def test_alist_zero_degree_variable(self, tmp_path):
         path = tmp_path / "code.alist"
@@ -238,7 +242,7 @@ class TestParityCheckCode:
                             ("2_3", 2 / 3)]:
             code = load_alist(bundled_code_path(label))
             assert code.n == 2016
-            assert code.rate == pytest.approx(rate, abs=1e-9)
+            assert (code.n - code.m) / code.n == pytest.approx(rate, abs=1e-9)
             enc = LdpcEncoder(code)
             assert enc.k == round(2016 * rate)
 
@@ -328,6 +332,16 @@ class TestBpDecode:
                 assert np.array_equal(hard, batch_hard[b])
                 assert conv == batch_conv[b]
                 assert iters == batch_iters[b]
+
+    def test_degree_one_check_flips_its_variable(self):
+        # checks {0, 1, 2} and {2}: the degree-1 check's message forces
+        # variable 2, whose channel LLR points to 1, back to 0
+        code = ParityCheckCode(n=3, m=2, check_of_edge=np.array([0, 0, 0, 1]),
+                               var_of_edge=np.array([0, 1, 2, 2]))
+        hard, converged, iters = ldpc_bp_decode(code, np.array([4.0, 4.0, -6.0]))
+        assert converged
+        assert iters >= 1
+        assert np.array_equal(hard, [0, 0, 0])
 
     def test_wrong_llr_length(self):
         code = make_regular_parity_check(24, 12, seed=9)

@@ -248,7 +248,6 @@ class TestEstimateIntegerCfo:
 class TestEstimateFineTime:
     def test_zero_residual(self):
         config = table1_config()
-        sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(15)
         th1 = 2 * np.pi * rng.integers(0, 16, 8) / 16
         th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
@@ -256,13 +255,11 @@ class TestEstimateFineTime:
              + synthetic_pilot_blocks(132, 32, 1.0 + 0j, th2, 0, 0.0,
                                       152 / 128))
         t0p = estimate_fine_time(r, [(24, 1.0 + 0j), (32, 1.0 + 0j)],
-                                 np.column_stack([th1, th2]), 0, config,
-                                 sync_cfg)
+                                 np.column_stack([th1, th2]), 0, config)
         assert t0p == pytest.approx(0.0, abs=1e-12)
 
     def test_half_cp2_residual(self):
         config = table1_config()
-        sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(16)
         th1 = 2 * np.pi * rng.integers(0, 16, 8) / 16
         th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
@@ -273,17 +270,15 @@ class TestEstimateFineTime:
              + synthetic_pilot_blocks(132, 32, 1.0 + 0j, th2, 0, 0.0,
                                       152 / 128, t0p_norm))
         t0p = estimate_fine_time(r, [(24, 1.0 + 0j), (32, 1.0 + 0j)],
-                                 np.column_stack([th1, th2]), 0, config,
-                                 sync_cfg)
+                                 np.column_stack([th1, th2]), 0, config)
         assert abs(t0p - t0p_true) < config.sample_interval
 
     def test_rejects_duplicate_pilots(self):
         config = table1_config()
-        sync_cfg = SyncConfig(n_blocks=8)
         r = np.zeros((8, 132), dtype=complex)
         with pytest.raises(ValueError):
             estimate_fine_time(r, [(24, 1.0 + 0j), (24, 1.0 + 0j)],
-                               np.zeros((8, 2)), 0, config, sync_cfg)
+                               np.zeros((8, 2)), 0, config)
 
 
 class TestEstimatePhase:

@@ -224,7 +224,16 @@ class TestIqFiles:
         back = read_iq(path)
         assert np.array_equal(back.samples, wave.samples)
         assert back.sample_interval == wave.sample_interval
-        assert back.start_time == wave.start_time
+
+    def test_older_header_with_start_time_reads(self, tmp_path):
+        config = table1_config()
+        path = tmp_path / "wave.iq"
+        wave = ComplexSignal(np.arange(4) + 1j, config.sample_interval)
+        write_iq(wave, path)
+        header = tmp_path / "wave.iq.hdr"
+        assert "start_time" not in header.read_text()
+        header.write_text(header.read_text() + "start_time=0.0\n")
+        assert np.array_equal(read_iq(path).samples, wave.samples)
 
     def test_rejects_size_mismatch(self, tmp_path):
         config = table1_config()
