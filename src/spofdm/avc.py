@@ -198,11 +198,11 @@ class MiEstimate:
 
 
 def mi_estimate(spec: SymbolChannelSpec, jamming: JammingDist, n_samples: int,
-                seed, n_bootstrap: int = 200) -> MiEstimate:
+                seed) -> MiEstimate:
     """Monte-Carlo mutual information I(S; R) with a bootstrap 95% CI.
 
     Uses exact conditional and marginal densities, so the only error is the
-    Monte-Carlo average itself.
+    Monte-Carlo average itself. The CI takes 200 bootstrap resamples.
     """
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s, r = simulate_symbol_channel(spec, jamming, n_samples, rng)
@@ -213,8 +213,8 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: JammingDist, n_samples: int,
         terms[sl] = (_log_conditional(r[sl], s[sl], spec, jamming)
                      - _log_marginal(r[sl], spec, jamming)) / math.log(2)
     est = float(terms.mean())
-    boots = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
+    boots = np.empty(200)
+    for b in range(boots.size):
         idx = rng.integers(0, n_samples, n_samples)
         boots[b] = terms[idx].mean()
     lo, hi = np.percentile(boots, [2.5, 97.5])

@@ -101,21 +101,21 @@ def add_awgn(signal: ComplexSignal, sigma2: float,
 
 
 def random_multipath_taps(rng: np.random.Generator, n_paths: int,
-                          max_delay: float, total_power: float = 1.0,
-                          max_doppler: float = 0.0, decay: float = 1.0) -> tuple:
+                          max_delay: float, max_doppler: float = 0.0,
+                          decay: float = 1.0) -> tuple:
     """Multipath taps with uniform random phases and a geometric power
     profile.
 
     Delays are spread uniformly over [0, max_delay]; tap m carries power
-    proportional to decay**m (decay=1 gives equal powers), normalized to
-    total_power. Per-tap Doppler shifts are drawn uniformly in
+    proportional to decay**m (decay=1 gives equal powers), normalized to unit
+    total power. Per-tap Doppler shifts are drawn uniformly in
     [-max_doppler, max_doppler] (rad/s).
     """
     if not 0 < decay <= 1:
         raise ValueError("decay must be in (0, 1]")
     delays = np.linspace(0.0, max_delay, n_paths)
     powers = decay ** np.arange(n_paths)
-    powers *= total_power / powers.sum()
+    powers *= 1.0 / powers.sum()  # not /=: a division rounds the taps differently
     taps = []
     for d, p in zip(delays, powers):
         phase = rng.uniform(0, 2 * np.pi)

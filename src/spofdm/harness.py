@@ -31,7 +31,7 @@ from .rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
                       llr_qpsk, load_alist, qpsk_map)
 from .sync import SyncConfig, pre_fft_surface, synchronize
 from .txchain import (ComplexSignal, OfdmConfig, build_waveform,
-                      modulate_block, random_symbol_blocks)
+                      random_symbol_blocks)
 
 __all__ = [
     "Scenario",
@@ -109,6 +109,10 @@ class Scenario:
                 raise ValueError(f"{name} must be at least 1")
         if not 0 < self.tap_decay <= 1:
             raise ValueError(f"tap_decay must be in (0, 1], got {self.tap_decay!r}")
+        for name, bound in (("master_seed", math.inf), ("epoch", 2 ** 32),
+                            ("max_doppler_normalized", math.inf)):
+            if not 0 <= (value := getattr(self, name)) < bound:
+                raise ValueError(f"{name} must be in [0, {bound}), got {value!r}")
         # the guard interval: a longer echo leaks into the next block
         if not 0 <= self.max_delay_samples < self.cp1_samples + self.cp2_samples:
             raise ValueError("max_delay_samples must be in [0, cp1_samples + "
@@ -310,14 +314,13 @@ def _draw_fading(scenario: Scenario, config: OfdmConfig,
                  rng: np.random.Generator) -> FadingSpec | None:
     if scenario.channel == "awgn":
         return None
-    dt = config.sample_interval
     max_doppler = 0.0
     if scenario.channel == "doppler":
         # peak Doppler given in subcarrier spacings 1/T_s
         max_doppler = 2 * np.pi * scenario.max_doppler_normalized / config.t_body
     taps = random_multipath_taps(
-        rng, scenario.n_paths, scenario.max_delay_samples * dt,
-        total_power=1.0, max_doppler=max_doppler, decay=scenario.tap_decay)
+        rng, scenario.n_paths, scenario.max_delay_samples * config.sample_interval,
+        max_doppler=max_doppler, decay=scenario.tap_decay)
     return FadingSpec(taps=taps)
 
 
@@ -330,11 +333,19 @@ def _draw_offsets(scenario: Scenario, config: OfdmConfig,
     return OffsetSpec(t0=t0, omega0=omega0, phi0=phi0)
 
 
-def _receive(scenario: Scenario, config: OfdmConfig, wave: ComplexSignal,
-             rng: np.random.Generator, jam_offsets) -> ComplexSignal:
-    """The transmitted wave plus the scenario's jamming, emitted with the
-    offsets ``jam_offsets()`` returns, plus receiver noise. A silent jammer
-    draws no offsets, so the noise keeps its place in the RNG stream."""
+def _transmit(scenario: Scenario, config: OfdmConfig, rng: np.random.Generator,
+              angles: np.ndarray, offsets: OffsetSpec,
+              jam_offsets) -> ComplexSignal:
+    """Random symbol blocks, one per row of ``angles`` (all zero for classical
+    OFDM), through the scenario's fading and the ``offsets``, plus jamming
+    emitted with the offsets ``jam_offsets()`` returns, plus receiver noise.
+    A silent jammer draws no offsets, so the noise keeps its RNG place."""
+    blocks = random_symbol_blocks(rng, len(angles), config)
+    wave = build_waveform(blocks, angles, config)
+    fading = _draw_fading(scenario, config, rng)
+    if fading is not None:
+        wave = apply_fading(wave, fading)
+    wave = apply_offsets(wave, offsets)
     jam_spec = JammerSpec(
         strategy=scenario.jammer_strategy,
         power=scenario.jammer_power(),
@@ -350,7 +361,6 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
     config = scenario.ofdm_config()
     sync_cfg = scenario.sync_config()
     rng = np.random.default_rng([scenario.master_seed, trial])
-    dt = config.sample_interval
 
     k0 = int(rng.integers(0, scenario.n_candidates))
     offsets = _draw_offsets(scenario, config, rng)
@@ -359,14 +369,9 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
                               config.n_carriers, config.psk_order)
 
     n_blocks = scenario.sync_blocks + 4
-    blocks = random_symbol_blocks(rng, n_blocks, config)
-    wave = build_waveform(blocks, phase_seq.plan(k0, k0 + n_blocks - 1), config)
-    fading = _draw_fading(scenario, config, rng)
-    if fading is not None:
-        wave = apply_fading(wave, fading)
-    wave = apply_offsets(wave, offsets)
-    r = _receive(scenario, config, wave, rng,
-                 lambda: _draw_offsets(scenario, config, rng))
+    angles = phase_seq.plan(k0, k0 + n_blocks - 1)
+    r = _transmit(scenario, config, rng, angles, offsets,
+                  lambda: _draw_offsets(scenario, config, rng))
 
     record = {
         "trial": trial,
@@ -385,7 +390,7 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
 
-    backoff_t = sync_cfg.backoff(config) * dt
+    backoff_t = sync_cfg.backoff(config) * config.sample_interval
     est_time = est.t0_hat + est.t0p_hat - backoff_t - est.k0_hat * config.t_block
     true_time = offsets.t0 - k0 * config.t_block
     delta = est_time - true_time
@@ -589,10 +594,11 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """Trial-averaged magnitude of the pre-FFT correlation.
 
     With precoding the surface spans the (time offset, candidate sequence
-    offset) grid; without it the candidate axis collapses (unit CP phase).
-    The legitimate and jamming time offsets stay fixed across trials so the
-    averaged peaks do not smear; data, CP phases and noise are redrawn.
-    Returns the surface, the axes, and the true offsets.
+    offset) grid; without it the angles are zero and the candidate axis
+    collapses (unit CP phase). The signal goes through the scenario's
+    channel. The legitimate and jamming time offsets stay fixed across
+    trials so the averaged peaks do not smear; data, fading, jamming and
+    noise are redrawn. Returns the surface, the axes, and the true offsets.
     """
     config = scenario.ofdm_config()
     sync_cfg = scenario.sync_config()
@@ -608,23 +614,17 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
                               config.n_carriers, config.psk_order)
 
-    acc = None
     n_blocks = scenario.sync_blocks + 4
+    angles = (phase_seq.plan(k0, k0 + n_blocks - 1) if precoding
+              else np.zeros((n_blocks, config.n_carriers + 1)))
+    acc = 0.0
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
-        blocks = random_symbol_blocks(rng, n_blocks, config)
-        if precoding:
-            wave = build_waveform(
-                blocks, phase_seq.plan(k0, k0 + n_blocks - 1), config)
-        else:
-            wave = modulate_block(blocks, 1.0, config)
-        wave = apply_offsets(wave, OffsetSpec(t0=signal_offset_samples * dt))
-        r = _receive(scenario, config, wave, rng,
-                     lambda: OffsetSpec(t0=jammer_offset_samples * dt))
-
-        surf = np.abs(pre_fft_surface(r, config, sync_cfg,
-                                      phase_seq if precoding else None))
-        acc = surf if acc is None else acc + surf
+        r = _transmit(scenario, config, rng, angles,
+                      OffsetSpec(t0=signal_offset_samples * dt),
+                      lambda: OffsetSpec(t0=jammer_offset_samples * dt))
+        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg,
+                                           phase_seq if precoding else None))
 
     return {
         "surface": acc / n_trials,

@@ -250,7 +250,7 @@ class LdpcEncoder:
         return np.asarray(codeword)[..., self.message_cols]
 
 
-def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray, max_iters: int = 50):
+def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     """Sum-product belief propagation on the Tanner graph.
 
     ``llr`` may be a single length-n vector or a (batch, n) array. Stops early
@@ -270,7 +270,7 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray, max_iters: int = 50):
     active = np.flatnonzero(~converged)
     lin_a = lin[active]
     v2c = lin_a[:, code._bp_var]
-    for it in range(1, max_iters + 1):
+    for it in range(1, 51):  # at most 50 iterations
         if not active.size:
             break
         t = np.tanh(0.5 * np.clip(v2c, -30, 30))

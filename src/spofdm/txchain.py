@@ -9,10 +9,7 @@ back into the baseband waveform, sampled at the critical rate N_c/T_s.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,11 +21,7 @@ __all__ = [
     "modulate_block",
     "build_waveform",
     "random_symbol_blocks",
-    "write_iq",
-    "read_iq",
 ]
-
-IQ_FORMAT = "interleaved_float64_iq"
 
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 
@@ -84,19 +77,6 @@ class OfdmConfig:
     @property
     def symbol_power(self) -> float:
         return float(np.mean(np.abs(QPSK) ** 2))
-
-    def config_hash(self) -> str:
-        payload = {
-            "n_carriers": self.n_carriers,
-            "cp1_samples": self.cp1_samples,
-            "cp2_samples": self.cp2_samples,
-            "psk_order": self.psk_order,
-            "pilot_positions": {
-                str(k): [v.real, v.imag] for k, v in sorted(self.pilot_positions.items())
-            },
-            "sample_interval": self.sample_interval,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -164,44 +144,9 @@ def build_waveform(symbols: np.ndarray, angles: np.ndarray,
 
     Row b of ``angles`` is the secret randomness of block b as returned by
     :func:`spofdm.keystream.phase_plans`: the CP phase angle, then the
-    subcarrier phases.
+    subcarrier phases. All-zero angles give the classical OFDM waveform,
+    ``modulate_block(symbols, 1.0, config)``.
     """
     angles = np.asarray(angles)
     return modulate_block(precode(symbols, angles[..., 1:]),
                           np.exp(1j * angles[..., 0]), config)
-
-
-def write_iq(signal: ComplexSignal, path: str | Path, config_hash: str = "") -> None:
-    """Interleaved float64 I/Q binary plus a sidecar text header."""
-    path = Path(path)
-    inter = np.empty(2 * signal.samples.size)
-    inter[0::2] = signal.samples.real
-    inter[1::2] = signal.samples.imag
-    inter.tofile(path)
-    header = path.with_suffix(path.suffix + ".hdr")
-    header.write_text(
-        f"format={IQ_FORMAT}\n"
-        f"n_samples={signal.samples.size}\n"
-        f"sample_interval={signal.sample_interval!r}\n"
-        f"config_hash={config_hash}\n"
-    )
-
-
-def read_iq(path: str | Path) -> ComplexSignal:
-    """Read a file written by :func:`write_iq`; the header's format and
-    sample count are checked against the binary file."""
-    path = Path(path)
-    header = path.with_suffix(path.suffix + ".hdr")
-    fields = {}
-    for line in header.read_text().splitlines():
-        k, _, v = line.partition("=")
-        fields[k] = v
-    size = path.stat().st_size
-    if fields.get("format") != IQ_FORMAT:
-        raise ValueError(f"{header}: field 'format' must be {IQ_FORMAT!r}")
-    if fields.get("n_samples") != str(size // 16) or size % 16:
-        raise ValueError(f"{header}: field 'n_samples' does not match the "
-                         f"{size}-byte sample file")
-    raw = np.fromfile(path)
-    samples = raw[0::2] + 1j * raw[1::2]
-    return ComplexSignal(samples, float(fields["sample_interval"]))

@@ -162,8 +162,7 @@ class TestComplexNormal:
 class TestTapFactories:
     def test_multipath_total_power(self):
         rng = np.random.default_rng(0)
-        taps = random_multipath_taps(rng, 4, 3 * DT, total_power=1.0,
-                                     decay=0.1)
+        taps = random_multipath_taps(rng, 4, 3 * DT, decay=0.1)
         power = sum(abs(g) ** 2 for _, g, _ in taps)
         assert power == pytest.approx(1.0, abs=1e-12)
 

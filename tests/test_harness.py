@@ -1,5 +1,6 @@
 """Tests for scenario files, reports, and the experiment drivers."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -61,6 +62,11 @@ class TestScenario:
         (dict(key_hex="zz"), "key_hex"),
         (dict(key_hex="0011"), "key_hex"),
         (dict(n_l=3), "n_l"),
+        (dict(epoch=-1), "epoch"),
+        (dict(epoch=2 ** 32), "epoch"),
+        (dict(master_seed=-1), "master_seed"),
+        (dict(channel="doppler", max_doppler_normalized=-0.1),
+         "max_doppler_normalized"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -140,6 +146,10 @@ class TestScenarioFiles:
         ("key_hex", "zz"),
         ("key_hex", "0011"),
         ("n_l", 3),
+        ("epoch", -1),
+        ("epoch", 2 ** 32),
+        ("master_seed", -1),
+        ("max_doppler_normalized", -0.1),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -285,3 +295,39 @@ class TestCorrelationSurface:
         lines = surface_csv(result).splitlines()
         assert lines[0] == "tau_samples,candidate,magnitude"
         assert len(lines) == 1 + 152 * 50
+
+    def test_multipath_surface_goes_through_the_channel(self):
+        awgn = correlation_surface(table1_scenario(sync_blocks=10),
+                                   n_trials=2)["surface"]
+        multipath = correlation_surface(
+            table1_scenario(sync_blocks=10, channel="multipath"),
+            n_trials=2)["surface"]
+        assert multipath.shape == awgn.shape
+        assert not np.array_equal(multipath, awgn)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestRecordsPinned:
+    """Digests of small runs; a change of the transmit path that moves any
+    sample of a sync trial or a surface shows here."""
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "d693795c7372457797d84e2fb3ce5671024147ceb24a5e1cd02a6eaac301df9f"),
+        (dict(channel="multipath", jammer_cp_mode="random_cp"),
+         "11f2079ce98331988122e874adcb01913ea5f15bdfb2a227ed0f5d7915d749ff"),
+    ])
+    def test_sync_records(self, overrides, digest):
+        report = run_sync_experiment(table1_scenario(trials=20, **overrides))
+        assert _sha256(report.records_csv().encode()) == digest
+
+    @pytest.mark.parametrize("precoding, digest", [
+        (True, "a3bf62fa9aaedab67fed1eca20e21e295bb4967175a4f53e42e18a0085e3a8a5"),
+        (False, "46adde277885378dcc30b6947b0143c9dd4fde4b23f87e267a82a7d0fd7d3d0c"),
+    ])
+    def test_awgn_surfaces(self, precoding, digest):
+        result = correlation_surface(table1_scenario(sync_blocks=10),
+                                     precoding=precoding, n_trials=2)
+        assert _sha256(result["surface"].tobytes()) == digest

@@ -1,6 +1,7 @@
 """Property tests for invariants of the link: the pre-FFT surface against its
 direct correlator, the precode/demodulate/decode round trip, the classical
-receiver as the secure receiver with unit CP phases, batched keystream,
+receiver as the secure receiver with unit CP phases, the classical
+waveform as the secure waveform with zero angles, batched keystream,
 modulation and demodulation against their per-block forms, the bundled
 LDPC codes' encoder, and the LDPC syndrome and encoder against their dense
 GF(2) forms."""
@@ -150,6 +151,24 @@ def test_batched_modulate_equals_per_block_calls(n_c, n_blocks, seed):
     plain = modulate_block(precoded, 1.0, config).samples
     assert np.array_equal(plain, np.concatenate(
         [modulate_block(row, 1.0, config).samples for row in precoded]))
+
+
+@FAST
+@given(n_c=st.sampled_from([8, 16, 64, 128]),
+       n_blocks=st.integers(1, 5),
+       data=st.data())
+def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
+    config = OfdmConfig(n_carriers=n_c,
+                        cp1_samples=data.draw(st.integers(1, n_c // 4)),
+                        cp2_samples=data.draw(st.integers(1, n_c // 4)),
+                        psk_order=16, pilot_positions={0: 1.0 + 0j})
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = random_symbol_blocks(rng, n_blocks, config)
+    zeros = np.zeros((n_blocks, n_c + 1))
+    for symbols, angles in ((blocks[0], zeros[0]), (blocks, zeros)):
+        secure = build_waveform(symbols, angles, config).samples
+        classical = modulate_block(symbols, 1.0, config).samples
+        assert secure.tobytes() == classical.tobytes()
 
 
 @FAST

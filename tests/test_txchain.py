@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spofdm.keystream import SecretKey, phase_plans
-from spofdm.txchain import (QPSK, ComplexSignal, OfdmConfig, build_waveform,
+from spofdm.txchain import (QPSK, OfdmConfig, build_waveform,
                             modulate_block, precode, decode_phases,
-                            random_symbol_blocks, read_iq, write_iq)
+                            random_symbol_blocks)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -41,12 +41,6 @@ class TestOfdmConfig:
     def test_rejects_pilot_out_of_range(self):
         with pytest.raises(ValueError):
             table1_config(pilot_positions={128: 1.0 + 0j})
-
-    def test_config_hash_changes_with_fields(self):
-        a = table1_config().config_hash()
-        b = table1_config(cp2_samples=4).config_hash()
-        assert a != b
-        assert a == table1_config().config_hash()
 
 
 class TestPrecode:
@@ -211,47 +205,3 @@ class TestPilots:
         others = np.delete(block, 24)
         dists = np.abs(others[:, None] - QPSK[None, :]).min(axis=1)
         assert np.max(dists) < 1e-12
-
-
-class TestIqFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        config = table1_config()
-        wave = build_waveform(random_symbol_blocks(rng, 2, config),
-                              plans(0, 2), config)
-        path = tmp_path / "wave.iq"
-        write_iq(wave, path, config.config_hash())
-        back = read_iq(path)
-        assert np.array_equal(back.samples, wave.samples)
-        assert back.sample_interval == wave.sample_interval
-
-    def test_older_header_with_start_time_reads(self, tmp_path):
-        config = table1_config()
-        path = tmp_path / "wave.iq"
-        wave = ComplexSignal(np.arange(4) + 1j, config.sample_interval)
-        write_iq(wave, path)
-        header = tmp_path / "wave.iq.hdr"
-        assert "start_time" not in header.read_text()
-        header.write_text(header.read_text() + "start_time=0.0\n")
-        assert np.array_equal(read_iq(path).samples, wave.samples)
-
-    def test_rejects_size_mismatch(self, tmp_path):
-        config = table1_config()
-        path = tmp_path / "wave.iq"
-        write_iq(ComplexSignal(np.ones(4, dtype=complex),
-                               config.sample_interval), path)
-        with open(path, "ab") as f:
-            f.write(bytes(8))
-        with pytest.raises(ValueError, match="n_samples"):
-            read_iq(path)
-
-    def test_rejects_unknown_format(self, tmp_path):
-        config = table1_config()
-        path = tmp_path / "wave.iq"
-        write_iq(ComplexSignal(np.ones(4, dtype=complex),
-                               config.sample_interval), path)
-        header = tmp_path / "wave.iq.hdr"
-        header.write_text(header.read_text().replace(
-            "interleaved_float64_iq", "interleaved_int16_iq"))
-        with pytest.raises(ValueError, match="format"):
-            read_iq(path)
