@@ -7,7 +7,7 @@ Modules:
     jammer      adversary strategies (Gaussian, disguised OFDM)
     sync        two-stage synchronization (pre-FFT and post-FFT)
     rxchain     QPSK LLRs, LDPC belief propagation
-    avc         symbol-level jamming channel analysis (capacity, MI, symmetry)
+    avc         symbol-level jamming channel analysis (capacity, MI, saddle point)
     harness     Monte-Carlo experiment orchestration and persistence
 """
 

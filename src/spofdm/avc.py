@@ -1,11 +1,12 @@
-"""Symbol-level jamming channel: symmetry witnesses, mutual information,
-and the closed-form maximin capacity.
+"""Symbol-level jamming channel: simulation, mutual information, and the
+closed-form maximin capacity.
 
-The channel is R = S + e^{j Theta} J + N with S from the input distribution,
-J from the jamming distribution, Theta the secret phase (uniform over the
-M-PSK alphabet, or disabled), and N circular complex Gaussian. Conditional
-densities are exact finite Gaussian mixtures, so mutual information is
-estimated by Monte-Carlo averaging of exact log density ratios.
+The channel is R = S + e^{j Theta} J + N with S and J both laws on the
+symbol plane (:class:`InputDist`), Theta the secret phase (uniform over the
+M-PSK alphabet, or disabled), and N circular complex Gaussian. Every law is a
+finite Gaussian mixture (:meth:`InputDist.mixture`), so the conditional and
+marginal densities are exact mixtures and mutual information is estimated by
+Monte-Carlo averaging of exact log density ratios.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .txchain import QPSK
 __all__ = [
     "SymbolChannelSpec",
     "InputDist",
-    "JammingDist",
     "simulate_symbol_channel",
     "avc_capacity",
     "mi_estimate",
@@ -33,7 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InputDist:
-    """'gaussian' with the given power, or 'discrete' over points/probs."""
+    """A symbol law, of the input or of the jamming: 'gaussian' CN(0, power),
+    or 'discrete' over points/probs. No jamming is ``InputDist("gaussian",
+    0.0)``."""
 
     kind: str
     power: float = 1.0
@@ -58,32 +60,22 @@ class InputDist:
 
     @classmethod
     def qpsk(cls, power: float = 1.0) -> "InputDist":
+        """The link's QPSK constellation, also the disguised jammer's law."""
         return cls("discrete", points=QPSK * math.sqrt(power))
+
+    def mixture(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The law as Gaussian components CN(mean, variance):
+        (means, log_weights, variance)."""
+        if self.kind == "gaussian":
+            return np.array([0j]), np.array([0.0]), self.power
+        return self.points, np.log(self.probs), 0.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return complex_normal(rng, self.power, (n,))
-        idx = rng.choice(self.points.size, size=n, p=self.probs)
-        return self.points[idx]
-
-
-# Jamming distributions share the same parameterization; 'none' adds nothing.
-@dataclass(frozen=True)
-class JammingDist(InputDist):
-    def __post_init__(self):
-        if self.kind == "none":
-            object.__setattr__(self, "power", 0.0)
-            return
-        super().__post_init__()
-
-    @classmethod
-    def disguised(cls, power: float = 1.0) -> "JammingDist":
-        return cls("discrete", points=QPSK * math.sqrt(power))
-
-    def sample(self, rng, n):
-        if self.kind == "none":
-            return np.zeros(n, dtype=complex)
-        return super().sample(rng, n)
+        if self.kind == "discrete":
+            return self.points[rng.choice(self.points.size, size=n, p=self.probs)]
+        # a zero-power law is the point 0 and draws nothing from the rng
+        return (complex_normal(rng, self.power, (n,)) if self.power
+                else np.zeros(n, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ class SymbolChannelSpec:
             raise ValueError("phase alphabet size must be positive")
 
 
-def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: JammingDist,
+def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
                             n_samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Paired (S, R) draws of R = S + e^{j Theta} J + N."""
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
@@ -110,10 +102,7 @@ def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: JammingDist,
     m = spec.phase_order
     theta = (np.zeros(n_samples) if m is None
              else 2 * np.pi * rng.integers(0, m, size=n_samples) / m)
-    if spec.noise_power > 0:
-        noise = complex_normal(rng, spec.noise_power, (n_samples,))
-    else:
-        noise = 0.0
+    noise = InputDist("gaussian", spec.noise_power).sample(rng, n_samples)
     return s, s + np.exp(1j * theta) * j + noise
 
 
@@ -136,51 +125,30 @@ def _log_cn_density(r: np.ndarray, mean: np.ndarray, var: float) -> np.ndarray:
     return -np.log(np.pi * var) - np.abs(r - mean) ** 2 / var
 
 
-def _interference_components(jamming: JammingDist, spec: SymbolChannelSpec):
-    """Finite mixture of the additive term e^{j Theta} J + N.
+def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
+                jamming: InputDist) -> np.ndarray:
+    """log2 p(r | s) - log2 p(r), both from one interference mixture.
 
-    Returns (means, log_weights, extra_var): Gaussian components CN(mean,
-    noise + extra_var) with the given weights.
+    The additive term e^{j Theta} J + N is the jamming mixture with each
+    discrete point rotated by the M phases (a Gaussian jammer is rotation
+    invariant) and the noise added to the variance; the marginal adds the
+    input mixture on top of it.
     """
-    if jamming.kind == "none":
-        return np.array([0.0 + 0j]), np.array([0.0]), 0.0
-    if jamming.kind == "gaussian":
-        # phase rotation leaves CN(0, P_J) unchanged
-        return np.array([0.0 + 0j]), np.array([0.0]), jamming.power
-    pts = jamming.points
-    logw_j = np.log(jamming.probs)
-    if spec.phase_order is None:
-        return pts, logw_j, 0.0
+    means, logw, j_var = jamming.mixture()
     m = spec.phase_order
-    rot = np.exp(2j * np.pi * np.arange(m) / m)
-    means = (pts[:, None] * rot[None, :]).ravel()
-    logw = (logw_j[:, None] - math.log(m) + np.zeros((1, m))).ravel()
-    return means, logw, 0.0
-
-
-def _log_conditional(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
-                     jamming: JammingDist) -> np.ndarray:
-    """log p(r | s): mixture over jamming support and phase alphabet."""
-    means, logw, extra = _interference_components(jamming, spec)
-    var = spec.noise_power + extra
-    comp = _log_cn_density(r[:, None], s[:, None] + means[None, :], var)
-    return logsumexp(comp + logw[None, :], axis=1)
-
-
-def _log_marginal(r: np.ndarray, spec: SymbolChannelSpec,
-                  jamming: JammingDist) -> np.ndarray:
-    """log p(r): input marginalized exactly (Gaussian) or as a mixture."""
-    means, logw, extra = _interference_components(jamming, spec)
-    var = spec.noise_power + extra
-    inp = spec.input_dist
-    if inp.kind == "gaussian":
-        comp = _log_cn_density(r[:, None], means[None, :], var + inp.power)
-        return logsumexp(comp + logw[None, :], axis=1)
-    pts, probs = inp.points, inp.probs
-    all_means = (pts[:, None] + means[None, :]).ravel()
-    all_logw = (np.log(probs)[:, None] + logw[None, :]).ravel()
-    comp = _log_cn_density(r[:, None], all_means[None, :], var)
-    return logsumexp(comp + all_logw[None, :], axis=1)
+    if jamming.kind == "discrete" and m is not None:
+        rot = np.exp(2j * np.pi * np.arange(m) / m)
+        means = (means[:, None] * rot[None, :]).ravel()
+        logw = (logw[:, None] - math.log(m) + np.zeros((1, m))).ravel()
+    var = spec.noise_power + j_var
+    s_means, s_logw, s_var = spec.input_dist.mixture()
+    cond = logsumexp(_log_cn_density(r[:, None], s[:, None] + means[None, :], var)
+                     + logw[None, :], axis=1)
+    all_means = (s_means[:, None] + means[None, :]).ravel()
+    all_logw = (s_logw[:, None] + logw[None, :]).ravel()
+    marg = logsumexp(_log_cn_density(r[:, None], all_means[None, :], var + s_var)
+                     + all_logw[None, :], axis=1)
+    return (cond - marg) / math.log(2)
 
 
 @dataclass
@@ -197,21 +165,25 @@ class MiEstimate:
         return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
 
 
-def mi_estimate(spec: SymbolChannelSpec, jamming: JammingDist, n_samples: int,
+def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
                 seed) -> MiEstimate:
     """Monte-Carlo mutual information I(S; R) with a bootstrap 95% CI.
 
     Uses exact conditional and marginal densities, so the only error is the
-    Monte-Carlo average itself. The CI takes 200 bootstrap resamples.
+    Monte-Carlo average itself. The CI takes 200 bootstrap resamples. The
+    densities need a Gaussian part: noise or Gaussian jamming.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if spec.noise_power + jamming.mixture()[2] == 0:
+        raise ValueError("mi_estimate needs noise_power > 0 or Gaussian jamming")
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s, r = simulate_symbol_channel(spec, jamming, n_samples, rng)
     terms = np.empty(n_samples)
     chunk = 50_000  # bounds the (samples x mixture components) work arrays
     for lo_i in range(0, n_samples, chunk):
         sl = slice(lo_i, min(lo_i + chunk, n_samples))
-        terms[sl] = (_log_conditional(r[sl], s[sl], spec, jamming)
-                     - _log_marginal(r[sl], spec, jamming)) / math.log(2)
+        terms[sl] = _log2_ratio(r[sl], s[sl], spec, jamming)
     est = float(terms.mean())
     boots = np.empty(200)
     for b in range(boots.size):
@@ -251,7 +223,7 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
     """
     rng = np.random.default_rng(seed)
     gauss_in = InputDist("gaussian", p_s)
-    gauss_jam = JammingDist("gaussian", p_j)
+    gauss_jam = InputDist("gaussian", p_j)
     saddle_spec = SymbolChannelSpec(gauss_in, p_n, phase_order)
     saddle = mi_estimate(saddle_spec, gauss_jam, n_samples, rng)
     cap = avc_capacity(p_s, p_j, p_n)
@@ -260,10 +232,9 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
         ("qpsk_input", "input", InputDist.qpsk(p_s)),
         ("half_power_gaussian_input", "input", InputDist("gaussian", p_s / 2)),
         ("two_point_jamming", "jamming",
-         JammingDist("discrete",
-                     points=np.array([1.0, -1.0]) * math.sqrt(p_j))),
+         InputDist("discrete", points=np.array([1.0, -1.0]) * math.sqrt(p_j))),
         ("half_power_gaussian_jamming", "jamming",
-         JammingDist("gaussian", p_j / 2)),
+         InputDist("gaussian", p_j / 2)),
     ]
 
     results = []

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -91,6 +91,11 @@ class Scenario:
     epoch: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         for name, kinds in (("channel", CHANNEL_KINDS), ("jammer_strategy", STRATEGIES),
                             ("jammer_cp_mode", CP_PHASE_MODES)):
             if (value := getattr(self, name)) not in kinds:
@@ -206,7 +211,7 @@ def load_scenario(path: str | Path) -> Scenario:
             (int(i), complex(v[0], v[1])) for i, v in sorted(
                 pilots.items(), key=lambda kv: int(kv[0]))
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, TypeError, ValueError, IndexError) as exc:
         raise ScenarioFormatError(
             f"{path}: field 'pilot_positions' must map carrier index to "
             f"[real, imag]: {exc}"
@@ -600,6 +605,8 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     trials so the averaged peaks do not smear; data, fading, jamming and
     noise are redrawn. Returns the surface, the axes, and the true offsets.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     config = scenario.ofdm_config()
     sync_cfg = scenario.sync_config()
     dt = config.sample_interval

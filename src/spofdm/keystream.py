@@ -10,15 +10,11 @@ offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 __all__ = [
     "SecretKey",
-    "StreamState",
-    "derive_bits",
     "map_psk",
     "phase_plans",
     "PhaseSequence",
@@ -59,67 +55,12 @@ class SecretKey:
         return hash(self.key_bytes)
 
 
-@dataclass(frozen=True)
-class StreamState:
-    """Address of a position in the keystream.
-
-    (epoch, block_index, intra_block_counter) uniquely addresses every
-    generated AES block; advancing any component never revisits an address
-    within an epoch.
-    """
-
-    epoch: int
-    block_index: int = 0
-    intra_block_counter: int = 0
-
-    def __post_init__(self):
-        if self.epoch < 0:
-            raise ValueError("epoch must be non-negative")
-        if self.block_index < 0:
-            raise ValueError("block_index must be non-negative")
-        if self.intra_block_counter < 0:
-            raise ValueError("intra_block_counter must be non-negative")
-
-
 def aes_encrypt_block(key: SecretKey, block: bytes) -> bytes:
     """Single-block AES encryption (ECB on one block); exposed for self-test."""
     if len(block) != _AES_BLOCK_BYTES:
         raise ValueError("AES block must be 16 bytes")
     enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
     return enc.update(block) + enc.finalize()
-
-
-def _keystream(key: SecretKey, epoch: int, k_first: int, count: int,
-               counter0: int, n_aes: int) -> np.ndarray:
-    """AES-ECB encryption of the counter blocks of stream blocks
-    k_first..k_first+count-1, counters counter0..counter0+n_aes-1 each, in one
-    cipher call. Counter block layout: epoch (4B) | block_index (8B) |
-    counter (4B). Returns uint8 keystream bytes, one row per stream block."""
-    if (not 0 <= epoch < 1 << 32 or k_first + count > 1 << 64
-            or counter0 + n_aes > 1 << 32):
-        raise ValueError("stream address out of range")
-    ctr = np.empty((count, n_aes), dtype=[("epoch", ">u4"), ("block", ">u8"),
-                                          ("counter", ">u4")])
-    ctr["epoch"] = epoch
-    ctr["block"] = np.uint64(k_first) + np.arange(count, dtype=np.uint64)[:, None]
-    ctr["counter"] = counter0 + np.arange(n_aes, dtype=np.uint64)
-    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
-    stream = enc.update(ctr.tobytes()) + enc.finalize()
-    return np.frombuffer(stream, dtype=np.uint8).reshape(count, -1)
-
-
-def derive_bits(key: SecretKey, state: StreamState, n_bits: int) -> np.ndarray:
-    """Deterministic keystream bits for the given (key, state) address.
-
-    Returns a uint8 array of 0/1 values. Identical inputs always yield
-    identical bits; distinct keys yield statistically independent streams.
-    """
-    if n_bits <= 0:
-        raise ValueError("n_bits must be positive")
-    n_blocks = -(-n_bits // _AES_BLOCK_BITS)
-    stream = _keystream(key, state.epoch, state.block_index, 1,
-                        state.intra_block_counter, n_blocks)
-    return np.unpackbits(stream[0])[:n_bits]
 
 
 def map_psk(bits: np.ndarray, psk_order: int) -> np.ndarray:
@@ -147,13 +88,25 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
 
     Random access: row i is derived from the stream address of block
     k_first+i without touching any earlier block; all rows come from one
-    AES call.
+    AES-ECB call on the counter blocks epoch (4B) | block index (8B) |
+    counter (4B), counters 0, 1, ... within each block.
     """
     if k_first < 0:
         raise ValueError("block index must be non-negative")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     n_bits = (n_carriers + 1) * (int(psk_order).bit_length() - 1)
-    stream = _keystream(key, epoch, k_first, count, 0,
-                        -(-n_bits // _AES_BLOCK_BITS))
+    n_aes = -(-n_bits // _AES_BLOCK_BITS)
+    if not 0 <= epoch < 1 << 32 or k_first + count > 1 << 64 or n_aes > 1 << 32:
+        raise ValueError("stream address out of range")
+    ctr = np.empty((count, n_aes), dtype=[("epoch", ">u4"), ("block", ">u8"),
+                                          ("counter", ">u4")])
+    ctr["epoch"] = epoch
+    ctr["block"] = np.uint64(k_first) + np.arange(count, dtype=np.uint64)[:, None]
+    ctr["counter"] = np.arange(n_aes, dtype=np.uint64)
+    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
+    stream = np.frombuffer(enc.update(ctr.tobytes()) + enc.finalize(),
+                           dtype=np.uint8).reshape(count, -1)
     bits = np.unpackbits(stream, axis=1)[:, :n_bits]
     return map_psk(bits, psk_order).reshape(count, n_carriers + 1)
 

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .txchain import QPSK
+
 __all__ = [
     "ParityCheckCode",
     "LdpcEncoder",
@@ -27,13 +29,17 @@ __all__ = [
 ]
 
 
+# index into QPSK of the bit pair (b0, b1), read as 2*b0 + b1
+_GRAY = np.array([0, 3, 1, 2])
+
+
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-power QPSK: bit pair (b0, b1) -> ((1-2b0)+j(1-2b1))/sqrt(2)."""
     bits = np.asarray(bits)
     if bits.size % 2:
         raise ValueError("bit count must be even for QPSK")
     pairs = bits.reshape(-1, 2).astype(np.int64)
-    return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) / np.sqrt(2)
+    return QPSK[_GRAY[2 * pairs[:, 0] + pairs[:, 1]]]
 
 
 def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spofdm.avc import (InputDist, JammingDist, SymbolChannelSpec,
-                        avc_capacity, saddle_check, simulate_symbol_channel)
+from spofdm.avc import (InputDist, SymbolChannelSpec, avc_capacity,
+                        saddle_check, simulate_symbol_channel)
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             run_sync_experiment, table1_scenario)
-from spofdm.keystream import (SecretKey, StreamState, aes_encrypt_block,
-                              derive_bits, phase_plans)
+from spofdm.keystream import SecretKey, aes_encrypt_block, phase_plans
 from spofdm.sync import SyncConfig, demod_fft, v_expected
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, precode,
@@ -62,7 +61,7 @@ class TestCriterion2SymmetryWitness:
             spec = SymbolChannelSpec(
                 InputDist("discrete", points=np.array([tx])),
                 noise_power=0.1, phase_order=phase_order)
-            jam = JammingDist("discrete", points=np.array([jam_point]))
+            jam = InputDist("discrete", points=np.array([jam_point]))
             _, r = simulate_symbol_channel(spec, jam, self.N, sub_seed)
             return r
 
@@ -240,8 +239,8 @@ class TestCriterion8Exactness:
             round_ok &= bool(np.max(np.abs(decoded - block)) < 1e-9)
         checks["fft_round_trip"] = round_ok
 
-        a = derive_bits(KEY, StreamState(2, block_index=5), 256)
-        b = derive_bits(KEY, StreamState(2, block_index=5), 256)
+        a = phase_plans(KEY, 2, 5, 1, 128, 16)
+        b = phase_plans(KEY, 2, 5, 1, 128, 16)
         checks["keystream_determinism"] = np.array_equal(a, b)
 
         pt = bytes.fromhex("00112233445566778899aabbccddeeff")

@@ -96,3 +96,11 @@ class TestSurface:
         path = out_dir / "surface_precoding_on.csv"
         assert path.exists()
         assert "jammer offset" in capsys.readouterr().out
+
+    def test_zero_surface_trials(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["surface", "--surface-trials", "0",
+                     "--out-dir", str(out_dir)]) == 2
+        assert (capsys.readouterr().err
+                == "spofdm: error: n_trials must be at least 1\n")
+        assert not out_dir.exists()

@@ -67,6 +67,10 @@ class TestScenario:
         (dict(master_seed=-1), "master_seed"),
         (dict(channel="doppler", max_doppler_normalized=-0.1),
          "max_doppler_normalized"),
+        (dict(trials=2.5), "trials"),
+        (dict(trials=True), "trials"),
+        (dict(sync_blocks=3.5), "sync_blocks"),
+        (dict(master_seed=1.0), "master_seed"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -150,6 +154,11 @@ class TestScenarioFiles:
         ("epoch", 2 ** 32),
         ("master_seed", -1),
         ("max_doppler_normalized", -0.1),
+        ("pilot_positions", [[24, 1.0], [32, 1.0]]),
+        ("trials", 2.5),
+        ("trials", True),
+        ("sync_blocks", 3.5),
+        ("n_carriers", "128"),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -288,6 +297,10 @@ class TestCorrelationSurface:
                                      jammer_offset_samples=80)
         assert result["signal_offset_samples"] == 5
         assert result["jammer_offset_samples"] == 80
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="n_trials must be at least 1"):
+            correlation_surface(table1_scenario(sync_blocks=10), n_trials=0)
 
     def test_surface_csv_grid(self):
         sc = table1_scenario(sync_blocks=5)

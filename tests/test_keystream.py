@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from spofdm.keystream import (KeystreamConfigError, PhaseSequence, SecretKey,
-                              StreamState, aes_encrypt_block, derive_bits,
-                              map_psk, phase_plans)
+                              aes_encrypt_block, map_psk, phase_plans)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 KEY2 = SecretKey.from_hex("ffeeddccbbaa99887766554433221100")
+
+
+def stream_bits(key, n_bits, epoch=0, block=0):
+    """The first n_bits keystream bits of one block address: the angles of a
+    BPSK phase_plans row are pi times its bits."""
+    row = phase_plans(key, epoch, block, 1, n_bits - 1, 2)[0]
+    return np.round(row / np.pi).astype(np.uint8)
 
 
 class TestSecretKey:
@@ -30,51 +36,42 @@ class TestSecretKey:
         assert SecretKey(b"\x01" * 16) != SecretKey(b"\x02" * 16)
 
 
-class TestStreamState:
-    def test_rejects_negative_components(self):
-        with pytest.raises(ValueError):
-            StreamState(epoch=-1)
-        with pytest.raises(ValueError):
-            StreamState(epoch=0, block_index=-1)
-        with pytest.raises(ValueError):
-            StreamState(epoch=0, block_index=0, intra_block_counter=-1)
-
-
 class TestDeriveBits:
+    """Statistics of the keystream bits behind the phase_plans rows."""
+
     def test_deterministic(self):
-        state = StreamState(epoch=3, block_index=7)
-        a = derive_bits(KEY, state, 128)
-        b = derive_bits(KEY, state, 128)
+        a = stream_bits(KEY, 128, epoch=3, block=7)
+        b = stream_bits(KEY, 128, epoch=3, block=7)
         assert np.array_equal(a, b)
 
     def test_output_is_binary(self):
-        bits = derive_bits(KEY, StreamState(0), 1000)
-        assert bits.size == 1000
-        assert set(np.unique(bits)) <= {0, 1}
+        row = phase_plans(KEY, 0, 0, 1, 999, 2)[0]
+        assert row.size == 1000
+        assert set(np.unique(row)) <= {0.0, np.pi}
 
     def test_distinct_keys_disagree_about_half_the_time(self):
         n = 10_000
-        a = derive_bits(KEY, StreamState(0), n)
-        b = derive_bits(KEY2, StreamState(0), n)
+        a = stream_bits(KEY, n)
+        b = stream_bits(KEY2, n)
         agree = int(np.sum(a == b))
         sigma = np.sqrt(n * 0.25)
         assert abs(agree - n / 2) < 3 * sigma
 
     def test_distinct_addresses_give_distinct_streams(self):
-        a = derive_bits(KEY, StreamState(0, block_index=0), 128)
-        b = derive_bits(KEY, StreamState(0, block_index=1), 128)
-        c = derive_bits(KEY, StreamState(1, block_index=0), 128)
+        a = stream_bits(KEY, 128, epoch=0, block=0)
+        b = stream_bits(KEY, 128, epoch=0, block=1)
+        c = stream_bits(KEY, 128, epoch=1, block=0)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_prefix_consistency(self):
-        long = derive_bits(KEY, StreamState(0), 512)
-        short = derive_bits(KEY, StreamState(0), 200)
+        long = stream_bits(KEY, 512)
+        short = stream_bits(KEY, 200)
         assert np.array_equal(long[:200], short)
 
     def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            derive_bits(KEY, StreamState(0), 0)
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            phase_plans(KEY, 0, 0, 0, 128, 16)
 
     def test_aes_known_answer(self):
         # FIPS-197 appendix C.1 vector
@@ -84,7 +81,7 @@ class TestDeriveBits:
 
     def test_bit_balance(self):
         n = 100_000
-        bits = derive_bits(KEY, StreamState(0), n)
+        bits = stream_bits(KEY, n)
         ones = int(bits.sum())
         sigma = np.sqrt(n * 0.25)
         assert abs(ones - n / 2) < 3 * sigma
@@ -103,7 +100,7 @@ class TestMapPsk:
         assert angle == pytest.approx(2 * np.pi * 5 / 16)
 
     def test_binary_alphabet(self):
-        angles = map_psk(derive_bits(KEY, StreamState(0), 1000), 2)
+        angles = map_psk(stream_bits(KEY, 1000), 2)
         assert set(np.unique(angles)) <= {0.0, np.pi}
 
     def test_rejects_non_power_of_two(self):
@@ -116,8 +113,7 @@ class TestMapPsk:
 
     def test_uniformity_chi_square(self):
         n_sym = 1_000_000
-        bits = derive_bits(KEY, StreamState(0), 4 * n_sym)
-        angles = map_psk(bits, 16)
+        angles = phase_plans(KEY, 0, 0, 1, n_sym - 1, 16)[0]
         values = np.round(angles * 16 / (2 * np.pi)).astype(int)
         counts = np.bincount(values, minlength=16)
         freqs = counts / n_sym
@@ -155,6 +151,11 @@ class TestPhasePlan:
         with pytest.raises(ValueError):
             phase_plan(KEY, 0, -1, 128, 16)
 
+    def test_rejects_negative_components(self):
+        # a negative block index is test_rejects_negative_block
+        with pytest.raises(ValueError, match="out of range"):
+            phase_plan(KEY, -1, 0, 128, 16)
+
     def test_adjacent_blocks_uncorrelated(self):
         n_blocks = 1000
         seq = PhaseSequence(KEY, 0, 128, 16)
@@ -187,8 +188,7 @@ class TestPhaseSequence:
 
     def test_cp_phase_stream_uniform_and_uncorrelated(self):
         n = 100_000
-        bits = derive_bits(KEY, StreamState(0), 4 * n)
-        u = np.exp(1j * map_psk(bits, 16))
+        u = np.exp(1j * phase_plans(KEY, 0, 0, 1, n - 1, 16)[0])
         for lag in range(1, 9):
             rho = np.mean(u[:-lag] * np.conj(u[lag:]))
             assert abs(rho) < 0.05

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spofdm.keystream import (PhaseSequence, SecretKey, StreamState,
-                              derive_bits, map_psk, phase_plans)
+from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
+                              map_psk, phase_plans)
 from spofdm.rxchain import (LdpcEncoder, bundled_code_path, load_alist,
                             make_regular_parity_check)
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, corr_pre_fft, demod_fft,
@@ -118,7 +118,13 @@ def test_batched_keystream_equals_per_block_keystream(epoch, k_first, count,
     n_bits = (n_c + 1) * (psk_order.bit_length() - 1)
     assert rows.shape == (count, n_c + 1)
     for i, row in enumerate(rows):
-        bits = derive_bits(KEY, StreamState(epoch, k_first + i), n_bits)
+        # one AES block per 128 bits of the counter epoch | block | counter
+        stream = b"".join(
+            aes_encrypt_block(KEY, epoch.to_bytes(4, "big")
+                              + (k_first + i).to_bytes(8, "big")
+                              + counter.to_bytes(4, "big"))
+            for counter in range(-(-n_bits // 128)))
+        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:n_bits]
         assert np.array_equal(row, map_psk(bits, psk_order))
 
 
