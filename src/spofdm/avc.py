@@ -12,6 +12,7 @@ Monte-Carlo averaging of exact log density ratios.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,24 @@ class InputDist:
             pts = np.asarray(self.points, dtype=complex)
             if pts.size == 0:
                 raise ValueError("discrete distribution needs points")
+            if not np.isfinite(pts).all():
+                raise ValueError(f"points must be finite, got {pts}")
             probs = (np.full(pts.size, 1 / pts.size) if self.probs is None
                      else np.asarray(self.probs, dtype=float))
+            if probs.shape != pts.shape:
+                raise ValueError(f"probs must have one entry per point: "
+                                 f"{pts.size} points, {probs.size} probs")
+            if not (np.isfinite(probs).all() and (probs >= 0).all()
+                    and probs.sum() > 0):
+                raise ValueError(f"probs must be finite, non-negative and not "
+                                 f"all zero, got {probs}")
             object.__setattr__(self, "points", pts)
             object.__setattr__(self, "probs", probs / probs.sum())
             object.__setattr__(self, "power",
                                float(np.sum(self.probs * np.abs(pts) ** 2)))
-        elif self.power < 0:
-            raise ValueError("power must be non-negative")
+        elif not (math.isfinite(self.power) and self.power >= 0):
+            raise ValueError(f"power must be finite and non-negative, "
+                             f"got {self.power!r}")
 
     @classmethod
     def qpsk(cls, power: float = 1.0) -> "InputDist":
@@ -87,10 +98,14 @@ class SymbolChannelSpec:
     phase_order: int | None = 16  # None disables phase randomization
 
     def __post_init__(self):
-        if self.noise_power < 0:
-            raise ValueError("noise power must be non-negative")
-        if self.phase_order is not None and self.phase_order < 1:
-            raise ValueError("phase alphabet size must be positive")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ValueError(f"noise_power must be finite and non-negative, "
+                             f"got {self.noise_power!r}")
+        m = self.phase_order
+        if m is not None and (isinstance(m, bool)
+                              or not isinstance(m, numbers.Integral) or m < 1):
+            raise ValueError(f"phase_order must be None or a positive "
+                             f"integer, got {m!r}")
 
 
 def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,

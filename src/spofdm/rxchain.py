@@ -88,20 +88,35 @@ class ParityCheckCode:
             if not deg.all():  # reduceat would hand it its neighbour's edges
                 raise ValueError(f"{name} {np.argmin(deg)} has no edges")
         # check-ordered variable index and group boundaries, for the syndrome
-        self._var_by_check = self.var_of_edge[
-            np.lexsort((self.var_of_edge, self.check_of_edge))]
+        by_check = np.lexsort((self.var_of_edge, self.check_of_edge))
+        self._var_by_check = self.var_of_edge[by_check]
         self._var_starts = np.cumsum(degrees["variable"]) - degrees["variable"]
         self._check_starts = np.cumsum(degrees["check"]) - degrees["check"]
-        # BP edge order: checks grouped by degree, each group a dense
-        # (checks, degree) block; _bp_to_var puts edges in variable order
-        bp = np.lexsort((self.var_of_edge, self.check_of_edge,
+        # BP edge order: checks grouped by degree, each group a slot-major
+        # (degree, checks) block, so slot j of every check in it is one run
+        slot = np.empty_like(by_check)
+        slot[by_check] = (np.arange(by_check.size)
+                          - self._check_starts[self.check_of_edge[by_check]])
+        bp = np.lexsort((self.check_of_edge, slot,
                          degrees["check"][self.check_of_edge]))
-        self._bp_var = self.var_of_edge[bp]
-        self._bp_to_var = np.argsort(bp)
         group_deg, group_checks = np.unique(degrees["check"], return_counts=True)
         ends = np.cumsum(group_deg * group_checks).tolist()
         self._bp_groups = [(d, slice(e - d * c, e)) for d, c, e in
                            zip(group_deg.tolist(), group_checks.tolist(), ends)]
+        # BP variable order: variables grouped by degree; _bp_var is each
+        # edge's variable in it, and _bp_sums holds per variable degree d the
+        # group's columns and the (d, variables) BP positions of its edges,
+        # in check order
+        self._var_order = np.argsort(degrees["variable"], kind="stable")
+        self._bp_var = np.argsort(self._var_order)[self.var_of_edge[bp]]
+        bp_pos = np.argsort(bp)
+        group_deg, group_vars = np.unique(degrees["variable"],
+                                          return_counts=True)
+        ends = np.cumsum(group_vars).tolist()
+        self._bp_sums = [
+            (slice(e - c, e), bp_pos[self._var_starts[self._var_order[e - c:e]]
+                                     + np.arange(d)[:, None]])
+            for d, c, e in zip(group_deg.tolist(), group_vars.tolist(), ends)]
 
     def dense(self) -> np.ndarray:
         h = np.zeros((self.m, self.n), dtype=np.uint8)
@@ -200,7 +215,7 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 class LdpcEncoder:
-    """Systematic encoder built from H by GF(2) elimination.
+    """Systematic encoder built from H by GF(2) elimination on bit-packed rows.
 
     Column pivoting selects m parity positions; the remaining columns carry
     the message bits. Redundant rows reduce the check count and raise the
@@ -209,26 +224,32 @@ class LdpcEncoder:
 
     def __init__(self, code: ParityCheckCode):
         self.code = code
-        h = code.dense().astype(np.uint8)
-        n = h.shape[1]
+        words = _pack_words(code.dense())  # row operations act on words
+        row_bytes = words.view(np.uint8)  # column c is bit 7 - c % 8 of byte c // 8
         pivot_cols = []
         row = 0
-        for col in range(n):
-            hits = np.flatnonzero(h[row:, col]) + row
+        for col in range(code.n):
+            if row == code.m:  # every row has its pivot
+                break
+            ones = (row_bytes[:, col >> 3] & (0x80 >> (col & 7))).astype(bool)
+            hits = np.flatnonzero(ones[row:])
             if hits.size == 0:
                 continue
-            h[[row, hits[0]]] = h[[hits[0], row]]
-            mask = h[:, col].astype(bool).copy()
-            mask[row] = False
-            h[mask] ^= h[row]
+            pivot = row + hits[0]
+            words[[row, pivot]] = words[[pivot, row]]
+            ones[pivot], ones[row] = ones[row], False
+            # the pivot row is zero left of col, so words before col's stay
+            first = col >> 6
+            words[np.flatnonzero(ones), first:] ^= words[row, first:]
             pivot_cols.append(col)
             row += 1
         self.rank = row
         self.pivot_cols = np.array(pivot_cols)
-        self.message_cols = np.setdiff1d(np.arange(n), self.pivot_cols)
+        self.message_cols = np.setdiff1d(np.arange(code.n), self.pivot_cols)
         # parity = A @ message (mod 2), from the reduced system; row w of
         # gen_words is 64-bit word w of every bit-packed row of A
-        self.gen_words = _pack_words(h[: self.rank][:, self.message_cols]).T.copy()
+        reduced = np.unpackbits(row_bytes[:row], axis=1, count=code.n)
+        self.gen_words = _pack_words(reduced[:, self.message_cols]).T.copy()
 
     @property
     def k(self) -> int:
@@ -262,6 +283,10 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     ``llr`` may be a single length-n vector or a (batch, n) array. Stops early
     once all parity checks are satisfied (per batch element). Returns
     (hard bits, converged flags, iterations used); scalars for 1-D input.
+
+    A variable of degree d sums its check messages in check order as
+    ``g[0] + (g[1] + ... + g[d-1])``, the order of ``np.add.reduceat`` for
+    d <= 8; at d >= 9 ``reduceat`` sums pairwise and may round differently.
     """
     llr = np.asarray(llr, dtype=float)
     single = llr.ndim == 1
@@ -273,36 +298,60 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     iters = np.zeros(lin.shape[0], dtype=int)
 
     # working arrays hold only the frames still active, messages in BP order
+    # and variables in BP variable order
     active = np.flatnonzero(~converged)
-    lin_a = lin[active]
+    lin_a = lin[active][:, code._var_order]
     v2c = lin_a[:, code._bp_var]
     for it in range(1, 51):  # at most 50 iterations
         if not active.size:
             break
-        t = np.tanh(0.5 * np.clip(v2c, -30, 30))
+        np.clip(v2c, -30, 30, out=v2c)
+        v2c *= 0.5
+        t = np.tanh(v2c, out=v2c)
         # leave-one-out products per check: exclusive prefix times exclusive
-        # suffix, a column at a time (np.cumprod along the short axis is slower)
+        # suffix, a slot at a time (np.cumprod along the short axis is slower);
+        # the empty product is 1, so no slot is multiplied by 1
         ext = np.empty_like(t)
         for deg, edges in code._bp_groups:
-            blk = t[:, edges].reshape(len(t), -1, deg)
+            blk = t[:, edges].reshape(len(t), deg, -1)
             out = ext[:, edges].reshape(blk.shape)
-            out[..., 0], suffix = 1.0, np.ones(blk.shape[:-1])
-            for j in range(1, deg):
-                np.multiply(out[..., j - 1], blk[..., j - 1], out=out[..., j])
-            for j in range(deg - 1, 0, -1):
-                suffix *= blk[..., j]
-                out[..., j - 1] *= suffix
-        c2v = 2.0 * np.arctanh(np.clip(ext, -1 + 1e-12, 1 - 1e-12))
-        posterior = lin_a + np.add.reduceat(c2v[:, code._bp_to_var],
-                                            code._var_starts, axis=1)
-        v2c = posterior[:, code._bp_var] - c2v
-        hard_a = (posterior < 0).astype(np.uint8)
-        hard[active] = hard_a
+            if deg == 1:
+                out[:, 0] = 1.0
+                continue
+            out[:, 1] = blk[:, 0]
+            for j in range(2, deg):
+                np.multiply(out[:, j - 1], blk[:, j - 1], out=out[:, j])
+            suffix = blk[:, deg - 1]
+            for j in range(deg - 2, 0, -1):
+                out[:, j] *= suffix
+                suffix = suffix * blk[:, j]
+            out[:, 0] = suffix
+        np.clip(ext, -1 + 1e-12, 1 - 1e-12, out=ext)
+        c2v = np.arctanh(ext, out=ext)
+        c2v *= 2.0
+        posterior = np.empty_like(lin_a)
+        for cols, pos in code._bp_sums:
+            g = c2v[:, pos]
+            np.add(lin_a[:, cols], g[:, 0] + g[:, 1:].sum(axis=1),
+                   out=posterior[:, cols])
+        v2c = posterior[:, code._bp_var]
+        # a check is satisfied when an even number of its variables are 1
+        negative = v2c < 0
+        failed = np.zeros(len(v2c), dtype=bool)
+        for deg, edges in code._bp_groups:
+            parity = np.logical_xor.reduce(
+                negative[:, edges].reshape(len(v2c), deg, -1), axis=1)
+            failed |= parity.any(axis=1)
+        v2c -= c2v
         iters[active] = it
-        ok = ~code.syndrome(hard_a).any(axis=1)
-        if ok.any():
+        ok = ~failed
+        done = ok | (it == 50)  # frames whose hard decisions are final
+        if done.any():
+            rows = np.empty((done.sum(), code.n), dtype=np.uint8)
+            rows[:, code._var_order] = posterior[done] < 0
+            hard[active[done]] = rows
             converged[active[ok]] = True
-            active, lin_a, v2c = active[~ok], lin_a[~ok], v2c[~ok]
+            active, lin_a, v2c = active[~done], lin_a[~done], v2c[~done]
 
     if single:
         return hard[0], bool(converged[0]), int(iters[0])

@@ -42,6 +42,27 @@ class TestDistributions:
     def test_disguised_matches_input_constellation(self):
         assert np.array_equal(InputDist.qpsk(1.0).points, QPSK)
 
+    @pytest.mark.parametrize("probs, field", [
+        ([2.0, -1.0], "probs"),
+        ([float("nan"), 1.0], "probs"),
+        ([1.0, float("inf")], "probs"),
+        ([0.0, 0.0], "probs"),
+        ([1.0], "probs"),
+        ([0.5, 0.25, 0.25], "probs"),
+    ])
+    def test_rejects_bad_probs(self, probs, field):
+        with pytest.raises(ValueError, match=field):
+            InputDist("discrete", points=[1.0, -1.0], probs=probs)
+
+    def test_rejects_non_finite_points(self):
+        with pytest.raises(ValueError, match="points"):
+            InputDist("discrete", points=[float("nan"), 1.0])
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_power(self, power):
+        with pytest.raises(ValueError, match="power"):
+            InputDist("gaussian", power)
+
 
 class TestMixture:
     def test_gaussian_is_one_component_at_zero(self):
@@ -78,6 +99,21 @@ class TestSimulate:
         b = simulate_symbol_channel(spec, InputDist.qpsk(), 100, 4)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(phase_order=2.5), "phase_order"),
+        (dict(phase_order=True), "phase_order"),
+        (dict(phase_order=0), "phase_order"),
+        (dict(noise_power=float("nan")), "noise_power"),
+        (dict(noise_power=float("inf")), "noise_power"),
+        (dict(noise_power=-0.1), "noise_power"),
+    ])
+    def test_spec_rejects_bad_fields(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            SymbolChannelSpec(**overrides)
+
+    def test_spec_accepts_numpy_phase_order(self):
+        assert SymbolChannelSpec(phase_order=np.int64(4)).phase_order == 4
 
 
 class TestCapacity:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from spofdm.harness import (Scenario, ScenarioFormatError, correlation_surface,
                             emit_report, load_scenario, run_ber_experiment,
                             run_sync_experiment, save_scenario, surface_csv,
                             table1_scenario)
+from spofdm.rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
+                            load_alist)
 
 
 class TestScenario:
@@ -325,7 +328,8 @@ def _sha256(data: bytes) -> str:
 
 class TestRecordsPinned:
     """Digests of small runs; a change of the transmit path that moves any
-    sample of a sync trial or a surface shows here."""
+    sample of a sync trial or a surface, or of the LDPC encoder or decoder
+    that moves any BER record or decoded bit, shows here."""
 
     @pytest.mark.parametrize("overrides, digest", [
         ({}, "d693795c7372457797d84e2fb3ce5671024147ceb24a5e1cd02a6eaac301df9f"),
@@ -344,3 +348,35 @@ class TestRecordsPinned:
         result = correlation_surface(table1_scenario(sync_blocks=10),
                                      precoding=precoding, n_trials=2)
         assert _sha256(result["surface"].tobytes()) == digest
+
+    @pytest.mark.parametrize("rate, precoding, digest", [
+        ("1_3", True,
+         "fee3a6780e6fb80aa1b6556c4a38f918315304580ce7054f7ad137350b297bf2"),
+        ("1_2", False,
+         "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
+    ])
+    def test_ber_records(self, rate, precoding, digest):
+        report = run_ber_experiment(table1_scenario(), [rate], [15.0],
+                                    precoding=precoding,
+                                    target_errors=math.inf, max_codewords=50)
+        assert report.records[0]["codewords"] == 50
+        assert _sha256(report.records_csv().encode()) == digest
+
+    @pytest.mark.parametrize("rate, digest", [
+        ("1_4", "62c05f1c63eed6aa3ee1c53c15402dc57d6771019b7f3144aafd3406dc2c8d52"),
+        ("1_3", "cc5500dcd74058489f91a433c4c065247a231ebc34fb8f0b53ea0491cef95ea8"),
+        ("1_2", "1560db7b086eecc0343a96d0cd7afff342019fb5ac1744f3eddefde41f8415fa"),
+        ("2_3", "1cdf39df614c7556541ab47112aded63fafb68593a92c8f2847aa3d140ff8bbe"),
+    ])
+    def test_bp_decode(self, rate, digest):
+        # frames of rising LLR reliability: one to three never converge, the
+        # rest converge at different iterations
+        enc = LdpcEncoder(load_alist(bundled_code_path(rate)))
+        rng = np.random.default_rng(2024)
+        cw = enc.encode(rng.integers(0, 2, size=(8, enc.k), dtype=np.uint8))
+        mu = np.linspace(1.0, 8.0, 8)[:, None]
+        llr = mu * (1 - 2.0 * cw) + np.sqrt(2 * mu) * rng.normal(size=cw.shape)
+        hard, converged, iters = ldpc_bp_decode(enc.code, llr)
+        assert 0 < converged.sum() < 8 and len(set(iters.tolist())) > 3
+        assert _sha256(hard.tobytes() + converged.tobytes()
+                       + iters.astype(np.int64).tobytes()) == digest

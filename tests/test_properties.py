@@ -3,8 +3,9 @@ direct correlator, the precode/demodulate/decode round trip, the classical
 receiver as the secure receiver with unit CP phases, the classical
 waveform as the secure waveform with zero angles, batched keystream,
 modulation and demodulation against their per-block forms, the bundled
-LDPC codes' encoder, and the LDPC syndrome and encoder against their dense
-GF(2) forms."""
+LDPC codes' encoder, the LDPC syndrome and encoder against their dense
+GF(2) forms, and LDPC belief propagation against a flooding reference
+decoder."""
 
 from functools import lru_cache
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
                               map_psk, phase_plans)
-from spofdm.rxchain import (LdpcEncoder, bundled_code_path, load_alist,
+from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
+                            ldpc_bp_decode, load_alist,
                             make_regular_parity_check)
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, corr_pre_fft, demod_fft,
                          pre_fft_surface)
@@ -238,7 +240,8 @@ def test_syndrome_is_dense_product(n, m, col_degree, n_words, seed):
 
 def dense_encode(code, message):
     """Reference encoder: row-reduce H over GF(2) with column pivoting, then
-    parity = A @ message as a dense integer product."""
+    parity = A @ message as a dense integer product. Returns the codewords
+    and the pivot columns."""
     h = code.dense()
     pivots = []
     for col in range(code.n):
@@ -255,7 +258,7 @@ def dense_encode(code, message):
     out = np.zeros((message.shape[0], code.n), dtype=np.uint8)
     out[:, message_cols] = message
     out[:, pivots] = (message.astype(np.int64) @ a.T) % 2
-    return out
+    return out, np.array(pivots)
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +266,7 @@ def bundled_dense_words(rate_label, n_words, seed):
     enc = bundled_encoder(rate_label)
     msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
                                                dtype=np.uint8)
-    return msg, dense_encode(enc.code, msg)
+    return (msg, *dense_encode(enc.code, msg))
 
 
 @settings(max_examples=30, deadline=None)
@@ -279,13 +282,104 @@ def bundled_dense_words(rate_label, n_words, seed):
 def test_encode_is_dense_product(code, n_words, seed):
     if isinstance(code, str):
         enc = bundled_encoder(code)
-        msg, expect = bundled_dense_words(code, n_words, seed)
+        msg, expect, pivots = bundled_dense_words(code, n_words, seed)
     else:
         n, ratio, code_seed = code  # k = n - rank spans 64-bit word edges
         enc = LdpcEncoder(make_regular_parity_check(n, n // ratio, 3,
                                                     seed=code_seed))
         msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
                                                    dtype=np.uint8)
-        expect = dense_encode(enc.code, msg)
+        expect, pivots = dense_encode(enc.code, msg)
+    assert np.array_equal(enc.pivot_cols, pivots)
     assert np.array_equal(enc.encode(msg), expect)
     assert np.array_equal(enc.encode(msg[0]), expect[0])
+
+
+def reference_bp_decode(code, llr):
+    """Reference flooding sum-product decoder on (batch, n) LLRs: messages in
+    check-major order within check-degree groups, the variable sums by
+    ``np.add.reduceat`` over variable-ordered edges, and ``code.syndrome``
+    of the hard decisions after every iteration."""
+    var_deg = np.bincount(code.var_of_edge, minlength=code.n)
+    check_deg = np.bincount(code.check_of_edge, minlength=code.m)
+    var_starts = np.cumsum(var_deg) - var_deg
+    bp = np.lexsort((code.var_of_edge, code.check_of_edge,
+                     check_deg[code.check_of_edge]))
+    bp_var, bp_to_var = code.var_of_edge[bp], np.argsort(bp)
+    group_deg, group_checks = np.unique(check_deg, return_counts=True)
+    ends = np.cumsum(group_deg * group_checks).tolist()
+    groups = [(d, slice(e - d * c, e)) for d, c, e in
+              zip(group_deg.tolist(), group_checks.tolist(), ends)]
+
+    lin = np.asarray(llr, dtype=float)
+    hard = (lin < 0).astype(np.uint8)
+    converged = ~code.syndrome(hard).any(axis=1)
+    iters = np.zeros(lin.shape[0], dtype=int)
+    active = np.flatnonzero(~converged)
+    lin_a = lin[active]
+    v2c = lin_a[:, bp_var]
+    for it in range(1, 51):
+        if not active.size:
+            break
+        t = np.tanh(0.5 * np.clip(v2c, -30, 30))
+        ext = np.empty_like(t)
+        for deg, edges in groups:
+            blk = t[:, edges].reshape(len(t), -1, deg)
+            out = ext[:, edges].reshape(blk.shape)
+            out[..., 0], suffix = 1.0, np.ones(blk.shape[:-1])
+            for j in range(1, deg):
+                np.multiply(out[..., j - 1], blk[..., j - 1], out=out[..., j])
+            for j in range(deg - 1, 0, -1):
+                suffix *= blk[..., j]
+                out[..., j - 1] *= suffix
+        c2v = 2.0 * np.arctanh(np.clip(ext, -1 + 1e-12, 1 - 1e-12))
+        posterior = lin_a + np.add.reduceat(c2v[:, bp_to_var], var_starts,
+                                            axis=1)
+        v2c = posterior[:, bp_var] - c2v
+        hard_a = (posterior < 0).astype(np.uint8)
+        hard[active] = hard_a
+        iters[active] = it
+        ok = ~code.syndrome(hard_a).any(axis=1)
+        if ok.any():
+            converged[active[ok]] = True
+            active, lin_a, v2c = active[~ok], lin_a[~ok], v2c[~ok]
+    return hard, converged, iters
+
+
+@st.composite
+def mixed_degree_codes(draw):
+    """An edge-list code with variable degrees 1 to 8 and mixed check
+    degrees, degree-1 checks included, and a batch of LLRs around the zero
+    codeword whose frames converge at different iterations, or never."""
+    n = draw(st.integers(3, 40))
+    m = draw(st.integers(1, min(24, 3 * n)))
+    n_unit = draw(st.integers(0, 3))  # extra degree-1 checks
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    var_deg = draw(st.lists(st.integers(1, min(8, m)), min_size=n, max_size=n))
+    edges = {(int(c), v) for v, d in enumerate(var_deg)
+             for c in rng.choice(m, d, replace=False)}
+    edges |= {(m + i, int(rng.integers(n))) for i in range(n_unit)}
+    for c in set(range(m)) - {c for c, _ in edges}:  # every check gets an edge
+        degree = np.bincount([v for _, v in edges], minlength=n)
+        edges.add((c, int(np.argmin(degree))))
+    checks, variables = np.array(sorted(edges)).T
+    assume(np.bincount(variables).max() <= 8)
+    code = ParityCheckCode(n=n, m=m + n_unit, check_of_edge=checks,
+                           var_of_edge=variables)
+    n_frames = draw(st.integers(1, 8))
+    mean = np.linspace(draw(st.floats(-1.0, 2.0)), draw(st.floats(2.0, 8.0)),
+                       n_frames)[:, None]
+    llr = mean + draw(st.floats(0.5, 4.0)) * rng.normal(size=(n_frames, n))
+    return code, llr
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_degree_codes())
+def test_bp_decode_matches_reference(case):
+    code, llr = case
+    hard, converged, iters = ldpc_bp_decode(code, llr)
+    ref_hard, ref_converged, ref_iters = reference_bp_decode(code, llr)
+    assert hard.tobytes() == ref_hard.tobytes()
+    assert np.array_equal(converged, ref_converged)
+    assert np.array_equal(iters, ref_iters)
+
