@@ -123,8 +123,9 @@ def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
 
 def avc_capacity(p_s: float, p_j: float, p_n: float) -> float:
     """Maximin capacity log2(1 + P_S/(P_J+P_N)) bits per symbol."""
-    if min(p_s, p_j, p_n) < 0:
-        raise ValueError("powers must be non-negative")
+    for name, value in zip(("p_s", "p_j", "p_n"), (p_s, p_j, p_n)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     denom = p_j + p_n
     if denom == 0:
         return math.inf
@@ -228,7 +229,7 @@ class SaddleReport:
 
 
 def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
-                 seed: int = 0, phase_order: int = 16) -> SaddleReport:
+                 seed: int = 0) -> SaddleReport:
     """Numerical check of the capacity saddle point.
 
     Input deviations must not beat the Gaussian input against Gaussian
@@ -239,7 +240,7 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
     rng = np.random.default_rng(seed)
     gauss_in = InputDist("gaussian", p_s)
     gauss_jam = InputDist("gaussian", p_j)
-    saddle_spec = SymbolChannelSpec(gauss_in, p_n, phase_order)
+    saddle_spec = SymbolChannelSpec(gauss_in, p_n)
     saddle = mi_estimate(saddle_spec, gauss_jam, n_samples, rng)
     cap = avc_capacity(p_s, p_j, p_n)
 
@@ -255,7 +256,7 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
     results = []
     for name, side, dist in deviations:
         if side == "input":
-            spec = SymbolChannelSpec(dist, p_n, phase_order)
+            spec = SymbolChannelSpec(dist, p_n)
             mi = mi_estimate(spec, gauss_jam, n_samples, rng)
             ok = mi.bits <= saddle.ci_high or mi.overlaps(saddle)
         else:

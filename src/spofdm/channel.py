@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +20,32 @@ __all__ = [
 ]
 
 
+def _check_delay(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a whole sample count >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OffsetSpec:
-    """Time, carrier frequency and phase offsets of the received signal."""
+    """Delay (whole samples), carrier frequency and phase offsets."""
 
-    t0: float = 0.0
-    omega0: float = 0.0  # rad/s
+    delay: int = 0
+    omega0: float = 0.0  # rad/T_s, time in body durations T_s
     phi0: float = 0.0
 
     def __post_init__(self):
-        if self.t0 < 0:
-            raise ValueError("t0 must be non-negative")
+        _check_delay("delay", self.delay)
 
 
 @dataclass(frozen=True)
 class FadingSpec:
-    """Multipath profile: taps of (delay seconds, complex gain, doppler rad/s)."""
+    """Multipath profile: taps of (delay samples, complex gain, doppler rad/T_s)."""
 
-    taps: tuple = field(default_factory=lambda: ((0.0, 1.0 + 0j, 0.0),))
+    taps: tuple
 
     def __post_init__(self):
         for delay, _, _ in self.taps:
-            if delay < 0:
-                raise ValueError("tap delays must be non-negative")
+            _check_delay("tap delay", delay)
 
 
 def _delay(x: np.ndarray, n: int) -> np.ndarray:
@@ -53,31 +57,27 @@ def _delay(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def apply_offsets(signal: ComplexSignal, spec: OffsetSpec) -> ComplexSignal:
-    """Delay by t0, a whole number of samples, and rotate by
-    e^{j(omega0 t + phi0)} (phase on absolute time)."""
+    """Delay by ``spec.delay`` samples and rotate by e^{j(omega0 t + phi0)}
+    (phase on absolute time)."""
     dt = signal.sample_interval
     x = signal.samples
-    shift = spec.t0 / dt
-    n_int = int(round(shift))
-    if abs(shift - n_int) >= 1e-9:
-        raise ValueError(f"t0={spec.t0} is not on the sample grid")
     t = np.arange(x.size) * dt
-    rotated = _delay(x, n_int) * np.exp(1j * (spec.omega0 * t + spec.phi0))
+    rotated = _delay(x, spec.delay) * np.exp(1j * (spec.omega0 * t + spec.phi0))
     return ComplexSignal(rotated, dt)
 
 
 def apply_fading(signal: ComplexSignal, spec: FadingSpec) -> ComplexSignal:
     """Sum of delayed, Doppler-shifted, scaled copies of the input.
 
-    output(t) = sum_m gain_m * e^{j doppler_m t} * input(t - delay_m), with tap
-    delays rounded to the sample grid.
+    output(t) = sum_m gain_m * e^{j doppler_m t} * input(t - delay_m), with
+    each delay a whole number of samples.
     """
     dt = signal.sample_interval
     x = signal.samples
     t = np.arange(x.size) * dt
     out = np.zeros_like(x)
     for delay, gain, doppler in spec.taps:
-        out += gain * np.exp(1j * doppler * t) * _delay(x, int(round(delay / dt)))
+        out += gain * np.exp(1j * doppler * t) * _delay(x, delay)
     return ComplexSignal(out, dt)
 
 
@@ -101,24 +101,25 @@ def add_awgn(signal: ComplexSignal, sigma2: float,
 
 
 def random_multipath_taps(rng: np.random.Generator, n_paths: int,
-                          max_delay: float, max_doppler: float = 0.0,
+                          max_delay: int, max_doppler: float = 0.0,
                           decay: float = 1.0) -> tuple:
     """Multipath taps with uniform random phases and a geometric power
     profile.
 
-    Delays are spread uniformly over [0, max_delay]; tap m carries power
-    proportional to decay**m (decay=1 gives equal powers), normalized to unit
-    total power. Per-tap Doppler shifts are drawn uniformly in
-    [-max_doppler, max_doppler] (rad/s).
+    Delays are spread uniformly over [0, max_delay] samples, rounded to whole
+    samples; tap m carries power proportional to decay**m (decay=1 gives
+    equal powers), normalized to unit total power. Per-tap Doppler shifts are drawn uniformly in
+    [-max_doppler, max_doppler] (rad/T_s).
     """
+    _check_delay("max_delay", max_delay)
     if not 0 < decay <= 1:
         raise ValueError("decay must be in (0, 1]")
-    delays = np.linspace(0.0, max_delay, n_paths)
+    delays = np.rint(np.linspace(0, max_delay, n_paths))
     powers = decay ** np.arange(n_paths)
     powers *= 1.0 / powers.sum()  # not /=: a division rounds the taps differently
     taps = []
     for d, p in zip(delays, powers):
         phase = rng.uniform(0, 2 * np.pi)
         doppler = rng.uniform(-max_doppler, max_doppler) if max_doppler else 0.0
-        taps.append((float(d), np.sqrt(p) * np.exp(1j * phase), float(doppler)))
+        taps.append((int(d), np.sqrt(p) * np.exp(1j * phase), float(doppler)))
     return tuple(taps)

@@ -50,6 +50,11 @@ DEFAULT_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 
 CHANNEL_KINDS = ("awgn", "multipath", "doppler")
 
+# scenario field annotation -> accepted type (bool excluded) and its name; a
+# float field must also be finite, so a missing SJR cannot switch jamming off
+FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "str": (str, "a string"),
+               "float": (numbers.Real, "a finite real number")}
+
 
 class ScenarioFormatError(ValueError):
     """Malformed or incomplete scenario file."""
@@ -71,14 +76,13 @@ class Scenario:
     cp2_samples: int = 8
     psk_order: int = 16
     pilot_positions: tuple = ((24, 1.0 + 0j), (32, 1.0 + 0j))
-    sample_interval: float = 1.0 / 128
     snr_db: float = 15.0
     sjr_db: float = 0.0
     jammer_strategy: str = "disguised_ofdm"
     jammer_cp_mode: str = "plain_cp"
     channel: str = "awgn"
     n_paths: int = 4
-    max_delay_samples: float = 3.0
+    max_delay_samples: int = 3
     tap_decay: float = 0.1  # geometric tap power ratio; 1.0 = equal power
     max_doppler_normalized: float = 0.0  # peak Doppler in subcarrier spacings
     sync_blocks: int = 25
@@ -92,10 +96,11 @@ class Scenario:
 
     def __post_init__(self):
         for f in fields(self):
+            kind, what = FIELD_TYPES.get(f.type, (object, None))
             value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if what and (isinstance(value, bool) or not isinstance(value, kind)
+                         or kind is numbers.Real and not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         for name, kinds in (("channel", CHANNEL_KINDS), ("jammer_strategy", STRATEGIES),
                             ("jammer_cp_mode", CP_PHASE_MODES)):
             if (value := getattr(self, name)) not in kinds:
@@ -122,11 +127,6 @@ class Scenario:
         if not 0 <= self.max_delay_samples < self.cp1_samples + self.cp2_samples:
             raise ValueError("max_delay_samples must be in [0, cp1_samples + "
                              f"cp2_samples), got {self.max_delay_samples!r}")
-        # jammer_strategy="none", not a missing SJR, switches jamming off
-        for name in ("snr_db", "sjr_db"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
         self.ofdm_config()  # their checks run here, not at the first trial
         self.sync_config()
         try:
@@ -141,7 +141,6 @@ class Scenario:
             cp2_samples=self.cp2_samples,
             psk_order=self.psk_order,
             pilot_positions=dict(self.pilot_positions),
-            sample_interval=self.sample_interval,
         )
 
     def sync_config(self) -> SyncConfig:
@@ -324,18 +323,18 @@ def _draw_fading(scenario: Scenario, config: OfdmConfig,
         # peak Doppler given in subcarrier spacings 1/T_s
         max_doppler = 2 * np.pi * scenario.max_doppler_normalized / config.t_body
     taps = random_multipath_taps(
-        rng, scenario.n_paths, scenario.max_delay_samples * config.sample_interval,
+        rng, scenario.n_paths, scenario.max_delay_samples,
         max_doppler=max_doppler, decay=scenario.tap_decay)
     return FadingSpec(taps=taps)
 
 
 def _draw_offsets(scenario: Scenario, config: OfdmConfig,
                   rng: np.random.Generator) -> OffsetSpec:
-    t0 = int(rng.integers(0, config.block_samples)) * config.sample_interval
+    delay = int(rng.integers(0, config.block_samples))
     nu = float(rng.uniform(scenario.n_l, scenario.n_u))
     omega0 = 2 * np.pi * nu / config.t_body
     phi0 = float(rng.uniform(0, 2 * np.pi))
-    return OffsetSpec(t0=t0, omega0=omega0, phi0=phi0)
+    return OffsetSpec(delay=delay, omega0=omega0, phi0=phi0)
 
 
 def _transmit(scenario: Scenario, config: OfdmConfig, rng: np.random.Generator,
@@ -378,9 +377,10 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
     r = _transmit(scenario, config, rng, angles, offsets,
                   lambda: _draw_offsets(scenario, config, rng))
 
+    t0_true = offsets.delay * config.sample_interval
     record = {
         "trial": trial,
-        "t0_true": offsets.t0,
+        "t0_true": t0_true,
         "k0_true": k0,
         "nu_true": nu_true,
         "time_error": math.nan,
@@ -397,7 +397,7 @@ def _sync_trial(scenario: Scenario, trial: int) -> dict:
 
     backoff_t = sync_cfg.backoff(config) * config.sample_interval
     est_time = est.t0_hat + est.t0p_hat - backoff_t - est.k0_hat * config.t_block
-    true_time = offsets.t0 - k0 * config.t_block
+    true_time = t0_true - k0 * config.t_block
     delta = est_time - true_time
     delta -= config.t_block * round(delta / config.t_block)
     record["time_error"] = abs(delta) / config.t_block
@@ -593,30 +593,25 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
 
 
 def correlation_surface(scenario: Scenario, precoding: bool = True,
-                        n_trials: int = 1,
-                        signal_offset_samples: int | None = None,
-                        jammer_offset_samples: int | None = None) -> dict:
+                        n_trials: int = 1) -> dict:
     """Trial-averaged magnitude of the pre-FFT correlation.
 
     With precoding the surface spans the (time offset, candidate sequence
     offset) grid; without it the angles are zero and the candidate axis
     collapses (unit CP phase). The signal goes through the scenario's
-    channel. The legitimate and jamming time offsets stay fixed across
-    trials so the averaged peaks do not smear; data, fading, jamming and
-    noise are redrawn. Returns the surface, the axes, and the true offsets.
+    channel. The legitimate time offset is drawn once and the jammer sits
+    half a block from it; both stay fixed across trials so the averaged
+    peaks do not smear, while data, fading, jamming and noise are redrawn.
+    Returns the surface, the axes, and the true offsets in samples.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     config = scenario.ofdm_config()
     sync_cfg = scenario.sync_config()
-    dt = config.sample_interval
     seed_rng = np.random.default_rng([scenario.master_seed, 4242])
     block = config.block_samples
-    if signal_offset_samples is None:
-        signal_offset_samples = int(seed_rng.integers(0, block))
-    if jammer_offset_samples is None:
-        jammer_offset_samples = int(
-            (signal_offset_samples + block // 2) % block)
+    signal_offset_samples = int(seed_rng.integers(0, block))
+    jammer_offset_samples = (signal_offset_samples + block // 2) % block
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
     phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
                               config.n_carriers, config.psk_order)
@@ -628,8 +623,8 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
         r = _transmit(scenario, config, rng, angles,
-                      OffsetSpec(t0=signal_offset_samples * dt),
-                      lambda: OffsetSpec(t0=jammer_offset_samples * dt))
+                      OffsetSpec(delay=signal_offset_samples),
+                      lambda: OffsetSpec(delay=jammer_offset_samples))
         acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg,
                                            phase_seq if precoding else None))
 

@@ -69,12 +69,12 @@ class SyncConfig:
 class SyncEstimate:
     """Output of the two-stage synchronizer."""
 
-    t0_hat: float           # coarse time offset, seconds, in [-T_CP, T_b - T_CP)
+    t0_hat: float           # coarse time offset, T_s units, in [-T_CP, T_b - T_CP)
     k0_hat: int             # phase sequence offset
     frac_cfo_hat: float     # fractional part of omega0*T_s/(2*pi), in [0, 1)
     n0_hat: int = 0         # integer CFO, subcarrier spacings
     zeta0_hat: float = 0.0  # residual fractional CFO error
-    t0p_hat: float = 0.0    # residual time offset, seconds, in [0, T_CP2)
+    t0p_hat: float = 0.0    # residual time offset, T_s units, in [0, T_CP2)
     phi0_hat: float = 0.0   # carrier phase, radians
     peak_metric: float = 0.0
     low_confidence: bool = False
@@ -268,7 +268,7 @@ def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
     if ip1 == ip2:
         raise ValueError("fine time estimation needs two distinct pilots")
     dip = ip1 - ip2
-    if abs(dip) * config.t_cp2 / config.t_body > 1.0:
+    if abs(dip) * config.cp2_samples > config.n_carriers:
         raise ValueError(
             "pilot spacing violates the unambiguous fine-time range"
         )
@@ -281,9 +281,10 @@ def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
     t0p = float(-np.angle(u) * config.t_body / (2 * np.pi * dip))
     period = config.t_body / abs(dip)
     t0p %= period
-    if t0p >= (config.t_cp2 + period) / 2:
+    t_cp2 = config.cp2_samples * config.sample_interval
+    if t0p >= (t_cp2 + period) / 2:
         t0p -= period
-    return min(max(t0p, 0.0), np.nextafter(config.t_cp2, 0.0))
+    return min(max(t0p, 0.0), np.nextafter(t_cp2, 0.0))
 
 
 def estimate_phase(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,

@@ -29,14 +29,14 @@ QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
 @dataclass(frozen=True)
 class OfdmConfig:
     """Static system parameters of the OFDM link. Data carriers are QPSK;
-    the body is critically sampled, one sample per carrier."""
+    the body is critically sampled, one sample per carrier, and lasts one
+    time unit."""
 
     n_carriers: int
     cp1_samples: int
     cp2_samples: int
     psk_order: int
     pilot_positions: dict = field(default_factory=dict)
-    sample_interval: float = 1.0 / 128
 
     def __post_init__(self):
         if self.n_carriers <= 0:
@@ -48,11 +48,14 @@ class OfdmConfig:
         m = self.psk_order
         if m < 2 or m & (m - 1):
             raise ValueError("psk_order must be a power of 2")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        for idx in self.pilot_positions:
-            if not 0 <= idx < self.n_carriers:
-                raise ValueError(f"pilot_positions: {idx} not in [0, {self.n_carriers})")
+        for idx, value in self.pilot_positions.items():
+            if not (0 <= idx < self.n_carriers and np.isfinite(value) and value):
+                raise ValueError(f"pilot_positions: {idx}: {value!r} needs a carrier "
+                                 f"in [0, {self.n_carriers}), a finite non-zero value")
+
+    @property
+    def sample_interval(self) -> float:
+        return 1.0 / self.n_carriers
 
     @property
     def cp_samples(self) -> int:
@@ -65,10 +68,6 @@ class OfdmConfig:
     @property
     def t_body(self) -> float:
         return self.n_carriers * self.sample_interval
-
-    @property
-    def t_cp2(self) -> float:
-        return self.cp2_samples * self.sample_interval
 
     @property
     def t_block(self) -> float:

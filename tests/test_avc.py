@@ -132,6 +132,16 @@ class TestCapacity:
         with pytest.raises(ValueError):
             avc_capacity(-1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 1.0, 1.0), "p_s"),
+        ((1.0, math.inf, 1.0), "p_j"),
+        ((1.0, 1.0, math.nan), "p_n"),
+        ((1.0, 1.0, -math.inf), "p_n"),
+    ])
+    def test_rejects_non_finite_power_by_name(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            avc_capacity(*args)
+
     def test_monotone_in_each_power(self):
         grid = [0.5, 1.0, 2.0]
         for p_j in grid:

@@ -20,7 +20,12 @@ def random_signal(n=1000, seed=0):
 class TestOffsetSpec:
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
-            OffsetSpec(t0=-0.1)
+            OffsetSpec(delay=-1)
+
+    def test_rejects_fractional_and_bool_delays(self):
+        for delay in (0.4, 3.0, True):
+            with pytest.raises(ValueError, match="delay"):
+                OffsetSpec(delay=delay)
 
 
 class TestApplyOffsets:
@@ -44,35 +49,36 @@ class TestApplyOffsets:
 
     def test_grid_delay(self):
         sig = random_signal()
-        out = apply_offsets(sig, OffsetSpec(t0=5 * DT))
+        out = apply_offsets(sig, OffsetSpec(delay=5))
         assert np.array_equal(out.samples[5:], sig.samples[:-5])
         assert np.array_equal(out.samples[:5], np.zeros(5))
 
     def test_offset_composition(self):
         sig = random_signal()
-        spec = OffsetSpec(t0=3 * DT, omega0=2 * np.pi * 0.7, phi0=0.9)
+        spec = OffsetSpec(delay=3, omega0=2 * np.pi * 0.7, phi0=0.9)
         combined = apply_offsets(sig, spec)
         staged = apply_offsets(
-            apply_offsets(sig, OffsetSpec(t0=3 * DT)),
+            apply_offsets(sig, OffsetSpec(delay=3)),
             OffsetSpec(omega0=spec.omega0, phi0=spec.phi0))
         assert np.max(np.abs(combined.samples - staged.samples)) < 1e-12
 
     def test_off_grid_without_interpolation_raises(self):
+        # a delay is a whole number of samples: an off-grid one cannot be written
         sig = random_signal()
-        with pytest.raises(ValueError):
-            apply_offsets(sig, OffsetSpec(t0=0.4 * DT))
+        with pytest.raises(ValueError, match="delay"):
+            apply_offsets(sig, OffsetSpec(delay=0.4))
 
 
 class TestApplyFading:
     def test_single_unit_tap_identity(self):
         sig = random_signal()
-        out = apply_fading(sig, FadingSpec(taps=((0.0, 1.0 + 0j, 0.0),)))
+        out = apply_fading(sig, FadingSpec(taps=((0, 1.0 + 0j, 0.0),)))
         assert np.array_equal(out.samples, sig.samples)
 
     def test_flat_gain(self):
         sig = random_signal()
         g = 0.3 - 0.7j
-        out = apply_fading(sig, FadingSpec(taps=((0.0, g, 0.0),)))
+        out = apply_fading(sig, FadingSpec(taps=((0, g, 0.0),)))
         assert np.max(np.abs(out.samples - g * sig.samples)) < 1e-12
 
     def test_two_taps_match_convolution_oracle(self):
@@ -80,7 +86,7 @@ class TestApplyFading:
         g0, g1 = 0.8 + 0.1j, 0.3 - 0.4j
         d1 = 3
         out = apply_fading(sig, FadingSpec(
-            taps=((0.0, g0, 0.0), (d1 * DT, g1, 0.0))))
+            taps=((0, g0, 0.0), (d1, g1, 0.0))))
         h = np.zeros(d1 + 1, dtype=complex)
         h[0], h[d1] = g0, g1
         oracle = np.convolve(sig.samples, h)[:sig.samples.size]
@@ -89,20 +95,22 @@ class TestApplyFading:
     def test_doppler_tap(self):
         sig = random_signal()
         doppler = 2 * np.pi * 0.02
-        out = apply_fading(sig, FadingSpec(taps=((0.0, 1.0, doppler),)))
+        out = apply_fading(sig, FadingSpec(taps=((0, 1.0, doppler),)))
         t = np.arange(sig.samples.size) * DT
         assert np.max(np.abs(out.samples - sig.samples * np.exp(1j * doppler * t))) < 1e-12
 
     def test_energy_preserved_by_unit_tap(self):
         sig = random_signal()
-        out = apply_fading(sig, FadingSpec(taps=((2 * DT, 1.0 + 0j, 0.0),)))
+        out = apply_fading(sig, FadingSpec(taps=((2, 1.0 + 0j, 0.0),)))
         e_in = np.sum(np.abs(sig.samples[:-2]) ** 2)
         e_out = np.sum(np.abs(out.samples) ** 2)
         assert abs(e_in - e_out) < 1e-12
 
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
-            FadingSpec(taps=((-DT, 1.0, 0.0),))
+            FadingSpec(taps=((-1, 1.0, 0.0),))
+        with pytest.raises(ValueError, match="tap delay"):
+            FadingSpec(taps=((0.5, 1.0, 0.0),))
 
 
 class TestAddAwgn:
@@ -162,31 +170,43 @@ class TestComplexNormal:
 class TestTapFactories:
     def test_multipath_total_power(self):
         rng = np.random.default_rng(0)
-        taps = random_multipath_taps(rng, 4, 3 * DT, decay=0.1)
+        taps = random_multipath_taps(rng, 4, 3, decay=0.1)
         power = sum(abs(g) ** 2 for _, g, _ in taps)
         assert power == pytest.approx(1.0, abs=1e-12)
 
     def test_multipath_geometric_profile(self):
         rng = np.random.default_rng(1)
-        taps = random_multipath_taps(rng, 4, 3 * DT, decay=0.5)
+        taps = random_multipath_taps(rng, 4, 3, decay=0.5)
         powers = np.array([abs(g) ** 2 for _, g, _ in taps])
         ratios = powers[1:] / powers[:-1]
         assert np.allclose(ratios, 0.5)
 
     def test_multipath_delays_span_range(self):
         rng = np.random.default_rng(2)
-        taps = random_multipath_taps(rng, 4, 3 * DT)
+        taps = random_multipath_taps(rng, 4, 3)
         delays = [d for d, _, _ in taps]
-        assert delays[0] == 0.0
-        assert delays[-1] == pytest.approx(3 * DT)
+        assert delays == [0, 1, 2, 3]
+        assert all(type(d) is int for d in delays)
 
     def test_multipath_doppler_bounded(self):
         rng = np.random.default_rng(3)
         w_max = 2 * np.pi * 0.02
-        taps = random_multipath_taps(rng, 4, 3 * DT, max_doppler=w_max)
+        taps = random_multipath_taps(rng, 4, 3, max_doppler=w_max)
         assert all(abs(w) <= w_max for _, _, w in taps)
 
     def test_multipath_rejects_bad_decay(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            random_multipath_taps(rng, 4, 3 * DT, decay=0.0)
+            random_multipath_taps(rng, 4, 3, decay=0.0)
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize("max_delay", [0, 1, 5, 23])
+    def test_multipath_delays_within_max_delay(self, n_paths, max_delay):
+        taps = random_multipath_taps(np.random.default_rng(5), n_paths, max_delay)
+        delays = [d for d, _, _ in taps]
+        assert delays == sorted(delays)
+        assert 0 <= delays[0] and delays[-1] <= max_delay
+
+    def test_multipath_rejects_fractional_max_delay(self):
+        with pytest.raises(ValueError, match="max_delay"):
+            random_multipath_taps(np.random.default_rng(6), 4, 23.6)

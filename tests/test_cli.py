@@ -20,6 +20,13 @@ class TestCapacity:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(0.584962500721156, abs=1e-12)
 
+    def test_non_finite_power_exits_2_with_one_error_line(self, capsys):
+        assert main(["capacity", "--noise-power", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spofdm: error: p_n")
+        assert captured.err.count("\n") == 1
+
 
 class TestKeystreamSelftest:
     def test_passes(self, capsys):
@@ -85,6 +92,19 @@ class TestInputErrors:
         out_dir = tmp_path / "results"
         assert main(["sync", "--trials", "0", "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err == "spofdm: error: trials must be at least 1\n"
+        assert not out_dir.exists()
+
+    def test_nan_pilot_value_exits_2(self, tmp_path, capsys):
+        payload = json.loads(table1_scenario().to_json())
+        payload["pilot_positions"]["24"] = [float("nan"), 0.0]
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps(payload))
+        out_dir = tmp_path / "results"
+        assert main(["sync", "--scenario", str(sc_path),
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spofdm: error: ")
+        assert "pilot_positions" in err and err.count("\n") == 1
         assert not out_dir.exists()
 
 

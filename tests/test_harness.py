@@ -74,6 +74,18 @@ class TestScenario:
         (dict(trials=True), "trials"),
         (dict(sync_blocks=3.5), "sync_blocks"),
         (dict(master_seed=1.0), "master_seed"),
+        (dict(max_delay_samples=23.6), "max_delay_samples"),
+        (dict(pilot_positions=((24, 0), (32, 1))), "pilot_positions"),
+        (dict(pilot_positions=((24, complex("nan")), (32, 1))),
+         "pilot_positions"),
+        (dict(pilot_positions=((24, 1), (32, float("inf")))), "pilot_positions"),
+        (dict(key_hex=5), "key_hex"),
+        (dict(name=3), "name"),
+        (dict(channel=None), "channel"),
+        (dict(snr_db=True), "snr_db"),
+        (dict(tap_decay="0.1"), "tap_decay"),
+        (dict(max_doppler_normalized=None), "max_doppler_normalized"),
+        (dict(max_delay_samples=24), "max_delay_samples"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -81,8 +93,40 @@ class TestScenario:
             table1_scenario(**overrides)
 
     def test_delay_just_inside_the_guard_interval_accepted(self):
-        sc = table1_scenario(channel="multipath", max_delay_samples=23.0)
-        assert sc.max_delay_samples == 23.0
+        sc = table1_scenario(channel="multipath", max_delay_samples=23)
+        assert sc.max_delay_samples == 23
+
+    def test_integers_are_accepted_for_float_fields(self):
+        sc = table1_scenario(snr_db=15, tap_decay=1)
+        assert sc.snr_db == 15 and sc.tap_decay == 1
+
+    def test_pilot_spacing_at_limit_with_non_power_of_two_carriers(self):
+        # 7 * 7 == 49: accepted by the scenario, so the synchronizer, sampling
+        # at 1/49, must not reject the same geometry on a rounded time ratio
+        sc = table1_scenario(n_carriers=49, cp1_samples=2, cp2_samples=7,
+                             pilot_positions=((10, 1), (17, 1)), trials=20,
+                             sync_blocks=5)
+        assert sc.ofdm_config().sample_interval == 1 / 49
+        assert run_sync_experiment(sc).aggregates["n_failed"] == 0
+
+    def test_tap_delays_never_exceed_max_delay(self, monkeypatch):
+        import spofdm.harness as harness
+
+        seen = []
+        real = harness.apply_fading
+
+        def spy(signal, spec):
+            seen.extend(d for d, _, _ in spec.taps)
+            return real(signal, spec)
+
+        monkeypatch.setattr(harness, "apply_fading", spy)
+        for max_delay, n_paths in ((23, 4), (5, 3), (7, 6)):
+            seen.clear()
+            run_sync_experiment(table1_scenario(
+                channel="multipath", max_delay_samples=max_delay,
+                n_paths=n_paths, trials=2, sync_blocks=5))
+            assert seen and max(seen) <= max_delay
+            assert all(isinstance(d, int) for d in seen)
 
     def test_pilot_spacing_at_fine_time_limit_accepted(self):
         # |24 - 40| * cp2_samples == n_carriers: still unambiguous
@@ -162,6 +206,15 @@ class TestScenarioFiles:
         ("trials", True),
         ("sync_blocks", 3.5),
         ("n_carriers", "128"),
+        ("max_delay_samples", 23.6),
+        ("max_delay_samples", 3.0),
+        ("pilot_positions", {"24": [0.0, 0.0], "32": [1.0, 0.0]}),
+        ("pilot_positions", {"24": [float("nan"), 0.0], "32": [1.0, 0.0]}),
+        ("key_hex", 5),
+        ("name", 3),
+        ("snr_db", True),
+        ("tap_decay", "0.1"),
+        ("max_delay_samples", 24),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -294,12 +347,12 @@ class TestCorrelationSurface:
         assert result["surface"].shape == (152,)
         assert result["candidates"] is None
 
-    def test_fixed_offsets_respected(self):
-        sc = table1_scenario(sync_blocks=10)
-        result = correlation_surface(sc, signal_offset_samples=5,
-                                     jammer_offset_samples=80)
-        assert result["signal_offset_samples"] == 5
-        assert result["jammer_offset_samples"] == 80
+    def test_jammer_offset_half_a_block_from_signal(self):
+        result = correlation_surface(table1_scenario(sync_blocks=10))
+        offsets = (result["signal_offset_samples"],
+                   result["jammer_offset_samples"])
+        assert all(type(o) is int and 0 <= o < 152 for o in offsets)
+        assert (offsets[1] - offsets[0]) % 152 == 76
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="n_trials must be at least 1"):

@@ -65,12 +65,11 @@ class TestGenerateJamming:
 
     def test_jammer_time_offset(self):
         p_j = CONFIG.symbol_power / CONFIG.n_carriers
-        dt = CONFIG.sample_interval
         base = generate_jamming(
             JammerSpec("disguised_ofdm", power=p_j), CONFIG, 1000, 4)
         moved = generate_jamming(
             JammerSpec("disguised_ofdm", power=p_j,
-                       offsets=OffsetSpec(t0=10 * dt)), CONFIG, 1000, 4)
+                       offsets=OffsetSpec(delay=10)), CONFIG, 1000, 4)
         assert np.max(np.abs(moved.samples[10:] - base.samples[:-10])) < 1e-12
 
     def test_independent_seeds_give_independent_data(self):

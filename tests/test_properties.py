@@ -38,8 +38,7 @@ def small_links(draw):
     cp1 = draw(st.integers(1, n_c // 4))
     cp2 = draw(st.integers(1, n_c // 4))
     config = OfdmConfig(n_carriers=n_c, cp1_samples=cp1, cp2_samples=cp2,
-                        psk_order=draw(st.sampled_from([2, 4, 16])),
-                        sample_interval=1.0 / n_c)
+                        psk_order=draw(st.sampled_from([2, 4, 16])))
     n_blocks = draw(st.integers(1, 3))
     candidates = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4,
                                unique=True))

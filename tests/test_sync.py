@@ -23,8 +23,7 @@ def table1_config():
 
 
 def toy_config():
-    return OfdmConfig(n_carriers=8, cp1_samples=2, cp2_samples=1, psk_order=4,
-                      sample_interval=1.0 / 8)
+    return OfdmConfig(n_carriers=8, cp1_samples=2, cp2_samples=1, psk_order=4)
 
 
 def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
@@ -34,9 +33,8 @@ def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
     angles = phase_plans(KEY, 0, k0, n_blocks, config.n_carriers,
                          config.psk_order)
     wave = build_waveform(blocks, angles, config)
-    dt = config.sample_interval
     omega0 = 2 * np.pi * nu / config.t_body
-    return apply_offsets(wave, OffsetSpec(t0=t0_samples * dt, omega0=omega0,
+    return apply_offsets(wave, OffsetSpec(delay=t0_samples, omega0=omega0,
                                           phi0=phi0))
 
 
@@ -263,7 +261,7 @@ class TestEstimateFineTime:
         rng = np.random.default_rng(16)
         th1 = 2 * np.pi * rng.integers(0, 16, 8) / 16
         th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
-        t0p_true = config.t_cp2 / 2
+        t0p_true = config.cp2_samples * config.sample_interval / 2
         t0p_norm = t0p_true / config.t_body
         r = (synthetic_pilot_blocks(132, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128,
                                     t0p_norm)
@@ -361,8 +359,7 @@ class TestSynchronizeUnderJamming:
             jam = generate_jamming(
                 JammerSpec("disguised_ofdm", power=p,
                            offsets=OffsetSpec(
-                               t0=int(rng.integers(0, config.block_samples))
-                               * config.sample_interval)),
+                               delay=int(rng.integers(0, config.block_samples)))),
                 config, r.samples.size, rng)
             rx = combine(r, jam, sigma2, rng)
             est, _ = synchronize(rx, config, sync_cfg, seq)

@@ -38,6 +38,14 @@ class TestOfdmConfig:
         with pytest.raises(ValueError):
             table1_config(psk_order=12)
 
+    def test_sample_interval_is_one_over_n_carriers(self):
+        assert table1_config(n_carriers=49).sample_interval == 1.0 / 49
+
+    @pytest.mark.parametrize("value", [0, float("nan"), complex("inf")])
+    def test_rejects_zero_or_non_finite_pilot(self, value):
+        with pytest.raises(ValueError, match="pilot_positions"):
+            table1_config(pilot_positions={24: value})
+
     def test_rejects_pilot_out_of_range(self):
         with pytest.raises(ValueError):
             table1_config(pilot_positions={128: 1.0 + 0j})
