@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -25,6 +26,11 @@ def _check_delay(name: str, value) -> None:
         raise ValueError(f"{name} must be a whole sample count >= 0, got {value!r}")
 
 
+def _check_finite(name: str, value) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OffsetSpec:
     """Delay (whole samples), carrier frequency and phase offsets."""
@@ -35,6 +41,8 @@ class OffsetSpec:
 
     def __post_init__(self):
         _check_delay("delay", self.delay)
+        _check_finite("omega0", self.omega0)
+        _check_finite("phi0", self.phi0)
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,12 @@ class FadingSpec:
     taps: tuple
 
     def __post_init__(self):
-        for delay, _, _ in self.taps:
+        if not self.taps:
+            raise ValueError("taps must not be empty")
+        for delay, gain, doppler in self.taps:
             _check_delay("tap delay", delay)
+            _check_finite("tap gain", gain)
+            _check_finite("tap doppler", doppler)
 
 
 def _delay(x: np.ndarray, n: int) -> np.ndarray:
@@ -58,12 +70,13 @@ def _delay(x: np.ndarray, n: int) -> np.ndarray:
 
 def apply_offsets(signal: ComplexSignal, spec: OffsetSpec) -> ComplexSignal:
     """Delay by ``spec.delay`` samples and rotate by e^{j(omega0 t + phi0)}
-    (phase on absolute time)."""
+    (phase on absolute time); with omega0 = phi0 = 0 there is no rotation."""
     dt = signal.sample_interval
-    x = signal.samples
-    t = np.arange(x.size) * dt
-    rotated = _delay(x, spec.delay) * np.exp(1j * (spec.omega0 * t + spec.phi0))
-    return ComplexSignal(rotated, dt)
+    x = _delay(signal.samples, spec.delay)
+    if spec.omega0 or spec.phi0:
+        t = np.arange(x.size) * dt
+        x = x * np.exp(1j * (spec.omega0 * t + spec.phi0))
+    return ComplexSignal(x, dt)
 
 
 def apply_fading(signal: ComplexSignal, spec: FadingSpec) -> ComplexSignal:
@@ -77,7 +90,9 @@ def apply_fading(signal: ComplexSignal, spec: FadingSpec) -> ComplexSignal:
     t = np.arange(x.size) * dt
     out = np.zeros_like(x)
     for delay, gain, doppler in spec.taps:
-        out += gain * np.exp(1j * doppler * t) * _delay(x, delay)
+        # a zero-Doppler tap is a plain scaled copy: no e^{j0t} pass
+        scale = gain * np.exp(1j * doppler * t) if doppler else gain
+        out += scale * _delay(x, delay)
     return ComplexSignal(out, dt)
 
 
@@ -85,14 +100,14 @@ def complex_normal(rng: np.random.Generator, power: float,
                    shape: tuple) -> np.ndarray:
     """CN(0, power) draws of the given shape from one ``rng.normal`` call."""
     g = rng.normal(0, np.sqrt(power / 2), size=(*shape, 2))
-    return g[..., 0] + 1j * g[..., 1]
+    return g.view(complex)[..., 0]
 
 
 def add_awgn(signal: ComplexSignal, sigma2: float,
              rng: np.random.Generator | int) -> ComplexSignal:
     """Add circularly symmetric complex Gaussian noise of variance sigma2."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
     if sigma2 == 0:
         return ComplexSignal(signal.samples.copy(), signal.sample_interval)
     rng = np.random.default_rng(rng)  # a Generator is returned unaltered

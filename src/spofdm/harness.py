@@ -19,6 +19,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,6 +102,8 @@ class Scenario:
             if what and (isinstance(value, bool) or not isinstance(value, kind)
                          or kind is numbers.Real and not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if kind is numbers.Real:  # so 15 and 15.0 serialize, and hash, alike
+                object.__setattr__(self, f.name, float(value))
         for name, kinds in (("channel", CHANNEL_KINDS), ("jammer_strategy", STRATEGIES),
                             ("jammer_cp_mode", CP_PHASE_MODES)):
             if (value := getattr(self, name)) not in kinds:
@@ -314,6 +317,26 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict:
 # Synchronization experiment
 
 
+class _Link(NamedTuple):
+    """What every trial of one experiment shares, built once per experiment.
+    Keystream rows are a pure function of (key, epoch, block), so one cached
+    sequence serves every trial."""
+
+    config: OfdmConfig
+    sync_cfg: SyncConfig
+    phase_seq: PhaseSequence
+    noise_sigma2: float
+    jammer_power: float
+
+
+def _link(scenario: Scenario) -> _Link:
+    config = scenario.ofdm_config()
+    return _Link(config, scenario.sync_config(),
+                 PhaseSequence(scenario.key(), scenario.epoch,
+                               config.n_carriers, config.psk_order),
+                 scenario.noise_sigma2(), scenario.jammer_power())
+
+
 def _draw_fading(scenario: Scenario, config: OfdmConfig,
                  rng: np.random.Generator) -> FadingSpec | None:
     if scenario.channel == "awgn":
@@ -337,13 +360,14 @@ def _draw_offsets(scenario: Scenario, config: OfdmConfig,
     return OffsetSpec(delay=delay, omega0=omega0, phi0=phi0)
 
 
-def _transmit(scenario: Scenario, config: OfdmConfig, rng: np.random.Generator,
+def _transmit(scenario: Scenario, link: _Link, rng: np.random.Generator,
               angles: np.ndarray, offsets: OffsetSpec,
               jam_offsets) -> ComplexSignal:
     """Random symbol blocks, one per row of ``angles`` (all zero for classical
     OFDM), through the scenario's fading and the ``offsets``, plus jamming
     emitted with the offsets ``jam_offsets()`` returns, plus receiver noise.
     A silent jammer draws no offsets, so the noise keeps its RNG place."""
+    config = link.config
     blocks = random_symbol_blocks(rng, len(angles), config)
     wave = build_waveform(blocks, angles, config)
     fading = _draw_fading(scenario, config, rng)
@@ -352,29 +376,26 @@ def _transmit(scenario: Scenario, config: OfdmConfig, rng: np.random.Generator,
     wave = apply_offsets(wave, offsets)
     jam_spec = JammerSpec(
         strategy=scenario.jammer_strategy,
-        power=scenario.jammer_power(),
+        power=link.jammer_power,
         offsets=(OffsetSpec() if scenario.jammer_strategy == "none"
                  else jam_offsets()),
         cp_phase_mode=scenario.jammer_cp_mode,
     )
     jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
-    return combine(wave, jam, scenario.noise_sigma2(), rng)
+    return combine(wave, jam, link.noise_sigma2, rng)
 
 
-def _sync_trial(scenario: Scenario, trial: int) -> dict:
-    config = scenario.ofdm_config()
-    sync_cfg = scenario.sync_config()
+def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
+    config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq
     rng = np.random.default_rng([scenario.master_seed, trial])
 
     k0 = int(rng.integers(0, scenario.n_candidates))
     offsets = _draw_offsets(scenario, config, rng)
     nu_true = offsets.omega0 * config.t_body / (2 * np.pi)
-    phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
-                              config.n_carriers, config.psk_order)
 
     n_blocks = scenario.sync_blocks + 4
     angles = phase_seq.plan(k0, k0 + n_blocks - 1)
-    r = _transmit(scenario, config, rng, angles, offsets,
+    r = _transmit(scenario, link, rng, angles, offsets,
                   lambda: _draw_offsets(scenario, config, rng))
 
     t0_true = offsets.delay * config.sample_interval
@@ -426,10 +447,12 @@ def run_sync_experiment(scenario: Scenario) -> ExperimentReport:
     Per trial: random offsets, sequence offset and data are drawn, the full
     received signal (fading, jamming, noise) is built and the two-stage
     synchronizer runs. Errors are normalized: time by the block duration,
-    frequency by the subcarrier spacing.
+    frequency by the subcarrier spacing. The configurations, powers and the
+    keystream cache are built once and shared by all trials.
     """
     start = time.monotonic()
-    records = [_sync_trial(scenario, t) for t in range(scenario.trials)]
+    link = _link(scenario)
+    records = [_sync_trial(scenario, t, link) for t in range(scenario.trials)]
 
     time_err = np.array([r["time_error"] for r in records])
     freq_err = np.array([r["freq_error"] for r in records])
@@ -606,15 +629,13 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    config = scenario.ofdm_config()
-    sync_cfg = scenario.sync_config()
+    link = _link(scenario)
+    config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq
     seed_rng = np.random.default_rng([scenario.master_seed, 4242])
     block = config.block_samples
     signal_offset_samples = int(seed_rng.integers(0, block))
     jammer_offset_samples = (signal_offset_samples + block // 2) % block
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
-    phase_seq = PhaseSequence(scenario.key(), scenario.epoch,
-                              config.n_carriers, config.psk_order)
 
     n_blocks = scenario.sync_blocks + 4
     angles = (phase_seq.plan(k0, k0 + n_blocks - 1) if precoding
@@ -622,7 +643,7 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     acc = 0.0
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
-        r = _transmit(scenario, config, rng, angles,
+        r = _transmit(scenario, link, rng, angles,
                       OffsetSpec(delay=signal_offset_samples),
                       lambda: OffsetSpec(delay=jammer_offset_samples))
         acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg,

@@ -42,8 +42,9 @@ class JammerSpec:
             raise JammerConfigError(f"unknown strategy {self.strategy!r}")
         if self.cp_phase_mode not in CP_PHASE_MODES:
             raise JammerConfigError(f"unknown cp_phase_mode {self.cp_phase_mode!r}")
-        if self.power < 0:
-            raise JammerConfigError("jamming power must be non-negative")
+        if not 0 <= self.power < np.inf:
+            raise JammerConfigError(
+                f"power must be finite and non-negative, got {self.power!r}")
 
 
 def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int,
@@ -72,8 +73,9 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
         m = config.psk_order
         cp_phases = np.exp(2j * np.pi * rng.integers(0, m, n_blocks) / m)
     wave = modulate_block(blocks, cp_phases, config)
-    wave = apply_offsets(wave, spec.offsets)
-    samples = wave.samples[:duration_samples]
+    # offsets act sample by sample, so only the kept samples are rotated
+    samples = apply_offsets(ComplexSignal(wave.samples[:duration_samples], dt),
+                            spec.offsets).samples
     # CP samples carry the same per-sample power as the body, so the analytic
     # mean per-sample power of the OFDM waveform is P_S/N_c.
     mean_power = config.symbol_power / config.n_carriers

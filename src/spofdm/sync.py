@@ -195,18 +195,20 @@ def demod_fft(r: ComplexSignal, body_starts, config: OfdmConfig,
     spec = np.fft.fft(r.samples[starts[..., None] + np.arange(n_c)], axis=-1)
     n_fft = sync_cfg.n_fft(config)
     bins = np.arange(n_fft) % n_c
-    # C order keeps the block averages downstream summing in row order
-    return (n_fft / n_c) * np.ascontiguousarray(spec[..., bins])
+    return (n_fft / n_c) * spec[..., bins]
 
 
 def _gamma_avg(r_blocks: np.ndarray, pilot_phases: np.ndarray,
                lag: int = 1) -> np.ndarray:
     """Block average of the despread cross-block products at the given block
-    lag, one value per extended-grid bin."""
+    lag: ``r_blocks`` (K+1, ..., bins) with ``pilot_phases`` (K+1, ...), one
+    phase per block and leading index, give one value per (..., bins)."""
     dphase = pilot_phases[:-lag] - pilot_phases[lag:]
     gamma = (r_blocks[:-lag] * np.conj(r_blocks[lag:])
-             * np.exp(1j * dphase)[:, None])
-    return gamma.mean(axis=0)
+             * np.exp(1j * dphase)[..., None])
+    # sums in block order whatever the memory layout or shape, where
+    # mean(axis=0) sums pairwise along a contiguous block axis
+    return np.cumsum(gamma, axis=0)[-1] / len(gamma)
 
 
 def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
@@ -217,22 +219,25 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
 
     ``r_blocks``: (K+1, N_c') demodulated blocks; ``pilots``: [(index,
     value), ...]; ``phases``: (K+1, P) secret phases of the pilot
-    subcarriers for the same blocks. The 1/|p|^2-weighted metrics of all
-    pilots and block lags 1..3 are added before the peak search, which runs
-    only over the feasible bins (index + n0) mod N_c' for n0 in [n_l, n_u];
-    the bound on the integer offset is known a priori.
+    subcarriers for the same blocks. The bound on the integer offset is known
+    a priori, so only the feasible bins (index + n0) mod N_c' for n0 in
+    [n_l, n_u] are read: they are gathered once into a (K+1, P, n_u-n_l+1)
+    array, and each block lag's despread cross-block average is formed once
+    over it. The 1/|p|^2-weighted metrics of all pilots and block lags 1..3
+    are added before the peak search.
     Returns (n0_hat, zeta0_hat, low_confidence).
     """
     n_fft = r_blocks.shape[1]
     k_count = r_blocks.shape[0] - 1
     tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    gammas = {lag: [_gamma_avg(r_blocks, phases[:, j], lag)
-                    for j in range(len(pilots))]
+    bins = (np.array([idx for idx, _ in pilots])[:, None] + n0_cands) % n_fft
+    r_bins = r_blocks[:, bins]                                    # (K+1, P, C)
+    weights = [abs(value) ** 2 for _, value in pilots]
+    gammas = {lag: _gamma_avg(r_bins, phases, lag)                # (P, C)
               for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
     # each lag contributes an independent average
-    scores = sum(sum(np.abs(g[(idx + n0_cands) % n_fft]) / abs(value) ** 2
-                     for g, (idx, value) in zip(gammas[lag], pilots))
+    scores = sum(sum(np.abs(g) / w for g, w in zip(gammas[lag], weights))
                  for lag in (1, 2, 3) if lag in gammas)
     n0 = int(n0_cands[int(np.argmax(scores))])
     order = np.sort(scores)
@@ -242,8 +247,8 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
         # peak phase is -2*pi*(n0+zeta0)*lag*T_b/T_s; remove the known
         # integer part
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
-        peak = sum(g[(idx + n0) % n_fft] * rot / abs(value) ** 2
-                   for g, (idx, value) in zip(gammas[lag], pilots))
+        peak = sum(g[n0 - sync_cfg.n_l] * rot / w
+                   for g, w in zip(gammas[lag], weights))
         return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
 
     zeta0 = zeta_at(1)
@@ -315,34 +320,45 @@ def estimate_phase(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
     return float(np.angle(total))
 
 
+def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
+                     config: OfdmConfig, sync_cfg: SyncConfig) -> np.ndarray:
+    """:func:`demod_fft` of the bodies at the ascending ``body_starts`` after
+    removing the fractional CFO e^{j 2 pi frac_cfo t/T_s} on absolute time,
+    computed only over the span the bodies cover. The span is clipped to the
+    signal, so a body out of range still fails in demod_fft."""
+    dt = r.sample_interval
+    lo = max(int(body_starts[0]), 0)
+    hi = max(min(int(body_starts[-1]) + config.n_carriers, r.samples.size), lo)
+    t_abs = np.arange(lo, hi) * dt
+    span = ComplexSignal(
+        r.samples[lo:hi] * np.exp(-2j * np.pi * frac_cfo * t_abs / config.t_body),
+        dt)
+    return demod_fft(span, body_starts - lo, config, sync_cfg)
+
+
 def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
                 phase_seq: PhaseSequence):
     """Full two-stage pipeline. Returns (SyncEstimate, pre-FFT surface).
 
     After the coarse stage the fractional CFO is compensated on absolute time
     and the FFT window is backed off into CP2 so the fine-time estimator sees
-    a strictly positive residual offset. The post-FFT stages use the first
-    two pilots in carrier order.
+    a strictly positive residual offset. The compensation covers only the
+    span of the K+1 block bodies the post-FFT stages demodulate. The
+    post-FFT stages use the first two pilots in carrier order.
     """
     est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
     dt = r.sample_interval
     tau_samp = int(round(est.t0_hat / dt))
-
-    t_abs = np.arange(r.samples.size) * dt
-    corrected = ComplexSignal(
-        r.samples * np.exp(-2j * np.pi * est.frac_cfo_hat * t_abs / config.t_body),
-        dt)
 
     pilots = sorted(config.pilot_positions.items())[:2]
     if len(pilots) < 2:
         raise ValueError("post-FFT synchronization needs two pilot carriers")
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
-    r_blocks = demod_fft(corrected, window0 + ks * config.block_samples,
-                         config, sync_cfg)
+    r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
+                                est.frac_cfo_hat, config, sync_cfg)
     plans = phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
-    # C order, as in demod_fft
-    phases = np.ascontiguousarray(plans[:, [1 + i for i, _ in pilots]])
+    phases = plans[:, [1 + i for i, _ in pilots]]
 
     n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,
                                                    config, sync_cfg)

@@ -27,6 +27,12 @@ class TestOffsetSpec:
             with pytest.raises(ValueError, match="delay"):
                 OffsetSpec(delay=delay)
 
+    @pytest.mark.parametrize("field", ["omega0", "phi0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rotation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OffsetSpec(**{field: value})
+
 
 class TestApplyOffsets:
     def test_identity(self):
@@ -52,6 +58,17 @@ class TestApplyOffsets:
         out = apply_offsets(sig, OffsetSpec(delay=5))
         assert np.array_equal(out.samples[5:], sig.samples[:-5])
         assert np.array_equal(out.samples[:5], np.zeros(5))
+
+    @pytest.mark.parametrize("omega0, phi0", [
+        (2 * np.pi * 0.3, 0.0), (0.0, 0.4), (-1e-9, 0.0), (0.0, -np.pi)])
+    def test_either_offset_alone_rotates(self, omega0, phi0):
+        # only omega0 == phi0 == 0 skips the rotation
+        sig = random_signal()
+        out = apply_offsets(sig, OffsetSpec(omega0=omega0, phi0=phi0))
+        t = np.arange(sig.samples.size) * DT
+        oracle = sig.samples * np.exp(1j * (omega0 * t + phi0))
+        assert np.array_equal(out.samples, oracle)
+        assert not np.array_equal(out.samples, sig.samples)
 
     def test_offset_composition(self):
         sig = random_signal()
@@ -106,6 +123,32 @@ class TestApplyFading:
         e_out = np.sum(np.abs(out.samples) ** 2)
         assert abs(e_in - e_out) < 1e-12
 
+    def test_zero_doppler_tap_beside_a_doppler_tap(self):
+        # only the zero-Doppler tap skips its exponential
+        sig = random_signal()
+        taps = ((0, 0.6 + 0.2j, 0.0), (2, -0.3 + 0.5j, 2 * np.pi * 0.05))
+        out = apply_fading(sig, FadingSpec(taps=taps))
+        t = np.arange(sig.samples.size) * DT
+        shifted = np.concatenate([np.zeros(2), sig.samples[:-2]])
+        oracle = (0.6 + 0.2j) * sig.samples + (
+            (-0.3 + 0.5j) * np.exp(1j * 2 * np.pi * 0.05 * t) * shifted)
+        assert np.max(np.abs(out.samples - oracle)) < 1e-12
+
+    def test_rejects_empty_taps(self):
+        with pytest.raises(ValueError, match="taps"):
+            FadingSpec(taps=())
+
+    @pytest.mark.parametrize("tap, field", [
+        ((0, complex(np.nan, 0), 0.0), "tap gain"),
+        ((0, complex(1, np.inf), 0.0), "tap gain"),
+        ((0, np.inf, 0.0), "tap gain"),
+        ((0, 1.0, np.nan), "tap doppler"),
+        ((0, 1.0, -np.inf), "tap doppler"),
+    ])
+    def test_rejects_non_finite_tap(self, tap, field):
+        with pytest.raises(ValueError, match=field):
+            FadingSpec(taps=((1, 0.5, 0.0), tap))
+
     def test_rejects_negative_delay(self):
         with pytest.raises(ValueError):
             FadingSpec(taps=((-1, 1.0, 0.0),))
@@ -150,6 +193,11 @@ class TestAddAwgn:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             add_awgn(random_signal(), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_rejects_non_finite_variance(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            add_awgn(random_signal(), sigma2, 0)
 
 
 class TestComplexNormal:

@@ -100,6 +100,13 @@ class TestScenario:
         sc = table1_scenario(snr_db=15, tap_decay=1)
         assert sc.snr_db == 15 and sc.tap_decay == 1
 
+    def test_float_fields_hold_floats_so_equal_scenarios_hash_alike(self):
+        sc = table1_scenario(snr_db=15, sjr_db=np.float64(0), tap_decay=1)
+        assert sc == table1_scenario(tap_decay=1.0)
+        assert type(sc.snr_db) is float and type(sc.sjr_db) is float
+        assert table1_scenario(snr_db=15).scenario_hash() == "2a52c11987244641"
+        assert table1_scenario().scenario_hash() == "2a52c11987244641"
+
     def test_pilot_spacing_at_limit_with_non_power_of_two_carriers(self):
         # 7 * 7 == 49: accepted by the scenario, so the synchronizer, sampling
         # at 1/49, must not reject the same geometry on a rounded time ratio
@@ -223,6 +230,15 @@ class TestScenarioFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ScenarioFormatError, match=field):
             load_scenario(path)
+
+    def test_integer_float_field_loads_as_float(self, tmp_path):
+        payload = json.loads(table1_scenario().to_json())
+        payload["snr_db"] = 15
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_scenario(path)
+        assert type(loaded.snr_db) is float
+        assert loaded.scenario_hash() == table1_scenario().scenario_hash()
 
     def test_bad_pilot_table(self, tmp_path):
         payload = json.loads(table1_scenario().to_json())
@@ -388,6 +404,12 @@ class TestRecordsPinned:
         ({}, "d693795c7372457797d84e2fb3ce5671024147ceb24a5e1cd02a6eaac301df9f"),
         (dict(channel="multipath", jammer_cp_mode="random_cp"),
          "11f2079ce98331988122e874adcb01913ea5f15bdfb2a227ed0f5d7915d749ff"),
+        (dict(channel="doppler", max_doppler_normalized=0.02, sync_blocks=30),
+         "a0ac0f3afcd31e2fbbb8de664832852f24d811b29bae024874734fd0c8668cd7"),
+        (dict(jammer_strategy="gaussian"),
+         "c1f4722e917634a1a1ae75a513e9e645eaa68668bb40a7a14f5a6567b83c2c9a"),
+        (dict(jammer_strategy="none"),
+         "7c5e65f2334b3bf500364663ef2e204a09b82525d4f2757980c269a1ea87e01a"),
     ])
     def test_sync_records(self, overrides, digest):
         report = run_sync_experiment(table1_scenario(trials=20, **overrides))
@@ -401,6 +423,13 @@ class TestRecordsPinned:
         result = correlation_surface(table1_scenario(sync_blocks=10),
                                      precoding=precoding, n_trials=2)
         assert _sha256(result["surface"].tobytes()) == digest
+
+    def test_multipath_precoded_surface(self):
+        result = correlation_surface(
+            table1_scenario(sync_blocks=10, channel="multipath"),
+            precoding=True, n_trials=2)
+        assert _sha256(result["surface"].tobytes()) == (
+            "1eb069765928914d176b37795d4f1757d7ee66580166dc9e0b74bc784b764798")
 
     @pytest.mark.parametrize("rate, precoding, digest", [
         ("1_3", True,

@@ -23,6 +23,11 @@ class TestJammerSpec:
         with pytest.raises(JammerConfigError):
             JammerSpec(strategy="gaussian", power=-1.0)
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    def test_rejects_non_finite_power(self, power):
+        with pytest.raises(JammerConfigError, match="power"):
+            JammerSpec(strategy="gaussian", power=power)
+
 
 class TestGenerateJamming:
     def test_none_strategy_is_silent(self):

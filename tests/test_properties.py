@@ -2,10 +2,12 @@
 direct correlator, the precode/demodulate/decode round trip, the classical
 receiver as the secure receiver with unit CP phases, the classical
 waveform as the secure waveform with zero angles, batched keystream,
-modulation and demodulation against their per-block forms, the bundled
-LDPC codes' encoder, the LDPC syndrome and encoder against their dense
-GF(2) forms, and LDPC belief propagation against a flooding reference
-decoder."""
+modulation and demodulation against their per-block forms, the
+feasible-bin integer CFO search and the body-span CFO derotation against
+their full-grid and whole-signal forms, sync trials against a shared
+keystream cache and a longer run, the bundled LDPC codes' encoder, the
+LDPC syndrome and encoder against their dense GF(2) forms, and LDPC belief
+propagation against a flooding reference decoder."""
 
 from functools import lru_cache
 
@@ -14,13 +16,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
+                            table1_scenario)
 from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
                               map_psk, phase_plans)
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
                             ldpc_bp_decode, load_alist,
                             make_regular_parity_check)
-from spofdm.sync import (FIRST_BLOCK, SyncConfig, corr_pre_fft, demod_fft,
-                         pre_fft_surface)
+from spofdm.sync import (FIRST_BLOCK, SyncConfig, _demod_derotated,
+                         corr_pre_fft, demod_fft, estimate_fine_time,
+                         estimate_integer_cfo, estimate_phase,
+                         estimate_pre_fft, pre_fft_surface, synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, precode,
                             random_symbol_blocks)
@@ -201,6 +207,259 @@ def test_batched_demod_equals_per_start_calls(n_c, n_samples, margin, data):
                               st.integers(last + 1, 2 * n_samples)))
     with pytest.raises(ValueError, match="out of range"):
         demod_fft(r, np.append(starts, bad), config, sync_cfg)
+
+
+def full_grid_integer_cfo(r_blocks, pilots, phases, config, sync_cfg):
+    """Integer CFO search over the despread cross-block averages of every
+    extended-grid bin, read at the feasible bins afterwards."""
+    def gamma_avg(pilot_phases, lag):
+        dphase = pilot_phases[:-lag] - pilot_phases[lag:]
+        gamma = (r_blocks[:-lag] * np.conj(r_blocks[lag:])
+                 * np.exp(1j * dphase)[:, None])
+        return gamma.mean(axis=0)
+
+    n_fft = r_blocks.shape[1]
+    k_count = r_blocks.shape[0] - 1
+    tb_over_ts = config.block_samples / config.n_carriers
+    n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
+    gammas = {lag: [gamma_avg(phases[:, j], lag) for j in range(len(pilots))]
+              for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
+    scores = sum(sum(np.abs(g[(idx + n0_cands) % n_fft]) / abs(value) ** 2
+                     for g, (idx, value) in zip(gammas[lag], pilots))
+                 for lag in (1, 2, 3) if lag in gammas)
+    n0 = int(n0_cands[int(np.argmax(scores))])
+    order = np.sort(scores)
+    low_conf = bool(order[-1] < 1.5 * order[-2]) if scores.size > 1 else False
+
+    def zeta_at(lag):
+        rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
+        peak = sum(g[(idx + n0) % n_fft] * rot / abs(value) ** 2
+                   for g, (idx, value) in zip(gammas[lag], pilots))
+        return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
+
+    zeta0 = zeta_at(1)
+    lag = min(4, k_count)
+    if lag > 1:
+        zeta_l = zeta_at(lag)
+        period = 1.0 / (lag * tb_over_ts)
+        zeta0 = zeta_l + period * round((zeta0 - zeta_l) / period)
+    return n0, zeta0, low_conf
+
+
+def whole_signal_demod(r, body_starts, frac_cfo, config, sync_cfg):
+    """demod_fft of a copy of the whole signal with the fractional CFO
+    removed on absolute time, in C order so that the full-grid block
+    averages sum in row order."""
+    t_abs = np.arange(r.samples.size) * r.sample_interval
+    corrected = ComplexSignal(
+        r.samples * np.exp(-2j * np.pi * frac_cfo * t_abs / config.t_body),
+        r.sample_interval)
+    return np.ascontiguousarray(demod_fft(corrected, body_starts, config,
+                                          sync_cfg))
+
+
+def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
+    """The two-stage synchronizer with the fractional CFO removed from the
+    whole signal and the integer CFO searched on the full grid."""
+    est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
+    dt = r.sample_interval
+    tau_samp = int(round(est.t0_hat / dt))
+    pilots = sorted(config.pilot_positions.items())[:2]
+    ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
+    window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
+    r_blocks = whole_signal_demod(r, window0 + ks * config.block_samples,
+                                  est.frac_cfo_hat, config, sync_cfg)
+    plans = phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
+    phases = np.ascontiguousarray(plans[:, [1 + i for i, _ in pilots]])
+    n0, zeta0, cfo_low_conf = full_grid_integer_cfo(r_blocks, pilots, phases,
+                                                    config, sync_cfg)
+    t0p = estimate_fine_time(r_blocks[:-1], pilots, phases[:-1], n0, config)
+    t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
+    est.n0_hat = n0
+    est.zeta0_hat = zeta0
+    est.t0p_hat = t0p
+    est.phi0_hat = estimate_phase(r_blocks[:-1], pilots, phases[:-1], n0,
+                                  zeta0, t0p / dt, config, t_window0)
+    est.low_confidence = est.low_confidence or cfo_low_conf
+    return est, surface
+
+
+def outcome(fn, *args):
+    """The bit-exact result of fn(*args), or the ValueError it raised."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def array_bits(a):
+    return (a.shape, a.tobytes())
+
+
+@FAST
+@given(k_count=st.integers(1, 30),
+       n_c=st.sampled_from([16, 64, 128]),
+       n_l=st.integers(-4, 0), n_u=st.integers(0, 4),
+       carriers=st.lists(st.one_of(st.integers(-4, 3), st.integers(0, 127)),
+                         min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k_count=1, n_c=16, n_l=-2, n_u=2, carriers=[-1, 0], seed=1)
+@example(k_count=2, n_c=16, n_l=-2, n_u=2, carriers=[-1, 0], seed=2)
+@example(k_count=3, n_c=16, n_l=-2, n_u=2, carriers=[-1, 0], seed=3)
+@example(k_count=4, n_c=16, n_l=-2, n_u=2, carriers=[-1, 0], seed=4)
+@example(k_count=7, n_c=16, n_l=0, n_u=0, carriers=[0], seed=1)
+def test_feasible_bin_integer_cfo_is_full_grid_search(k_count, n_c, n_l, n_u,
+                                                      carriers, seed):
+    # K from 1 to 30 covers the lag sets {1}, {1,2}, {1,2,3} and {1,2,3,4};
+    # carriers -4..3 taken mod N_c sit at both ends of the carrier range, so
+    # (index + n0) mod N_c' wraps
+    config = OfdmConfig(n_carriers=n_c, cp1_samples=2, cp2_samples=1,
+                        psk_order=16)
+    sync_cfg = SyncConfig(n_blocks=k_count, n_l=n_l, n_u=n_u)
+    rng = np.random.default_rng(seed)
+    pilots = [(i, complex(*rng.normal(size=2)))
+              for i in dict.fromkeys(c % n_c for c in carriers)]
+    n_fft = sync_cfg.n_fft(config)
+    r_blocks = (rng.normal(size=(k_count + 1, n_fft))
+                + 1j * rng.normal(size=(k_count + 1, n_fft)))
+    phases = 2 * np.pi * rng.integers(0, 16, (k_count + 1, len(pilots))) / 16
+    args = (r_blocks, pilots, phases, config, sync_cfg)
+    assert outcome(estimate_integer_cfo, *args) == outcome(
+        full_grid_integer_cfo, *args)
+
+
+@FAST
+@given(n_c=st.sampled_from([8, 16, 32]),
+       n_samples=st.integers(20, 200),
+       margin=st.integers(0, 3),
+       data=st.data())
+def test_body_span_derotation_is_whole_signal_derotation(n_c, n_samples,
+                                                         margin, data):
+    # windows may start before sample 0 or end past the last sample
+    config = OfdmConfig(n_carriers=n_c, cp1_samples=1, cp2_samples=1,
+                        psk_order=4)
+    sync_cfg = SyncConfig(n_l=-margin, n_u=margin)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    r = ComplexSignal(rng.normal(size=n_samples)
+                      + 1j * rng.normal(size=n_samples), config.sample_interval)
+    first = data.draw(st.integers(-2 * n_c, n_samples))
+    starts = first + data.draw(st.integers(0, n_c)) * np.arange(
+        data.draw(st.integers(1, 6)))
+    frac = data.draw(st.floats(0, 1, exclude_max=True))
+    span = outcome(lambda *a: array_bits(_demod_derotated(*a)),
+                   r, starts, frac, config, sync_cfg)
+    whole = outcome(lambda *a: array_bits(whole_signal_demod(*a)),
+                    r, starts, frac, config, sync_cfg)
+    assert span == whole
+    in_range = starts[0] >= 0 and starts[-1] <= n_samples - n_c
+    assert span.startswith("ValueError: block body out of range") != in_range
+
+
+@st.composite
+def sync_links(draw):
+    """A small pilot-carrying link and a received signal with random delay,
+    CFO and phase, noise, and a length that may cut the last bodies short."""
+    n_c = draw(st.sampled_from([16, 32, 64]))
+    cp1 = draw(st.integers(2, n_c // 4))
+    cp2 = draw(st.integers(1, n_c // 8))
+    i1 = draw(st.integers(0, n_c - 2))
+    i2 = draw(st.integers(i1 + 1, min(i1 + n_c // cp2, n_c - 1)))
+    config = OfdmConfig(n_carriers=n_c, cp1_samples=cp1, cp2_samples=cp2,
+                        psk_order=draw(st.sampled_from([4, 16])),
+                        pilot_positions={i1: 1.0 + 0j, i2: -1.0 + 0j})
+    k_count = draw(st.integers(1, 6))
+    sync_cfg = SyncConfig(n_blocks=k_count,
+                          candidates=np.arange(draw(st.integers(1, 4))),
+                          n_l=draw(st.integers(-2, 0)),
+                          n_u=draw(st.integers(0, 2)))
+    k0 = draw(st.integers(0, sync_cfg.candidates.size - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_blocks = k_count + 4
+    blocks = random_symbol_blocks(rng, n_blocks, config)
+    angles = phase_plans(KEY, 0, k0, n_blocks, n_c, config.psk_order)
+    wave = build_waveform(blocks, angles, config).samples
+    delay = draw(st.integers(0, config.block_samples - 1))
+    samples = np.concatenate([np.zeros(delay, dtype=complex), wave])
+    t = np.arange(samples.size) * config.sample_interval
+    nu = draw(st.floats(sync_cfg.n_l, sync_cfg.n_u))
+    samples = samples * np.exp(1j * (2 * np.pi * nu * t + draw(
+        st.floats(0, 2 * np.pi))))
+    samples += 0.1 * (rng.normal(size=samples.size)
+                      + 1j * rng.normal(size=samples.size))
+    shortest = ((FIRST_BLOCK + k_count) * config.block_samples - cp2 + n_c)
+    size = draw(st.integers(shortest, samples.size))
+    return config, sync_cfg, ComplexSignal(samples[:size],
+                                           config.sample_interval)
+
+
+@FAST
+@given(sync_links())
+def test_synchronize_is_whole_signal_synchronize(link):
+    config, sync_cfg, r = link
+
+    def run(fn):
+        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        return outcome(lambda: (lambda est, surface: (
+            repr(est), array_bits(surface)))(*fn(r, config, sync_cfg, seq)))
+
+    assert run(synchronize) == run(whole_signal_synchronize)
+
+
+def test_synchronize_body_past_the_end_still_raises():
+    # a signal just long enough for the pre-FFT stage whose correlation
+    # peak sits at the last trial offset: the last body runs past the end
+    config = OfdmConfig(n_carriers=32, cp1_samples=4, cp2_samples=2,
+                        psk_order=4, pilot_positions={3: 1.0 + 0j, 9: 1.0 + 0j})
+    sync_cfg = SyncConfig(n_blocks=3, candidates=[0])
+    rng = np.random.default_rng(5)
+    angles = phase_plans(KEY, 0, 0, 8, 32, 4)
+    wave = build_waveform(random_symbol_blocks(rng, 8, config), angles, config)
+    delay = config.block_samples - 1 - config.cp_samples
+    shortest = (FIRST_BLOCK + 3) * config.block_samples - 2 + 32
+    r = ComplexSignal(np.concatenate([np.zeros(delay, dtype=complex),
+                                      wave.samples])[:shortest],
+                      config.sample_interval)
+    seq = PhaseSequence(KEY, 0, 32, 4)
+    for fn in (synchronize, whole_signal_synchronize):
+        with pytest.raises(ValueError, match="block body out of range"):
+            fn(r, config, sync_cfg, seq)
+
+
+SYNC_TRIAL_SETTINGS = st.sampled_from([
+    {}, {"channel": "multipath"},
+    {"channel": "doppler", "max_doppler_normalized": 0.02},
+    {"jammer_strategy": "gaussian"}, {"jammer_strategy": "none"},
+    {"jammer_cp_mode": "random_cp"}])
+
+
+@settings(max_examples=15, deadline=None)
+@given(overrides=SYNC_TRIAL_SETTINGS,
+       sync_blocks=st.integers(1, 12),
+       master_seed=st.integers(0, 2 ** 32 - 1),
+       trials=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8))
+def test_sync_trial_ignores_keystream_cache_state(overrides, sync_blocks,
+                                                  master_seed, trials):
+    # each trial on a fresh sequence against all trials on one sequence
+    # grown past block 200 first
+    scenario = table1_scenario(sync_blocks=sync_blocks,
+                               master_seed=master_seed, **overrides)
+    grown = _link(scenario)
+    grown.phase_seq.plan(0, 201)
+    for trial in trials:
+        assert repr(_sync_trial(scenario, trial, _link(scenario))) == repr(
+            _sync_trial(scenario, trial, grown))
+
+
+@settings(max_examples=5, deadline=None)
+@given(overrides=SYNC_TRIAL_SETTINGS,
+       master_seed=st.integers(0, 2 ** 32 - 1))
+def test_sync_records_are_a_prefix_of_a_longer_run(overrides, master_seed):
+    scenario = table1_scenario(sync_blocks=5, master_seed=master_seed,
+                               trials=20, **overrides)
+    longer = run_sync_experiment(scenario)
+    shorter = run_sync_experiment(table1_scenario(
+        sync_blocks=5, master_seed=master_seed, trials=5, **overrides))
+    assert repr(shorter.records) == repr(longer.records[:5])
 
 
 @lru_cache(maxsize=None)
