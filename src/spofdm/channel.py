@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txchain import ComplexSignal
+from .txchain import ComplexSignal, phase_ramp
 
 __all__ = [
     "OffsetSpec",
@@ -74,8 +74,7 @@ def apply_offsets(signal: ComplexSignal, spec: OffsetSpec) -> ComplexSignal:
     dt = signal.sample_interval
     x = _delay(signal.samples, spec.delay)
     if spec.omega0 or spec.phi0:
-        t = np.arange(x.size) * dt
-        x = x * np.exp(1j * (spec.omega0 * t + spec.phi0))
+        x = x * phase_ramp(spec.omega0 * dt, spec.phi0, x.size)
     return ComplexSignal(x, dt)
 
 
@@ -87,11 +86,10 @@ def apply_fading(signal: ComplexSignal, spec: FadingSpec) -> ComplexSignal:
     """
     dt = signal.sample_interval
     x = signal.samples
-    t = np.arange(x.size) * dt
     out = np.zeros_like(x)
     for delay, gain, doppler in spec.taps:
         # a zero-Doppler tap is a plain scaled copy: no e^{j0t} pass
-        scale = gain * np.exp(1j * doppler * t) if doppler else gain
+        scale = gain * phase_ramp(doppler * dt, 0.0, x.size) if doppler else gain
         out += scale * _delay(x, delay)
     return ComplexSignal(out, dt)
 

@@ -361,15 +361,15 @@ def _draw_offsets(scenario: Scenario, config: OfdmConfig,
 
 
 def _transmit(scenario: Scenario, link: _Link, rng: np.random.Generator,
-              angles: np.ndarray, offsets: OffsetSpec,
+              phasors: np.ndarray, offsets: OffsetSpec,
               jam_offsets) -> ComplexSignal:
-    """Random symbol blocks, one per row of ``angles`` (all zero for classical
-    OFDM), through the scenario's fading and the ``offsets``, plus jamming
-    emitted with the offsets ``jam_offsets()`` returns, plus receiver noise.
-    A silent jammer draws no offsets, so the noise keeps its RNG place."""
+    """Random symbol blocks, one per row of secret ``phasors`` (all one for
+    classical OFDM), through the scenario's fading and the ``offsets``, plus
+    jamming emitted with the offsets ``jam_offsets()`` returns, plus receiver
+    noise. A silent jammer draws no offsets, so the noise keeps its RNG place."""
     config = link.config
-    blocks = random_symbol_blocks(rng, len(angles), config)
-    wave = build_waveform(blocks, angles, config)
+    blocks = random_symbol_blocks(rng, len(phasors), config)
+    wave = build_waveform(blocks, phasors, config)
     fading = _draw_fading(scenario, config, rng)
     if fading is not None:
         wave = apply_fading(wave, fading)
@@ -394,8 +394,8 @@ def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
     nu_true = offsets.omega0 * config.t_body / (2 * np.pi)
 
     n_blocks = scenario.sync_blocks + 4
-    angles = phase_seq.plan(k0, k0 + n_blocks - 1)
-    r = _transmit(scenario, link, rng, angles, offsets,
+    phasors = phase_seq.phasors(k0, k0 + n_blocks - 1)
+    r = _transmit(scenario, link, rng, phasors, offsets,
                   lambda: _draw_offsets(scenario, config, rng))
 
     t0_true = offsets.delay * config.sample_interval
@@ -638,12 +638,12 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
 
     n_blocks = scenario.sync_blocks + 4
-    angles = (phase_seq.plan(k0, k0 + n_blocks - 1) if precoding
-              else np.zeros((n_blocks, config.n_carriers + 1)))
+    phasors = (phase_seq.phasors(k0, k0 + n_blocks - 1) if precoding
+               else np.ones((n_blocks, config.n_carriers + 1), dtype=complex))
     acc = 0.0
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
-        r = _transmit(scenario, link, rng, angles,
+        r = _transmit(scenario, link, rng, phasors,
                       OffsetSpec(delay=signal_offset_samples),
                       lambda: OffsetSpec(delay=jammer_offset_samples))
         acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg,

@@ -113,7 +113,8 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
 
 class PhaseSequence:
     """Cached phase plans of one (key, epoch), one row per block as in
-    :func:`phase_plans`; rows 0..k are derived when block k is first needed.
+    :func:`phase_plans`, and their unit phasors; rows 0..k are derived when
+    block k is first needed.
 
     The receiver's nominal sequence; the transmitter's sequence is the same
     rows at a shifted block index.
@@ -125,6 +126,10 @@ class PhaseSequence:
         self.n_carriers = n_carriers
         self.psk_order = psk_order
         self._angles = np.empty((0, n_carriers + 1))
+        self._phasors = np.empty((0, n_carriers + 1), dtype=complex)
+        # entry v is e^{j 2 pi v/M} from map_psk's angle formula, so it is
+        # bitwise np.exp(1j * angle) of each angle 2 pi v/M of the plans
+        self._table = np.exp(1j * (2.0 * np.pi * np.arange(psk_order) / psk_order))
 
     def plan(self, k_first: int, k_last: int) -> np.ndarray:
         """Rows of blocks k_first..k_last inclusive (read-only)."""
@@ -134,6 +139,14 @@ class PhaseSequence:
         if k_last >= have:
             more = phase_plans(self.key, self.epoch, have, k_last + 1 - have,
                                self.n_carriers, self.psk_order)
+            # each angle is an exact multiple of 2 pi/M: v is its table index
+            v = np.rint(more * (self.psk_order / (2 * np.pi))).astype(np.intp)
             self._angles = np.concatenate([self._angles, more])
-            self._angles.flags.writeable = False
+            self._phasors = np.concatenate([self._phasors, self._table[v]])
+            self._angles.flags.writeable = self._phasors.flags.writeable = False
         return self._angles[k_first:k_last + 1]
+
+    def phasors(self, k_first: int, k_last: int) -> np.ndarray:
+        """e^{j * plan(k_first, k_last)} from an M-entry table (read-only)."""
+        self.plan(k_first, k_last)
+        return self._phasors[k_first:k_last + 1]

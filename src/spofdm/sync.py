@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .keystream import PhaseSequence
-from .txchain import ComplexSignal, OfdmConfig
+from .txchain import ComplexSignal, OfdmConfig, phase_ramp
 
 __all__ = [
     "SyncConfig",
     "SyncEstimate",
-    "v_expected",
     "corr_pre_fft",
     "pre_fft_surface",
     "estimate_pre_fft",
@@ -84,13 +83,6 @@ class SyncEstimate:
         return self.frac_cfo_hat + self.n0_hat + self.zeta0_hat
 
 
-def v_expected(tau: float | np.ndarray, t_cp1: float) -> np.ndarray:
-    """Limit shape of the averaged CP1 correlation: a triangle of height and
-    half-width T_CP1 centred at zero offset."""
-    tau = np.asarray(tau, dtype=float)
-    return np.where(np.abs(tau) < t_cp1, t_cp1 - np.abs(tau), 0.0)
-
-
 def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
                  phase_seq: PhaseSequence, config: OfdmConfig) -> complex:
     """Single correlation coefficient Y_k(tau, d) as a direct Riemann sum.
@@ -105,7 +97,7 @@ def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
     if start < 0 or stop + n_c > x.size:
         raise ValueError("correlation window out of range")
     window = x[start:stop] * np.conj(x[start + n_c:stop + n_c])
-    cp_phase = np.exp(1j * phase_seq.plan(k + d, k + d)[0, 0])
+    cp_phase = phase_seq.phasors(k + d, k + d)[0, 0]
     return complex(np.sum(window) * np.conj(cp_phase) * r.sample_interval)
 
 
@@ -132,8 +124,8 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
             f"got {x.size}"
         )
 
-    # pointwise lag-N_c products, then sliding CP1-window sums
-    prods = x[: x.size - n_c] * np.conj(x[n_c:]) * dt
+    # lag-N_c products over the prefix the windows read, then CP1-window sums
+    prods = x[: needed - n_c] * np.conj(x[n_c:needed]) * dt
     csum = np.concatenate([[0.0 + 0j], np.cumsum(prods)])
     # W[s] = sum prods[s : s+cp1]
     w = csum[cp1:] - csum[:-cp1]
@@ -147,31 +139,32 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     d_vals = sync_cfg.candidates
     k_max = int(ks[-1] + d_vals.max())
     k_min = int(ks[0] + d_vals.min())
-    cp_seq = np.exp(1j * phase_seq.plan(k_min, k_max)[:, 0])
+    cp_seq = phase_seq.phasors(k_min, k_max)[:, 0]
     idx = (ks[:, None] + d_vals[None, :]) - k_min                  # (K, D)
     c = cp_seq[idx]
     return (y.T @ np.conj(c)) / k_count                            # (tau, D)
 
 
 def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                     phase_seq: PhaseSequence):
+                     phase_seq: PhaseSequence | None = None):
     """Coarse estimates from the pre-FFT surface.
 
     Returns (estimate, surface); the estimate carries the argmax time offset,
-    the winning candidate offset and the fractional CFO from the peak phase.
-    Ties break toward the lowest (tau, d) index.
+    the winning candidate offset (0 classically) and the fractional CFO from
+    the peak phase. Ties break toward the lowest (tau, d) index.
     """
     surface = pre_fft_surface(r, config, sync_cfg, phase_seq)
-    mag = np.abs(surface)
+    grid = surface.reshape(len(surface), -1)  # one column classically
+    mag = np.abs(grid)
     tau_idx, d_idx = np.unravel_index(np.argmax(mag), mag.shape)
-    peak = surface[tau_idx, d_idx]
+    peak = grid[tau_idx, d_idx]
     frac = float((-np.angle(peak) / (2 * np.pi)) % 1.0)
     low_conf = bool(mag.max() < 1.5 * mag.mean())
     # The row index marks the CP1 window start plus one CP length, because the
     # waveform origin sits at the start of block 0's CP1, not its body.
     est = SyncEstimate(
         t0_hat=float((tau_idx - config.cp_samples) * r.sample_interval),
-        k0_hat=int(sync_cfg.candidates[d_idx]),
+        k0_hat=0 if phase_seq is None else int(sync_cfg.candidates[d_idx]),
         frac_cfo_hat=frac,
         peak_metric=float(np.abs(peak)),
         low_confidence=low_conf,
@@ -329,16 +322,16 @@ def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
     dt = r.sample_interval
     lo = max(int(body_starts[0]), 0)
     hi = max(min(int(body_starts[-1]) + config.n_carriers, r.samples.size), lo)
-    t_abs = np.arange(lo, hi) * dt
-    span = ComplexSignal(
-        r.samples[lo:hi] * np.exp(-2j * np.pi * frac_cfo * t_abs / config.t_body),
-        dt)
+    ramp = phase_ramp(-2 * np.pi * frac_cfo * dt / config.t_body, 0.0, hi - lo, lo)
+    span = ComplexSignal(r.samples[lo:hi] * ramp, dt)
     return demod_fft(span, body_starts - lo, config, sync_cfg)
 
 
 def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                phase_seq: PhaseSequence):
+                phase_seq: PhaseSequence | None = None):
     """Full two-stage pipeline. Returns (SyncEstimate, pre-FFT surface).
+    Without a phase sequence it is the classical receiver: unit CP phases,
+    sequence offset 0 and zero pilot phases.
 
     After the coarse stage the fractional CFO is compensated on absolute time
     and the FFT window is backed off into CP2 so the fine-time estimator sees
@@ -357,7 +350,8 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
                                 est.frac_cfo_hat, config, sync_cfg)
-    plans = phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
+    plans = (np.zeros((ks.size, config.n_carriers + 1)) if phase_seq is None
+             else phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat))
     phases = plans[:, [1 + i for i, _ in pilots]]
 
     n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,

@@ -21,6 +21,7 @@ __all__ = [
     "modulate_block",
     "build_waveform",
     "random_symbol_blocks",
+    "phase_ramp",
 ]
 
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
@@ -101,19 +102,19 @@ def random_symbol_blocks(rng: np.random.Generator, n_blocks: int,
     return symbols
 
 
-def precode(symbols: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Apply the secret per-carrier phase rotations: out_i = S_i * e^{-j Theta_i}.
+def precode(symbols: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+    """Apply the secret rotations: out_i = S_i * conj(P_i), P_i = e^{j Theta_i}.
 
     Broadcasts over leading axes: one block or a (B, N_c) batch.
     """
-    if np.shape(phases)[-1] != np.shape(symbols)[-1]:
+    if np.shape(phasors)[-1] != np.shape(symbols)[-1]:
         raise ValueError("phase plan length does not match symbol vector")
-    return symbols * np.exp(-1j * phases)
+    return symbols * np.conj(phasors)
 
 
-def decode_phases(precoded: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def decode_phases(precoded: np.ndarray, phasors: np.ndarray) -> np.ndarray:
     """Inverse of :func:`precode` (conjugate phase rotations)."""
-    return precode(precoded, -np.asarray(phases))
+    return precode(precoded, np.conj(phasors))
 
 
 def modulate_block(precoded: np.ndarray, cp_phase,
@@ -137,15 +138,29 @@ def modulate_block(precoded: np.ndarray, cp_phase,
     return ComplexSignal(samples.ravel(), config.sample_interval)
 
 
-def build_waveform(symbols: np.ndarray, angles: np.ndarray,
+def build_waveform(symbols: np.ndarray, phasors: np.ndarray,
                    config: OfdmConfig) -> ComplexSignal:
     """SP-OFDM waveform of consecutive blocks.
 
-    Row b of ``angles`` is the secret randomness of block b as returned by
-    :func:`spofdm.keystream.phase_plans`: the CP phase angle, then the
-    subcarrier phases. All-zero angles give the classical OFDM waveform,
-    ``modulate_block(symbols, 1.0, config)``.
+    Row b of ``phasors`` is the secret randomness of block b as unit phasors,
+    as returned by :meth:`spofdm.keystream.PhaseSequence.phasors`: the CP
+    phase symbol, then the subcarrier phasors. All-one phasors give the
+    classical OFDM waveform, ``modulate_block(symbols, 1.0, config)``.
     """
-    angles = np.asarray(angles)
-    return modulate_block(precode(symbols, angles[..., 1:]),
-                          np.exp(1j * angles[..., 0]), config)
+    phasors = np.asarray(phasors)
+    return modulate_block(precode(symbols, phasors[..., 1:]), phasors[..., 0], config)
+
+
+def phase_ramp(step: float, phase: float, n: int, first: int = 0) -> np.ndarray:
+    """e^{j(step*k + phase)} for k = first .. first+n-1.
+
+    Sample k is C[k // 64] * F[k % 64], with C[q] = e^{j(64*step*q + phase)}
+    and F[i] = e^{j*step*i}: about n/64 + 64 exps instead of n. Whole rows are
+    formed, then sliced, so sample k depends only on k: any span is bitwise
+    the same slice of the ramp over [0, first+n).
+    """
+    q0, q1 = first // 64, -(-(first + n) // 64)
+    coarse = np.exp(1j * (step * 64 * np.arange(q0, q1) + phase))
+    fine = np.exp(1j * (step * np.arange(64)))
+    lo = first - q0 * 64
+    return (coarse[:, None] * fine).ravel()[lo:lo + n]

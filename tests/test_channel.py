@@ -6,7 +6,7 @@ from scipy import stats
 
 from spofdm.channel import (FadingSpec, OffsetSpec, add_awgn, apply_fading,
                             apply_offsets, complex_normal, random_multipath_taps)
-from spofdm.txchain import ComplexSignal
+from spofdm.txchain import ComplexSignal, phase_ramp
 
 DT = 1.0 / 128
 
@@ -65,8 +65,7 @@ class TestApplyOffsets:
         # only omega0 == phi0 == 0 skips the rotation
         sig = random_signal()
         out = apply_offsets(sig, OffsetSpec(omega0=omega0, phi0=phi0))
-        t = np.arange(sig.samples.size) * DT
-        oracle = sig.samples * np.exp(1j * (omega0 * t + phi0))
+        oracle = sig.samples * phase_ramp(omega0 * DT, phi0, sig.samples.size)
         assert np.array_equal(out.samples, oracle)
         assert not np.array_equal(out.samples, sig.samples)
 

@@ -401,16 +401,17 @@ class TestRecordsPinned:
     that moves any BER record or decoded bit, shows here."""
 
     @pytest.mark.parametrize("overrides, digest", [
-        ({}, "d693795c7372457797d84e2fb3ce5671024147ceb24a5e1cd02a6eaac301df9f"),
+        ({}, "92108b01117cbc5983abaeb45f86ab8722043f3d46e0f8eae11cb516ac22dd40"),
         (dict(channel="multipath", jammer_cp_mode="random_cp"),
-         "11f2079ce98331988122e874adcb01913ea5f15bdfb2a227ed0f5d7915d749ff"),
+         "887d63c96b7a589a149e94f1587a2c889785431f687d68719342896446478d04"),
         (dict(channel="doppler", max_doppler_normalized=0.02, sync_blocks=30),
-         "a0ac0f3afcd31e2fbbb8de664832852f24d811b29bae024874734fd0c8668cd7"),
+         "6ce10decebb1a6f70764327f896244a1ee5f8d19873d0d64a5325873045e95d2"),
         (dict(jammer_strategy="gaussian"),
-         "c1f4722e917634a1a1ae75a513e9e645eaa68668bb40a7a14f5a6567b83c2c9a"),
+         "789f50219e351e692620758d969cb3deb3e7d4ad73718bfc7f823f3713381ee8"),
         (dict(jammer_strategy="none"),
-         "7c5e65f2334b3bf500364663ef2e204a09b82525d4f2757980c269a1ea87e01a"),
-    ])
+         "c88c76d6f4b647cc639f1b7b4e1e6c742a2cbed832a83558d2b521ba81d59eb8"),
+    ], ids=["awgn", "multipath_random_cp", "doppler", "gaussian_jammer",
+            "no_jammer"])
     def test_sync_records(self, overrides, digest):
         report = run_sync_experiment(table1_scenario(trials=20, **overrides))
         assert _sha256(report.records_csv().encode()) == digest
@@ -418,7 +419,7 @@ class TestRecordsPinned:
     @pytest.mark.parametrize("precoding, digest", [
         (True, "a3bf62fa9aaedab67fed1eca20e21e295bb4967175a4f53e42e18a0085e3a8a5"),
         (False, "46adde277885378dcc30b6947b0143c9dd4fde4b23f87e267a82a7d0fd7d3d0c"),
-    ])
+    ], ids=["precoded", "classical"])
     def test_awgn_surfaces(self, precoding, digest):
         result = correlation_surface(table1_scenario(sync_blocks=10),
                                      precoding=precoding, n_trials=2)

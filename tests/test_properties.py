@@ -1,8 +1,8 @@
 """Property tests for invariants of the link: the pre-FFT surface against its
 direct correlator, the precode/demodulate/decode round trip, the classical
 receiver as the secure receiver with unit CP phases, the classical
-waveform as the secure waveform with zero angles, batched keystream,
-modulation and demodulation against their per-block forms, the
+waveform as the secure waveform with zero angles (unit phasors), batched
+keystream, modulation and demodulation against their per-block forms, the
 feasible-bin integer CFO search and the body-span CFO derotation against
 their full-grid and whole-signal forms, sync trials against a shared
 keystream cache and a longer run, the bundled LDPC codes' encoder, the
@@ -28,7 +28,7 @@ from spofdm.sync import (FIRST_BLOCK, SyncConfig, _demod_derotated,
                          estimate_integer_cfo, estimate_phase,
                          estimate_pre_fft, pre_fft_surface, synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
-                            decode_phases, modulate_block, precode,
+                            decode_phases, modulate_block, phase_ramp, precode,
                             random_symbol_blocks)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
@@ -53,7 +53,7 @@ def small_links(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = random_symbol_blocks(rng, n_blocks + 3, config)
     angles = phase_plans(KEY, 0, k0, n_blocks + 3, n_c, config.psk_order)
-    wave = build_waveform(blocks, angles, config)
+    wave = build_waveform(blocks, np.exp(1j * angles), config)
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave.samples])
     samples += 0.1 * (rng.normal(size=samples.size)
                       + 1j * rng.normal(size=samples.size))
@@ -62,10 +62,10 @@ def small_links(draw):
 
 
 class UnitCpPhases:
-    """Phase sequence stand-in whose CP phase is 1 for every block."""
+    """Phase sequence stand-in whose CP phase symbol is 1 for every block."""
 
-    def plan(self, k_first, k_last):
-        return np.zeros((k_last - k_first + 1, 1))
+    def phasors(self, k_first, k_last):
+        return np.ones((k_last - k_first + 1, 1), dtype=complex)
 
 
 @FAST
@@ -105,9 +105,8 @@ def test_precode_modulate_demodulate_decode_round_trip(n_c, psk_order,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     rng = np.random.default_rng(seed)
     block = random_symbol_blocks(rng, 1, config)[0]
-    plan = phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0]
-    sig = modulate_block(precode(block, plan[1:]), np.exp(1j * plan[0]),
-                         config)
+    plan = np.exp(1j * phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0])
+    sig = modulate_block(precode(block, plan[1:]), plan[0], config)
     demod = demod_fft(sig, config.cp_samples, config, SyncConfig(n_l=0, n_u=0))
     decoded = decode_phases(demod, plan[1:])
     assert np.max(np.abs(decoded - block)) < 1e-9
@@ -177,11 +176,74 @@ def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
                         psk_order=16, pilot_positions={0: 1.0 + 0j})
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    zeros = np.zeros((n_blocks, n_c + 1))
-    for symbols, angles in ((blocks[0], zeros[0]), (blocks, zeros)):
-        secure = build_waveform(symbols, angles, config).samples
+    ones = np.ones((n_blocks, n_c + 1), dtype=complex)
+    for symbols, phasors in ((blocks[0], ones[0]), (blocks, ones)):
+        secure = build_waveform(symbols, phasors, config).samples
         classical = modulate_block(symbols, 1.0, config).samples
         assert secure.tobytes() == classical.tobytes()
+
+
+@FAST
+@given(m=st.sampled_from([2, 4, 16, 256]),
+       n_c=st.sampled_from([1, 7, 128]),
+       epoch=st.integers(0, 2 ** 32 - 1),
+       k_first=st.integers(0, 10 ** 6),
+       count=st.integers(1, 5))
+def test_cached_phasors_are_exp_of_the_plans(m, n_c, epoch, k_first, count):
+    seq = PhaseSequence(KEY, epoch, n_c, m)
+    phasors = seq.phasors(k_first, k_first + count - 1)
+    angles = seq.plan(k_first, k_first + count - 1)
+    assert phasors.tobytes() == np.exp(1j * angles).tobytes()
+    assert np.conj(phasors).tobytes() == np.exp(-1j * angles).tobytes()
+
+
+@FAST
+@given(n_c=st.sampled_from([8, 16, 128]),
+       psk_order=st.sampled_from([2, 4, 16, 256]),
+       n_blocks=st.integers(1, 5),
+       k_first=st.integers(0, 10 ** 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_waveform_from_phasors_is_angle_formula(n_c, psk_order, n_blocks,
+                                                k_first, seed):
+    config = OfdmConfig(n_carriers=n_c, cp1_samples=n_c // 8 or 1,
+                        cp2_samples=n_c // 16 or 1, psk_order=psk_order)
+    blocks = random_symbol_blocks(np.random.default_rng(seed), n_blocks, config)
+    seq = PhaseSequence(KEY, 0, n_c, psk_order)
+    angles = seq.plan(k_first, k_first + n_blocks - 1)
+    direct = modulate_block(blocks * np.exp(-1j * angles[:, 1:]),
+                            np.exp(1j * angles[:, 0]), config)
+    wave = build_waveform(blocks, seq.phasors(k_first, k_first + n_blocks - 1),
+                          config)
+    assert wave.samples.tobytes() == direct.samples.tobytes()
+
+
+RAMP_CASES = dict(step=st.floats(-4, 4), phase=st.floats(-10, 10),
+                  n=st.integers(1, 700), first=st.integers(0, 2000))
+
+
+@FAST
+@given(**RAMP_CASES)
+@example(step=0.05, phase=0.3, n=1, first=0)
+@example(step=0.05, phase=0.0, n=63, first=0)
+@example(step=-0.1, phase=-2.0, n=40, first=77)
+@example(step=-3.9, phase=9.0, n=700, first=1999)
+def test_phase_ramp_is_exp_of_the_ramp(step, phase, n, first):
+    k = np.arange(first, first + n)
+    direct = np.exp(1j * (step * k + phase))
+    ramp = phase_ramp(step, phase, n, first)
+    # both round their arguments, to a few ulps of the argument's magnitude
+    tol = 8 * np.finfo(float).eps * (1 + abs(step) * (first + n) + abs(phase))
+    assert ramp.shape == (n,)
+    assert np.max(np.abs(ramp - direct)) <= tol
+
+
+@FAST
+@given(**RAMP_CASES)
+@example(step=-0.1, phase=0.0, n=1, first=65)
+@example(step=0.02, phase=1.0, n=5, first=60)
+def test_phase_ramp_span_is_slice_of_whole_ramp(step, phase, n, first):
+    whole = phase_ramp(step, phase, first + n)
+    assert phase_ramp(step, phase, n, first).tobytes() == whole[first:].tobytes()
 
 
 @FAST
@@ -250,10 +312,9 @@ def whole_signal_demod(r, body_starts, frac_cfo, config, sync_cfg):
     """demod_fft of a copy of the whole signal with the fractional CFO
     removed on absolute time, in C order so that the full-grid block
     averages sum in row order."""
-    t_abs = np.arange(r.samples.size) * r.sample_interval
-    corrected = ComplexSignal(
-        r.samples * np.exp(-2j * np.pi * frac_cfo * t_abs / config.t_body),
-        r.sample_interval)
+    step = -2 * np.pi * frac_cfo * r.sample_interval / config.t_body
+    corrected = ComplexSignal(r.samples * phase_ramp(step, 0.0, r.samples.size),
+                              r.sample_interval)
     return np.ascontiguousarray(demod_fft(corrected, body_starts, config,
                                           sync_cfg))
 
@@ -377,7 +438,7 @@ def sync_links(draw):
     n_blocks = k_count + 4
     blocks = random_symbol_blocks(rng, n_blocks, config)
     angles = phase_plans(KEY, 0, k0, n_blocks, n_c, config.psk_order)
-    wave = build_waveform(blocks, angles, config).samples
+    wave = build_waveform(blocks, np.exp(1j * angles), config).samples
     delay = draw(st.integers(0, config.block_samples - 1))
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave])
     t = np.arange(samples.size) * config.sample_interval
@@ -412,8 +473,8 @@ def test_synchronize_body_past_the_end_still_raises():
                         psk_order=4, pilot_positions={3: 1.0 + 0j, 9: 1.0 + 0j})
     sync_cfg = SyncConfig(n_blocks=3, candidates=[0])
     rng = np.random.default_rng(5)
-    angles = phase_plans(KEY, 0, 0, 8, 32, 4)
-    wave = build_waveform(random_symbol_blocks(rng, 8, config), angles, config)
+    phasors = np.exp(1j * phase_plans(KEY, 0, 0, 8, 32, 4))
+    wave = build_waveform(random_symbol_blocks(rng, 8, config), phasors, config)
     delay = config.block_samples - 1 - config.cp_samples
     shortest = (FIRST_BLOCK + 3) * config.block_samples - 2 + 32
     r = ComplexSignal(np.concatenate([np.zeros(delay, dtype=complex),

@@ -22,16 +22,15 @@ CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
 PLAIN_GRID = SyncConfig(n_l=0, n_u=0)
 
 
-def subcarrier_phases(key, k_first, count):
-    """Secret subcarrier phases of blocks k_first.. (one row per block)."""
-    return phase_plans(key, 0, k_first, count, CONFIG.n_carriers,
-                       CONFIG.psk_order)[:, 1:]
+def secret_phasors(key, k_first, count):
+    """Unit phasors of the secret plans of blocks k_first.. (one row per
+    block: the CP phase symbol, then the subcarriers)."""
+    return np.exp(1j * phase_plans(key, 0, k_first, count, CONFIG.n_carriers,
+                                   CONFIG.psk_order))
 
 
 def secure_waveform(blocks):
-    return build_waveform(blocks, phase_plans(KEY, 0, 0, len(blocks),
-                                              CONFIG.n_carriers,
-                                              CONFIG.psk_order), CONFIG)
+    return build_waveform(blocks, secret_phasors(KEY, 0, len(blocks)), CONFIG)
 
 
 def block_fft(r, k, start_offset=0):
@@ -56,9 +55,9 @@ class TestCropAndFft:
         blocks = random_symbol_blocks(rng, 2, CONFIG)
         wave = secure_waveform(blocks)
         for k, block in enumerate(blocks):
-            phases = subcarrier_phases(KEY, k, 1)[0]
+            phasors = secret_phasors(KEY, k, 1)[0, 1:]
             out = block_fft(wave, k)
-            expect = block * np.exp(-1j * phases)
+            expect = block * np.conj(phasors)
             assert np.max(np.abs(out - expect)) < 1e-9
 
     def test_start_offset(self):
@@ -86,8 +85,8 @@ class TestSecureDecode:
         blocks = random_symbol_blocks(rng, 2, CONFIG)
         wave = secure_waveform(blocks)
         for k, block in enumerate(blocks):
-            phases = subcarrier_phases(KEY, k, 1)[0]
-            decoded = decode_phases(block_fft(wave, k), phases)
+            phasors = secret_phasors(KEY, k, 1)[0, 1:]
+            decoded = decode_phases(block_fft(wave, k), phasors)
             assert np.max(np.abs(decoded - block)) < 1e-9
 
     def test_wrong_key_scrambles_most_symbols(self):
@@ -100,8 +99,8 @@ class TestSecureDecode:
         total = 0
         qpsk = qpsk_map(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).ravel())
         for k, block in enumerate(blocks):
-            phases = subcarrier_phases(wrong, k, 1)[0]
-            decoded = decode_phases(block_fft(wave, k), phases)
+            phasors = secret_phasors(wrong, k, 1)[0, 1:]
+            decoded = decode_phases(block_fft(wave, k), phasors)
             picks = np.argmin(
                 np.abs(decoded[:, None] - qpsk[None, :]), axis=1)
             truth = np.argmin(
@@ -128,9 +127,9 @@ class TestSecureDecode:
         assert result.pvalue > 0.01
 
     def test_length_mismatch(self):
-        phases = phase_plans(KEY, 0, 0, 1, 64, 16)[0, 1:]
+        phasors = np.exp(1j * phase_plans(KEY, 0, 0, 1, 64, 16)[0, 1:])
         with pytest.raises(ValueError):
-            decode_phases(np.zeros(128, dtype=complex), phases)
+            decode_phases(np.zeros(128, dtype=complex), phasors)
 
 
 class TestQpskAndLlr:

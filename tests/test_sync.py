@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spofdm.channel import OffsetSpec, apply_offsets
+from spofdm.harness import _draw_offsets, _link, _transmit, table1_scenario
 from spofdm.jammer import JammerSpec, combine, generate_jamming
 from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
 from spofdm.sync import (SyncConfig, _gamma_avg, corr_pre_fft, demod_fft,
                          estimate_fine_time, estimate_integer_cfo,
-                         estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize,
-                         v_expected)
+                         estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             random_symbol_blocks)
 
@@ -32,10 +32,17 @@ def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
     blocks = random_symbol_blocks(rng, n_blocks, config)
     angles = phase_plans(KEY, 0, k0, n_blocks, config.n_carriers,
                          config.psk_order)
-    wave = build_waveform(blocks, angles, config)
+    wave = build_waveform(blocks, np.exp(1j * angles), config)
     omega0 = 2 * np.pi * nu / config.t_body
     return apply_offsets(wave, OffsetSpec(delay=t0_samples, omega0=omega0,
                                           phi0=phi0))
+
+
+def v_expected(tau: float | np.ndarray, t_cp1: float) -> np.ndarray:
+    """Limit shape of the averaged CP1 correlation: a triangle of height and
+    half-width T_CP1 centred at zero offset (the criterion-3 oracle)."""
+    tau = np.asarray(tau, dtype=float)
+    return np.where(np.abs(tau) < t_cp1, t_cp1 - np.abs(tau), 0.0)
 
 
 class TestVExpected:
@@ -167,7 +174,7 @@ class TestDemodFft:
         rng = np.random.default_rng(11)
         blocks = random_symbol_blocks(rng, 3, config)
         seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
-        wave = build_waveform(blocks, seq.plan(0, 2), config)
+        wave = build_waveform(blocks, seq.phasors(0, 2), config)
         start = config.block_samples + config.cp_samples
         out = demod_fft(wave, start, config, sync_cfg)
         expected = (132 / 128) * blocks[1] * np.exp(
@@ -338,6 +345,25 @@ class TestSynchronizeNoiseless:
             _, _, est = self.run_case(t0_samples=30, phi0=phi0, seed=3)
             err = (est.phi0_hat - phi0 + np.pi) % (2 * np.pi) - np.pi
             assert abs(err) < 1e-9
+
+
+class TestClassicalSynchronize:
+    def test_classical_trial_without_jammer(self):
+        # the classical receiver is synchronize without a phase sequence,
+        # on a harness trial's unprecoded signal
+        scenario = table1_scenario(jammer_strategy="none")
+        link = _link(scenario)
+        config = link.config
+        rng = np.random.default_rng([scenario.master_seed, 0])
+        offsets = _draw_offsets(scenario, config, rng)
+        ones = np.ones((scenario.sync_blocks + 4, config.n_carriers + 1),
+                       dtype=complex)
+        r = _transmit(scenario, link, rng, ones, offsets, None)
+        est, surface = synchronize(r, config, link.sync_cfg)
+        nu = offsets.omega0 * config.t_body / (2 * np.pi)
+        assert surface.shape == (config.block_samples,)
+        assert est.k0_hat == 0
+        assert abs(est.total_cfo_normalized() - nu) < 0.04
 
 
 class TestSynchronizeUnderJamming:

@@ -18,7 +18,8 @@ def table1_config(**overrides):
 
 
 def plans(k_first, count):
-    return phase_plans(KEY, 0, k_first, count, 128, 16)
+    """Unit phasors of the secret plans of blocks k_first.. ."""
+    return np.exp(1j * phase_plans(KEY, 0, k_first, count, 128, 16))
 
 
 class TestOfdmConfig:
@@ -54,13 +55,13 @@ class TestOfdmConfig:
 class TestPrecode:
     def test_zero_phases_are_identity(self):
         block = np.ones(128, dtype=complex)
-        out = precode(block, np.zeros(128))
+        out = precode(block, np.ones(128, dtype=complex))
         assert np.array_equal(out, block)
 
     def test_quarter_rotation(self):
-        phases = np.zeros(128)
-        phases[0] = np.pi / 2
-        out = precode(np.ones(128, dtype=complex), phases)
+        phasors = np.ones(128, dtype=complex)
+        phasors[0] = 1j
+        out = precode(np.ones(128, dtype=complex), phasors)
         assert out[0] == pytest.approx(-1j, abs=1e-12)
         assert np.max(np.abs(out[1:] - 1.0)) < 1e-12
 
@@ -76,7 +77,7 @@ class TestPrecode:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            precode(np.ones(128, dtype=complex), np.zeros(64))
+            precode(np.ones(128, dtype=complex), np.ones(64, dtype=complex))
 
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(15)
@@ -150,8 +151,7 @@ class TestBuildWaveform:
         config = table1_config()
         blocks = random_symbol_blocks(rng, 1, config)
         plan = plans(0, 1)[0]
-        direct = modulate_block(precode(blocks[0], plan[1:]),
-                                np.exp(1j * plan[0]), config)
+        direct = modulate_block(precode(blocks[0], plan[1:]), plan[0], config)
         wave = build_waveform(blocks, plans(0, 1), config)
         assert np.array_equal(wave.samples, direct.samples)
 
@@ -164,8 +164,8 @@ class TestBuildWaveform:
         # each block boundary starts that block's first CP segment
         for k, block in enumerate(blocks):
             plan = plans(k, 1)[0]
-            seg = modulate_block(precode(block, plan[1:]),
-                                 np.exp(1j * plan[0]), config).samples
+            seg = modulate_block(precode(block, plan[1:]), plan[0],
+                                 config).samples
             assert np.array_equal(wave.samples[k * 152:(k + 1) * 152], seg)
 
     def test_body_power(self):
@@ -184,8 +184,8 @@ class TestBuildWaveform:
         blocks = random_symbol_blocks(rng, 2, config)
         shifted = build_waveform(blocks, plans(7, 2), config)
         plan7 = plans(7, 1)[0]
-        direct = modulate_block(precode(blocks[0], plan7[1:]),
-                                np.exp(1j * plan7[0]), config)
+        direct = modulate_block(precode(blocks[0], plan7[1:]), plan7[0],
+                                config)
         assert np.array_equal(shifted.samples[:152], direct.samples)
 
     def test_plain_waveform_has_classical_cp(self):
