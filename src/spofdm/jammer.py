@@ -66,7 +66,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
         return ComplexSignal(complex_normal(rng, spec.power, (duration_samples,)), dt)
 
     # disguised_ofdm: independent data, own offsets, classical or random CP1.
-    n_blocks = -(-duration_samples // config.block_samples) + 2
+    n_blocks = -(-duration_samples // config.block_samples)
     blocks = random_symbol_blocks(rng, n_blocks, config)
     cp_phases = 1.0
     if spec.cp_phase_mode == "random_cp":

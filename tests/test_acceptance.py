@@ -172,9 +172,9 @@ class TestCriterion5SyncCdfs:
         digests = [hashlib.sha256(report.records_csv().encode()).hexdigest()
                    for report in (awgn, multi, dopp)]
         assert digests == [
-            "87874a9572ac18ae607a08acfae7486b70bc2c2d6c0c8e873e57127bae052f3b",
-            "cb1e8017a6883a41d2f1d056aec408189d04fb0a528fac6f2b63488ed4b31d7e",
-            "695c36bb1c8f5ead48338dea5268fc5d346f5bf9fae646daab7294e7292c5151",
+            "855f621e61e395fa865b6db5af2d74e3cc6651096dda50652bdb7a22a11a9046",
+            "90abb9da449f4dad15a99fa60ce61cc24ea0a702bc902bdf31ebca94b46dceeb",
+            "0f0b2169f0c48489f0c0330820e401a61b6050235afa20c86e281c9da94f4026",
         ]
 
 

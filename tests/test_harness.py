@@ -401,11 +401,11 @@ class TestRecordsPinned:
     that moves any BER record or decoded bit, shows here."""
 
     @pytest.mark.parametrize("overrides, digest", [
-        ({}, "92108b01117cbc5983abaeb45f86ab8722043f3d46e0f8eae11cb516ac22dd40"),
+        ({}, "5aae0794f1ce99b177dc2daf4adc05c2d32632f48837bd7906150e39120ea6fc"),
         (dict(channel="multipath", jammer_cp_mode="random_cp"),
-         "887d63c96b7a589a149e94f1587a2c889785431f687d68719342896446478d04"),
+         "c8834bace77cf4e9b66b941bb38ef219cad5db32642cb01fa33b20ed26d5ae79"),
         (dict(channel="doppler", max_doppler_normalized=0.02, sync_blocks=30),
-         "6ce10decebb1a6f70764327f896244a1ee5f8d19873d0d64a5325873045e95d2"),
+         "a2bc185a868fd0525b018f831a19746a1cf3407aaa3b50d76d04ad739da87011"),
         (dict(jammer_strategy="gaussian"),
          "789f50219e351e692620758d969cb3deb3e7d4ad73718bfc7f823f3713381ee8"),
         (dict(jammer_strategy="none"),
@@ -417,8 +417,8 @@ class TestRecordsPinned:
         assert _sha256(report.records_csv().encode()) == digest
 
     @pytest.mark.parametrize("precoding, digest", [
-        (True, "a3bf62fa9aaedab67fed1eca20e21e295bb4967175a4f53e42e18a0085e3a8a5"),
-        (False, "46adde277885378dcc30b6947b0143c9dd4fde4b23f87e267a82a7d0fd7d3d0c"),
+        (True, "b4ca95e033fd7951efd0e9d2056a2648ed58342f1656caa3f303290c48282fe8"),
+        (False, "ab9760a54c9ef1e8e731d568bc4e9a9c5520bd26a6420ba03865328d5c82aedb"),
     ], ids=["precoded", "classical"])
     def test_awgn_surfaces(self, precoding, digest):
         result = correlation_surface(table1_scenario(sync_blocks=10),
@@ -430,7 +430,7 @@ class TestRecordsPinned:
             table1_scenario(sync_blocks=10, channel="multipath"),
             precoding=True, n_trials=2)
         assert _sha256(result["surface"].tobytes()) == (
-            "1eb069765928914d176b37795d4f1757d7ee66580166dc9e0b74bc784b764798")
+            "da017d22e9de73cf506252ccebdee9edf87583e390c7be0abbb639ecc784eecd")
 
     @pytest.mark.parametrize("rate, precoding, digest", [
         ("1_3", True,

@@ -5,7 +5,7 @@ import pytest
 
 from spofdm.channel import OffsetSpec
 from spofdm.jammer import JammerConfigError, JammerSpec, combine, generate_jamming
-from spofdm.txchain import ComplexSignal, OfdmConfig
+from spofdm.txchain import ComplexSignal, OfdmConfig, random_symbol_blocks
 
 CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8, psk_order=16)
 
@@ -85,6 +85,18 @@ class TestGenerateJamming:
         rho = np.abs(np.vdot(a, b)) / np.sqrt(
             np.vdot(a, a).real * np.vdot(b, b).real)
         assert rho < 0.05
+
+    @pytest.mark.parametrize("duration", [1, 152, 153, 4408])
+    def test_disguised_draws_only_the_blocks_it_keeps(self, duration):
+        # ceil(duration / block) blocks of symbols and nothing more: the
+        # generator is left where drawing exactly those blocks leaves it
+        p_j = CONFIG.symbol_power / CONFIG.n_carriers
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        out = generate_jamming(JammerSpec("disguised_ofdm", power=p_j), CONFIG,
+                               duration, rng)
+        random_symbol_blocks(ref, -(-duration // 152), CONFIG)
+        assert out.samples.size == duration
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
