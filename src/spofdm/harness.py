@@ -27,7 +27,7 @@ from .channel import (FadingSpec, OffsetSpec, apply_fading, apply_offsets,
                       complex_normal, random_multipath_taps)
 from .jammer import (CP_PHASE_MODES, STRATEGIES, JammerSpec, combine,
                      generate_jamming)
-from .keystream import PhaseSequence, SecretKey
+from .keystream import PhaseSequence, SecretKey, psk_phasors
 from .rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
                       llr_qpsk, load_alist, qpsk_map)
 from .sync import SyncConfig, pre_fft_surface, synchronize
@@ -499,6 +499,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     sigma2 = 10 ** (-snr_db / 10)
     jam_amp = 10 ** (-scenario.sjr_db / 20)
     m = scenario.psk_order
+    rotations = psk_phasors(m)
     k0_lin = None if rician_k0_db is None else 10 ** (rician_k0_db / 10)
 
     n_sym = code.n // 2
@@ -514,8 +515,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
         jam_msg = rng.integers(0, 2, size=(b, enc.k)).astype(np.uint8)
         j = qpsk_map(enc.encode(jam_msg).ravel()).reshape(b, n_sym) * jam_amp
         if precoding:
-            theta = 2 * np.pi * rng.integers(0, m, size=(b, n_sym)) / m
-            j = j * np.exp(1j * theta)
+            j = j * rotations[rng.integers(0, m, size=(b, n_sym))]
 
         noise = complex_normal(rng, sigma2, (b, n_sym))
 

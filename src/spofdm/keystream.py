@@ -18,6 +18,7 @@ __all__ = [
     "map_psk",
     "phase_plans",
     "PhaseSequence",
+    "psk_phasors",
 ]
 
 _AES_BLOCK_BYTES = 16
@@ -80,6 +81,12 @@ def map_psk(bits: np.ndarray, psk_order: int) -> np.ndarray:
     return 2.0 * np.pi * values / m
 
 
+def psk_phasors(psk_order: int) -> np.ndarray:
+    """e^{j 2 pi v/M} for v = 0..M-1 from :func:`map_psk`'s angle formula, so
+    entry v is bitwise ``np.exp(1j * angle)`` of the angle 2 pi v/M."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(psk_order) / psk_order))
+
+
 def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
                 n_carriers: int, psk_order: int) -> np.ndarray:
     """Secret angles of OFDM blocks k_first..k_first+count-1, shape
@@ -127,9 +134,7 @@ class PhaseSequence:
         self.psk_order = psk_order
         self._angles = np.empty((0, n_carriers + 1))
         self._phasors = np.empty((0, n_carriers + 1), dtype=complex)
-        # entry v is e^{j 2 pi v/M} from map_psk's angle formula, so it is
-        # bitwise np.exp(1j * angle) of each angle 2 pi v/M of the plans
-        self._table = np.exp(1j * (2.0 * np.pi * np.arange(psk_order) / psk_order))
+        self._table = psk_phasors(psk_order)
 
     def plan(self, k_first: int, k_last: int) -> np.ndarray:
         """Rows of blocks k_first..k_last inclusive (read-only)."""

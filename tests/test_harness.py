@@ -437,6 +437,9 @@ class TestRecordsPinned:
          "fee3a6780e6fb80aa1b6556c4a38f918315304580ce7054f7ad137350b297bf2"),
         ("1_2", False,
          "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
+        # precoded with bit errors, so the jammer's secret rotations show
+        ("1_2", True,
+         "a2be926f0b3bf2eb747387606781ed2ba5767017f7553e8a3f59b8932a57bc53"),
     ])
     def test_ber_records(self, rate, precoding, digest):
         report = run_ber_experiment(table1_scenario(), [rate], [15.0],
