@@ -277,6 +277,11 @@ class LdpcEncoder:
         return np.asarray(codeword)[..., self.message_cols]
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+# largest float32 below 1: the cap of the leave-one-out products
+_EXT_CAP = np.nextafter(np.float32(1), np.float32(0))
+
+
 def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     """Sum-product belief propagation on the Tanner graph.
 
@@ -284,13 +289,22 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     once all parity checks are satisfied (per batch element). Returns
     (hard bits, converged flags, iterations used); scalars for 1-D input.
 
+    Messages run in float32. The LLRs are cast once, after ±inf and values
+    beyond the float32 range are clamped to its largest finite value (they
+    still give tanh(v/2) = ±1); a NaN LLR raises ``ValueError``. The initial
+    hard decisions are the signs of the cast LLRs. The leave-one-out tanh
+    products are clipped to ±(1 - 2^-24), the largest float32 below 1, so
+    every check message has magnitude at most 2 artanh(1 - 2^-24) = 17.33.
+
     A variable of degree d sums its check messages in check order as
     ``g[0] + (g[1] + ... + g[d-1])``, the order of ``np.add.reduceat`` for
     d <= 8; at d >= 9 ``reduceat`` sums pairwise and may round differently.
     """
     llr = np.asarray(llr, dtype=float)
+    if np.isnan(llr).any():
+        raise ValueError("llr contains NaN")
     single = llr.ndim == 1
-    lin = np.atleast_2d(llr)
+    lin = np.atleast_2d(np.clip(llr, -_F32_MAX, _F32_MAX).astype(np.float32))
     if lin.shape[1] != code.n:
         raise ValueError(f"LLR length must be {code.n}")
     hard = (lin < 0).astype(np.uint8)
@@ -305,8 +319,7 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     for it in range(1, 51):  # at most 50 iterations
         if not active.size:
             break
-        np.clip(v2c, -30, 30, out=v2c)
-        v2c *= 0.5
+        v2c *= 0.5  # float32 tanh is exactly ±1 from |x| = 10 on
         t = np.tanh(v2c, out=v2c)
         # leave-one-out products per check: exclusive prefix times exclusive
         # suffix, a slot at a time (np.cumprod along the short axis is slower);
@@ -326,7 +339,7 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
                 out[:, j] *= suffix
                 suffix = suffix * blk[:, j]
             out[:, 0] = suffix
-        np.clip(ext, -1 + 1e-12, 1 - 1e-12, out=ext)
+        np.clip(ext, -_EXT_CAP, _EXT_CAP, out=ext)
         c2v = np.arctanh(ext, out=ext)
         c2v *= 2.0
         posterior = np.empty_like(lin_a)

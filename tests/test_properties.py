@@ -7,7 +7,8 @@ feasible-bin integer CFO search and the body-span CFO derotation against
 their full-grid and whole-signal forms, sync trials against a shared
 keystream cache and a longer run, the bundled LDPC codes' encoder, the
 LDPC syndrome and encoder against their dense GF(2) forms, and LDPC belief
-propagation against a flooding reference decoder."""
+propagation against a flooding reference decoder, bitwise in float32 and
+statistically in float64."""
 
 from functools import lru_cache
 
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 
 from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
                             table1_scenario)
+from spofdm.channel import complex_normal
 from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
-                              map_psk, phase_plans)
+                              map_psk, phase_plans, psk_phasors)
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
-                            ldpc_bp_decode, load_alist,
-                            make_regular_parity_check)
+                            ldpc_bp_decode, llr_qpsk, load_alist,
+                            make_regular_parity_check, qpsk_map)
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, _demod_derotated,
                          corr_pre_fft, demod_fft, estimate_fine_time,
                          estimate_integer_cfo, estimate_phase,
@@ -614,11 +616,15 @@ def test_encode_is_dense_product(code, n_words, seed):
     assert np.array_equal(enc.encode(msg[0]), expect[0])
 
 
-def reference_bp_decode(code, llr):
-    """Reference flooding sum-product decoder on (batch, n) LLRs: messages in
-    check-major order within check-degree groups, the variable sums by
-    ``np.add.reduceat`` over variable-ordered edges, and ``code.syndrome``
-    of the hard decisions after every iteration."""
+def reference_bp_decode(code, llr, dtype=np.float32):
+    """Reference flooding sum-product decoder on (batch, n) LLRs in ``dtype``:
+    messages in check-major order within check-degree groups, the variable
+    sums by ``np.add.reduceat`` over variable-ordered edges, and
+    ``code.syndrome`` of the hard decisions after every iteration. The
+    leave-one-out products are clipped to the largest float32 below 1 in
+    float32 and to 1 - 1e-12 in float64."""
+    cap = (np.nextafter(np.float32(1), np.float32(0)) if dtype == np.float32
+           else 1 - 1e-12)
     var_deg = np.bincount(code.var_of_edge, minlength=code.n)
     check_deg = np.bincount(code.check_of_edge, minlength=code.m)
     var_starts = np.cumsum(var_deg) - var_deg
@@ -630,7 +636,7 @@ def reference_bp_decode(code, llr):
     groups = [(d, slice(e - d * c, e)) for d, c, e in
               zip(group_deg.tolist(), group_checks.tolist(), ends)]
 
-    lin = np.asarray(llr, dtype=float)
+    lin = np.asarray(llr, dtype=dtype)
     hard = (lin < 0).astype(np.uint8)
     converged = ~code.syndrome(hard).any(axis=1)
     iters = np.zeros(lin.shape[0], dtype=int)
@@ -645,13 +651,13 @@ def reference_bp_decode(code, llr):
         for deg, edges in groups:
             blk = t[:, edges].reshape(len(t), -1, deg)
             out = ext[:, edges].reshape(blk.shape)
-            out[..., 0], suffix = 1.0, np.ones(blk.shape[:-1])
+            out[..., 0], suffix = 1.0, np.ones(blk.shape[:-1], dtype)
             for j in range(1, deg):
                 np.multiply(out[..., j - 1], blk[..., j - 1], out=out[..., j])
             for j in range(deg - 1, 0, -1):
                 suffix *= blk[..., j]
                 out[..., j - 1] *= suffix
-        c2v = 2.0 * np.arctanh(np.clip(ext, -1 + 1e-12, 1 - 1e-12))
+        c2v = 2.0 * np.arctanh(np.clip(ext, -cap, cap))
         posterior = lin_a + np.add.reduceat(c2v[:, bp_to_var], var_starts,
                                             axis=1)
         v2c = posterior[:, bp_var] - c2v
@@ -701,4 +707,39 @@ def test_bp_decode_matches_reference(case):
     assert hard.tobytes() == ref_hard.tobytes()
     assert np.array_equal(converged, ref_converged)
     assert np.array_equal(iters, ref_iters)
+
+
+def table1_llrs(rate_label, precoding, n_frames, seed):
+    """Gaussian-surrogate LLRs of criterion 6's model at SJR 0 dB, SNR 15 dB:
+    a codeword plus a jammer codeword of the same code at equal power,
+    rotated by uniform 16-PSK phases when precoding is on."""
+    enc = bundled_encoder(rate_label)
+    rng = np.random.default_rng(seed)
+    shape, sigma2 = (n_frames, enc.code.n // 2), 10 ** -1.5
+    s, j = (qpsk_map(enc.encode(rng.integers(0, 2, (n_frames, enc.k),
+                                             dtype=np.uint8)).ravel())
+            .reshape(shape) for _ in range(2))
+    if precoding:
+        j = j * psk_phasors(16)[rng.integers(0, 16, shape)]
+    r = s + j + complex_normal(rng, sigma2, shape)
+    return enc.code, llr_qpsk(r.ravel(), 1 + sigma2).reshape(n_frames, -1)
+
+
+@pytest.mark.parametrize("rate, precoding, n_frames",
+                         [("1_3", True, 100), ("1_2", False, 20)])
+def test_bp_decode_float32_agrees_with_float64(rate, precoding, n_frames):
+    # pilot, 2,000 rate-1/3 and 1,000 rate-1/2 frames: no hard decision
+    # differed and one frame's iteration count differed by 1 (mean 0.0005);
+    # the oracle converged on all but two rate-1/3 frames and on no rate-1/2
+    # frame. Capping the tanh products at 0.99 instead of the largest float32
+    # below 1 changes the iteration count of 8 of the 100 rate-1/3 frames.
+    code, llr = table1_llrs(rate, precoding, n_frames, seed=0)
+    hard, converged, iters = ldpc_bp_decode(code, llr)
+    ref_hard, ref_converged, ref_iters = reference_bp_decode(code, llr,
+                                                             np.float64)
+    both = converged & ref_converged
+    assert np.array_equal(hard[both], ref_hard[both])
+    assert np.mean(hard != ref_hard) <= 1e-3
+    assert abs(iters.mean() - ref_iters.mean()) <= 0.05
+    assert np.mean(iters != ref_iters) <= 0.02
 

@@ -346,3 +346,29 @@ class TestBpDecode:
         code = make_regular_parity_check(24, 12, seed=9)
         with pytest.raises(ValueError):
             ldpc_bp_decode(code, np.zeros(23))
+
+    def test_nan_llr_rejected(self):
+        # NaN < 0 is False: unchecked, this frame passed as converged at 0
+        code = make_regular_parity_check(24, 12, seed=9)
+        llr = np.full(24, 3.0)
+        llr[5] = np.nan
+        with pytest.raises(ValueError, match="llr"):
+            ldpc_bp_decode(code, llr)
+
+    def test_infinite_and_huge_llrs_saturate(self):
+        # beyond the float32 range (a warning-raising cast if unclamped);
+        # the weak flipped bits are corrected through saturated messages
+        code = load_alist(bundled_code_path("1_2"))
+        enc = LdpcEncoder(code)
+        rng = np.random.default_rng(15)
+        cw = enc.encode(rng.integers(0, 2, (2, enc.k)).astype(np.uint8))
+        sign = 1 - 2 * cw.astype(float)
+        llr = 4.0 * sign
+        llr[:, 0::3] = np.inf * sign[:, 0::3]
+        llr[:, 1::5] = 1e300 * sign[:, 1::5]
+        llr[:, 2::7] = 3.5e38 * sign[:, 2::7]
+        llr[0, [4, 10, 20]] *= -1
+        hard, converged, iters = ldpc_bp_decode(code, llr)
+        assert np.all(converged)
+        assert iters.tolist()[1] == 0 and iters[0] >= 1
+        assert np.array_equal(hard, cw)
