@@ -6,7 +6,9 @@ symbol plane (:class:`InputDist`), Theta the secret phase (uniform over the
 M-PSK alphabet, or disabled), and N circular complex Gaussian. Every law is a
 finite Gaussian mixture (:meth:`InputDist.mixture`), so the conditional and
 marginal densities are exact mixtures and mutual information is estimated by
-Monte-Carlo averaging of exact log density ratios.
+Monte-Carlo averaging of exact log density ratios. The mixture log-densities
+are evaluated in cache-sized blocks of samples with scipy's ``logsumexp``
+arithmetic, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import complex_normal
+from .keystream import psk_phasors
 from .txchain import QPSK
 
 __all__ = [
@@ -76,10 +78,12 @@ class InputDist:
 
     def mixture(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The law as Gaussian components CN(mean, variance):
-        (means, log_weights, variance)."""
+        (means, log_weights, variance). Points of probability 0 are left
+        out."""
         if self.kind == "gaussian":
             return np.array([0j]), np.array([0.0]), self.power
-        return self.points, np.log(self.probs), 0.0
+        keep = self.probs > 0
+        return self.points[keep], np.log(self.probs[keep]), 0.0
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "discrete":
@@ -115,10 +119,10 @@ def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
     s = spec.input_dist.sample(rng, n_samples)
     j = jamming.sample(rng, n_samples)
     m = spec.phase_order
-    theta = (np.zeros(n_samples) if m is None
-             else 2 * np.pi * rng.integers(0, m, size=n_samples) / m)
+    rot = (np.ones(n_samples, dtype=complex) if m is None
+           else psk_phasors(m)[rng.integers(0, m, size=n_samples)])
     noise = InputDist("gaussian", spec.noise_power).sample(rng, n_samples)
-    return s, s + np.exp(1j * theta) * j + noise
+    return s, s + rot * j + noise
 
 
 def avc_capacity(p_s: float, p_j: float, p_n: float) -> float:
@@ -136,9 +140,30 @@ def avc_capacity(p_s: float, p_j: float, p_n: float) -> float:
 # Mutual information via exact conditional mixture densities
 
 
-def _log_cn_density(r: np.ndarray, mean: np.ndarray, var: float) -> np.ndarray:
-    """log density of CN(mean, var) at r; shapes broadcast."""
-    return -np.log(np.pi * var) - np.abs(r - mean) ** 2 / var
+_BLOCK_CELLS = 2 ** 15  # sample x component cells per block (256 KiB)
+
+
+def _log_mixture(r: np.ndarray, means: np.ndarray, logw: np.ndarray,
+                 var: float) -> np.ndarray:
+    """log sum_k w_k CN(r; means_k, var) for each sample of r; ``means`` is
+    (K,) or per sample (len(r), K). The (len(r), K) work array is reused in
+    place through scipy's logsumexp steps (row max, ties to -inf and
+    counted, shifted exp and sum, log1p), so the result is bitwise
+    ``logsumexp(log CN + logw, axis=1)``."""
+    d = np.abs(r[:, None] - means)
+    np.square(d, out=d)
+    d /= var
+    np.subtract(-np.log(np.pi * var), d, out=d)
+    d += logw
+    top = d.max(axis=1, keepdims=True)
+    ties = d == top
+    m = ties.sum(axis=1, keepdims=True, dtype=float)
+    np.copyto(d, -np.inf, where=ties)
+    d -= top
+    np.exp(d, out=d)
+    s = d.sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + top)[:, 0]
 
 
 def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
@@ -148,23 +173,26 @@ def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
     The additive term e^{j Theta} J + N is the jamming mixture with each
     discrete point rotated by the M phases (a Gaussian jammer is rotation
     invariant) and the noise added to the variance; the marginal adds the
-    input mixture on top of it.
+    input mixture on top of it. Samples go through in blocks of at most
+    ``_BLOCK_CELLS`` cells of the marginal's (samples x components) array.
     """
     means, logw, j_var = jamming.mixture()
     m = spec.phase_order
     if jamming.kind == "discrete" and m is not None:
-        rot = np.exp(2j * np.pi * np.arange(m) / m)
-        means = (means[:, None] * rot[None, :]).ravel()
+        means = (means[:, None] * psk_phasors(m)[None, :]).ravel()
         logw = (logw[:, None] - math.log(m) + np.zeros((1, m))).ravel()
     var = spec.noise_power + j_var
     s_means, s_logw, s_var = spec.input_dist.mixture()
-    cond = logsumexp(_log_cn_density(r[:, None], s[:, None] + means[None, :], var)
-                     + logw[None, :], axis=1)
     all_means = (s_means[:, None] + means[None, :]).ravel()
     all_logw = (s_logw[:, None] + logw[None, :]).ravel()
-    marg = logsumexp(_log_cn_density(r[:, None], all_means[None, :], var + s_var)
-                     + all_logw[None, :], axis=1)
-    return (cond - marg) / math.log(2)
+    out = np.empty(r.size)
+    rows = max(1, _BLOCK_CELLS // all_means.size)
+    for lo in range(0, r.size, rows):
+        sl = slice(lo, lo + rows)
+        cond = _log_mixture(r[sl], s[sl, None] + means, logw, var)
+        marg = _log_mixture(r[sl], all_means, all_logw, var + s_var)
+        out[sl] = (cond - marg) / math.log(2)
+    return out
 
 
 @dataclass
@@ -186,8 +214,11 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
     """Monte-Carlo mutual information I(S; R) with a bootstrap 95% CI.
 
     Uses exact conditional and marginal densities, so the only error is the
-    Monte-Carlo average itself. The CI takes 200 bootstrap resamples. The
-    densities need a Gaussian part: noise or Gaussian jamming.
+    Monte-Carlo average itself. They are evaluated in blocks of at most
+    2^15 (sample x component) cells with scipy's ``logsumexp`` arithmetic,
+    so the work arrays stay cache-sized whatever ``n_samples`` is. The CI
+    takes 200 bootstrap resamples. The densities need a Gaussian
+    part: noise or Gaussian jamming.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -195,11 +226,7 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
         raise ValueError("mi_estimate needs noise_power > 0 or Gaussian jamming")
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s, r = simulate_symbol_channel(spec, jamming, n_samples, rng)
-    terms = np.empty(n_samples)
-    chunk = 50_000  # bounds the (samples x mixture components) work arrays
-    for lo_i in range(0, n_samples, chunk):
-        sl = slice(lo_i, min(lo_i + chunk, n_samples))
-        terms[sl] = _log2_ratio(r[sl], s[sl], spec, jamming)
+    terms = _log2_ratio(r, s, spec, jamming)
     est = float(terms.mean())
     boots = np.empty(200)
     for b in range(boots.size):

@@ -1,10 +1,15 @@
 """Tests for the symbol-level jamming channel analysis tools."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spofdm
 from spofdm.avc import (InputDist, MiEstimate, SymbolChannelSpec, avc_capacity,
                         mi_estimate, saddle_check, simulate_symbol_channel)
 from spofdm.txchain import QPSK
@@ -78,6 +83,14 @@ class TestMixture:
         assert np.array_equal(means, dist.points)
         assert np.allclose(np.exp(logw), [0.25, 0.75])
         assert var == 0.0
+
+    def test_zero_weight_points_are_left_out(self):
+        dist = InputDist("discrete", points=[1.0, -1.0], probs=[1.0, 0.0])
+        means, logw, _ = dist.mixture()
+        assert np.array_equal(means, [1.0])
+        assert np.array_equal(logw, [0.0])
+        # sampling still sees every point, so the rng draws do not move
+        assert dist.points.size == 2
 
 
 class TestSimulate:
@@ -187,6 +200,15 @@ class TestMiEstimate:
         with pytest.raises(ValueError, match="noise_power"):
             mi_estimate(spec, InputDist.qpsk(), 100, 0)
 
+    def test_zero_weight_jamming_point_is_no_point(self):
+        # log(0) weights used to warn (an error here) and poison the sums
+        spec = SymbolChannelSpec()
+        zero = InputDist("discrete", points=[1.0, -1.0], probs=[1.0, 0.0])
+        one = InputDist("discrete", points=[1.0])
+        est = mi_estimate(spec, zero, 1000, 0)
+        assert est == mi_estimate(spec, one, 1000, 0)
+        assert est.bits == 1.2160628926293429
+
     def test_overlap_helper(self):
         a = MiEstimate(1.0, 0.9, 1.1, 10)
         b = MiEstimate(1.05, 1.0, 1.2, 10)
@@ -202,6 +224,15 @@ class TestSaddleCheck:
         assert report.saddle_mi.contains(report.capacity)
         assert report.all_satisfied
         assert len(report.deviations) == 4
+
+
+def test_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(spofdm.__file__).parents[1])}
+    code = ("import sys, spofdm.avc; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # (input, jamming, phase order) -> (bits, ci_low, ci_high) of

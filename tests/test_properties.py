@@ -8,15 +8,20 @@ their full-grid and whole-signal forms, sync trials against a shared
 keystream cache and a longer run, the bundled LDPC codes' encoder, the
 LDPC syndrome and encoder against their dense GF(2) forms, and LDPC belief
 propagation against a flooding reference decoder, bitwise in float32 and
-statistically in float64."""
+statistically in float64, and the MI module's blocked mixture log-density
+against scipy's logsumexp, bitwise."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from spofdm.avc import (InputDist, SymbolChannelSpec, _log2_ratio,
+                        _log_mixture, simulate_symbol_channel)
 from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
                             table1_scenario)
 from spofdm.channel import complex_normal
@@ -743,3 +748,64 @@ def test_bp_decode_float32_agrees_with_float64(rate, precoding, n_frames):
     assert abs(iters.mean() - ref_iters.mean()) <= 0.05
     assert np.mean(iters != ref_iters) <= 0.02
 
+
+def scipy_log_mixture(r, means, logw, var):
+    """log sum_k w_k CN(r; means_k, var) as scipy computes it: the CN
+    log-densities plus log-weights, (samples, components), into logsumexp."""
+    dens = -np.log(np.pi * var) - np.abs(r[:, None] - means) ** 2 / var
+    return logsumexp(dens + logw, axis=1)
+
+
+@FAST
+@given(n=st.integers(1, 300), k=st.integers(1, 256), per_sample=st.booleans(),
+       copies=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, k=256, per_sample=False, copies=2, seed=0)
+@example(n=3, k=9, per_sample=True, copies=1, seed=1)
+def test_log_mixture_is_scipy_logsumexp(n, k, per_sample, copies, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, k) if per_sample else (k,)
+    spread = rng.uniform(0.1, 5.0)
+    means = spread * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    logw = np.log(rng.dirichlet(np.ones(k)))
+    r = spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    var = rng.uniform(0.05, 2.0)
+    got = _log_mixture(r, means, logw, var)
+    assert got.tobytes() == scipy_log_mixture(r, means, logw, var).tobytes()
+    # exact ties: r = 0 is equidistant from the points of a QPSK
+    # constellation, so equal-weight components tie for the row maximum
+    tie_means = np.tile(InputDist.qpsk(spread ** 2).points, copies)
+    tie_logw = np.full(tie_means.size, -np.log(tie_means.size))
+    zeros = np.zeros(n, dtype=complex)
+    got = _log_mixture(zeros, tie_means, tie_logw, var)
+    want = scipy_log_mixture(zeros, tie_means, tie_logw, var)
+    assert got.tobytes() == want.tobytes()
+
+
+def scipy_log2_ratio(r, s, spec, jamming):
+    """log2 p(r | s) - log2 p(r) over all samples at once, with the
+    interference and marginal mixtures built as in spofdm.avc."""
+    means, logw, j_var = jamming.mixture()
+    m = spec.phase_order
+    if jamming.kind == "discrete" and m is not None:
+        means = (means[:, None] * psk_phasors(m)).ravel()
+        logw = np.repeat(logw - math.log(m), m)
+    var = spec.noise_power + j_var
+    s_means, s_logw, s_var = spec.input_dist.mixture()
+    cond = scipy_log_mixture(r, s[:, None] + means, logw, var)
+    marg = scipy_log_mixture(r, (s_means[:, None] + means).ravel(),
+                             (s_logw[:, None] + logw).ravel(), var + s_var)
+    return (cond - marg) / math.log(2)
+
+
+# QPSK input and disguised jamming at M = 16 have 4 x 4 x 16 = 256 marginal
+# components, so blocks hold 128 samples; a Gaussian input has 64 components
+# and blocks of 512 samples
+@pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300, 513])
+@pytest.mark.parametrize("input_dist", [InputDist.qpsk(),
+                                        InputDist("gaussian", 1.0)])
+def test_log2_ratio_blocks_are_one_scipy_pass(n, input_dist):
+    spec = SymbolChannelSpec(input_dist, 0.2, 16)
+    jamming = InputDist.qpsk(0.8)
+    s, r = simulate_symbol_channel(spec, jamming, n, n)
+    got = _log2_ratio(r, s, spec, jamming)
+    assert got.tobytes() == scipy_log2_ratio(r, s, spec, jamming).tobytes()
