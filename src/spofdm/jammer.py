@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import OffsetSpec, add_awgn, apply_offsets, complex_normal
+from .keystream import psk_phasors
 from .txchain import ComplexSignal, OfdmConfig, modulate_block, random_symbol_blocks
 
 __all__ = ["JammerSpec", "generate_jamming", "combine"]
@@ -71,7 +72,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     cp_phases = 1.0
     if spec.cp_phase_mode == "random_cp":
         m = config.psk_order
-        cp_phases = np.exp(2j * np.pi * rng.integers(0, m, n_blocks) / m)
+        cp_phases = psk_phasors(m)[rng.integers(0, m, n_blocks)]
     wave = modulate_block(blocks, cp_phases, config)
     # offsets act sample by sample, so only the kept samples are rotated
     samples = apply_offsets(ComplexSignal(wave.samples[:duration_samples], dt),

@@ -20,7 +20,6 @@ from .txchain import ComplexSignal, OfdmConfig, phase_ramp
 __all__ = [
     "SyncConfig",
     "SyncEstimate",
-    "corr_pre_fft",
     "pre_fft_surface",
     "estimate_pre_fft",
     "demod_fft",
@@ -55,10 +54,6 @@ class SyncConfig:
         if self.n_l > self.n_u:
             raise ValueError("n_l must not exceed n_u")
 
-    def n_fft(self, config: OfdmConfig) -> int:
-        """Extended FFT size N_c' = N_c + N_u - N_l."""
-        return config.n_carriers + self.n_u - self.n_l
-
     def backoff(self, config: OfdmConfig) -> int:
         """FFT window backoff into CP2, in samples."""
         return config.cp2_samples // 2
@@ -81,24 +76,6 @@ class SyncEstimate:
     def total_cfo_normalized(self) -> float:
         """Full frequency estimate in units of the subcarrier spacing 1/T_s."""
         return self.frac_cfo_hat + self.n0_hat + self.zeta0_hat
-
-
-def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
-                 phase_seq: PhaseSequence, config: OfdmConfig) -> complex:
-    """Single correlation coefficient Y_k(tau, d) as a direct Riemann sum.
-
-    Window: the CP1 span of block k at trial offset tau, correlated against
-    the signal one body-duration later and despread by the candidate CP phase.
-    """
-    x = r.samples
-    n_c = config.n_carriers
-    start = tau_samples - config.cp_samples + k * config.block_samples
-    stop = start + config.cp1_samples
-    if start < 0 or stop + n_c > x.size:
-        raise ValueError("correlation window out of range")
-    window = x[start:stop] * np.conj(x[start + n_c:stop + n_c])
-    cp_phase = phase_seq.phasors(k + d, k + d)[0, 0]
-    return complex(np.sum(window) * np.conj(cp_phase) * r.sample_interval)
 
 
 def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
@@ -172,23 +149,16 @@ def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     return est, surface
 
 
-def demod_fft(r: ComplexSignal, body_starts, config: OfdmConfig,
-              sync_cfg: SyncConfig) -> np.ndarray:
-    """Extended-grid demodulation of the block bodies at ``body_starts`` (a
-    sample index, or an array of them for one output row each).
-
-    The N_c body samples are spectrally resampled onto the N_c' = N_c+N_u-N_l
-    bin grid (scale N_c'/N_c), leaving room for integer CFO shifts up to the
-    search bounds. With N_u = N_l = 0 this is the plain N_c-point FFT.
+def demod_fft(r: ComplexSignal, body_starts, config: OfdmConfig) -> np.ndarray:
+    """N_c-point FFT of the block bodies at ``body_starts`` (a sample index,
+    or an array of them for one output row each). An integer CFO of n0
+    subcarrier spacings moves carrier i to bin (i + n0) mod N_c.
     """
     n_c = config.n_carriers
     starts = np.asarray(body_starts)
     if np.any(starts < 0) or np.any(starts > r.samples.size - n_c):
         raise ValueError("block body out of range")
-    spec = np.fft.fft(r.samples[starts[..., None] + np.arange(n_c)], axis=-1)
-    n_fft = sync_cfg.n_fft(config)
-    bins = np.arange(n_fft) % n_c
-    return (n_fft / n_c) * spec[..., bins]
+    return np.fft.fft(r.samples[starts[..., None] + np.arange(n_c)], axis=-1)
 
 
 def _gamma_avg(r_blocks: np.ndarray, pilot_phases: np.ndarray,
@@ -210,21 +180,21 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
     """Integer CFO and residual fractional error from cross-block pilot
     correlations.
 
-    ``r_blocks``: (K+1, N_c') demodulated blocks; ``pilots``: [(index,
+    ``r_blocks``: (K+1, N_c) demodulated blocks; ``pilots``: [(index,
     value), ...]; ``phases``: (K+1, P) secret phases of the pilot
     subcarriers for the same blocks. The bound on the integer offset is known
-    a priori, so only the feasible bins (index + n0) mod N_c' for n0 in
+    a priori, so only the feasible bins (index + n0) mod N_c for n0 in
     [n_l, n_u] are read: they are gathered once into a (K+1, P, n_u-n_l+1)
     array, and each block lag's despread cross-block average is formed once
     over it. The 1/|p|^2-weighted metrics of all pilots and block lags 1..3
     are added before the peak search.
     Returns (n0_hat, zeta0_hat, low_confidence).
     """
-    n_fft = r_blocks.shape[1]
+    n_c = r_blocks.shape[1]
     k_count = r_blocks.shape[0] - 1
     tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    bins = (np.array([idx for idx, _ in pilots])[:, None] + n0_cands) % n_fft
+    bins = (np.array([idx for idx, _ in pilots])[:, None] + n0_cands) % n_c
     r_bins = r_blocks[:, bins]                                    # (K+1, P, C)
     weights = [abs(value) ** 2 for _, value in pilots]
     gammas = {lag: _gamma_avg(r_bins, phases, lag)                # (P, C)
@@ -255,10 +225,11 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
     return n0, zeta0, low_conf
 
 
-def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
-                       n0: int, config: OfdmConfig) -> float:
+def estimate_fine_time(r_pilots: np.ndarray, pilots: list, phases: np.ndarray,
+                       config: OfdmConfig) -> float:
     """Residual time offset from the phase slope across two pilot carriers.
 
+    ``r_pilots``: (K, 2) demodulated pilot bins, one column per pilot;
     ``pilots``: [(i_p1, p1), (i_p2, p2)]; ``phases``: (K, 2) secret phases of
     the two pilot carriers per block. Result folded into [0, T_CP2).
     """
@@ -270,10 +241,7 @@ def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
         raise ValueError(
             "pilot spacing violates the unambiguous fine-time range"
         )
-    n_fft = r_blocks.shape[1]
-    b1 = (ip1 + n0) % n_fft
-    b2 = (ip2 + n0) % n_fft
-    ups = (r_blocks[:, b1] * np.conj(r_blocks[:, b2]) * np.conj(p1) * p2
+    ups = (r_pilots[:, 0] * np.conj(r_pilots[:, 1]) * np.conj(p1) * p2
            * np.exp(1j * (phases[:, 0] - phases[:, 1])))
     u = ups.mean()
     t0p = float(-np.angle(u) * config.t_body / (2 * np.pi * dip))
@@ -285,20 +253,20 @@ def estimate_fine_time(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
     return min(max(t0p, 0.0), np.nextafter(t_cp2, 0.0))
 
 
-def estimate_phase(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
+def estimate_phase(r_pilots: np.ndarray, pilots: list, phases: np.ndarray,
                    n0: int, zeta0: float, t0p_samples: float,
                    config: OfdmConfig, t_window0: float = 0.0) -> float:
     """Carrier phase from the 1/|p|^2-weighted sum of the K-block averages
     of the despread pilots, after compensating the residual CFO phase at
     each FFT window start and the fine-time phase ramp.
 
+    ``r_pilots``: (K, P) demodulated pilot bins, one column per pilot;
     ``pilots``: [(index, value), ...]; ``phases``: (K, P) secret phases of
     the pilot subcarriers. ``t_window0`` is the absolute start time of the
     first demodulation window, so the returned phase is referenced to t = 0.
     """
-    n_fft = r_blocks.shape[1]
     # residual CFO phase e^{j 2*pi*(n0+zeta0)*t_wk/T_s} at window start t_wk
-    t_wk = t_window0 + np.arange(r_blocks.shape[0]) * config.t_block
+    t_wk = t_window0 + np.arange(r_pilots.shape[0]) * config.t_block
     drift = np.exp(-2j * np.pi * (n0 + zeta0) * t_wk / config.t_body)
     total = 0.0
     for j, (idx, value) in enumerate(pilots):
@@ -307,14 +275,14 @@ def estimate_phase(r_blocks: np.ndarray, pilots: list, phases: np.ndarray,
         # moved bin.
         base_bin = idx % config.n_carriers
         ramp = np.exp(2j * np.pi * base_bin * t0p_samples / config.n_carriers)
-        vals = (r_blocks[:, (idx + n0) % n_fft] * np.exp(1j * phases[:, j])
+        vals = (r_pilots[:, j] * np.exp(1j * phases[:, j])
                 * np.conj(value) * drift * ramp)
         total += complex(vals.mean()) / abs(value) ** 2
     return float(np.angle(total))
 
 
 def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
-                     config: OfdmConfig, sync_cfg: SyncConfig) -> np.ndarray:
+                     config: OfdmConfig) -> np.ndarray:
     """:func:`demod_fft` of the bodies at the ascending ``body_starts`` after
     removing the fractional CFO e^{j 2 pi frac_cfo t/T_s} on absolute time,
     computed only over the span the bodies cover. The span is clipped to the
@@ -324,7 +292,7 @@ def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
     hi = max(min(int(body_starts[-1]) + config.n_carriers, r.samples.size), lo)
     ramp = phase_ramp(-2 * np.pi * frac_cfo * dt / config.t_body, 0.0, hi - lo, lo)
     span = ComplexSignal(r.samples[lo:hi] * ramp, dt)
-    return demod_fft(span, body_starts - lo, config, sync_cfg)
+    return demod_fft(span, body_starts - lo, config)
 
 
 def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
@@ -337,7 +305,9 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     and the FFT window is backed off into CP2 so the fine-time estimator sees
     a strictly positive residual offset. The compensation covers only the
     span of the K+1 block bodies the post-FFT stages demodulate. The
-    post-FFT stages use the first two pilots in carrier order.
+    post-FFT stages use the first two pilots in carrier order; once the
+    integer CFO n0 is decided, their bins (index + n0) mod N_c are read once
+    for the fine-time and phase estimators.
     """
     est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
     dt = r.sample_interval
@@ -349,19 +319,20 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
-                                est.frac_cfo_hat, config, sync_cfg)
+                                est.frac_cfo_hat, config)
     plans = (np.zeros((ks.size, config.n_carriers + 1)) if phase_seq is None
              else phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat))
     phases = plans[:, [1 + i for i, _ in pilots]]
 
     n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,
                                                    config, sync_cfg)
-    t0p = estimate_fine_time(r_blocks[:-1], pilots, phases[:-1], n0, config)
+    r_pilots = r_blocks[:-1, [(i + n0) % config.n_carriers for i, _ in pilots]]
+    t0p = estimate_fine_time(r_pilots, pilots, phases[:-1], config)
     t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
     est.zeta0_hat = zeta0
     est.t0p_hat = t0p
-    est.phi0_hat = estimate_phase(r_blocks[:-1], pilots, phases[:-1], n0,
+    est.phi0_hat = estimate_phase(r_pilots, pilots, phases[:-1], n0,
                                   zeta0, t0p / dt, config, t_window0)
     est.low_confidence = est.low_confidence or cfo_low_conf
     return est, surface

@@ -17,7 +17,7 @@ from spofdm.avc import (InputDist, SymbolChannelSpec, avc_capacity,
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             run_sync_experiment, table1_scenario)
 from spofdm.keystream import SecretKey, aes_encrypt_block, phase_plans
-from spofdm.sync import SyncConfig, demod_fft
+from spofdm.sync import demod_fft
 from test_sync import v_expected
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, precode,
@@ -172,9 +172,9 @@ class TestCriterion5SyncCdfs:
         digests = [hashlib.sha256(report.records_csv().encode()).hexdigest()
                    for report in (awgn, multi, dopp)]
         assert digests == [
-            "855f621e61e395fa865b6db5af2d74e3cc6651096dda50652bdb7a22a11a9046",
-            "90abb9da449f4dad15a99fa60ce61cc24ea0a702bc902bdf31ebca94b46dceeb",
-            "0f0b2169f0c48489f0c0330820e401a61b6050235afa20c86e281c9da94f4026",
+            "0f4d19803b3d51eeea184ce752ce9c50eaeae0979412bd079bbb18a6ac07835d",
+            "023aa1c5dab59089b94a18f1767418b25d50ba16b501303c74609c8f8cdd9cf9",
+            "0364f5bbc262e47d1e52a99dd0fd631151179bef72bfc03be906e7194668ff8d",
         ]
 
 
@@ -240,12 +240,11 @@ class TestCriterion8Exactness:
         wave = build_waveform(
             blocks, np.exp(1j * phase_plans(KEY, 0, 0, 2, 128, 16)), config)
         round_ok = True
-        plain_grid = SyncConfig(n_l=0, n_u=0)
         for k, block in enumerate(blocks):
             phases = np.exp(1j * phase_plans(KEY, 0, k, 1, 128, 16)[0, 1:])
             start = k * config.block_samples + config.cp_samples
             decoded = decode_phases(
-                demod_fft(wave, start, config, plain_grid), phases)
+                demod_fft(wave, start, config), phases)
             round_ok &= bool(np.max(np.abs(decoded - block)) < 1e-9)
         checks["fft_round_trip"] = round_ok
 

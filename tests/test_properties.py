@@ -31,12 +31,13 @@ from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
                             ldpc_bp_decode, llr_qpsk, load_alist,
                             make_regular_parity_check, qpsk_map)
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, _demod_derotated,
-                         corr_pre_fft, demod_fft, estimate_fine_time,
-                         estimate_integer_cfo, estimate_phase,
-                         estimate_pre_fft, pre_fft_surface, synchronize)
+                         demod_fft, estimate_fine_time, estimate_integer_cfo,
+                         estimate_phase, estimate_pre_fft, pre_fft_surface,
+                         synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, phase_ramp, precode,
                             random_symbol_blocks)
+from test_sync import corr_pre_fft
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -114,7 +115,7 @@ def test_precode_modulate_demodulate_decode_round_trip(n_c, psk_order,
     block = random_symbol_blocks(rng, 1, config)[0]
     plan = np.exp(1j * phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0])
     sig = modulate_block(precode(block, plan[1:]), plan[0], config)
-    demod = demod_fft(sig, config.cp_samples, config, SyncConfig(n_l=0, n_u=0))
+    demod = demod_fft(sig, config.cp_samples, config)
     decoded = decode_phases(demod, plan[1:])
     assert np.max(np.abs(decoded - block)) < 1e-9
 
@@ -256,44 +257,42 @@ def test_phase_ramp_span_is_slice_of_whole_ramp(step, phase, n, first):
 @FAST
 @given(n_c=st.sampled_from([8, 16, 64]),
        n_samples=st.integers(64, 300),
-       margin=st.integers(0, 3),
        data=st.data())
-def test_batched_demod_equals_per_start_calls(n_c, n_samples, margin, data):
+def test_batched_demod_equals_per_start_calls(n_c, n_samples, data):
     config = OfdmConfig(n_carriers=n_c, cp1_samples=1, cp2_samples=1,
                         psk_order=4)
-    sync_cfg = SyncConfig(n_l=-margin, n_u=margin)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     r = ComplexSignal(rng.normal(size=n_samples)
                       + 1j * rng.normal(size=n_samples), config.sample_interval)
     last = n_samples - n_c
     starts = np.array(data.draw(st.lists(st.integers(0, last), min_size=1,
                                          max_size=6)))
-    batched = demod_fft(r, starts, config, sync_cfg)
-    assert batched.shape == (starts.size, sync_cfg.n_fft(config))
+    batched = demod_fft(r, starts, config)
+    assert batched.shape == (starts.size, n_c)
     for row, start in zip(batched, starts):
-        assert np.array_equal(row, demod_fft(r, int(start), config, sync_cfg))
+        assert np.array_equal(row, demod_fft(r, int(start), config))
     bad = data.draw(st.one_of(st.integers(-n_samples, -1),
                               st.integers(last + 1, 2 * n_samples)))
     with pytest.raises(ValueError, match="out of range"):
-        demod_fft(r, np.append(starts, bad), config, sync_cfg)
+        demod_fft(r, np.append(starts, bad), config)
 
 
 def full_grid_integer_cfo(r_blocks, pilots, phases, config, sync_cfg):
-    """Integer CFO search over the despread cross-block averages of every
-    extended-grid bin, read at the feasible bins afterwards."""
+    """Integer CFO search over the despread cross-block averages of all N_c
+    bins, read at the feasible bins afterwards."""
     def gamma_avg(pilot_phases, lag):
         dphase = pilot_phases[:-lag] - pilot_phases[lag:]
         gamma = (r_blocks[:-lag] * np.conj(r_blocks[lag:])
                  * np.exp(1j * dphase)[:, None])
         return gamma.mean(axis=0)
 
-    n_fft = r_blocks.shape[1]
+    n_c = r_blocks.shape[1]
     k_count = r_blocks.shape[0] - 1
     tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
     gammas = {lag: [gamma_avg(phases[:, j], lag) for j in range(len(pilots))]
               for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
-    scores = sum(sum(np.abs(g[(idx + n0_cands) % n_fft]) / abs(value) ** 2
+    scores = sum(sum(np.abs(g[(idx + n0_cands) % n_c]) / abs(value) ** 2
                      for g, (idx, value) in zip(gammas[lag], pilots))
                  for lag in (1, 2, 3) if lag in gammas)
     n0 = int(n0_cands[int(np.argmax(scores))])
@@ -302,7 +301,7 @@ def full_grid_integer_cfo(r_blocks, pilots, phases, config, sync_cfg):
 
     def zeta_at(lag):
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
-        peak = sum(g[(idx + n0) % n_fft] * rot / abs(value) ** 2
+        peak = sum(g[(idx + n0) % n_c] * rot / abs(value) ** 2
                    for g, (idx, value) in zip(gammas[lag], pilots))
         return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
 
@@ -315,20 +314,20 @@ def full_grid_integer_cfo(r_blocks, pilots, phases, config, sync_cfg):
     return n0, zeta0, low_conf
 
 
-def whole_signal_demod(r, body_starts, frac_cfo, config, sync_cfg):
+def whole_signal_demod(r, body_starts, frac_cfo, config):
     """demod_fft of a copy of the whole signal with the fractional CFO
     removed on absolute time, in C order so that the full-grid block
     averages sum in row order."""
     step = -2 * np.pi * frac_cfo * r.sample_interval / config.t_body
     corrected = ComplexSignal(r.samples * phase_ramp(step, 0.0, r.samples.size),
                               r.sample_interval)
-    return np.ascontiguousarray(demod_fft(corrected, body_starts, config,
-                                          sync_cfg))
+    return np.ascontiguousarray(demod_fft(corrected, body_starts, config))
 
 
 def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
     """The two-stage synchronizer with the fractional CFO removed from the
-    whole signal and the integer CFO searched on the full grid."""
+    whole signal, the integer CFO searched on the full grid and the pilot
+    bins read from the demodulated blocks by each later estimator."""
     est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
     dt = r.sample_interval
     tau_samp = int(round(est.t0_hat / dt))
@@ -336,17 +335,18 @@ def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = whole_signal_demod(r, window0 + ks * config.block_samples,
-                                  est.frac_cfo_hat, config, sync_cfg)
+                                  est.frac_cfo_hat, config)
     plans = phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
     phases = np.ascontiguousarray(plans[:, [1 + i for i, _ in pilots]])
     n0, zeta0, cfo_low_conf = full_grid_integer_cfo(r_blocks, pilots, phases,
                                                     config, sync_cfg)
-    t0p = estimate_fine_time(r_blocks[:-1], pilots, phases[:-1], n0, config)
+    bins = [(i + n0) % config.n_carriers for i, _ in pilots]
+    t0p = estimate_fine_time(r_blocks[:-1, bins], pilots, phases[:-1], config)
     t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
     est.zeta0_hat = zeta0
     est.t0p_hat = t0p
-    est.phi0_hat = estimate_phase(r_blocks[:-1], pilots, phases[:-1], n0,
+    est.phi0_hat = estimate_phase(r_blocks[:-1, bins], pilots, phases[:-1], n0,
                                   zeta0, t0p / dt, config, t_window0)
     est.low_confidence = est.low_confidence or cfo_low_conf
     return est, surface
@@ -380,16 +380,15 @@ def test_feasible_bin_integer_cfo_is_full_grid_search(k_count, n_c, n_l, n_u,
                                                       carriers, seed):
     # K from 1 to 30 covers the lag sets {1}, {1,2}, {1,2,3} and {1,2,3,4};
     # carriers -4..3 taken mod N_c sit at both ends of the carrier range, so
-    # (index + n0) mod N_c' wraps
+    # (index + n0) mod N_c wraps
     config = OfdmConfig(n_carriers=n_c, cp1_samples=2, cp2_samples=1,
                         psk_order=16)
     sync_cfg = SyncConfig(n_blocks=k_count, n_l=n_l, n_u=n_u)
     rng = np.random.default_rng(seed)
     pilots = [(i, complex(*rng.normal(size=2)))
               for i in dict.fromkeys(c % n_c for c in carriers)]
-    n_fft = sync_cfg.n_fft(config)
-    r_blocks = (rng.normal(size=(k_count + 1, n_fft))
-                + 1j * rng.normal(size=(k_count + 1, n_fft)))
+    r_blocks = (rng.normal(size=(k_count + 1, n_c))
+                + 1j * rng.normal(size=(k_count + 1, n_c)))
     phases = 2 * np.pi * rng.integers(0, 16, (k_count + 1, len(pilots))) / 16
     args = (r_blocks, pilots, phases, config, sync_cfg)
     assert outcome(estimate_integer_cfo, *args) == outcome(
@@ -399,14 +398,11 @@ def test_feasible_bin_integer_cfo_is_full_grid_search(k_count, n_c, n_l, n_u,
 @FAST
 @given(n_c=st.sampled_from([8, 16, 32]),
        n_samples=st.integers(20, 200),
-       margin=st.integers(0, 3),
        data=st.data())
-def test_body_span_derotation_is_whole_signal_derotation(n_c, n_samples,
-                                                         margin, data):
+def test_body_span_derotation_is_whole_signal_derotation(n_c, n_samples, data):
     # windows may start before sample 0 or end past the last sample
     config = OfdmConfig(n_carriers=n_c, cp1_samples=1, cp2_samples=1,
                         psk_order=4)
-    sync_cfg = SyncConfig(n_l=-margin, n_u=margin)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     r = ComplexSignal(rng.normal(size=n_samples)
                       + 1j * rng.normal(size=n_samples), config.sample_interval)
@@ -415,9 +411,9 @@ def test_body_span_derotation_is_whole_signal_derotation(n_c, n_samples,
         data.draw(st.integers(1, 6)))
     frac = data.draw(st.floats(0, 1, exclude_max=True))
     span = outcome(lambda *a: array_bits(_demod_derotated(*a)),
-                   r, starts, frac, config, sync_cfg)
+                   r, starts, frac, config)
     whole = outcome(lambda *a: array_bits(whole_signal_demod(*a)),
-                    r, starts, frac, config, sync_cfg)
+                    r, starts, frac, config)
     assert span == whole
     in_range = starts[0] >= 0 and starts[-1] <= n_samples - n_c
     assert span.startswith("ValueError: block body out of range") != in_range

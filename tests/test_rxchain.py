@@ -1,7 +1,7 @@
 """Tests for the receiver chain: demodulation, decoding, LLRs, LDPC BP.
 
-Demodulation is ``sync.demod_fft`` on the plain N_c-bin grid (no CFO search
-margin) and decoding is ``txchain.decode_phases``.
+Demodulation is ``sync.demod_fft``, the N_c-point FFT of a block body, and
+decoding is ``txchain.decode_phases``.
 """
 
 import numpy as np
@@ -12,14 +12,13 @@ from spofdm.keystream import SecretKey, phase_plans
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
                             ldpc_bp_decode, llr_qpsk, load_alist,
                             make_regular_parity_check, qpsk_map, save_alist)
-from spofdm.sync import SyncConfig, demod_fft
+from spofdm.sync import demod_fft
 from spofdm.txchain import (OfdmConfig, build_waveform, decode_phases,
                             modulate_block, random_symbol_blocks)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
                     psk_order=16)
-PLAIN_GRID = SyncConfig(n_l=0, n_u=0)
 
 
 def secret_phasors(key, k_first, count):
@@ -36,11 +35,11 @@ def secure_waveform(blocks):
 def block_fft(r, k, start_offset=0):
     """Drop the CP of block k and take the N_c-point FFT of its body."""
     start = start_offset + k * CONFIG.block_samples + CONFIG.cp_samples
-    return demod_fft(r, start, CONFIG, PLAIN_GRID)
+    return demod_fft(r, start, CONFIG)
 
 
 class TestCropAndFft:
-    """Crop-and-FFT demodulation: demod_fft without a CFO search margin."""
+    """Crop-and-FFT demodulation: demod_fft of one block body."""
 
     def test_plain_loopback(self):
         rng = np.random.default_rng(0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from spofdm.channel import OffsetSpec, apply_offsets
-from spofdm.harness import _draw_offsets, _link, _transmit, table1_scenario
+from spofdm.harness import (_draw_offsets, _link, _transmit,
+                            run_sync_experiment, table1_scenario)
 from spofdm.jammer import JammerSpec, combine, generate_jamming
 from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
-from spofdm.sync import (SyncConfig, _gamma_avg, corr_pre_fft, demod_fft,
+from spofdm.sync import (SyncConfig, _gamma_avg, demod_fft,
                          estimate_fine_time, estimate_integer_cfo,
                          estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
@@ -43,6 +44,25 @@ def v_expected(tau: float | np.ndarray, t_cp1: float) -> np.ndarray:
     half-width T_CP1 centred at zero offset (the criterion-3 oracle)."""
     tau = np.asarray(tau, dtype=float)
     return np.where(np.abs(tau) < t_cp1, t_cp1 - np.abs(tau), 0.0)
+
+
+def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
+                 phase_seq: PhaseSequence, config: OfdmConfig) -> complex:
+    """Single correlation coefficient Y_k(tau, d) as a direct Riemann sum
+    (the oracle of the pre-FFT surface).
+
+    Window: the CP1 span of block k at trial offset tau, correlated against
+    the signal one body-duration later and despread by the candidate CP phase.
+    """
+    x = r.samples
+    n_c = config.n_carriers
+    start = tau_samples - config.cp_samples + k * config.block_samples
+    stop = start + config.cp1_samples
+    if start < 0 or stop + n_c > x.size:
+        raise ValueError("correlation window out of range")
+    window = x[start:stop] * np.conj(x[start + n_c:stop + n_c])
+    cp_phase = phase_seq.phasors(k + d, k + d)[0, 0]
+    return complex(np.sum(window) * np.conj(cp_phase) * r.sample_interval)
 
 
 class TestVExpected:
@@ -158,52 +178,59 @@ class TestEstimatePreFft:
 
 
 class TestDemodFft:
-    def test_reduces_to_plain_fft_without_search_margin(self):
+    def test_is_plain_fft(self):
         config = table1_config()
-        sync_cfg = SyncConfig(n_blocks=5, n_l=0, n_u=0)
         r = make_received(config, 6, seed=10)
         start = config.block_samples + config.cp_samples
-        out = demod_fft(r, start, config, sync_cfg)
+        out = demod_fft(r, start, config)
         oracle = np.fft.fft(r.samples[start:start + 128])
-        assert out.size == 128
+        assert out.shape == (128,)
         assert np.max(np.abs(out - oracle)) < 1e-9
 
-    def test_extended_grid_recovers_scaled_symbols(self):
+    def test_recovers_rotated_symbols(self):
         config = table1_config()
-        sync_cfg = SyncConfig(n_blocks=5, n_l=-2, n_u=2)
         rng = np.random.default_rng(11)
         blocks = random_symbol_blocks(rng, 3, config)
         seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
         wave = build_waveform(blocks, seq.phasors(0, 2), config)
         start = config.block_samples + config.cp_samples
-        out = demod_fft(wave, start, config, sync_cfg)
-        expected = (132 / 128) * blocks[1] * np.exp(
-            -1j * seq.plan(1, 1)[0, 1:])
-        assert np.max(np.abs(out[:128] - expected)) < 1e-9
+        out = demod_fft(wave, start, config)
+        expected = blocks[1] * np.exp(-1j * seq.plan(1, 1)[0, 1:])
+        assert np.max(np.abs(out - expected)) < 1e-9
 
-    def test_integer_cfo_shifts_bins(self):
-        config = table1_config()
-        sync_cfg = SyncConfig(n_blocks=5, n_l=-2, n_u=2)
-        n_fft = sync_cfg.n_fft(config)
-        assert n_fft == 132
-        # single active carrier, then a 2-bin frequency offset
-        body = np.fft.ifft(np.eye(128)[5] * 128.0)
+    @staticmethod
+    def shifted_carrier(config, carrier, n0):
+        """demod_fft of one body carrying only ``carrier``, after a
+        frequency offset of n0 subcarrier spacings."""
+        n_c = config.n_carriers
+        body = np.fft.ifft(np.eye(n_c)[carrier] * n_c)
         sig = ComplexSignal(body, config.sample_interval)
         shifted = apply_offsets(
-            sig, OffsetSpec(omega0=2 * np.pi * 2 / config.t_body))
-        out = demod_fft(shifted, 0, config, sync_cfg)
+            sig, OffsetSpec(omega0=2 * np.pi * n0 / config.t_body))
+        return demod_fft(shifted, 0, config)
+
+    def test_integer_cfo_shifts_bins(self):
+        out = self.shifted_carrier(table1_config(), 5, 2)
         assert int(np.argmax(np.abs(out))) == 7
 
+    @pytest.mark.parametrize("carrier, n0, peak", [
+        (0, -1, 127), (0, -2, 126), (1, -2, 127), (127, 1, 0), (126, 2, 0)])
+    def test_band_edge_carrier_wraps_at_n_c(self, carrier, n0, peak):
+        # the estimators read carrier i at bin (i + n0) mod out.shape[-1]
+        out = self.shifted_carrier(table1_config(), carrier, n0)
+        assert int(np.argmax(np.abs(out))) == peak
+        assert (carrier + n0) % out.shape[-1] == peak
 
-def synthetic_pilot_blocks(n_fft, i_p, pilot, phases, n0, zeta0, tb_ts,
+
+def synthetic_pilot_blocks(n_c, i_p, pilot, phases, n0, zeta0, tb_ts,
                            t0p_norm=0.0):
     """Demodulated pilot bins with a frequency offset of n0+zeta0 subcarrier
     spacings and a residual window offset of t0p_norm body durations."""
     k = np.arange(phases.size)
-    r = np.zeros((phases.size, n_fft), dtype=complex)
+    r = np.zeros((phases.size, n_c), dtype=complex)
     cfo = np.exp(2j * np.pi * (n0 + zeta0) * k * tb_ts)
     ramp = np.exp(-2j * np.pi * i_p * t0p_norm)
-    r[:, (i_p + n0) % n_fft] = pilot * np.exp(-1j * phases) * cfo * ramp
+    r[:, (i_p + n0) % n_c] = pilot * np.exp(-1j * phases) * cfo * ramp
     return r
 
 
@@ -213,7 +240,7 @@ class TestEstimateIntegerCfo:
         sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(12)
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
-        r_blocks = synthetic_pilot_blocks(132, 24, 1.0 + 0j, phases, 0, 0.0,
+        r_blocks = synthetic_pilot_blocks(128, 24, 1.0 + 0j, phases, 0, 0.0,
                                           152 / 128)
         n0, zeta0, low = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
                                               phases[:, None], config,
@@ -229,7 +256,7 @@ class TestEstimateIntegerCfo:
         rng = np.random.default_rng(13)
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
         for n0_true in (-2, -1, 1, 2):
-            r_blocks = synthetic_pilot_blocks(132, 24, 1.0 + 0j, phases,
+            r_blocks = synthetic_pilot_blocks(128, 24, 1.0 + 0j, phases,
                                               n0_true, 0.0, 152 / 128)
             n0, zeta0, _ = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
                                                 phases[:, None], config,
@@ -242,7 +269,7 @@ class TestEstimateIntegerCfo:
         sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(14)
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
-        r_blocks = synthetic_pilot_blocks(132, 24, 1.0 + 0j, phases, 1, 0.013,
+        r_blocks = synthetic_pilot_blocks(128, 24, 1.0 + 0j, phases, 1, 0.013,
                                           152 / 128)
         n0, zeta0, _ = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
                                             phases[:, None], config, sync_cfg)
@@ -256,11 +283,12 @@ class TestEstimateFineTime:
         rng = np.random.default_rng(15)
         th1 = 2 * np.pi * rng.integers(0, 16, 8) / 16
         th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
-        r = (synthetic_pilot_blocks(132, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128)
-             + synthetic_pilot_blocks(132, 32, 1.0 + 0j, th2, 0, 0.0,
+        r = (synthetic_pilot_blocks(128, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128)
+             + synthetic_pilot_blocks(128, 32, 1.0 + 0j, th2, 0, 0.0,
                                       152 / 128))
-        t0p = estimate_fine_time(r, [(24, 1.0 + 0j), (32, 1.0 + 0j)],
-                                 np.column_stack([th1, th2]), 0, config)
+        t0p = estimate_fine_time(r[:, [24, 32]],
+                                 [(24, 1.0 + 0j), (32, 1.0 + 0j)],
+                                 np.column_stack([th1, th2]), config)
         assert t0p == pytest.approx(0.0, abs=1e-12)
 
     def test_half_cp2_residual(self):
@@ -270,20 +298,21 @@ class TestEstimateFineTime:
         th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
         t0p_true = config.cp2_samples * config.sample_interval / 2
         t0p_norm = t0p_true / config.t_body
-        r = (synthetic_pilot_blocks(132, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128,
+        r = (synthetic_pilot_blocks(128, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128,
                                     t0p_norm)
-             + synthetic_pilot_blocks(132, 32, 1.0 + 0j, th2, 0, 0.0,
+             + synthetic_pilot_blocks(128, 32, 1.0 + 0j, th2, 0, 0.0,
                                       152 / 128, t0p_norm))
-        t0p = estimate_fine_time(r, [(24, 1.0 + 0j), (32, 1.0 + 0j)],
-                                 np.column_stack([th1, th2]), 0, config)
+        t0p = estimate_fine_time(r[:, [24, 32]],
+                                 [(24, 1.0 + 0j), (32, 1.0 + 0j)],
+                                 np.column_stack([th1, th2]), config)
         assert abs(t0p - t0p_true) < config.sample_interval
 
     def test_rejects_duplicate_pilots(self):
         config = table1_config()
-        r = np.zeros((8, 132), dtype=complex)
+        r_pilots = np.zeros((8, 2), dtype=complex)
         with pytest.raises(ValueError):
-            estimate_fine_time(r, [(24, 1.0 + 0j), (24, 1.0 + 0j)],
-                               np.zeros((8, 2)), 0, config)
+            estimate_fine_time(r_pilots, [(24, 1.0 + 0j), (24, 1.0 + 0j)],
+                               np.zeros((8, 2)), config)
 
 
 class TestEstimatePhase:
@@ -293,10 +322,11 @@ class TestEstimatePhase:
         pilots = [(24, 1.0 + 0j), (32, 2j)]
         phases = 2 * np.pi * rng.integers(0, 16, (8, 2)) / 16
         phi0 = 0.7
-        r = sum(synthetic_pilot_blocks(132, i, p * np.exp(1j * phi0),
+        r = sum(synthetic_pilot_blocks(128, i, p * np.exp(1j * phi0),
                                        phases[:, j], 0, 0.0, 152 / 128)
                 for j, (i, p) in enumerate(pilots))
-        got = estimate_phase(r, pilots, phases, 0, 0.0, 0.0, config)
+        got = estimate_phase(r[:, [24, 32]], pilots, phases, 0, 0.0, 0.0,
+                             config)
         assert abs(got - phi0) < 1e-12
 
 
@@ -404,7 +434,7 @@ class TestSynchronizeUnderJamming:
     def test_phase_estimate_is_informative(self):
         # The absolute phase couples to residual timing and frequency
         # errors (a sub-sample timing slip rotates pilot bin 24 by
-        # roughly 2 * pi * 24 / 132 radians per sample), so under 0 dB
+        # roughly 2 * pi * 24 / 128 radians per sample), so under 0 dB
         # disguised jamming the error is far from zero but must still be
         # much tighter than the uniform distribution an uninformative
         # estimator would produce (median pi / 2, 48% below 1.5 rad).
@@ -412,3 +442,17 @@ class TestSynchronizeUnderJamming:
         errs = np.array([r["phase_err"] for r in results])
         assert np.median(errs) < 1.0
         assert np.mean(errs < 1.5) >= 0.70
+
+
+class TestBandEdgePilots:
+    @pytest.mark.parametrize("pilots", [(0, 8), (1, 9)],
+                             ids=["carriers_0_8", "carriers_1_9"])
+    def test_pilots_within_the_cfo_bound_of_carrier_0(self, pilots):
+        # with n0 down to n_l = -2, carrier 0 or 1 moves to a bin at the top
+        # of the band, so these trials fail if the bins do not wrap at N_c
+        scenario = table1_scenario(
+            pilot_positions=tuple((i, 1.0 + 0j) for i in pilots),
+            jammer_strategy="none", snr_db=30.0, trials=60)
+        report = run_sync_experiment(scenario)
+        assert report.aggregates["n_failed"] == 0
+        assert report.aggregates["time_cdf"]["lt_0.02"] == 1.0
