@@ -132,6 +132,10 @@ class Scenario:
                              f"cp2_samples), got {self.max_delay_samples!r}")
         self.ofdm_config()  # their checks run here, not at the first trial
         self.sync_config()
+        # bins n0 and n0 + N_c coincide: the integer CFO would be aliased
+        if self.n_u - self.n_l >= self.n_carriers:
+            raise ValueError(f"n_l, n_u: n_u - n_l must be below n_carriers "
+                             f"({self.n_carriers}), got {self.n_l}, {self.n_u}")
         try:
             self.key()
         except ValueError as exc:

@@ -119,9 +119,12 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
 
 
 class PhaseSequence:
-    """Cached phase plans of one (key, epoch), one row per block as in
-    :func:`phase_plans`, and their unit phasors; rows 0..k are derived when
-    block k is first needed.
+    """Cached secret phasors of one (key, epoch): row k is e^{j theta} of the
+    row of block k in :func:`phase_plans`, read from an M-entry table.
+
+    One window of consecutive rows is cached. A request that overlaps or
+    touches it derives only the missing blocks on either side; any other
+    request starts a new window, so a far block costs only its own rows.
 
     The receiver's nominal sequence; the transmitter's sequence is the same
     rows at a shifted block index.
@@ -132,26 +135,29 @@ class PhaseSequence:
         self.epoch = epoch
         self.n_carriers = n_carriers
         self.psk_order = psk_order
-        self._angles = np.empty((0, n_carriers + 1))
-        self._phasors = np.empty((0, n_carriers + 1), dtype=complex)
+        self._first = 0
+        self._rows = np.empty((0, n_carriers + 1), dtype=complex)
         self._table = psk_phasors(psk_order)
 
-    def plan(self, k_first: int, k_last: int) -> np.ndarray:
+    def _derive(self, k_first: int, count: int) -> np.ndarray:
+        angles = phase_plans(self.key, self.epoch, k_first, count,
+                             self.n_carriers, self.psk_order)
+        # each angle is an exact multiple of 2 pi/M: v is its table index
+        return self._table[np.rint(angles * (self.psk_order / (2 * np.pi)))
+                           .astype(np.intp)]
+
+    def phasors(self, k_first: int, k_last: int) -> np.ndarray:
         """Rows of blocks k_first..k_last inclusive (read-only)."""
         if not 0 <= k_first <= k_last:
             raise ValueError("need 0 <= k_first <= k_last")
-        have = len(self._angles)
-        if k_last >= have:
-            more = phase_plans(self.key, self.epoch, have, k_last + 1 - have,
-                               self.n_carriers, self.psk_order)
-            # each angle is an exact multiple of 2 pi/M: v is its table index
-            v = np.rint(more * (self.psk_order / (2 * np.pi))).astype(np.intp)
-            self._angles = np.concatenate([self._angles, more])
-            self._phasors = np.concatenate([self._phasors, self._table[v]])
-            self._angles.flags.writeable = self._phasors.flags.writeable = False
-        return self._angles[k_first:k_last + 1]
-
-    def phasors(self, k_first: int, k_last: int) -> np.ndarray:
-        """e^{j * plan(k_first, k_last)} from an M-entry table (read-only)."""
-        self.plan(k_first, k_last)
-        return self._phasors[k_first:k_last + 1]
+        lo, hi = self._first, self._first + len(self._rows)
+        if k_last + 1 < lo or k_first > hi:  # disjoint: start a new window
+            lo = hi = k_first
+            self._rows = self._rows[:0]
+        if k_first < lo or k_last >= hi:
+            before = [self._derive(k_first, lo - k_first)] if k_first < lo else []
+            after = [self._derive(hi, k_last + 1 - hi)] if k_last >= hi else []
+            self._rows = np.concatenate(before + [self._rows] + after)
+            self._rows.flags.writeable = False
+            self._first = min(lo, k_first)
+        return self._rows[k_first - self._first:k_last + 1 - self._first]

@@ -135,6 +135,11 @@ def load_alist(path: str | Path) -> ParityCheckCode:
     The row section must list the same edges as the column section."""
     rows = [line.split() for line in Path(path).read_text().split("\n")
             if line.strip()]
+    for line, what in enumerate(("n m", "maximum degrees", "column degrees",
+                                 "row degrees")):
+        if len(rows) <= line or line == 0 and len(rows[0]) != 2:
+            raise ValueError(f"alist {path}: header line {line + 1} "
+                             f"({what}) missing")
     n, m = int(rows[0][0]), int(rows[0][1])
     edges = []
     for name, size, lines, degrees in (("column", n, rows[4:4 + n], rows[2]),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .keystream import PhaseSequence
-from .txchain import ComplexSignal, OfdmConfig, phase_ramp
+from .txchain import ComplexSignal, OfdmConfig, decode_phases, phase_ramp
 
 __all__ = [
     "SyncConfig",
@@ -161,46 +161,35 @@ def demod_fft(r: ComplexSignal, body_starts, config: OfdmConfig) -> np.ndarray:
     return np.fft.fft(r.samples[starts[..., None] + np.arange(n_c)], axis=-1)
 
 
-def _gamma_avg(r_blocks: np.ndarray, pilot_phases: np.ndarray,
-               lag: int = 1) -> np.ndarray:
-    """Block average of the despread cross-block products at the given block
-    lag: ``r_blocks`` (K+1, ..., bins) with ``pilot_phases`` (K+1, ...), one
-    phase per block and leading index, give one value per (..., bins)."""
-    dphase = pilot_phases[:-lag] - pilot_phases[lag:]
-    gamma = (r_blocks[:-lag] * np.conj(r_blocks[lag:])
-             * np.exp(1j * dphase)[..., None])
+def _gamma_avg(z: np.ndarray, lag: int = 1) -> np.ndarray:
+    """Block average of the cross-block products z_k conj(z_{k+lag}) of the
+    despread pilot observations ``z`` (K+1, ...), one value per (...)."""
+    gamma = z[:-lag] * np.conj(z[lag:])
     # sums in block order whatever the memory layout or shape, where
     # mean(axis=0) sums pairwise along a contiguous block axis
     return np.cumsum(gamma, axis=0)[-1] / len(gamma)
 
 
-def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
-                         phases: np.ndarray, config: OfdmConfig,
+def estimate_integer_cfo(z: np.ndarray, config: OfdmConfig,
                          sync_cfg: SyncConfig):
     """Integer CFO and residual fractional error from cross-block pilot
     correlations.
 
-    ``r_blocks``: (K+1, N_c) demodulated blocks; ``pilots``: [(index,
-    value), ...]; ``phases``: (K+1, P) secret phases of the pilot
-    subcarriers for the same blocks. The bound on the integer offset is known
-    a priori, so only the feasible bins (index + n0) mod N_c for n0 in
-    [n_l, n_u] are read: they are gathered once into a (K+1, P, n_u-n_l+1)
-    array, and each block lag's despread cross-block average is formed once
-    over it. The 1/|p|^2-weighted metrics of all pilots and block lags 1..3
-    are added before the peak search.
+    ``z``: (K+1, n_u-n_l+1, P) despread pilot observations: entry (k, c, j)
+    is block k's bin (i_j + n_l + c) mod N_c times the secret phasor of pilot
+    j, divided by its value p_j, which weights the pilot by 1/|p_j|^2. The
+    integer offset is bounded a priori, so only these feasible bins are
+    read. The metrics of all pilots and block lags 1..3 are added before
+    the peak search.
     Returns (n0_hat, zeta0_hat, low_confidence).
     """
-    n_c = r_blocks.shape[1]
-    k_count = r_blocks.shape[0] - 1
+    k_count = z.shape[0] - 1
     tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    bins = (np.array([idx for idx, _ in pilots])[:, None] + n0_cands) % n_c
-    r_bins = r_blocks[:, bins]                                    # (K+1, P, C)
-    weights = [abs(value) ** 2 for _, value in pilots]
-    gammas = {lag: _gamma_avg(r_bins, phases, lag)                # (P, C)
+    gammas = {lag: _gamma_avg(z, lag)                             # (C, P)
               for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
     # each lag contributes an independent average
-    scores = sum(sum(np.abs(g) / w for g, w in zip(gammas[lag], weights))
+    scores = sum(np.abs(gammas[lag]).sum(axis=1)
                  for lag in (1, 2, 3) if lag in gammas)
     n0 = int(n0_cands[int(np.argmax(scores))])
     order = np.sort(scores)
@@ -210,8 +199,7 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
         # peak phase is -2*pi*(n0+zeta0)*lag*T_b/T_s; remove the known
         # integer part
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
-        peak = sum(g[n0 - sync_cfg.n_l] * rot / w
-                   for g, w in zip(gammas[lag], weights))
+        peak = (gammas[lag][n0 - sync_cfg.n_l] * rot).sum()
         return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
 
     zeta0 = zeta_at(1)
@@ -225,60 +213,48 @@ def estimate_integer_cfo(r_blocks: np.ndarray, pilots: list,
     return n0, zeta0, low_conf
 
 
-def estimate_fine_time(r_pilots: np.ndarray, pilots: list, phases: np.ndarray,
-                       config: OfdmConfig) -> float:
+def estimate_fine_time(z: np.ndarray, pilot_idx, config: OfdmConfig) -> float:
     """Residual time offset from the phase slope across two pilot carriers.
 
-    ``r_pilots``: (K, 2) demodulated pilot bins, one column per pilot;
-    ``pilots``: [(i_p1, p1), (i_p2, p2)]; ``phases``: (K, 2) secret phases of
-    the two pilot carriers per block. Result folded into [0, T_CP2).
+    ``z``: (K, 2) despread pilot observations at the decided integer CFO,
+    one column per pilot; ``pilot_idx``: their carriers (i_p1, i_p2).
+    Result folded into [0, T_CP2).
     """
-    (ip1, p1), (ip2, p2) = pilots
-    if ip1 == ip2:
+    dip = int(pilot_idx[0]) - int(pilot_idx[1])
+    if dip == 0:
         raise ValueError("fine time estimation needs two distinct pilots")
-    dip = ip1 - ip2
     if abs(dip) * config.cp2_samples > config.n_carriers:
-        raise ValueError(
-            "pilot spacing violates the unambiguous fine-time range"
-        )
-    ups = (r_pilots[:, 0] * np.conj(r_pilots[:, 1]) * np.conj(p1) * p2
-           * np.exp(1j * (phases[:, 0] - phases[:, 1])))
-    u = ups.mean()
+        raise ValueError("pilot spacing violates the unambiguous fine-time range")
+    u = (z[:, 0] * np.conj(z[:, 1])).mean()
     t0p = float(-np.angle(u) * config.t_body / (2 * np.pi * dip))
     period = config.t_body / abs(dip)
     t0p %= period
     t_cp2 = config.cp2_samples * config.sample_interval
     if t0p >= (t_cp2 + period) / 2:
         t0p -= period
-    return min(max(t0p, 0.0), np.nextafter(t_cp2, 0.0))
+    return float(min(max(t0p, 0.0), np.nextafter(t_cp2, 0.0)))
 
 
-def estimate_phase(r_pilots: np.ndarray, pilots: list, phases: np.ndarray,
-                   n0: int, zeta0: float, t0p_samples: float,
-                   config: OfdmConfig, t_window0: float = 0.0) -> float:
-    """Carrier phase from the 1/|p|^2-weighted sum of the K-block averages
-    of the despread pilots, after compensating the residual CFO phase at
-    each FFT window start and the fine-time phase ramp.
+def estimate_phase(z: np.ndarray, pilot_idx, n0: int, zeta0: float,
+                   t0p_samples: float, config: OfdmConfig,
+                   t_window0: float = 0.0) -> float:
+    """Carrier phase from the sum of the K-block averages of the despread
+    pilots, after compensating the residual CFO phase at each FFT window
+    start and the fine-time phase ramp.
 
-    ``r_pilots``: (K, P) demodulated pilot bins, one column per pilot;
-    ``pilots``: [(index, value), ...]; ``phases``: (K, P) secret phases of
-    the pilot subcarriers. ``t_window0`` is the absolute start time of the
-    first demodulation window, so the returned phase is referenced to t = 0.
+    ``z``: (K, P) despread pilot observations at the decided integer CFO n0,
+    one column per pilot; ``pilot_idx``: their carriers. ``t_window0`` is
+    the absolute start time of the first demodulation window, so the
+    returned phase is referenced to t = 0.
     """
     # residual CFO phase e^{j 2*pi*(n0+zeta0)*t_wk/T_s} at window start t_wk
-    t_wk = t_window0 + np.arange(r_pilots.shape[0]) * config.t_block
+    t_wk = t_window0 + np.arange(z.shape[0]) * config.t_block
     drift = np.exp(-2j * np.pi * (n0 + zeta0) * t_wk / config.t_body)
-    total = 0.0
-    for j, (idx, value) in enumerate(pilots):
-        # The window-start shift ramps the spectrum before the CFO shifts
-        # it, so the ramp is evaluated at the pilot's own carrier, not the
-        # moved bin.
-        base_bin = idx % config.n_carriers
-        ramp = np.exp(2j * np.pi * base_bin * t0p_samples / config.n_carriers)
-        vals = (r_pilots[:, j] * np.exp(1j * phases[:, j])
-                * np.conj(value) * drift * ramp)
-        total += complex(vals.mean()) / abs(value) ** 2
-    return float(np.angle(total))
+    # The window-start shift ramps the spectrum before the CFO shifts it, so
+    # the ramp is evaluated at the pilot's own carrier, not the moved bin.
+    ramp = np.exp(2j * np.pi * np.asarray(pilot_idx) * t0p_samples
+                  / config.n_carriers)
+    return float(np.angle((z * drift[:, None] * ramp).mean(axis=0).sum()))
 
 
 def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
@@ -299,15 +275,15 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
                 phase_seq: PhaseSequence | None = None):
     """Full two-stage pipeline. Returns (SyncEstimate, pre-FFT surface).
     Without a phase sequence it is the classical receiver: unit CP phases,
-    sequence offset 0 and zero pilot phases.
+    sequence offset 0 and unit pilot phasors.
 
     After the coarse stage the fractional CFO is compensated on absolute time
     and the FFT window is backed off into CP2 so the fine-time estimator sees
     a strictly positive residual offset. The compensation covers only the
-    span of the K+1 block bodies the post-FFT stages demodulate. The
-    post-FFT stages use the first two pilots in carrier order; once the
-    integer CFO n0 is decided, their bins (index + n0) mod N_c are read once
-    for the fine-time and phase estimators.
+    span of the K+1 block bodies the post-FFT stages demodulate. The first
+    two pilots in carrier order are despread once (``decode_phases``, then
+    division by the pilot value) at their feasible bins (index + n0) mod N_c;
+    the fine-time and phase estimators read them at the decided n0.
     """
     est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
     dt = r.sample_interval
@@ -316,23 +292,27 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     pilots = sorted(config.pilot_positions.items())[:2]
     if len(pilots) < 2:
         raise ValueError("post-FFT synchronization needs two pilot carriers")
+    idx = [i for i, _ in pilots]
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
                                 est.frac_cfo_hat, config)
-    plans = (np.zeros((ks.size, config.n_carriers + 1)) if phase_seq is None
-             else phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat))
-    phases = plans[:, [1 + i for i, _ in pilots]]
+    phasors = (np.ones((ks.size, len(idx))) if phase_seq is None else
+               phase_seq.phasors(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
+               [:, [1 + i for i in idx]])
+    bins = (np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)[:, None]
+            + idx) % config.n_carriers
+    z = (decode_phases(r_blocks[:, bins], phasors[:, None])
+         / np.array([v for _, v in pilots]))                    # (K+1, C, P)
 
-    n0, zeta0, cfo_low_conf = estimate_integer_cfo(r_blocks, pilots, phases,
-                                                   config, sync_cfg)
-    r_pilots = r_blocks[:-1, [(i + n0) % config.n_carriers for i, _ in pilots]]
-    t0p = estimate_fine_time(r_pilots, pilots, phases[:-1], config)
+    n0, zeta0, cfo_low_conf = estimate_integer_cfo(z, config, sync_cfg)
+    z_pilots = z[:-1, n0 - sync_cfg.n_l]
+    t0p = estimate_fine_time(z_pilots, idx, config)
     t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
     est.zeta0_hat = zeta0
     est.t0p_hat = t0p
-    est.phi0_hat = estimate_phase(r_pilots, pilots, phases[:-1], n0,
-                                  zeta0, t0p / dt, config, t_window0)
+    est.phi0_hat = estimate_phase(z_pilots, idx, n0, zeta0, t0p / dt, config,
+                                  t_window0)
     est.low_confidence = est.low_confidence or cfo_low_conf
     return est, surface

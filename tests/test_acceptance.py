@@ -172,9 +172,9 @@ class TestCriterion5SyncCdfs:
         digests = [hashlib.sha256(report.records_csv().encode()).hexdigest()
                    for report in (awgn, multi, dopp)]
         assert digests == [
-            "0f4d19803b3d51eeea184ce752ce9c50eaeae0979412bd079bbb18a6ac07835d",
-            "023aa1c5dab59089b94a18f1767418b25d50ba16b501303c74609c8f8cdd9cf9",
-            "0364f5bbc262e47d1e52a99dd0fd631151179bef72bfc03be906e7194668ff8d",
+            "0685d545db77ed5ae820c889cd4487f24a7cef566cb97b6c39ce17c45eb41d02",
+            "10fe9b9f2322ad330f67e30d26e4936cd29549f2dcddd61acee65bba484c9c50",
+            "5afe062f18fa70e411a9fbdb9418c18cc2b646acd09e2a0cf144d80e1b5fe4c1",
         ]
 
 

@@ -90,6 +90,8 @@ class TestScenario:
         (dict(tap_decay="0.1"), "tap_decay"),
         (dict(max_doppler_normalized=None), "max_doppler_normalized"),
         (dict(max_delay_samples=24), "max_delay_samples"),
+        (dict(n_l=-100, n_u=100), "n_l, n_u"),
+        (dict(n_l=-64, n_u=64), "n_l, n_u"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -413,11 +415,11 @@ SYNC_DIGESTS = {
     "multipath_random_cp":
         "c8834bace77cf4e9b66b941bb38ef219cad5db32642cb01fa33b20ed26d5ae79",
     "doppler":
-        "fe07e95e72ab1ec1a30339dcb3b110b2b93cbce150a8b2030d869a2cd039f5ac",
+        "a2bc185a868fd0525b018f831a19746a1cf3407aaa3b50d76d04ad739da87011",
     "gaussian_jammer":
         "789f50219e351e692620758d969cb3deb3e7d4ad73718bfc7f823f3713381ee8",
     "no_jammer":
-        "c88c76d6f4b647cc639f1b7b4e1e6c742a2cbed832a83558d2b521ba81d59eb8",
+        "34cd93cb8591869710245352d7c1b4f113e609f0808efa18679dc15d4f59c9bd",
 }
 
 # Runs whose exact digests depend on numpy's SIMD dispatch (they differ in

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spofdm import keystream
 from spofdm.keystream import (KeystreamConfigError, PhaseSequence, SecretKey,
                               aes_encrypt_block, map_psk, phase_plans)
 
@@ -143,9 +144,8 @@ class TestPhasePlan:
         direct = phase_plan(KEY, 0, 40, 128, 16)
         seq = PhaseSequence(KEY, 0, 128, 16)
         for k in range(41):
-            sequential = seq.plan(k, k)[0]
-        assert np.exp(1j * sequential[0]) == np.exp(1j * direct[0])
-        assert np.array_equal(sequential[1:], direct[1:])
+            sequential = seq.phasors(k, k)[0]
+        assert sequential.tobytes() == np.exp(1j * direct).tobytes()
 
     def test_rejects_negative_block(self):
         with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ class TestPhasePlan:
     def test_adjacent_blocks_uncorrelated(self):
         n_blocks = 1000
         seq = PhaseSequence(KEY, 0, 128, 16)
-        u = np.exp(1j * seq.plan(0, n_blocks)[:, 1:])
+        u = seq.phasors(0, n_blocks)[:, 1:]
         rho = np.mean(u[:-1] * np.conj(u[1:]))
         assert abs(rho) < 0.05
 
@@ -172,19 +172,42 @@ class TestPhasePlan:
 
 
 class TestPhaseSequence:
-    def test_plan_slice(self):
+    def test_phasor_slice(self):
         seq = PhaseSequence(KEY, 0, 128, 16)
-        arr = seq.plan(3, 7)
+        arr = seq.phasors(3, 7)
         assert arr.shape == (5, 129)
-        assert np.array_equal(arr[0], seq.plan(3, 3)[0])
-        assert np.array_equal(arr[-1], seq.plan(7, 7)[0])
+        assert np.array_equal(arr[0], seq.phasors(3, 3)[0])
+        assert np.array_equal(arr[-1], seq.phasors(7, 7)[0])
 
-    def test_plan_rows_are_read_only(self):
+    def test_phasor_rows_are_read_only(self):
         seq = PhaseSequence(KEY, 0, 128, 16)
         with pytest.raises(ValueError):
-            seq.plan(0, 2)[0, 0] = 1.0
+            seq.phasors(0, 2)[0, 0] = 1.0
         with pytest.raises(ValueError):
-            seq.plan(3, 2)
+            seq.phasors(3, 2)
+
+    @pytest.mark.parametrize("requests", [
+        [(10 ** 6, 10 ** 6)],
+        [(10 ** 6, 10 ** 6 + 2), (10 ** 6 - 3, 10 ** 6), (10 ** 6 + 1, 10 ** 6 + 5)],
+        [(0, 4), (10 ** 6 - 1, 10 ** 6 + 1), (10 ** 6 + 2, 10 ** 6 + 2)],
+    ])
+    def test_far_blocks_derive_only_their_rows(self, monkeypatch, requests):
+        derived = []
+
+        def counting(key, epoch, k_first, count, n_carriers, psk_order):
+            derived.extend(range(k_first, k_first + count))
+            return phase_plans(key, epoch, k_first, count, n_carriers, psk_order)
+
+        monkeypatch.setattr(keystream, "phase_plans", counting)
+        seq = PhaseSequence(KEY, 0, 128, 16)
+        wanted = []
+        for a, b in requests:
+            got = seq.phasors(a, b)
+            assert got.tobytes() == np.exp(
+                1j * phase_plans(KEY, 0, a, b - a + 1, 128, 16)).tobytes()
+            wanted.extend(range(a, b + 1))
+        # each requested block derived once, and no other block
+        assert sorted(derived) == sorted(set(wanted))
 
     def test_cp_phase_stream_uniform_and_uncorrelated(self):
         n = 100_000

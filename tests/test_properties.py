@@ -37,7 +37,7 @@ from spofdm.sync import (FIRST_BLOCK, SyncConfig, _demod_derotated,
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, phase_ramp, precode,
                             random_symbol_blocks)
-from test_sync import corr_pre_fft
+from test_sync import corr_pre_fft, despread
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -149,8 +149,8 @@ def test_sequence_rows_independent_of_growth_order(ranges):
     seq = PhaseSequence(KEY, 3, 16, 4)
     for a, b in ranges:
         a, b = min(a, b), max(a, b)
-        assert np.array_equal(seq.plan(a, b),
-                              phase_plans(KEY, 3, a, b - a + 1, 16, 4))
+        assert seq.phasors(a, b).tobytes() == np.exp(
+            1j * phase_plans(KEY, 3, a, b - a + 1, 16, 4)).tobytes()
 
 
 @FAST
@@ -200,7 +200,7 @@ def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
 def test_cached_phasors_are_exp_of_the_plans(m, n_c, epoch, k_first, count):
     seq = PhaseSequence(KEY, epoch, n_c, m)
     phasors = seq.phasors(k_first, k_first + count - 1)
-    angles = seq.plan(k_first, k_first + count - 1)
+    angles = phase_plans(KEY, epoch, k_first, count, n_c, m)
     assert phasors.tobytes() == np.exp(1j * angles).tobytes()
     assert np.conj(phasors).tobytes() == np.exp(-1j * angles).tobytes()
 
@@ -217,7 +217,7 @@ def test_waveform_from_phasors_is_angle_formula(n_c, psk_order, n_blocks,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     blocks = random_symbol_blocks(np.random.default_rng(seed), n_blocks, config)
     seq = PhaseSequence(KEY, 0, n_c, psk_order)
-    angles = seq.plan(k_first, k_first + n_blocks - 1)
+    angles = phase_plans(KEY, 0, k_first, n_blocks, n_c, psk_order)
     direct = modulate_block(blocks * np.exp(-1j * angles[:, 1:]),
                             np.exp(1j * angles[:, 0]), config)
     wave = build_waveform(blocks, seq.phasors(k_first, k_first + n_blocks - 1),
@@ -277,32 +277,33 @@ def test_batched_demod_equals_per_start_calls(n_c, n_samples, data):
         demod_fft(r, np.append(starts, bad), config)
 
 
-def full_grid_integer_cfo(r_blocks, pilots, phases, config, sync_cfg):
-    """Integer CFO search over the despread cross-block averages of all N_c
-    bins, read at the feasible bins afterwards."""
-    def gamma_avg(pilot_phases, lag):
-        dphase = pilot_phases[:-lag] - pilot_phases[lag:]
-        gamma = (r_blocks[:-lag] * np.conj(r_blocks[lag:])
-                 * np.exp(1j * dphase)[:, None])
-        return gamma.mean(axis=0)
-
+def full_grid_integer_cfo(r_blocks, pilots, phasors, config, sync_cfg):
+    """Integer CFO search over the cross-block averages of all N_c bins
+    despread by each pilot's phasors, read at the feasible bins afterwards."""
     n_c = r_blocks.shape[1]
+    every_bin = np.repeat(np.arange(n_c)[:, None], len(pilots), axis=1)
+    # C order, so that mean(axis=0) sums the blocks in row order
+    z = np.ascontiguousarray(despread(r_blocks, every_bin, pilots, phasors))
+
+    def gamma_avg(lag):
+        return (z[:-lag] * np.conj(z[lag:])).mean(axis=0)
+
     k_count = r_blocks.shape[0] - 1
     tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    gammas = {lag: [gamma_avg(phases[:, j], lag) for j in range(len(pilots))]
+    cols = np.arange(len(pilots))
+    idx = np.array([i for i, _ in pilots])
+    gammas = {lag: gamma_avg(lag)
               for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
-    scores = sum(sum(np.abs(g[(idx + n0_cands) % n_c]) / abs(value) ** 2
-                     for g, (idx, value) in zip(gammas[lag], pilots))
-                 for lag in (1, 2, 3) if lag in gammas)
+    scores = sum(np.abs(gammas[lag][(idx + n0_cands[:, None]) % n_c, cols])
+                 .sum(axis=1) for lag in (1, 2, 3) if lag in gammas)
     n0 = int(n0_cands[int(np.argmax(scores))])
     order = np.sort(scores)
     low_conf = bool(order[-1] < 1.5 * order[-2]) if scores.size > 1 else False
 
     def zeta_at(lag):
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
-        peak = sum(g[(idx + n0) % n_c] * rot / abs(value) ** 2
-                   for g, (idx, value) in zip(gammas[lag], pilots))
+        peak = (gammas[lag][(idx + n0) % n_c, cols] * rot).sum()
         return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
 
     zeta0 = zeta_at(1)
@@ -326,28 +327,32 @@ def whole_signal_demod(r, body_starts, frac_cfo, config):
 
 def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
     """The two-stage synchronizer with the fractional CFO removed from the
-    whole signal, the integer CFO searched on the full grid and the pilot
-    bins read from the demodulated blocks by each later estimator."""
+    whole signal, the pilot phasors computed from their angles, the integer
+    CFO searched on the full grid and the pilot bins at the decided n0
+    despread afterwards."""
     est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
     dt = r.sample_interval
     tau_samp = int(round(est.t0_hat / dt))
     pilots = sorted(config.pilot_positions.items())[:2]
+    idx = [i for i, _ in pilots]
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = whole_signal_demod(r, window0 + ks * config.block_samples,
                                   est.frac_cfo_hat, config)
-    plans = phase_seq.plan(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
-    phases = np.ascontiguousarray(plans[:, [1 + i for i, _ in pilots]])
-    n0, zeta0, cfo_low_conf = full_grid_integer_cfo(r_blocks, pilots, phases,
+    angles = phase_plans(phase_seq.key, phase_seq.epoch, ks[0] + est.k0_hat,
+                         ks.size, config.n_carriers, config.psk_order)
+    phasors = np.exp(1j * angles[:, [1 + i for i in idx]])
+    n0, zeta0, cfo_low_conf = full_grid_integer_cfo(r_blocks, pilots, phasors,
                                                     config, sync_cfg)
-    bins = [(i + n0) % config.n_carriers for i, _ in pilots]
-    t0p = estimate_fine_time(r_blocks[:-1, bins], pilots, phases[:-1], config)
+    bins = [[(i + n0) % config.n_carriers for i in idx]]
+    z = despread(r_blocks[:-1], bins, pilots, phasors[:-1])[:, 0]
+    t0p = estimate_fine_time(z, idx, config)
     t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
     est.zeta0_hat = zeta0
     est.t0p_hat = t0p
-    est.phi0_hat = estimate_phase(r_blocks[:-1, bins], pilots, phases[:-1], n0,
-                                  zeta0, t0p / dt, config, t_window0)
+    est.phi0_hat = estimate_phase(z, idx, n0, zeta0, t0p / dt, config,
+                                  t_window0)
     est.low_confidence = est.low_confidence or cfo_low_conf
     return est, surface
 
@@ -389,10 +394,11 @@ def test_feasible_bin_integer_cfo_is_full_grid_search(k_count, n_c, n_l, n_u,
               for i in dict.fromkeys(c % n_c for c in carriers)]
     r_blocks = (rng.normal(size=(k_count + 1, n_c))
                 + 1j * rng.normal(size=(k_count + 1, n_c)))
-    phases = 2 * np.pi * rng.integers(0, 16, (k_count + 1, len(pilots))) / 16
-    args = (r_blocks, pilots, phases, config, sync_cfg)
-    assert outcome(estimate_integer_cfo, *args) == outcome(
-        full_grid_integer_cfo, *args)
+    phasors = psk_phasors(16)[rng.integers(0, 16, (k_count + 1, len(pilots)))]
+    feasible = (np.arange(n_l, n_u + 1)[:, None] + [i for i, _ in pilots]) % n_c
+    z = despread(r_blocks, feasible, pilots, phasors)
+    assert outcome(estimate_integer_cfo, z, config, sync_cfg) == outcome(
+        full_grid_integer_cfo, r_blocks, pilots, phasors, config, sync_cfg)
 
 
 @FAST
@@ -504,14 +510,16 @@ SYNC_TRIAL_SETTINGS = st.sampled_from([
 def test_sync_trial_ignores_keystream_cache_state(overrides, sync_blocks,
                                                   master_seed, trials):
     # each trial on a fresh sequence against all trials on one sequence
-    # grown past block 200 first
+    # grown past block 200 first, and on one whose window starts far away
     scenario = table1_scenario(sync_blocks=sync_blocks,
                                master_seed=master_seed, **overrides)
-    grown = _link(scenario)
-    grown.phase_seq.plan(0, 201)
+    grown, far = _link(scenario), _link(scenario)
+    grown.phase_seq.phasors(0, 201)
+    far.phase_seq.phasors(10 ** 6, 10 ** 6)
     for trial in trials:
-        assert repr(_sync_trial(scenario, trial, _link(scenario))) == repr(
-            _sync_trial(scenario, trial, grown))
+        fresh = repr(_sync_trial(scenario, trial, _link(scenario)))
+        assert fresh == repr(_sync_trial(scenario, trial, grown))
+        assert fresh == repr(_sync_trial(scenario, trial, far))
 
 
 @settings(max_examples=5, deadline=None)

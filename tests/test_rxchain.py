@@ -212,6 +212,18 @@ class TestParityCheckCode:
         with pytest.raises(ValueError, match="variable 1 has no edges"):
             load_alist(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("", "1 \\(n m\\)"), ("4\n", "1 \\(n m\\)"),
+        ("4 2\n", "2 \\(maximum degrees\\)"),
+        ("4 2\n3 2\n", "3 \\(column degrees\\)"),
+        ("4 2\n3 2\n1 1 1 1\n", "4 \\(row degrees\\)"),
+    ])
+    def test_alist_truncated_header_named(self, tmp_path, text, line):
+        path = tmp_path / "short.alist"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"short.alist: header line {line}"):
+            load_alist(path)
+
     def test_alist_round_trip(self, tmp_path):
         code = make_regular_parity_check(30, 15, seed=3)
         path = tmp_path / "code.alist"

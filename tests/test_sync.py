@@ -12,7 +12,7 @@ from spofdm.sync import (SyncConfig, _gamma_avg, demod_fft,
                          estimate_fine_time, estimate_integer_cfo,
                          estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
-                            random_symbol_blocks)
+                            decode_phases, random_symbol_blocks)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 PILOTS = {24: 1.0 + 0j, 32: 1.0 + 0j}
@@ -91,7 +91,9 @@ class TestCorrPreFft:
                         acc += (r.samples[start + i]
                                 * np.conj(r.samples[start + i
                                                     + config.n_carriers]))
-                    cp_phase = np.exp(1j * seq.plan(k + d, k + d)[0, 0])
+                    cp_phase = np.exp(1j * phase_plans(
+                        KEY, 0, k + d, 1, config.n_carriers,
+                        config.psk_order)[0, 0])
                     oracle = acc * np.conj(cp_phase) * dt
                     assert abs(got - oracle) < 1e-10
 
@@ -195,7 +197,7 @@ class TestDemodFft:
         wave = build_waveform(blocks, seq.phasors(0, 2), config)
         start = config.block_samples + config.cp_samples
         out = demod_fft(wave, start, config)
-        expected = blocks[1] * np.exp(-1j * seq.plan(1, 1)[0, 1:])
+        expected = blocks[1] * np.exp(-1j * phase_plans(KEY, 0, 1, 1, 128, 16)[0, 1:])
         assert np.max(np.abs(out - expected)) < 1e-9
 
     @staticmethod
@@ -234,85 +236,91 @@ def synthetic_pilot_blocks(n_c, i_p, pilot, phases, n0, zeta0, tb_ts,
     return r
 
 
+def despread(r_blocks, bins, pilots, phasors):
+    """(K, C, P) despread observations, as synchronize forms them: the
+    (C, P) ``bins`` of ``r_blocks`` (K, N_c), decode_phases by the (K, P)
+    pilot phasors, divided by the values of the pilots [(index, value), ...]."""
+    return (decode_phases(r_blocks[:, bins], phasors[:, None])
+            / np.array([value for _, value in pilots]))
+
+
 class TestEstimateIntegerCfo:
+    PILOT = [(24, 1.0 + 0j)]
+
+    def estimate(self, r_blocks, phases, sync_cfg):
+        bins = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)[:, None] + 24
+        z = despread(r_blocks, bins, self.PILOT, np.exp(1j * phases)[:, None])
+        return estimate_integer_cfo(z, table1_config(), sync_cfg), z
+
     def test_zero_offset_peak_at_pilot_bin(self):
-        config = table1_config()
         sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(12)
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
         r_blocks = synthetic_pilot_blocks(128, 24, 1.0 + 0j, phases, 0, 0.0,
                                           152 / 128)
-        n0, zeta0, low = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
-                                              phases[:, None], config,
-                                              sync_cfg)
+        (n0, zeta0, low), z = self.estimate(r_blocks, phases, sync_cfg)
         assert n0 == 0
         assert abs(zeta0) < 1e-12
-        assert abs(_gamma_avg(r_blocks, phases)[24] - 1.0) < 1e-12
+        assert abs(_gamma_avg(z)[-sync_cfg.n_l, 0] - 1.0) < 1e-12
         assert not low
 
     def test_integer_offset_moves_peak(self):
-        config = table1_config()
         sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(13)
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
         for n0_true in (-2, -1, 1, 2):
             r_blocks = synthetic_pilot_blocks(128, 24, 1.0 + 0j, phases,
                                               n0_true, 0.0, 152 / 128)
-            n0, zeta0, _ = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
-                                                phases[:, None], config,
-                                                sync_cfg)
+            (n0, zeta0, _), _ = self.estimate(r_blocks, phases, sync_cfg)
             assert n0 == n0_true
             assert abs(zeta0) < 1e-12
 
     def test_residual_fraction_recovered(self):
-        config = table1_config()
         sync_cfg = SyncConfig(n_blocks=8)
         rng = np.random.default_rng(14)
         phases = 2 * np.pi * rng.integers(0, 16, 9) / 16
         r_blocks = synthetic_pilot_blocks(128, 24, 1.0 + 0j, phases, 1, 0.013,
                                           152 / 128)
-        n0, zeta0, _ = estimate_integer_cfo(r_blocks, [(24, 1.0 + 0j)],
-                                            phases[:, None], config, sync_cfg)
+        (n0, zeta0, _), _ = self.estimate(r_blocks, phases, sync_cfg)
         assert n0 == 1
         assert abs(zeta0 - 0.013) < 1e-9
 
 
 class TestEstimateFineTime:
-    def test_zero_residual(self):
+    PILOTS = [(24, 1.0 + 0j), (32, 1.0 + 0j)]
+
+    def estimate(self, t0p_norm):
         config = table1_config()
         rng = np.random.default_rng(15)
-        th1 = 2 * np.pi * rng.integers(0, 16, 8) / 16
-        th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
-        r = (synthetic_pilot_blocks(128, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128)
-             + synthetic_pilot_blocks(128, 32, 1.0 + 0j, th2, 0, 0.0,
-                                      152 / 128))
-        t0p = estimate_fine_time(r[:, [24, 32]],
-                                 [(24, 1.0 + 0j), (32, 1.0 + 0j)],
-                                 np.column_stack([th1, th2]), config)
-        assert t0p == pytest.approx(0.0, abs=1e-12)
+        th = 2 * np.pi * rng.integers(0, 16, (8, 2)) / 16
+        r = sum(synthetic_pilot_blocks(128, i, p, th[:, j], 0, 0.0, 152 / 128,
+                                       t0p_norm)
+                for j, (i, p) in enumerate(self.PILOTS))
+        z = despread(r, [[24, 32]], self.PILOTS, np.exp(1j * th))[:, 0]
+        return estimate_fine_time(z, [24, 32], config)
+
+    def test_zero_residual(self):
+        assert self.estimate(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_cp2_residual(self):
         config = table1_config()
-        rng = np.random.default_rng(16)
-        th1 = 2 * np.pi * rng.integers(0, 16, 8) / 16
-        th2 = 2 * np.pi * rng.integers(0, 16, 8) / 16
         t0p_true = config.cp2_samples * config.sample_interval / 2
-        t0p_norm = t0p_true / config.t_body
-        r = (synthetic_pilot_blocks(128, 24, 1.0 + 0j, th1, 0, 0.0, 152 / 128,
-                                    t0p_norm)
-             + synthetic_pilot_blocks(128, 32, 1.0 + 0j, th2, 0, 0.0,
-                                      152 / 128, t0p_norm))
-        t0p = estimate_fine_time(r[:, [24, 32]],
-                                 [(24, 1.0 + 0j), (32, 1.0 + 0j)],
-                                 np.column_stack([th1, th2]), config)
+        t0p = self.estimate(t0p_true / config.t_body)
         assert abs(t0p - t0p_true) < config.sample_interval
+        assert type(t0p) is float
 
     def test_rejects_duplicate_pilots(self):
+        with pytest.raises(ValueError, match="two distinct pilots"):
+            estimate_fine_time(np.zeros((8, 2), dtype=complex), [24, 24],
+                               table1_config())
+
+    def test_numpy_indices_give_a_python_float(self):
+        # a clipped estimate and NumPy pilot indices must not leak np.float64
+        # into the records, whose CSV prints floats with repr
         config = table1_config()
-        r_pilots = np.zeros((8, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            estimate_fine_time(r_pilots, [(24, 1.0 + 0j), (24, 1.0 + 0j)],
-                               np.zeros((8, 2)), config)
+        for angle in (-3.0, -0.1, 0.1, 3.0):  # clipped above, below, not
+            z = np.column_stack([np.ones(8), np.full(8, np.exp(1j * angle))])
+            assert type(estimate_fine_time(z, np.array([24, 32]), config)) is float
 
 
 class TestEstimatePhase:
@@ -325,8 +333,8 @@ class TestEstimatePhase:
         r = sum(synthetic_pilot_blocks(128, i, p * np.exp(1j * phi0),
                                        phases[:, j], 0, 0.0, 152 / 128)
                 for j, (i, p) in enumerate(pilots))
-        got = estimate_phase(r[:, [24, 32]], pilots, phases, 0, 0.0, 0.0,
-                             config)
+        z = despread(r, [[24, 32]], pilots, np.exp(1j * phases))[:, 0]
+        got = estimate_phase(z, [24, 32], 0, 0.0, 0.0, config)
         assert abs(got - phi0) < 1e-12
 
 
