@@ -122,12 +122,11 @@ class PhaseSequence:
     """Cached secret phasors of one (key, epoch): row k is e^{j theta} of the
     row of block k in :func:`phase_plans`, read from an M-entry table.
 
-    One window of consecutive rows is cached. A request that overlaps or
-    touches it derives only the missing blocks on either side; any other
-    request starts a new window, so a far block costs only its own rows.
-
-    The receiver's nominal sequence; the transmitter's sequence is the same
-    rows at a shifted block index.
+    One window of consecutive rows is cached: ``plan`` derives only the
+    blocks missing on either side of a request that overlaps or touches it,
+    and starts a new window for any other, so a far block costs only its own
+    rows. The receiver's nominal sequence; the transmitter's sequence is the
+    same rows at a shifted block index.
     """
 
     def __init__(self, key: SecretKey, epoch: int, n_carriers: int, psk_order: int):
@@ -146,8 +145,8 @@ class PhaseSequence:
         return self._table[np.rint(angles * (self.psk_order / (2 * np.pi)))
                            .astype(np.intp)]
 
-    def phasors(self, k_first: int, k_last: int) -> np.ndarray:
-        """Rows of blocks k_first..k_last inclusive (read-only)."""
+    def plan(self, k_first: int, k_last: int) -> slice:
+        """Extend the window to blocks k_first..k_last; return their slice."""
         if not 0 <= k_first <= k_last:
             raise ValueError("need 0 <= k_first <= k_last")
         lo, hi = self._first, self._first + len(self._rows)
@@ -160,4 +159,9 @@ class PhaseSequence:
             self._rows = np.concatenate(before + [self._rows] + after)
             self._rows.flags.writeable = False
             self._first = min(lo, k_first)
-        return self._rows[k_first - self._first:k_last + 1 - self._first]
+        return slice(k_first - self._first, k_last + 1 - self._first)
+
+    def phasors(self, k_first: int, k_last: int) -> np.ndarray:
+        """Rows of blocks k_first..k_last inclusive (read-only)."""
+        rows = self.plan(k_first, k_last)  # may replace self._rows
+        return self._rows[rows]

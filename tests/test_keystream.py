@@ -172,19 +172,25 @@ class TestPhasePlan:
 
 
 class TestPhaseSequence:
-    def test_phasor_slice(self):
+    def test_plan_slice(self):
         seq = PhaseSequence(KEY, 0, 128, 16)
         arr = seq.phasors(3, 7)
         assert arr.shape == (5, 129)
         assert np.array_equal(arr[0], seq.phasors(3, 3)[0])
         assert np.array_equal(arr[-1], seq.phasors(7, 7)[0])
+        # the window holds blocks 3..7; a touching request extends it
+        assert seq.plan(4, 5) == slice(1, 3)
+        assert seq.plan(2, 2) == slice(0, 1)
+        assert seq.plan(4, 5) == slice(2, 4)
 
-    def test_phasor_rows_are_read_only(self):
+    def test_plan_rows_are_read_only(self):
         seq = PhaseSequence(KEY, 0, 128, 16)
         with pytest.raises(ValueError):
             seq.phasors(0, 2)[0, 0] = 1.0
         with pytest.raises(ValueError):
             seq.phasors(3, 2)
+        with pytest.raises(ValueError):
+            seq.plan(-1, 0)
 
     @pytest.mark.parametrize("requests", [
         [(10 ** 6, 10 ** 6)],

@@ -18,9 +18,9 @@ KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 PILOTS = {24: 1.0 + 0j, 32: 1.0 + 0j}
 
 
-def table1_config():
+def table1_config(pilots=PILOTS):
     return OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
-                      psk_order=16, pilot_positions=PILOTS)
+                      psk_order=16, pilot_positions=pilots)
 
 
 def toy_config():
@@ -339,8 +339,9 @@ class TestEstimatePhase:
 
 
 class TestSynchronizeNoiseless:
-    def run_case(self, k0=0, t0_samples=0, nu=0.0, phi0=0.0, seed=0):
-        config = table1_config()
+    def run_case(self, k0=0, t0_samples=0, nu=0.0, phi0=0.0, seed=0,
+                 pilots=PILOTS):
+        config = table1_config(pilots)
         sync_cfg = SyncConfig(n_blocks=10, candidates=np.arange(50))
         seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
         r = make_received(config, 15, k0=k0, t0_samples=t0_samples, nu=nu,
@@ -358,9 +359,10 @@ class TestSynchronizeNoiseless:
         assert est.t0p_hat == pytest.approx(backoff_t, abs=1e-9)
         assert abs(est.phi0_hat) < 1e-9
 
-    def test_combined_offsets_recovered(self):
+    def check_combined_offsets(self, pilots):
         config, sync_cfg, est = self.run_case(k0=23, t0_samples=77, nu=1.43,
-                                              phi0=np.pi / 3, seed=1)
+                                              phi0=np.pi / 3, seed=1,
+                                              pilots=pilots)
         backoff_t = sync_cfg.backoff(config) * config.sample_interval
         time_est = est.t0_hat + est.t0p_hat - backoff_t \
             - est.k0_hat * config.t_block
@@ -371,6 +373,14 @@ class TestSynchronizeNoiseless:
         assert abs(est.total_cfo_normalized() - 1.43) < 1e-9
         err = (est.phi0_hat - np.pi / 3 + np.pi) % (2 * np.pi) - np.pi
         assert abs(err) < 1e-9
+
+    def test_combined_offsets_recovered(self):
+        self.check_combined_offsets(PILOTS)
+
+    def test_complex_pilot_value_recovered(self):
+        # synchronize divides each despread pilot by its value, so a wrong
+        # weighting rotates pilot 32 by pi and breaks t0p and phi0
+        self.check_combined_offsets({24: 1.0 + 0j, 32: 2j})
 
     def test_negative_integer_cfo(self):
         config, sync_cfg, est = self.run_case(k0=5, t0_samples=10, nu=-1.8,
