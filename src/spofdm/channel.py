@@ -121,14 +121,15 @@ def random_multipath_taps(rng: np.random.Generator, n_paths: int,
 
     Delays are spread uniformly over [0, max_delay] samples, rounded to whole
     samples; tap m carries power proportional to decay**m (decay=1 gives
-    equal powers), normalized to unit total power. Per-tap Doppler shifts are drawn uniformly in
-    [-max_doppler, max_doppler] (rad/T_s).
+    equal powers), normalized to unit total power. Per-tap Doppler shifts
+    are drawn uniformly in [-max_doppler, max_doppler] (rad/T_s).
     """
     _check_delay("max_delay", max_delay)
     if not 0 < decay <= 1:
         raise ValueError("decay must be in (0, 1]")
     delays = np.rint(np.linspace(0, max_delay, n_paths))
-    powers = decay ** np.arange(n_paths)
+    # a list: numpy's float64 power rounds differently under AVX-512 and AVX2
+    powers = np.array([decay ** m for m in range(n_paths)])
     powers *= 1.0 / powers.sum()  # not /=: a division rounds the taps differently
     taps = []
     for d, p in zip(delays, powers):

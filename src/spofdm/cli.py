@@ -46,7 +46,12 @@ def _emit(report: harness.ExperimentReport, out_dir: Path) -> int:
 
 
 def _cmd_sync(args) -> int:
-    return _emit(harness.run_sync_experiment(_load(args)), args.out_dir)
+    report = harness.run_sync_experiment(_load(args))
+    _emit(report, args.out_dir)
+    errors = [r["error"] for r in report.records]
+    if all(errors):
+        print(f"spofdm: error: all trials failed: {errors[0]}", file=sys.stderr)
+    return int(all(errors))
 
 
 def _cmd_ber(args) -> int:

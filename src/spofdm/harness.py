@@ -66,9 +66,9 @@ class Scenario:
     """Complete description of one experiment.
 
     The channel field selects the impairment model: 'awgn' (offsets plus
-    noise only), 'multipath' (static equal-power paths with random phases),
-    or 'doppler' (multipath with per-path Doppler shifts). Jamming power is
-    set through sjr_db relative to the legitimate per-sample signal power.
+    noise only), 'multipath' (static random-phase paths, tap m of power
+    proportional to tap_decay**m) or 'doppler' (multipath with per-path
+    Doppler shifts). sjr_db is the per-sample signal-to-jamming ratio in dB.
     """
 
     name: str = "table1"

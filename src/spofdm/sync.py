@@ -10,6 +10,7 @@ time offset), plus the carrier phase.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,8 @@ def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     mag = np.abs(grid)
     tau_idx, d_idx = np.unravel_index(np.argmax(mag), mag.shape)
     peak = grid[tau_idx, d_idx]
-    frac = float((-np.angle(peak) / (2 * np.pi)) % 1.0)
+    # cmath: numpy's float64 angle rounds differently under AVX-512 and AVX2
+    frac = (-cmath.phase(complex(peak)) / (2 * np.pi)) % 1.0
     low_conf = bool(mag.max() < 1.5 * mag.mean())
     # The row index marks the CP1 window start plus one CP length, because the
     # waveform origin sits at the start of block 0's CP1, not its body.
@@ -196,11 +198,11 @@ def estimate_integer_cfo(z: np.ndarray, config: OfdmConfig,
     low_conf = bool(order[-1] < 1.5 * order[-2]) if scores.size > 1 else False
 
     def zeta_at(lag: int) -> float:
-        # peak phase is -2*pi*(n0+zeta0)*lag*T_b/T_s; remove the known
-        # integer part
+        # peak phase is -2*pi*(n0+zeta0)*lag*T_b/T_s; remove the known integer
+        # part (cmath: numpy's angle rounds differently under AVX-512 and AVX2)
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
         peak = (gammas[lag][n0 - sync_cfg.n_l] * rot).sum()
-        return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
+        return -cmath.phase(complex(peak)) / (2 * np.pi * lag * tb_over_ts)
 
     zeta0 = zeta_at(1)
     # refine zeta0 with a longer block lag: the phase slope grows with the
@@ -226,7 +228,8 @@ def estimate_fine_time(z: np.ndarray, pilot_idx, config: OfdmConfig) -> float:
     if abs(dip) * config.cp2_samples > config.n_carriers:
         raise ValueError("pilot spacing violates the unambiguous fine-time range")
     u = (z[:, 0] * np.conj(z[:, 1])).mean()
-    t0p = float(-np.angle(u) * config.t_body / (2 * np.pi * dip))
+    # cmath: numpy's float64 angle rounds differently under AVX-512 and AVX2
+    t0p = -cmath.phase(complex(u)) * config.t_body / (2 * np.pi * dip)
     period = config.t_body / abs(dip)
     t0p %= period
     t_cp2 = config.cp2_samples * config.sample_interval
@@ -254,7 +257,8 @@ def estimate_phase(z: np.ndarray, pilot_idx, n0: int, zeta0: float,
     # the ramp is evaluated at the pilot's own carrier, not the moved bin.
     ramp = np.exp(2j * np.pi * np.asarray(pilot_idx) * t0p_samples
                   / config.n_carriers)
-    return float(np.angle((z * drift[:, None] * ramp).mean(axis=0).sum()))
+    # cmath: numpy's float64 angle rounds differently under AVX-512 and AVX2
+    return cmath.phase(complex((z * drift[:, None] * ramp).mean(axis=0).sum()))
 
 
 def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,

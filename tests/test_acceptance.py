@@ -172,9 +172,9 @@ class TestCriterion5SyncCdfs:
         digests = [hashlib.sha256(report.records_csv().encode()).hexdigest()
                    for report in (awgn, multi, dopp)]
         assert digests == [
-            "0685d545db77ed5ae820c889cd4487f24a7cef566cb97b6c39ce17c45eb41d02",
-            "10fe9b9f2322ad330f67e30d26e4936cd29549f2dcddd61acee65bba484c9c50",
-            "5afe062f18fa70e411a9fbdb9418c18cc2b646acd09e2a0cf144d80e1b5fe4c1",
+            "2e45478130de41eeee9ee46864aba5431924f894f455936837854cf704c73426",
+            "40bff41095d88b1681476aefbbc28644a0aa06a313a7539a4eb5e7582169c1d9",
+            "d1c3b0965720a94810a68798724331108e8e10dac8298b542fa545746909f577",
         ]
 
 

@@ -56,6 +56,24 @@ class TestSync:
         rows = (out_dir / "sync_records.csv").read_text().splitlines()
         assert len(rows) == 1 + 2
 
+    # despreading by a 1e-300 pilot overflows the cross-block products
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_trial_failed_exits_1(self, tmp_path, capsys):
+        scenario = table1_scenario(trials=3,
+                                   pilot_positions=((24, 1e-300), (32, 1.0)))
+        sc_path = tmp_path / "scenario.json"
+        save_scenario(scenario, sc_path)
+        out_dir = tmp_path / "results"
+        assert main(["sync", "--scenario", str(sc_path),
+                     "--out-dir", str(out_dir)]) == 1
+        rows = (out_dir / "sync_records.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3
+        captured = capsys.readouterr()
+        assert "n_failed: 3" in captured.out
+        assert captured.err == ("spofdm: error: all trials failed: "
+                                "ValueError: cannot convert float NaN to "
+                                "integer\n")
+
 
 class TestBer:
     def test_writes_reports(self, tmp_path, capsys):

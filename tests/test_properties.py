@@ -11,6 +11,7 @@ propagation against a flooding reference decoder, bitwise in float32 and
 statistically in float64, and the MI module's blocked mixture log-density
 against scipy's logsumexp, bitwise."""
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -304,7 +305,7 @@ def full_grid_integer_cfo(r_blocks, pilots, phasors, config, sync_cfg):
     def zeta_at(lag):
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
         peak = (gammas[lag][(idx + n0) % n_c, cols] * rot).sum()
-        return float(-np.angle(peak) / (2 * np.pi * lag * tb_over_ts))
+        return -cmath.phase(complex(peak)) / (2 * np.pi * lag * tb_over_ts)
 
     zeta0 = zeta_at(1)
     lag = min(4, k_count)
