@@ -624,8 +624,8 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """Trial-averaged magnitude of the pre-FFT correlation.
 
     With precoding the surface spans the (time offset, candidate sequence
-    offset) grid; without it the angles are zero and the candidate axis
-    collapses (unit CP phase). The signal goes through the scenario's
+    offset) grid; without it every secret phasor is one and the candidate
+    axis collapses (unit CP phase). The signal goes through the scenario's
     channel. The legitimate time offset is drawn once and the jammer sits
     half a block from it; both stay fixed across trials so the averaged
     peaks do not smear, while data, fading, jamming and noise are redrawn.

@@ -15,7 +15,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 __all__ = [
     "SecretKey",
-    "map_psk",
     "phase_plans",
     "PhaseSequence",
     "psk_phasors",
@@ -64,45 +63,31 @@ def aes_encrypt_block(key: SecretKey, block: bytes) -> bytes:
     return enc.update(block) + enc.finalize()
 
 
-def map_psk(bits: np.ndarray, psk_order: int) -> np.ndarray:
-    """Map groups of log2(M) bits (big-endian) to angles 2*pi*v/M."""
-    m = int(psk_order)
-    if m < 2 or m & (m - 1):
-        raise KeystreamConfigError(f"PSK order must be a power of 2, got {psk_order}")
-    bits = np.asarray(bits, dtype=np.uint8)
-    log2m = m.bit_length() - 1
-    if bits.size % log2m:
-        raise ValueError(
-            f"bit count {bits.size} not divisible by log2(M)={log2m}"
-        )
-    groups = bits.reshape(-1, log2m)
-    weights = 1 << np.arange(log2m - 1, -1, -1)
-    values = groups @ weights
-    return 2.0 * np.pi * values / m
-
-
 def psk_phasors(psk_order: int) -> np.ndarray:
-    """e^{j 2 pi v/M} for v = 0..M-1 from :func:`map_psk`'s angle formula, so
-    entry v is bitwise ``np.exp(1j * angle)`` of the angle 2 pi v/M."""
+    """e^{j 2 pi v/M} for v = 0..M-1: the M-PSK phasor of index v."""
     return np.exp(1j * (2.0 * np.pi * np.arange(psk_order) / psk_order))
 
 
 def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
                 n_carriers: int, psk_order: int) -> np.ndarray:
-    """Secret angles of OFDM blocks k_first..k_first+count-1, shape
-    (count, N_c+1): column 0 is the CP phase angle and columns 1.. are the
-    subcarrier phases, each an exact multiple of 2*pi/M.
+    """Secret PSK indices v in [0, M) of OFDM blocks k_first..k_first+count-1,
+    shape (count, N_c+1): column 0 is the CP phase index and columns 1.. the
+    subcarrier ones, each log2(M) keystream bits, most significant first.
 
     Random access: row i is derived from the stream address of block
     k_first+i without touching any earlier block; all rows come from one
     AES-ECB call on the counter blocks epoch (4B) | block index (8B) |
     counter (4B), counters 0, 1, ... within each block.
     """
+    m = int(psk_order)
+    if m < 2 or m & (m - 1):
+        raise KeystreamConfigError(f"PSK order must be a power of 2, got {psk_order}")
     if k_first < 0:
         raise ValueError("block index must be non-negative")
     if count < 1:
         raise ValueError("count must be at least 1")
-    n_bits = (n_carriers + 1) * (int(psk_order).bit_length() - 1)
+    log2m = m.bit_length() - 1
+    n_bits = (n_carriers + 1) * log2m
     n_aes = -(-n_bits // _AES_BLOCK_BITS)
     if not 0 <= epoch < 1 << 32 or k_first + count > 1 << 64 or n_aes > 1 << 32:
         raise ValueError("stream address out of range")
@@ -115,12 +100,14 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     stream = np.frombuffer(enc.update(ctr.tobytes()) + enc.finalize(),
                            dtype=np.uint8).reshape(count, -1)
     bits = np.unpackbits(stream, axis=1)[:, :n_bits]
-    return map_psk(bits, psk_order).reshape(count, n_carriers + 1)
+    msb_first = 1 << np.arange(log2m - 1, -1, -1)
+    return bits.reshape(count, n_carriers + 1, log2m) @ msb_first
 
 
 class PhaseSequence:
-    """Cached secret phasors of one (key, epoch): row k is e^{j theta} of the
-    row of block k in :func:`phase_plans`, read from an M-entry table.
+    """Cached secret phasors of one (key, epoch): row k is the
+    :func:`psk_phasors` table read at the indices of block k in
+    :func:`phase_plans`.
 
     One window of consecutive rows is cached: ``plan`` derives only the
     blocks missing on either side of a request that overlaps or touches it,
@@ -139,11 +126,8 @@ class PhaseSequence:
         self._table = psk_phasors(psk_order)
 
     def _derive(self, k_first: int, count: int) -> np.ndarray:
-        angles = phase_plans(self.key, self.epoch, k_first, count,
-                             self.n_carriers, self.psk_order)
-        # each angle is an exact multiple of 2 pi/M: v is its table index
-        return self._table[np.rint(angles * (self.psk_order / (2 * np.pi)))
-                           .astype(np.intp)]
+        return self._table[phase_plans(self.key, self.epoch, k_first, count,
+                                       self.n_carriers, self.psk_order)]
 
     def plan(self, k_first: int, k_last: int) -> slice:
         """Extend the window to blocks k_first..k_last; return their slice."""

@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
+# despreading by a pilot outside this range overflows the sync estimators
+_PILOT_RANGE = (2.0 ** -256, 2.0 ** 256)
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,10 @@ class OfdmConfig:
         if m < 2 or m & (m - 1):
             raise ValueError("psk_order must be a power of 2")
         for idx, value in self.pilot_positions.items():
-            if not (0 <= idx < self.n_carriers and np.isfinite(value) and value):
+            if not (0 <= idx < self.n_carriers
+                    and _PILOT_RANGE[0] <= abs(value) <= _PILOT_RANGE[1]):
                 raise ValueError(f"pilot_positions: {idx}: {value!r} needs a carrier "
-                                 f"in [0, {self.n_carriers}), a finite non-zero value")
+                                 f"in [0, {self.n_carriers}), 2**-256 <= |p| <= 2**256")
 
     @property
     def sample_interval(self) -> float:

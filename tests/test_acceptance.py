@@ -16,7 +16,8 @@ from spofdm.avc import (InputDist, SymbolChannelSpec, avc_capacity,
                         saddle_check, simulate_symbol_channel)
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             run_sync_experiment, table1_scenario)
-from spofdm.keystream import SecretKey, aes_encrypt_block, phase_plans
+from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
+                              phase_plans)
 from spofdm.sync import demod_fft
 from test_sync import v_expected
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
@@ -236,12 +237,14 @@ class TestCriterion8Exactness:
             np.array_equal(sig[16:24], body[-8:])
             and np.max(np.abs(sig[:16] - c * body[-24:-8])) < 1e-12)
 
+        # the package's cached phasors out, the PSK formula on the plans back
         blocks = random_symbol_blocks(rng, 2, config)
         wave = build_waveform(
-            blocks, np.exp(1j * phase_plans(KEY, 0, 0, 2, 128, 16)), config)
+            blocks, PhaseSequence(KEY, 0, 128, 16).phasors(0, 1), config)
         round_ok = True
         for k, block in enumerate(blocks):
-            phases = np.exp(1j * phase_plans(KEY, 0, k, 1, 128, 16)[0, 1:])
+            v = phase_plans(KEY, 0, k, 1, 128, 16)[0, 1:]
+            phases = np.exp(1j * (2.0 * np.pi * v / 16))
             start = k * config.block_samples + config.cp_samples
             decoded = decode_phases(
                 demod_fft(wave, start, config), phases)
@@ -249,8 +252,10 @@ class TestCriterion8Exactness:
         checks["fft_round_trip"] = round_ok
 
         a = phase_plans(KEY, 2, 5, 1, 128, 16)
-        b = phase_plans(KEY, 2, 5, 1, 128, 16)
-        checks["keystream_determinism"] = np.array_equal(a, b)
+        b = PhaseSequence(KEY, 2, 128, 16).phasors(5, 5)
+        checks["keystream_determinism"] = (
+            np.array_equal(a, phase_plans(KEY, 2, 5, 1, 128, 16))
+            and b.tobytes() == np.exp(1j * (2.0 * np.pi * a / 16)).tobytes())
 
         pt = bytes.fromhex("00112233445566778899aabbccddeeff")
         checks["aes_known_answer"] = (

@@ -56,13 +56,15 @@ class TestSync:
         rows = (out_dir / "sync_records.csv").read_text().splitlines()
         assert len(rows) == 1 + 2
 
-    # despreading by a 1e-300 pilot overflows the cross-block products
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_every_trial_failed_exits_1(self, tmp_path, capsys):
-        scenario = table1_scenario(trials=3,
-                                   pilot_positions=((24, 1e-300), (32, 1.0)))
+    def test_every_trial_failed_exits_1(self, tmp_path, capsys, monkeypatch):
+        import spofdm.harness as harness
+
+        def failing_synchronize(*args, **kwargs):
+            raise ValueError("forced failure")
+
+        monkeypatch.setattr(harness, "synchronize", failing_synchronize)
         sc_path = tmp_path / "scenario.json"
-        save_scenario(scenario, sc_path)
+        save_scenario(table1_scenario(trials=3), sc_path)
         out_dir = tmp_path / "results"
         assert main(["sync", "--scenario", str(sc_path),
                      "--out-dir", str(out_dir)]) == 1
@@ -71,8 +73,7 @@ class TestSync:
         captured = capsys.readouterr()
         assert "n_failed: 3" in captured.out
         assert captured.err == ("spofdm: error: all trials failed: "
-                                "ValueError: cannot convert float NaN to "
-                                "integer\n")
+                                "ValueError: forced failure\n")
 
 
 class TestBer:
@@ -113,8 +114,16 @@ class TestInputErrors:
         assert not out_dir.exists()
 
     def test_nan_pilot_value_exits_2(self, tmp_path, capsys):
+        self.check_pilot_value_exits_2(tmp_path, capsys, float("nan"))
+
+    def test_tiny_pilot_value_exits_2(self, tmp_path, capsys):
+        # despreading by it would overflow in every sync trial
+        self.check_pilot_value_exits_2(tmp_path, capsys, 1e-300)
+
+    @staticmethod
+    def check_pilot_value_exits_2(tmp_path, capsys, value):
         payload = json.loads(table1_scenario().to_json())
-        payload["pilot_positions"]["24"] = [float("nan"), 0.0]
+        payload["pilot_positions"]["24"] = [value, 0.0]
         sc_path = tmp_path / "scenario.json"
         sc_path.write_text(json.dumps(payload))
         out_dir = tmp_path / "results"

@@ -88,6 +88,11 @@ class TestScenario:
         (dict(max_delay_samples=24), "max_delay_samples"),
         (dict(n_l=-100, n_u=100), "n_l, n_u"),
         (dict(n_l=-64, n_u=64), "n_l, n_u"),
+        # finite pilots so small or large that despreading overflows
+        (dict(pilot_positions=((24, 1e-300), (32, 1))), "pilot_positions"),
+        (dict(pilot_positions=((24, 1e-154), (32, 1))), "pilot_positions"),
+        (dict(pilot_positions=((24, 1), (32, 1e160))), "pilot_positions"),
+        (dict(pilot_positions=((24, 1), (32, -1e300))), "pilot_positions"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -224,6 +229,10 @@ class TestScenarioFiles:
         ("snr_db", True),
         ("tap_decay", "0.1"),
         ("max_delay_samples", 24),
+        ("pilot_positions", {"24": [1e-300, 0.0], "32": [1.0, 0.0]}),
+        ("pilot_positions", {"24": [0.0, 1e-154], "32": [1.0, 0.0]}),
+        ("pilot_positions", {"24": [1.0, 0.0], "32": [1e160, 0.0]}),
+        ("pilot_positions", {"24": [1.0, 0.0], "32": [0.0, -1e300]}),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -262,6 +271,12 @@ class TestSyncExperiment:
         assert np.all(freq_err < 1e-9)
         assert report.aggregates["n_failed"] == 0
         assert report.aggregates["time_cdf"]["lt_0.01"] == 1.0
+
+    @pytest.mark.parametrize("value", [2.0 ** -256, 2.0 ** 256])
+    def test_extreme_accepted_pilot_runs_without_failed_trials(self, value):
+        sc = table1_scenario(trials=3, sync_blocks=10,
+                             pilot_positions=((24, value), (32, 1.0)))
+        assert run_sync_experiment(sc).aggregates["n_failed"] == 0
 
     def test_programming_errors_are_not_recorded_as_failed_trials(
             self, monkeypatch):

@@ -5,17 +5,28 @@ import pytest
 
 from spofdm import keystream
 from spofdm.keystream import (KeystreamConfigError, PhaseSequence, SecretKey,
-                              aes_encrypt_block, map_psk, phase_plans)
+                              aes_encrypt_block, phase_plans)
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 KEY2 = SecretKey.from_hex("ffeeddccbbaa99887766554433221100")
 
 
 def stream_bits(key, n_bits, epoch=0, block=0):
-    """The first n_bits keystream bits of one block address: the angles of a
-    BPSK phase_plans row are pi times its bits."""
-    row = phase_plans(key, epoch, block, 1, n_bits - 1, 2)[0]
-    return np.round(row / np.pi).astype(np.uint8)
+    """The first n_bits keystream bits of one block address: a BPSK
+    phase_plans row is its bits."""
+    return phase_plans(key, epoch, block, 1, n_bits - 1, 2)[0].astype(np.uint8)
+
+
+def psk_exp(v, m):
+    """e^{j 2 pi v/M}, the formula of psk_phasors, at the indices v."""
+    return np.exp(1j * (2.0 * np.pi * v / m))
+
+
+def index_groups(m, n_sym):
+    """The first n_sym PSK indices of block 0 and their keystream bit groups."""
+    log2m = m.bit_length() - 1
+    values = phase_plans(KEY, 0, 0, 1, n_sym - 1, m)[0]
+    return values, stream_bits(KEY, n_sym * log2m).reshape(n_sym, log2m)
 
 
 class TestSecretKey:
@@ -48,7 +59,8 @@ class TestDeriveBits:
     def test_output_is_binary(self):
         row = phase_plans(KEY, 0, 0, 1, 999, 2)[0]
         assert row.size == 1000
-        assert set(np.unique(row)) <= {0.0, np.pi}
+        assert np.issubdtype(row.dtype, np.integer)
+        assert set(np.unique(row)) <= {0, 1}
 
     def test_distinct_keys_disagree_about_half_the_time(self):
         n = 10_000
@@ -89,40 +101,45 @@ class TestDeriveBits:
 
 
 class TestMapPsk:
+    """phase_plans maps each group of log2(M) keystream bits to a PSK index."""
+
     def test_zero_word_maps_to_zero_angle(self):
-        assert map_psk(np.array([0, 0, 0, 0]), 16)[0] == 0.0
+        values, groups = index_groups(16, 2000)
+        zero = ~groups.any(axis=1)
+        assert zero.any() and np.all(values[zero] == 0)
 
     def test_half_circle(self):
-        assert map_psk(np.array([1, 0, 0, 0]), 16)[0] == pytest.approx(np.pi)
+        values, groups = index_groups(16, 2000)
+        half = np.all(groups == [1, 0, 0, 0], axis=1)
+        assert half.any() and np.all(values[half] == 8)
 
     def test_big_endian_grouping(self):
-        # value 0b0101 = 5 -> angle 2*pi*5/16
-        angle = map_psk(np.array([0, 1, 0, 1]), 16)[0]
-        assert angle == pytest.approx(2 * np.pi * 5 / 16)
+        # bits 0101 are the index 5, read most significant bit first
+        values, groups = index_groups(16, 2000)
+        five = np.all(groups == [0, 1, 0, 1], axis=1)
+        assert five.any() and np.all(values[five] == 5)
+        assert np.array_equal(values, groups @ [8, 4, 2, 1])
 
     def test_binary_alphabet(self):
-        angles = map_psk(stream_bits(KEY, 1000), 2)
-        assert set(np.unique(angles)) <= {0.0, np.pi}
+        values, groups = index_groups(2, 1000)
+        assert set(np.unique(values)) <= {0, 1}
+        assert np.array_equal(values, groups[:, 0])
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(KeystreamConfigError):
-            map_psk(np.array([0, 1]), 12)
-
-    def test_rejects_ragged_length(self):
-        with pytest.raises(ValueError):
-            map_psk(np.array([0, 1, 1]), 16)
+        for m in (0, 1, 3, 12):
+            with pytest.raises(KeystreamConfigError):
+                phase_plans(KEY, 0, 0, 1, 128, m)
 
     def test_uniformity_chi_square(self):
         n_sym = 1_000_000
-        angles = phase_plans(KEY, 0, 0, 1, n_sym - 1, 16)[0]
-        values = np.round(angles * 16 / (2 * np.pi)).astype(int)
+        values = phase_plans(KEY, 0, 0, 1, n_sym - 1, 16)[0]
         counts = np.bincount(values, minlength=16)
         freqs = counts / n_sym
         assert np.all(np.abs(freqs - 1 / 16) < 0.002)
 
 
 def phase_plan(key, epoch, k, n_carriers, psk_order):
-    """Row of block k: CP phase angle, then the subcarrier phases."""
+    """Row of block k: CP phase index, then the subcarrier ones."""
     return phase_plans(key, epoch, k, 1, n_carriers, psk_order)[0]
 
 
@@ -130,22 +147,20 @@ class TestPhasePlan:
     def test_shared_secret_determinism(self):
         a = phase_plan(KEY, 0, 5, 128, 16)
         b = phase_plan(KEY, 0, 5, 128, 16)
-        assert np.exp(1j * a[0]) == np.exp(1j * b[0])
-        assert np.array_equal(a[1:], b[1:])
+        assert np.array_equal(a, b)
 
     def test_shapes_and_alphabet(self):
         plan = phase_plan(KEY, 0, 0, 128, 16)
-        assert plan[1:].size == 128
-        assert abs(abs(np.exp(1j * plan[0])) - 1.0) < 1e-12
-        steps = plan[1:] * 16 / (2 * np.pi)
-        assert np.allclose(steps, np.round(steps))
+        assert plan.shape == (129,)
+        assert np.issubdtype(plan.dtype, np.integer)
+        assert plan.min() >= 0 and plan.max() < 16
 
     def test_random_access_matches_sequential(self):
         direct = phase_plan(KEY, 0, 40, 128, 16)
         seq = PhaseSequence(KEY, 0, 128, 16)
         for k in range(41):
             sequential = seq.phasors(k, k)[0]
-        assert sequential.tobytes() == np.exp(1j * direct).tobytes()
+        assert sequential.tobytes() == psk_exp(direct, 16).tobytes()
 
     def test_rejects_negative_block(self):
         with pytest.raises(ValueError):
@@ -209,19 +224,19 @@ class TestPhaseSequence:
         wanted = []
         for a, b in requests:
             got = seq.phasors(a, b)
-            assert got.tobytes() == np.exp(
-                1j * phase_plans(KEY, 0, a, b - a + 1, 128, 16)).tobytes()
+            assert got.tobytes() == psk_exp(
+                phase_plans(KEY, 0, a, b - a + 1, 128, 16), 16).tobytes()
             wanted.extend(range(a, b + 1))
         # each requested block derived once, and no other block
         assert sorted(derived) == sorted(set(wanted))
 
     def test_cp_phase_stream_uniform_and_uncorrelated(self):
         n = 100_000
-        u = np.exp(1j * phase_plans(KEY, 0, 0, 1, n - 1, 16)[0])
+        values = phase_plans(KEY, 0, 0, 1, n - 1, 16)[0]
+        u = psk_exp(values, 16)
         for lag in range(1, 9):
             rho = np.mean(u[:-lag] * np.conj(u[lag:]))
             assert abs(rho) < 0.05
-        values = np.round(np.angle(u) * 16 / (2 * np.pi)).astype(int) % 16
         counts = np.bincount(values, minlength=16)
         sigma = np.sqrt(n * (1 / 16) * (15 / 16))
         assert np.all(np.abs(counts - n / 16) < 3 * sigma)

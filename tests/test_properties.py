@@ -27,7 +27,7 @@ from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
                             table1_scenario)
 from spofdm.channel import complex_normal
 from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
-                              map_psk, phase_plans, psk_phasors)
+                              phase_plans, psk_phasors)
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
                             ldpc_bp_decode, llr_qpsk, load_alist,
                             make_regular_parity_check, qpsk_map)
@@ -43,6 +43,18 @@ from test_sync import corr_pre_fft, despread
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
 FAST = settings(max_examples=25, deadline=None)
+
+
+def psk_angles(v, m):
+    """2 pi v/M, the angle formula of psk_phasors, at the PSK indices v."""
+    return 2.0 * np.pi * v / m
+
+
+def msb_first(bits, m):
+    """Groups of log2(M) bits as integers, most significant bit first."""
+    log2m = m.bit_length() - 1
+    groups = bits.reshape(-1, log2m).astype(int)
+    return sum(groups[:, j] << (log2m - 1 - j) for j in range(log2m))
 
 
 @st.composite
@@ -61,7 +73,8 @@ def small_links(draw):
     delay = draw(st.integers(0, config.block_samples - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = random_symbol_blocks(rng, n_blocks + 3, config)
-    angles = phase_plans(KEY, 0, k0, n_blocks + 3, n_c, config.psk_order)
+    angles = psk_angles(phase_plans(KEY, 0, k0, n_blocks + 3, n_c,
+                                    config.psk_order), config.psk_order)
     wave = build_waveform(blocks, np.exp(1j * angles), config)
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave.samples])
     samples += 0.1 * (rng.normal(size=samples.size)
@@ -114,7 +127,8 @@ def test_precode_modulate_demodulate_decode_round_trip(n_c, psk_order,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     rng = np.random.default_rng(seed)
     block = random_symbol_blocks(rng, 1, config)[0]
-    plan = np.exp(1j * phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0])
+    plan = np.exp(1j * psk_angles(
+        phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0], psk_order))
     sig = modulate_block(precode(block, plan[1:]), plan[0], config)
     demod = demod_fft(sig, config.cp_samples, config)
     decoded = decode_phases(demod, plan[1:])
@@ -126,7 +140,7 @@ def test_precode_modulate_demodulate_decode_round_trip(n_c, psk_order,
        k_first=st.integers(0, 2 ** 64 - 9),
        count=st.integers(1, 8),
        n_c=st.sampled_from([1, 8, 16, 127, 128]),
-       psk_order=st.sampled_from([2, 4, 16, 256]))
+       psk_order=st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]))
 def test_batched_keystream_equals_per_block_keystream(epoch, k_first, count,
                                                        n_c, psk_order):
     rows = phase_plans(KEY, epoch, k_first, count, n_c, psk_order)
@@ -140,7 +154,7 @@ def test_batched_keystream_equals_per_block_keystream(epoch, k_first, count,
                               + counter.to_bytes(4, "big"))
             for counter in range(-(-n_bits // 128)))
         bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:n_bits]
-        assert np.array_equal(row, map_psk(bits, psk_order))
+        assert np.array_equal(row, msb_first(bits, psk_order))
 
 
 @FAST
@@ -150,8 +164,8 @@ def test_sequence_rows_independent_of_growth_order(ranges):
     seq = PhaseSequence(KEY, 3, 16, 4)
     for a, b in ranges:
         a, b = min(a, b), max(a, b)
-        assert seq.phasors(a, b).tobytes() == np.exp(
-            1j * phase_plans(KEY, 3, a, b - a + 1, 16, 4)).tobytes()
+        assert seq.phasors(a, b).tobytes() == np.exp(1j * psk_angles(
+            phase_plans(KEY, 3, a, b - a + 1, 16, 4), 4)).tobytes()
 
 
 @FAST
@@ -193,7 +207,7 @@ def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
 
 
 @FAST
-@given(m=st.sampled_from([2, 4, 16, 256]),
+@given(m=st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]),
        n_c=st.sampled_from([1, 7, 128]),
        epoch=st.integers(0, 2 ** 32 - 1),
        k_first=st.integers(0, 10 ** 6),
@@ -201,7 +215,7 @@ def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
 def test_cached_phasors_are_exp_of_the_plans(m, n_c, epoch, k_first, count):
     seq = PhaseSequence(KEY, epoch, n_c, m)
     phasors = seq.phasors(k_first, k_first + count - 1)
-    angles = phase_plans(KEY, epoch, k_first, count, n_c, m)
+    angles = psk_angles(phase_plans(KEY, epoch, k_first, count, n_c, m), m)
     assert phasors.tobytes() == np.exp(1j * angles).tobytes()
     assert np.conj(phasors).tobytes() == np.exp(-1j * angles).tobytes()
 
@@ -218,7 +232,8 @@ def test_waveform_from_phasors_is_angle_formula(n_c, psk_order, n_blocks,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     blocks = random_symbol_blocks(np.random.default_rng(seed), n_blocks, config)
     seq = PhaseSequence(KEY, 0, n_c, psk_order)
-    angles = phase_plans(KEY, 0, k_first, n_blocks, n_c, psk_order)
+    angles = psk_angles(phase_plans(KEY, 0, k_first, n_blocks, n_c, psk_order),
+                        psk_order)
     direct = modulate_block(blocks * np.exp(-1j * angles[:, 1:]),
                             np.exp(1j * angles[:, 0]), config)
     wave = build_waveform(blocks, seq.phasors(k_first, k_first + n_blocks - 1),
@@ -340,8 +355,9 @@ def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = whole_signal_demod(r, window0 + ks * config.block_samples,
                                   est.frac_cfo_hat, config)
-    angles = phase_plans(phase_seq.key, phase_seq.epoch, ks[0] + est.k0_hat,
-                         ks.size, config.n_carriers, config.psk_order)
+    angles = psk_angles(phase_plans(
+        phase_seq.key, phase_seq.epoch, ks[0] + est.k0_hat, ks.size,
+        config.n_carriers, config.psk_order), config.psk_order)
     phasors = np.exp(1j * angles[:, [1 + i for i in idx]])
     n0, zeta0, cfo_low_conf = full_grid_integer_cfo(r_blocks, pilots, phasors,
                                                     config, sync_cfg)
@@ -447,7 +463,8 @@ def sync_links(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_blocks = k_count + 4
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    angles = phase_plans(KEY, 0, k0, n_blocks, n_c, config.psk_order)
+    angles = psk_angles(phase_plans(KEY, 0, k0, n_blocks, n_c, config.psk_order),
+                        config.psk_order)
     wave = build_waveform(blocks, np.exp(1j * angles), config).samples
     delay = draw(st.integers(0, config.block_samples - 1))
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave])
@@ -483,7 +500,7 @@ def test_synchronize_body_past_the_end_still_raises():
                         psk_order=4, pilot_positions={3: 1.0 + 0j, 9: 1.0 + 0j})
     sync_cfg = SyncConfig(n_blocks=3, candidates=[0])
     rng = np.random.default_rng(5)
-    phasors = np.exp(1j * phase_plans(KEY, 0, 0, 8, 32, 4))
+    phasors = np.exp(1j * psk_angles(phase_plans(KEY, 0, 0, 8, 32, 4), 4))
     wave = build_waveform(random_symbol_blocks(rng, 8, config), phasors, config)
     delay = config.block_samples - 1 - config.cp_samples
     shortest = (FIRST_BLOCK + 3) * config.block_samples - 2 + 32

@@ -24,8 +24,8 @@ CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
 def secret_phasors(key, k_first, count):
     """Unit phasors of the secret plans of blocks k_first.. (one row per
     block: the CP phase symbol, then the subcarriers)."""
-    return np.exp(1j * phase_plans(key, 0, k_first, count, CONFIG.n_carriers,
-                                   CONFIG.psk_order))
+    v = phase_plans(key, 0, k_first, count, CONFIG.n_carriers, CONFIG.psk_order)
+    return np.exp(1j * (2.0 * np.pi * v / CONFIG.psk_order))
 
 
 def secure_waveform(blocks):
@@ -126,7 +126,8 @@ class TestSecureDecode:
         assert result.pvalue > 0.01
 
     def test_length_mismatch(self):
-        phasors = np.exp(1j * phase_plans(KEY, 0, 0, 1, 64, 16)[0, 1:])
+        v = phase_plans(KEY, 0, 0, 1, 64, 16)[0, 1:]
+        phasors = np.exp(1j * (2.0 * np.pi * v / 16))
         with pytest.raises(ValueError):
             decode_phases(np.zeros(128, dtype=complex), phasors)
 

@@ -31,9 +31,9 @@ def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
                   seed=0):
     rng = np.random.default_rng(seed)
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    angles = phase_plans(KEY, 0, k0, n_blocks, config.n_carriers,
-                         config.psk_order)
-    wave = build_waveform(blocks, np.exp(1j * angles), config)
+    v = phase_plans(KEY, 0, k0, n_blocks, config.n_carriers, config.psk_order)
+    wave = build_waveform(
+        blocks, np.exp(1j * (2.0 * np.pi * v / config.psk_order)), config)
     omega0 = 2 * np.pi * nu / config.t_body
     return apply_offsets(wave, OffsetSpec(delay=t0_samples, omega0=omega0,
                                           phi0=phi0))
@@ -91,9 +91,9 @@ class TestCorrPreFft:
                         acc += (r.samples[start + i]
                                 * np.conj(r.samples[start + i
                                                     + config.n_carriers]))
-                    cp_phase = np.exp(1j * phase_plans(
-                        KEY, 0, k + d, 1, config.n_carriers,
-                        config.psk_order)[0, 0])
+                    v = phase_plans(KEY, 0, k + d, 1, config.n_carriers,
+                                    config.psk_order)[0, 0]
+                    cp_phase = np.exp(1j * (2.0 * np.pi * v / config.psk_order))
                     oracle = acc * np.conj(cp_phase) * dt
                     assert abs(got - oracle) < 1e-10
 
@@ -197,7 +197,8 @@ class TestDemodFft:
         wave = build_waveform(blocks, seq.phasors(0, 2), config)
         start = config.block_samples + config.cp_samples
         out = demod_fft(wave, start, config)
-        expected = blocks[1] * np.exp(-1j * phase_plans(KEY, 0, 1, 1, 128, 16)[0, 1:])
+        v = phase_plans(KEY, 0, 1, 1, 128, 16)[0, 1:]
+        expected = blocks[1] * np.exp(-1j * (2.0 * np.pi * v / 16))
         assert np.max(np.abs(out - expected)) < 1e-9
 
     @staticmethod

@@ -19,7 +19,8 @@ def table1_config(**overrides):
 
 def plans(k_first, count):
     """Unit phasors of the secret plans of blocks k_first.. ."""
-    return np.exp(1j * phase_plans(KEY, 0, k_first, count, 128, 16))
+    v = phase_plans(KEY, 0, k_first, count, 128, 16)
+    return np.exp(1j * (2.0 * np.pi * v / 16))
 
 
 class TestOfdmConfig:
@@ -42,9 +43,15 @@ class TestOfdmConfig:
     def test_sample_interval_is_one_over_n_carriers(self):
         assert table1_config(n_carriers=49).sample_interval == 1.0 / 49
 
-    @pytest.mark.parametrize("value", [0, float("nan"), complex("inf")])
+    # a pilot magnitude outside [2**-256, 2**256] overflows the despreading
+    @pytest.mark.parametrize("value", [0, float("nan"), complex("inf"), 1e-300,
+                                       2.0 ** -257, 2.0 ** 257, -1e300j])
     def test_rejects_zero_or_non_finite_pilot(self, value):
         with pytest.raises(ValueError, match="pilot_positions"):
+            table1_config(pilot_positions={24: value})
+
+    def test_accepts_pilot_magnitude_at_range_ends(self):
+        for value in (2.0 ** -256, -2.0 ** 256, 2.0 ** 256 * 1j):
             table1_config(pilot_positions={24: value})
 
     def test_rejects_pilot_out_of_range(self):
