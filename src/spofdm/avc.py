@@ -3,12 +3,12 @@ closed-form maximin capacity.
 
 The channel is R = S + e^{j Theta} J + N with S and J both laws on the
 symbol plane (:class:`InputDist`), Theta the secret phase (uniform over the
-M-PSK alphabet, or disabled), and N circular complex Gaussian. Every law is a
-finite Gaussian mixture (:meth:`InputDist.mixture`), so the conditional and
-marginal densities are exact mixtures and mutual information is estimated by
-Monte-Carlo averaging of exact log density ratios. The mixture log-densities
-are evaluated in cache-sized blocks of samples with scipy's ``logsumexp``
-arithmetic, so this module needs numpy only.
+M-PSK alphabet, the point 0 when M = 1), and N circular complex Gaussian.
+Every law is a finite Gaussian mixture (:meth:`InputDist.mixture`), so the
+conditional and marginal densities are exact mixtures and mutual information
+is estimated by Monte-Carlo averaging of exact log density ratios. The
+mixture log-densities are evaluated in cache-sized blocks of samples with
+scipy's ``logsumexp`` arithmetic, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -95,21 +95,20 @@ class InputDist:
 
 @dataclass(frozen=True)
 class SymbolChannelSpec:
-    """Powers and phase-randomization setting of the symbol-level channel."""
+    """Powers and secret phase alphabet size M (``phase_order``, a positive
+    integer) of the symbol-level channel; M = 1 rotates nothing."""
 
     input_dist: InputDist = field(default_factory=InputDist.qpsk)
     noise_power: float = 0.1
-    phase_order: int | None = 16  # None disables phase randomization
+    phase_order: int = 16
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ValueError(f"noise_power must be finite and non-negative, "
                              f"got {self.noise_power!r}")
         m = self.phase_order
-        if m is not None and (isinstance(m, bool)
-                              or not isinstance(m, numbers.Integral) or m < 1):
-            raise ValueError(f"phase_order must be None or a positive "
-                             f"integer, got {m!r}")
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"phase_order must be a positive integer, got {m!r}")
 
 
 def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
@@ -119,8 +118,7 @@ def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
     s = spec.input_dist.sample(rng, n_samples)
     j = jamming.sample(rng, n_samples)
     m = spec.phase_order
-    rot = (np.ones(n_samples, dtype=complex) if m is None
-           else psk_phasors(m)[rng.integers(0, m, size=n_samples)])
+    rot = psk_phasors(m)[rng.integers(0, m, size=n_samples)]
     noise = InputDist("gaussian", spec.noise_power).sample(rng, n_samples)
     return s, s + rot * j + noise
 
@@ -178,7 +176,7 @@ def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
     """
     means, logw, j_var = jamming.mixture()
     m = spec.phase_order
-    if jamming.kind == "discrete" and m is not None:
+    if jamming.kind == "discrete":
         means = (means[:, None] * psk_phasors(m)[None, :]).ravel()
         logw = (logw[:, None] - math.log(m) + np.zeros((1, m))).ravel()
     var = spec.noise_power + j_var

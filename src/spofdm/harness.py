@@ -120,6 +120,10 @@ class Scenario:
         for name in ("trials", "n_candidates", "sync_blocks", "n_paths"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # one phase point: every candidate offset has the same CP phases
+        if self.psk_order == 1 and self.n_candidates != 1:
+            raise ValueError(f"n_candidates must be 1 when psk_order is 1, "
+                             f"got {self.n_candidates!r}")
         if not 0 < self.tap_decay <= 1:
             raise ValueError(f"tap_decay must be in (0, 1], got {self.tap_decay!r}")
         for name, bound in (("master_seed", math.inf), ("epoch", 2 ** 32),
@@ -492,8 +496,8 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     """BER at one (rate, SNR) operating point.
 
     Unit-power QPSK symbols; the jammer transmits an independent codeword
-    from the same codebook at equal symbol power; the secret phase rotation
-    (when precoding is on) randomizes the jamming term. Perfect
+    from the same codebook at equal symbol power; the secret M-PSK rotation
+    randomizes the jamming term (M = 1 without precoding: no rotation). Perfect
     synchronization and, on fading channels, perfect channel knowledge are
     assumed. Stops once target_errors bit errors accumulate.
     """
@@ -502,7 +506,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     rng = np.random.default_rng([scenario.master_seed, 7001, seed_tag])
     sigma2 = 10 ** (-snr_db / 10)
     jam_amp = 10 ** (-scenario.sjr_db / 20)
-    m = scenario.psk_order
+    m = scenario.psk_order if precoding else 1
     rotations = psk_phasors(m)
     k0_lin = None if rician_k0_db is None else 10 ** (rician_k0_db / 10)
 
@@ -517,9 +521,8 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
         s = qpsk_map(cw.ravel()).reshape(b, n_sym)
 
         jam_msg = rng.integers(0, 2, size=(b, enc.k)).astype(np.uint8)
-        j = qpsk_map(enc.encode(jam_msg).ravel()).reshape(b, n_sym) * jam_amp
-        if precoding:
-            j = j * rotations[rng.integers(0, m, size=(b, n_sym))]
+        j = (qpsk_map(enc.encode(jam_msg).ravel()).reshape(b, n_sym) * jam_amp
+             * rotations[rng.integers(0, m, size=(b, n_sym))])
 
         noise = complex_normal(rng, sigma2, (b, n_sym))
 
@@ -624,8 +627,9 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """Trial-averaged magnitude of the pre-FFT correlation.
 
     With precoding the surface spans the (time offset, candidate sequence
-    offset) grid; without it every secret phasor is one and the candidate
-    axis collapses (unit CP phase). The signal goes through the scenario's
+    offset) grid; without it the scenario runs as classical OFDM (psk_order
+    1, one candidate) and the surface is its one column, with no candidates
+    or k0. The signal goes through the scenario's
     channel. The legitimate time offset is drawn once and the jammer sits
     half a block from it; both stay fixed across trials so the averaged
     peaks do not smear, while data, fading, jamming and noise are redrawn.
@@ -633,6 +637,8 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if not precoding:
+        scenario = replace(scenario, psk_order=1, n_candidates=1)
     link = _link(scenario)
     config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq
     seed_rng = np.random.default_rng([scenario.master_seed, 4242])
@@ -642,19 +648,17 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
 
     n_blocks = scenario.sync_blocks + 4
-    phasors = (phase_seq.phasors(k0, k0 + n_blocks - 1) if precoding
-               else np.ones((n_blocks, config.n_carriers + 1), dtype=complex))
+    phasors = phase_seq.phasors(k0, k0 + n_blocks - 1)
     acc = 0.0
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
         r = _transmit(scenario, link, rng, phasors,
                       OffsetSpec(delay=signal_offset_samples),
                       lambda: OffsetSpec(delay=jammer_offset_samples))
-        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg,
-                                           phase_seq if precoding else None))
+        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg, phase_seq))
 
     return {
-        "surface": acc / n_trials,
+        "surface": acc / n_trials if precoding else acc[:, 0] / n_trials,
         "tau_samples": np.arange(block),
         "candidates": sync_cfg.candidates if precoding else None,
         "signal_offset_samples": signal_offset_samples,

@@ -66,13 +66,12 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     if spec.strategy == "gaussian":
         return ComplexSignal(complex_normal(rng, spec.power, (duration_samples,)), dt)
 
-    # disguised_ofdm: independent data, own offsets, classical or random CP1.
+    # disguised_ofdm: independent data, own offsets, and CP1 phases from the
+    # link's M-PSK alphabet (random_cp) or the one-point alphabet (plain_cp)
     n_blocks = -(-duration_samples // config.block_samples)
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    cp_phases = 1.0
-    if spec.cp_phase_mode == "random_cp":
-        m = config.psk_order
-        cp_phases = psk_phasors(m)[rng.integers(0, m, n_blocks)]
+    m = config.psk_order if spec.cp_phase_mode == "random_cp" else 1
+    cp_phases = psk_phasors(m)[rng.integers(0, m, n_blocks)]
     wave = modulate_block(blocks, cp_phases, config)
     # offsets act sample by sample, so only the kept samples are rotated
     samples = apply_offsets(ComplexSignal(wave.samples[:duration_samples], dt),

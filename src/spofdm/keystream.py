@@ -73,6 +73,7 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     """Secret PSK indices v in [0, M) of OFDM blocks k_first..k_first+count-1,
     shape (count, N_c+1): column 0 is the CP phase index and columns 1.. the
     subcarrier ones, each log2(M) keystream bits, most significant first.
+    M = 1 (classical OFDM) takes no bits: every index is 0.
 
     Random access: row i is derived from the stream address of block
     k_first+i without touching any earlier block; all rows come from one
@@ -80,7 +81,7 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     counter (4B), counters 0, 1, ... within each block.
     """
     m = int(psk_order)
-    if m < 2 or m & (m - 1):
+    if m < 1 or m & (m - 1):
         raise KeystreamConfigError(f"PSK order must be a power of 2, got {psk_order}")
     if k_first < 0:
         raise ValueError("block index must be non-negative")

@@ -80,13 +80,13 @@ class SyncEstimate:
 
 
 def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                    phase_seq: PhaseSequence | None = None) -> np.ndarray:
+                    phase_seq: PhaseSequence) -> np.ndarray:
     """Averaged correlation (1/K) sum_k Y_k(tau, d) over the (tau, d) grid.
 
     Returns a complex array of shape (block_samples, n_candidates); row tau is
     the trial time offset in samples, column j the candidate offset
-    sync_cfg.candidates[j]. Without a phase sequence (classical receiver,
-    unit CP phase) the candidate axis collapses: shape (block_samples,).
+    sync_cfg.candidates[j]. The classical receiver is an M = 1 sequence (unit
+    CP phases) with one candidate: shape (block_samples, 1).
     """
     x = r.samples
     dt = r.sample_interval
@@ -111,9 +111,6 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + k_count)
     starts = ks[:, None] * block + np.arange(block)[None, :] - cp  # (K, tau)
     y = w[starts]                                                  # (K, tau)
-    if phase_seq is None:
-        return y.mean(axis=0)                                      # (tau,)
-
     d_vals = sync_cfg.candidates
     k_max = int(ks[-1] + d_vals.max())
     k_min = int(ks[0] + d_vals.min())
@@ -124,18 +121,17 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
 
 
 def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                     phase_seq: PhaseSequence | None = None):
+                     phase_seq: PhaseSequence):
     """Coarse estimates from the pre-FFT surface.
 
     Returns (estimate, surface); the estimate carries the argmax time offset,
-    the winning candidate offset (0 classically) and the fractional CFO from
-    the peak phase. Ties break toward the lowest (tau, d) index.
+    the winning candidate offset and the fractional CFO from the peak phase.
+    Ties break toward the lowest (tau, d) index.
     """
     surface = pre_fft_surface(r, config, sync_cfg, phase_seq)
-    grid = surface.reshape(len(surface), -1)  # one column classically
-    mag = np.abs(grid)
+    mag = np.abs(surface)
     tau_idx, d_idx = np.unravel_index(np.argmax(mag), mag.shape)
-    peak = grid[tau_idx, d_idx]
+    peak = surface[tau_idx, d_idx]
     # cmath: numpy's float64 angle rounds differently under AVX-512 and AVX2
     frac = (-cmath.phase(complex(peak)) / (2 * np.pi)) % 1.0
     low_conf = bool(mag.max() < 1.5 * mag.mean())
@@ -143,7 +139,7 @@ def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     # waveform origin sits at the start of block 0's CP1, not its body.
     est = SyncEstimate(
         t0_hat=float((tau_idx - config.cp_samples) * r.sample_interval),
-        k0_hat=0 if phase_seq is None else int(sync_cfg.candidates[d_idx]),
+        k0_hat=int(sync_cfg.candidates[d_idx]),
         frac_cfo_hat=frac,
         peak_metric=float(np.abs(peak)),
         low_confidence=low_conf,
@@ -276,10 +272,10 @@ def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
 
 
 def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                phase_seq: PhaseSequence | None = None):
+                phase_seq: PhaseSequence):
     """Full two-stage pipeline. Returns (SyncEstimate, pre-FFT surface).
-    Without a phase sequence it is the classical receiver: unit CP phases,
-    sequence offset 0 and unit pilot phasors.
+    The classical receiver is the same pipeline on an M = 1 sequence with
+    the one candidate 0: unit CP and pilot phasors, sequence offset 0.
 
     After the coarse stage the fractional CFO is compensated on absolute time
     and the FFT window is backed off into CP2 so the fine-time estimator sees
@@ -301,9 +297,8 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
                                 est.frac_cfo_hat, config)
-    phasors = (np.ones((ks.size, len(idx))) if phase_seq is None else
-               phase_seq.phasors(ks[0] + est.k0_hat, ks[-1] + est.k0_hat)
-               [:, [1 + i for i in idx]])
+    phasors = phase_seq.phasors(ks[0] + est.k0_hat,
+                                ks[-1] + est.k0_hat)[:, [1 + i for i in idx]]
     bins = (np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)[:, None]
             + idx) % config.n_carriers
     z = (decode_phases(r_blocks[:, bins], phasors[:, None])

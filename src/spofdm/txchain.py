@@ -49,7 +49,7 @@ class OfdmConfig:
         if self.cp1_samples + self.cp2_samples > self.n_carriers:
             raise ValueError("cp1_samples + cp2_samples cannot exceed n_carriers")
         m = self.psk_order
-        if m < 2 or m & (m - 1):
+        if m < 1 or m & (m - 1):
             raise ValueError("psk_order must be a power of 2")
         for idx, value in self.pilot_positions.items():
             if not (0 <= idx < self.n_carriers

@@ -78,7 +78,7 @@ class TestCriterion2SymmetryWitness:
         points = InputDist.qpsk(1.0).points
         pairs = [(points[i], points[j], 100 * i + 10 * j)
                  for i in range(4) for j in range(4) if i != j]
-        off_ok = all(not self._rejects(*self._exchange(s, t, None, seed))
+        off_ok = all(not self._rejects(*self._exchange(s, t, 1, seed))
                      for s, t, seed in pairs)
         on_ok = all(self._rejects(*self._exchange(s, t, 16, 7000 + seed))
                     for s, t, seed in pairs)

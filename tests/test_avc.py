@@ -120,6 +120,7 @@ class TestSimulate:
         (dict(noise_power=float("nan")), "noise_power"),
         (dict(noise_power=float("inf")), "noise_power"),
         (dict(noise_power=-0.1), "noise_power"),
+        (dict(phase_order=None), "phase_order"),
     ])
     def test_spec_rejects_bad_fields(self, overrides, field):
         with pytest.raises(ValueError, match=field):
@@ -172,7 +173,7 @@ class TestMiEstimate:
         for snr_db, seed in [(0.0, 30), (3.0, 31), (10.0, 32)]:
             p_s = 10 ** (snr_db / 10)
             spec = SymbolChannelSpec(InputDist("gaussian", p_s),
-                                     noise_power=1.0, phase_order=None)
+                                     noise_power=1.0, phase_order=1)
             est = mi_estimate(spec, NO_JAMMING, 100_000, seed)
             assert est.contains(math.log2(1 + p_s))
 
@@ -180,7 +181,7 @@ class TestMiEstimate:
         jam = InputDist.qpsk(1.0)
         on = mi_estimate(SymbolChannelSpec(InputDist.qpsk(), 0.1, 16),
                          jam, 60_000, 40)
-        off = mi_estimate(SymbolChannelSpec(InputDist.qpsk(), 0.1, None),
+        off = mi_estimate(SymbolChannelSpec(InputDist.qpsk(), 0.1, 1),
                           jam, 60_000, 41)
         assert on.bits > off.bits
         assert not on.overlaps(off)
@@ -238,17 +239,17 @@ def test_import_loads_no_scipy():
 # (input, jamming, phase order) -> (bits, ci_low, ci_high) of
 # mi_estimate(..., 2000, seed=5) with noise power 0.2; pins every float
 PINNED_MI = {
-    ("gaussian", "none", None): (2.5476965132713247, 2.453262248971471, 2.63009824374773),
+    ("gaussian", "none", 1): (2.5476965132713247, 2.453262248971471, 2.63009824374773),
     ("gaussian", "none", 16): (2.5863290591774866, 2.506725586107928, 2.6579258466811764),
-    ("gaussian", "gaussian", None): (1.2205459628710555, 1.1472080375041922, 1.2851126523934495),
+    ("gaussian", "gaussian", 1): (1.2205459628710555, 1.1472080375041922, 1.2851126523934495),
     ("gaussian", "gaussian", 16): (1.2712514813547622, 1.2033542924325287, 1.326643633298254),
-    ("gaussian", "disguised", None): (1.463875296194359, 1.3880363510781113, 1.534363625739837),
+    ("gaussian", "disguised", 1): (1.463875296194359, 1.3880363510781113, 1.534363625739837),
     ("gaussian", "disguised", 16): (1.2582916019896244, 1.195187230444725, 1.3146753324642757),
-    ("qpsk", "none", None): (1.887209007751384, 1.8626941148711833, 1.908494811088826),
+    ("qpsk", "none", 1): (1.887209007751384, 1.8626941148711833, 1.908494811088826),
     ("qpsk", "none", 16): (1.8939934635261755, 1.8682196482103126, 1.9120054992506845),
-    ("qpsk", "gaussian", None): (1.192749210608122, 1.1322198013673033, 1.2434149412553475),
+    ("qpsk", "gaussian", 1): (1.192749210608122, 1.1322198013673033, 1.2434149412553475),
     ("qpsk", "gaussian", 16): (1.2005643993280772, 1.153925389806677, 1.2524957195890667),
-    ("qpsk", "disguised", None): (1.0091004812300564, 0.9695741557810497, 1.049031793927611),
+    ("qpsk", "disguised", 1): (1.0091004812300564, 0.9695741557810497, 1.049031793927611),
     ("qpsk", "disguised", 16): (1.0567794269846595, 1.012987292192654, 1.0978221619693498),
 }
 

@@ -144,6 +144,15 @@ class TestSurface:
         assert path.exists()
         assert "jammer offset" in capsys.readouterr().out
 
+    def test_classical_surface_csv(self, tmp_path, capsys):
+        # classical OFDM: one column, one row per time offset of a block
+        out_dir = tmp_path / "results"
+        assert main(["surface", "--precoding", "off", "--surface-trials", "1",
+                     "--out-dir", str(out_dir)]) == 0
+        lines = (out_dir / "surface_precoding_off.csv").read_text().splitlines()
+        assert lines[0] == "tau_samples,magnitude"
+        assert len(lines) == 1 + 152
+
     def test_zero_surface_trials(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
         assert main(["surface", "--surface-trials", "0",

@@ -93,6 +93,8 @@ class TestScenario:
         (dict(pilot_positions=((24, 1e-154), (32, 1))), "pilot_positions"),
         (dict(pilot_positions=((24, 1), (32, 1e160))), "pilot_positions"),
         (dict(pilot_positions=((24, 1), (32, -1e300))), "pilot_positions"),
+        # one phase point: every candidate offset has the same CP phases
+        (dict(psk_order=1, n_candidates=2), "n_candidates"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -233,6 +235,7 @@ class TestScenarioFiles:
         ("pilot_positions", {"24": [0.0, 1e-154], "32": [1.0, 0.0]}),
         ("pilot_positions", {"24": [1.0, 0.0], "32": [1e160, 0.0]}),
         ("pilot_positions", {"24": [1.0, 0.0], "32": [0.0, -1e300]}),
+        ("psk_order", 1),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -447,7 +450,7 @@ class TestRecordsPinned:
 
     @pytest.mark.parametrize("precoding, digest", [
         (True, "b4ca95e033fd7951efd0e9d2056a2648ed58342f1656caa3f303290c48282fe8"),
-        (False, "ab9760a54c9ef1e8e731d568bc4e9a9c5520bd26a6420ba03865328d5c82aedb"),
+        (False, "3561e837f6b8c79bc5b39b7ec7caa2e03d254bd5260d5b6d3c3122e62a382673"),
     ], ids=["precoded", "classical"])
     def test_awgn_surfaces(self, precoding, digest):
         result = correlation_surface(table1_scenario(sync_blocks=10),

@@ -126,9 +126,16 @@ class TestMapPsk:
         assert np.array_equal(values, groups[:, 0])
 
     def test_rejects_non_power_of_two(self):
-        for m in (0, 1, 3, 12):
+        for m in (0, 3, 12):
             with pytest.raises(KeystreamConfigError):
                 phase_plans(KEY, 0, 0, 1, 128, m)
+
+    def test_one_point_alphabet(self):
+        # M = 1 = 2**0 (classical OFDM) takes no keystream bits: every index
+        # is 0 and every phasor exactly 1+0j
+        assert not phase_plans(KEY, 0, 5, 3, 128, 1).any()
+        rows = PhaseSequence(KEY, 0, 128, 1).phasors(5, 7)
+        assert rows.tobytes() == np.full((3, 129), 1 + 0j).tobytes()
 
     def test_uniformity_chi_square(self):
         n_sym = 1_000_000

@@ -65,7 +65,7 @@ def small_links(draw):
     cp1 = draw(st.integers(1, n_c // 4))
     cp2 = draw(st.integers(1, n_c // 4))
     config = OfdmConfig(n_carriers=n_c, cp1_samples=cp1, cp2_samples=cp2,
-                        psk_order=draw(st.sampled_from([2, 4, 16])))
+                        psk_order=draw(st.sampled_from([1, 2, 4, 16])))
     n_blocks = draw(st.integers(1, 3))
     candidates = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4,
                                unique=True))
@@ -83,13 +83,6 @@ def small_links(draw):
     return config, SyncConfig(n_blocks=n_blocks, candidates=candidates), r
 
 
-class UnitCpPhases:
-    """Phase sequence stand-in whose CP phase symbol is 1 for every block."""
-
-    def phasors(self, k_first, k_last):
-        return np.ones((k_last - k_first + 1, 1), dtype=complex)
-
-
 @FAST
 @given(small_links())
 def test_surface_matches_direct_correlator(link):
@@ -103,17 +96,6 @@ def test_surface_matches_direct_correlator(link):
             direct = np.mean([corr_pre_fft(r, k, tau, int(d), seq, config)
                               for k in ks])
             assert abs(surface[tau, j] - direct) < 1e-12
-
-
-@FAST
-@given(small_links())
-def test_classical_surface_is_unit_phase_surface(link):
-    config, sync_cfg, r = link
-    classical = pre_fft_surface(r, config, sync_cfg)
-    one_candidate = SyncConfig(n_blocks=sync_cfg.n_blocks, candidates=[0])
-    unit = pre_fft_surface(r, config, one_candidate, UnitCpPhases())
-    assert classical.shape == (config.block_samples,)
-    assert np.max(np.abs(classical - unit[:, 0])) < 1e-12
 
 
 @FAST
@@ -452,7 +434,7 @@ def sync_links(draw):
     i1 = draw(st.integers(0, n_c - 2))
     i2 = draw(st.integers(i1 + 1, min(i1 + n_c // cp2, n_c - 1)))
     config = OfdmConfig(n_carriers=n_c, cp1_samples=cp1, cp2_samples=cp2,
-                        psk_order=draw(st.sampled_from([4, 16])),
+                        psk_order=draw(st.sampled_from([1, 4, 16])),
                         pilot_positions={i1: 1.0 + 0j, i2: -1.0 + 0j})
     k_count = draw(st.integers(1, 6))
     sync_cfg = SyncConfig(n_blocks=k_count,

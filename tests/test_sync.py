@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spofdm.channel import OffsetSpec, apply_offsets
-from spofdm.harness import (_draw_offsets, _link, _transmit,
-                            run_sync_experiment, table1_scenario)
+from spofdm.harness import run_sync_experiment, table1_scenario
 from spofdm.jammer import JammerSpec, combine, generate_jamming
 from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
 from spofdm.sync import (SyncConfig, _gamma_avg, demod_fft,
@@ -398,21 +397,13 @@ class TestSynchronizeNoiseless:
 
 class TestClassicalSynchronize:
     def test_classical_trial_without_jammer(self):
-        # the classical receiver is synchronize without a phase sequence,
-        # on a harness trial's unprecoded signal
-        scenario = table1_scenario(jammer_strategy="none")
-        link = _link(scenario)
-        config = link.config
-        rng = np.random.default_rng([scenario.master_seed, 0])
-        offsets = _draw_offsets(scenario, config, rng)
-        ones = np.ones((scenario.sync_blocks + 4, config.n_carriers + 1),
-                       dtype=complex)
-        r = _transmit(scenario, link, rng, ones, offsets, None)
-        est, surface = synchronize(r, config, link.sync_cfg)
-        nu = offsets.omega0 * config.t_body / (2 * np.pi)
-        assert surface.shape == (config.block_samples,)
-        assert est.k0_hat == 0
-        assert abs(est.total_cfo_normalized() - nu) < 0.04
+        # the classical receiver is the secure one with the one-point phase
+        # alphabet (M = 1) and the one candidate offset 0
+        report = run_sync_experiment(table1_scenario(
+            psk_order=1, n_candidates=1, jammer_strategy="none", trials=1))
+        record = report.records[0]
+        assert record["error"] is None and record["k0_true"] == 0
+        assert record["freq_error"] < 0.04
 
 
 class TestSynchronizeUnderJamming:
