@@ -86,11 +86,16 @@ def apply_fading(signal: ComplexSignal, spec: FadingSpec) -> ComplexSignal:
     """
     dt = signal.sample_interval
     x = signal.samples
+    n = x.size
     out = np.zeros_like(x)
     for delay, gain, doppler in spec.taps:
-        # a zero-Doppler tap is a plain scaled copy: no e^{j0t} pass
-        scale = gain * phase_ramp(doppler * dt, 0.0, x.size) if doppler else gain
-        out += scale * _delay(x, delay)
+        # a tap adds only where its copy is nonzero, out[delay:], which is
+        # exact because out never holds -0.0; a zero-Doppler tap is a plain
+        # scaled copy, with no e^{j0t} pass
+        if delay < n:
+            scale = (gain * phase_ramp(doppler * dt, 0.0, n - delay, delay)
+                     if doppler else gain)
+            out[delay:] += scale * x[:n - delay]
     return ComplexSignal(out, dt)
 
 
@@ -110,7 +115,8 @@ def add_awgn(signal: ComplexSignal, sigma2: float,
         return ComplexSignal(signal.samples.copy(), signal.sample_interval)
     rng = np.random.default_rng(rng)  # a Generator is returned unaltered
     noise = complex_normal(rng, sigma2, signal.samples.shape)
-    return ComplexSignal(signal.samples + noise, signal.sample_interval)
+    noise += signal.samples  # the same sum as signal + noise: + commutes
+    return ComplexSignal(noise, signal.sample_interval)
 
 
 def random_multipath_taps(rng: np.random.Generator, n_paths: int,

@@ -30,7 +30,7 @@ from .jammer import (CP_PHASE_MODES, STRATEGIES, JammerSpec, combine,
 from .keystream import PhaseSequence, SecretKey, psk_phasors
 from .rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
                       llr_qpsk, load_alist, qpsk_map)
-from .sync import SyncConfig, pre_fft_surface, synchronize
+from .sync import FIRST_BLOCK, SyncConfig, pre_fft_surface, synchronize
 from .txchain import (ComplexSignal, OfdmConfig, build_waveform,
                       random_symbol_blocks)
 
@@ -648,6 +648,10 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
 
     n_blocks = scenario.sync_blocks + 4
+    # one derive for the transmitted rows and the CP rows the surface reads
+    cp_first = FIRST_BLOCK + int(sync_cfg.candidates.min())
+    cp_last = FIRST_BLOCK + int(sync_cfg.candidates.max()) + sync_cfg.n_blocks - 1
+    phase_seq.plan(min(k0, cp_first), max(k0 + n_blocks - 1, cp_last))
     phasors = phase_seq.phasors(k0, k0 + n_blocks - 1)
     acc = 0.0
     for trial in range(n_trials):

@@ -85,8 +85,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
 def combine(signal: ComplexSignal, jam: ComplexSignal, noise_sigma2: float,
             rng: np.random.Generator | int) -> ComplexSignal:
     """Elementwise sum of signal, jamming and AWGN (shorter input zero-padded)."""
-    n = max(signal.samples.size, jam.samples.size)
-    total = np.zeros(n, dtype=complex)
-    total[: signal.samples.size] += signal.samples
-    total[: jam.samples.size] += jam.samples
+    short, long = sorted((signal.samples, jam.samples), key=len)
+    total = long.copy()
+    total[: short.size] += short
     return add_awgn(ComplexSignal(total, signal.sample_interval), noise_sigma2, rng)

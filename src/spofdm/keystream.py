@@ -92,6 +92,8 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     n_aes = -(-n_bits // _AES_BLOCK_BITS)
     if not 0 <= epoch < 1 << 32 or k_first + count > 1 << 64 or n_aes > 1 << 32:
         raise ValueError("stream address out of range")
+    if n_bits == 0:
+        return np.zeros((count, n_carriers + 1), dtype=np.int64)
     ctr = np.empty((count, n_aes), dtype=[("epoch", ">u4"), ("block", ">u8"),
                                           ("counter", ">u4")])
     ctr["epoch"] = epoch

@@ -46,8 +46,14 @@ class SyncConfig:
     n_u: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates",
-                           np.asarray(self.candidates, dtype=int))
+        cands = np.asarray(self.candidates)
+        # a negative offset names no block, and a cast would truncate 0.7 to 0
+        if (cands.ndim != 1 or cands.dtype.kind not in "iuf"
+                or not np.all((0 <= cands) & (cands < np.inf)
+                              & (cands == np.floor(cands)))):
+            raise ValueError("candidates must be a sequence of whole numbers "
+                             f">= 0, got {self.candidates!r}")
+        object.__setattr__(self, "candidates", cands.astype(int))
         if self.n_blocks < 1:
             raise ValueError("need at least one block")
         if self.candidates.size < 1:
@@ -108,16 +114,18 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     # W[s] = sum prods[s : s+cp1]
     w = csum[cp1:] - csum[:-cp1]
 
+    # row k, column tau: the window of block FIRST_BLOCK+k at offset tau
+    y = w[FIRST_BLOCK * block - cp:][:k_count * block].reshape(k_count, block)
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + k_count)
-    starts = ks[:, None] * block + np.arange(block)[None, :] - cp  # (K, tau)
-    y = w[starts]                                                  # (K, tau)
     d_vals = sync_cfg.candidates
     k_max = int(ks[-1] + d_vals.max())
     k_min = int(ks[0] + d_vals.min())
     cp_seq = phase_seq.phasors(k_min, k_max)[:, 0]
     idx = (ks[:, None] + d_vals[None, :]) - k_min                  # (K, D)
     c = cp_seq[idx]
-    return (y.T @ np.conj(c)) / k_count                            # (tau, D)
+    # numpy's complex division by K + 0j forms each part as (a + b*0) * (1/K),
+    # the same number as this product with 1/K
+    return (y.T @ np.conj(c)) * (1.0 / k_count)                    # (tau, D)
 
 
 def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
@@ -134,7 +142,7 @@ def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     peak = surface[tau_idx, d_idx]
     # cmath: numpy's float64 angle rounds differently under AVX-512 and AVX2
     frac = (-cmath.phase(complex(peak)) / (2 * np.pi)) % 1.0
-    low_conf = bool(mag.max() < 1.5 * mag.mean())
+    low_conf = bool(mag[tau_idx, d_idx] < 1.5 * mag.mean())
     # The row index marks the CP1 window start plus one CP length, because the
     # waveform origin sits at the start of block 0's CP1, not its body.
     est = SyncEstimate(
@@ -159,13 +167,19 @@ def demod_fft(r: ComplexSignal, body_starts, config: OfdmConfig) -> np.ndarray:
     return np.fft.fft(r.samples[starts[..., None] + np.arange(n_c)], axis=-1)
 
 
-def _gamma_avg(z: np.ndarray, lag: int = 1) -> np.ndarray:
-    """Block average of the cross-block products z_k conj(z_{k+lag}) of the
-    despread pilot observations ``z`` (K+1, ...), one value per (...)."""
-    gamma = z[:-lag] * np.conj(z[lag:])
-    # sums in block order whatever the memory layout or shape, where
-    # mean(axis=0) sums pairwise along a contiguous block axis
-    return np.cumsum(gamma, axis=0)[-1] / len(gamma)
+def _gamma_avg(z: np.ndarray, n_lags: int) -> np.ndarray:
+    """Block averages of the cross-block products z_k conj(z_{k+lag}) of the
+    despread pilot observations ``z`` (K+1, C, P) for lags 1..n_lags, shape
+    (n_lags, C, P)."""
+    k_count = len(z) - 1
+    # one cumsum sums every lag's products in block order, where sum(axis=0)
+    # sums pairwise along a contiguous block axis; the -0.0 padding leaves
+    # each sum unchanged, because x + -0.0 is x for every x, +0.0 included
+    gamma = np.full((k_count, n_lags, *z.shape[1:]), complex(-0.0, -0.0))
+    for lag in range(1, n_lags + 1):
+        gamma[:k_count + 1 - lag, lag - 1] = z[:-lag] * np.conj(z[lag:])
+    counts = k_count + 1 - np.arange(1, n_lags + 1)
+    return np.cumsum(gamma, axis=0)[-1] / counts[:, None, None]
 
 
 def estimate_integer_cfo(z: np.ndarray, config: OfdmConfig,
@@ -184,11 +198,10 @@ def estimate_integer_cfo(z: np.ndarray, config: OfdmConfig,
     k_count = z.shape[0] - 1
     tb_over_ts = config.block_samples / config.n_carriers
     n0_cands = np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)
-    gammas = {lag: _gamma_avg(z, lag)                             # (C, P)
-              for lag in {1, 2, 3, min(4, k_count)} if lag <= k_count}
-    # each lag contributes an independent average
-    scores = sum(np.abs(gammas[lag]).sum(axis=1)
-                 for lag in (1, 2, 3) if lag in gammas)
+    n_lags = min(4, k_count)  # the longest lag refines zeta0
+    gammas = _gamma_avg(z, n_lags)                                # (L, C, P)
+    # each lag contributes an independent average, added in lag order
+    scores = sum(np.abs(gammas[:3]).sum(axis=2))
     n0 = int(n0_cands[int(np.argmax(scores))])
     order = np.sort(scores)
     low_conf = bool(order[-1] < 1.5 * order[-2]) if scores.size > 1 else False
@@ -197,16 +210,15 @@ def estimate_integer_cfo(z: np.ndarray, config: OfdmConfig,
         # peak phase is -2*pi*(n0+zeta0)*lag*T_b/T_s; remove the known integer
         # part (cmath: numpy's angle rounds differently under AVX-512 and AVX2)
         rot = np.exp(2j * np.pi * n0 * lag * tb_over_ts)
-        peak = (gammas[lag][n0 - sync_cfg.n_l] * rot).sum()
+        peak = (gammas[lag - 1][n0 - sync_cfg.n_l] * rot).sum()
         return -cmath.phase(complex(peak)) / (2 * np.pi * lag * tb_over_ts)
 
     zeta0 = zeta_at(1)
     # refine zeta0 with a longer block lag: the phase slope grows with the
     # lag, so its noise shrinks; the lag-1 estimate picks the branch
-    lag = min(4, k_count)
-    if lag > 1:
-        zeta_l = zeta_at(lag)
-        period = 1.0 / (lag * tb_over_ts)
+    if n_lags > 1:
+        zeta_l = zeta_at(n_lags)
+        period = 1.0 / (n_lags * tb_over_ts)
         zeta0 = zeta_l + period * round((zeta0 - zeta_l) / period)
     return n0, zeta0, low_conf
 

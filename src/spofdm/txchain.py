@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2)
+_QPSK_POWER = float(np.mean(np.abs(QPSK) ** 2))
 # despreading by a pilot outside this range overflows the sync estimators
 _PILOT_RANGE = (2.0 ** -256, 2.0 ** 256)
 
@@ -79,7 +80,7 @@ class OfdmConfig:
 
     @property
     def symbol_power(self) -> float:
-        return float(np.mean(np.abs(QPSK) ** 2))
+        return _QPSK_POWER
 
 
 @dataclass

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spofdm import keystream
 from spofdm.harness import (Scenario, ScenarioFormatError, correlation_surface,
                             emit_report, load_scenario, run_ber_experiment,
                             run_sync_experiment, save_scenario, surface_csv,
@@ -382,6 +383,19 @@ class TestCorrelationSurface:
         result = correlation_surface(sc, precoding=False, n_trials=1)
         assert result["surface"].shape == (152,)
         assert result["candidates"] is None
+
+    @pytest.mark.parametrize("precoding, inits", [(True, 1), (False, 0)])
+    def test_surface_derives_its_keystream_once(self, monkeypatch, precoding,
+                                                inits):
+        # the transmitted rows and the receiver's CP rows come from one
+        # derive; classical OFDM (M = 1) needs no cipher at all
+        calls = []
+        cipher = keystream.Cipher
+        monkeypatch.setattr(keystream, "Cipher",
+                            lambda *a: calls.append(a) or cipher(*a))
+        correlation_surface(table1_scenario(sync_blocks=10),
+                            precoding=precoding)
+        assert len(calls) == inits
 
     def test_jammer_offset_half_a_block_from_signal(self):
         result = correlation_surface(table1_scenario(sync_blocks=10))

@@ -130,10 +130,15 @@ class TestMapPsk:
             with pytest.raises(KeystreamConfigError):
                 phase_plans(KEY, 0, 0, 1, 128, m)
 
-    def test_one_point_alphabet(self):
+    def test_one_point_alphabet(self, monkeypatch):
         # M = 1 = 2**0 (classical OFDM) takes no keystream bits: every index
-        # is 0 and every phasor exactly 1+0j
-        assert not phase_plans(KEY, 0, 5, 3, 128, 1).any()
+        # is 0 and every phasor exactly 1+0j, with no cipher built
+        def no_cipher(*args):
+            raise AssertionError("an M = 1 plan built a cipher")
+        monkeypatch.setattr(keystream, "Cipher", no_cipher)
+        plans = phase_plans(KEY, 0, 5, 3, 128, 1)
+        assert plans.dtype == np.int64 and plans.shape == (3, 129)
+        assert not plans.any()
         rows = PhaseSequence(KEY, 0, 128, 1).phasors(5, 7)
         assert rows.tobytes() == np.full((3, 129), 1 + 0j).tobytes()
 

@@ -8,8 +8,10 @@ their full-grid and whole-signal forms, sync trials against a shared
 keystream cache and a longer run, the bundled LDPC codes' encoder, the
 LDPC syndrome and encoder against their dense GF(2) forms, and LDPC belief
 propagation against a flooding reference decoder, bitwise in float32 and
-statistically in float64, and the MI module's blocked mixture log-density
-against scipy's logsumexp, bitwise."""
+statistically in float64, the MI module's blocked mixture log-density
+against scipy's logsumexp, bitwise, and the pre-FFT surface's window view,
+the in-place channel steps and the jammer sum against the gather, zero
+buffers and new arrays they replaced, bitwise."""
 
 import cmath
 import math
@@ -25,7 +27,9 @@ from spofdm.avc import (InputDist, SymbolChannelSpec, _log2_ratio,
                         _log_mixture, simulate_symbol_channel)
 from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
                             table1_scenario)
-from spofdm.channel import complex_normal
+from spofdm.channel import (FadingSpec, _delay, add_awgn, apply_fading,
+                            complex_normal)
+from spofdm.jammer import combine
 from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
                               phase_plans, psk_phasors)
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
@@ -58,15 +62,16 @@ def msb_first(bits, m):
 
 
 @st.composite
-def small_links(draw):
+def small_links(draw, max_blocks=3):
     """A small OFDM config, a received precoded signal with a random
-    integer delay, and a synchronizer config that fits inside it."""
+    integer delay, and a synchronizer config of up to ``max_blocks``
+    blocks that fits inside it."""
     n_c = draw(st.sampled_from([8, 16, 32]))
     cp1 = draw(st.integers(1, n_c // 4))
     cp2 = draw(st.integers(1, n_c // 4))
     config = OfdmConfig(n_carriers=n_c, cp1_samples=cp1, cp2_samples=cp2,
                         psk_order=draw(st.sampled_from([1, 2, 4, 16])))
-    n_blocks = draw(st.integers(1, 3))
+    n_blocks = draw(st.integers(1, max_blocks))
     candidates = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4,
                                unique=True))
     k0 = draw(st.integers(0, 6))
@@ -96,6 +101,36 @@ def test_surface_matches_direct_correlator(link):
             direct = np.mean([corr_pre_fft(r, k, tau, int(d), seq, config)
                               for k in ks])
             assert abs(surface[tau, j] - direct) < 1e-12
+
+
+def gather_pre_fft_surface(r, config, sync_cfg, phase_seq):
+    """The pre-FFT surface with the CP1-window sums of the K blocks gathered
+    by a (K, tau) fancy index and averaged by a division by K."""
+    x, n_c, block = r.samples, config.n_carriers, config.block_samples
+    k_count = sync_cfg.n_blocks
+    needed = (FIRST_BLOCK + k_count) * block - config.cp2_samples + n_c
+    prods = x[: needed - n_c] * np.conj(x[n_c:needed]) * r.sample_interval
+    csum = np.concatenate([[0.0 + 0j], np.cumsum(prods)])
+    w = csum[config.cp1_samples:] - csum[:-config.cp1_samples]
+    ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + k_count)
+    y = w[ks[:, None] * block + np.arange(block)[None, :] - config.cp_samples]
+    d_vals = sync_cfg.candidates
+    k_min = int(ks[0] + d_vals.min())
+    cp_seq = phase_seq.phasors(k_min, int(ks[-1] + d_vals.max()))[:, 0]
+    c = cp_seq[(ks[:, None] + d_vals[None, :]) - k_min]
+    return (y.T @ np.conj(c)) / k_count
+
+
+@FAST
+@given(small_links(max_blocks=30))
+@example((OfdmConfig(n_carriers=8, cp1_samples=2, cp2_samples=1, psk_order=1),
+          SyncConfig(n_blocks=25, candidates=[0]),
+          ComplexSignal(np.exp(1j * np.arange(8 * 11 * 30)), 1 / 8)))
+def test_surface_view_and_reciprocal_are_gather_and_division(link):
+    config, sync_cfg, r = link
+    seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+    assert array_bits(pre_fft_surface(r, config, sync_cfg, seq)) == (
+        array_bits(gather_pre_fft_surface(r, config, sync_cfg, seq)))
 
 
 @FAST
@@ -813,3 +848,87 @@ def test_log2_ratio_blocks_are_one_scipy_pass(n, input_dist):
     s, r = simulate_symbol_channel(spec, jamming, n, n)
     got = _log2_ratio(r, s, spec, jamming)
     assert got.tobytes() == scipy_log2_ratio(r, s, spec, jamming).tobytes()
+
+
+def zero_buffer_fading(signal, spec):
+    """apply_fading as the sum of whole-length zero-filled delayed copies,
+    each added into a zero buffer."""
+    x, dt = signal.samples, signal.sample_interval
+    out = np.zeros_like(x)
+    for delay, gain, doppler in spec.taps:
+        scale = gain * phase_ramp(doppler * dt, 0.0, x.size) if doppler else gain
+        out += scale * _delay(x, delay)
+    return out
+
+
+def signal_plus_noise(signal, sigma2, seed):
+    """add_awgn as the signal plus a new noise array."""
+    if sigma2 == 0:
+        return signal.samples.copy()
+    noise = complex_normal(np.random.default_rng(seed), sigma2,
+                           signal.samples.shape)
+    return signal.samples + noise
+
+
+def zero_buffer_combine(signal, jam, sigma2, seed):
+    """combine with both inputs added into a zero buffer."""
+    total = np.zeros(max(signal.samples.size, jam.samples.size), dtype=complex)
+    total[: signal.samples.size] += signal.samples
+    total[: jam.samples.size] += jam.samples
+    return signal_plus_noise(ComplexSignal(total, signal.sample_interval),
+                             sigma2, seed)
+
+
+@st.composite
+def signals(draw, n=None):
+    """A random complex signal, some of whose parts are +0.0 or -0.0."""
+    n = draw(st.integers(1, 200)) if n is None else n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = rng.normal(size=(n, 2))
+    parts[rng.random((n, 2)) < 0.1] = 0.0
+    parts[rng.random((n, 2)) < 0.1] = -0.0
+    return ComplexSignal(parts.view(complex)[:, 0], 1 / 16)
+
+
+finite = st.floats(-4, 4, allow_nan=False)
+dopplers = st.one_of(st.just(0.0), finite)
+
+
+@FAST
+@given(signal=signals(),
+       taps=st.lists(st.tuples(st.integers(0, 250),
+                               st.builds(complex, finite, finite), dopplers),
+                     min_size=1, max_size=5))
+def test_in_place_fading_is_zero_buffer_sum(signal, taps):
+    # delays up to 250 reach past the signal's end, where a tap adds nothing
+    spec = FadingSpec(taps=tuple(taps))
+    assert array_bits(apply_fading(signal, spec).samples) == array_bits(
+        zero_buffer_fading(signal, spec))
+
+
+sigma2s = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@FAST
+@given(signal=signals(), sigma2=sigma2s, seed=st.integers(0, 2 ** 32 - 1))
+def test_noise_plus_signal_is_signal_plus_noise(signal, sigma2, seed):
+    assert array_bits(add_awgn(signal, sigma2, seed).samples) == array_bits(
+        signal_plus_noise(signal, sigma2, seed))
+
+
+@FAST
+@given(n=st.integers(1, 100), data=st.data(), sigma2=sigma2s,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_copy_and_add_combine_is_zero_buffer_combine(n, data, sigma2, seed):
+    # equal lengths, a longer signal and a longer jammer
+    signal = data.draw(signals(n))
+    jam = data.draw(signals(data.draw(st.sampled_from([n, n // 2 or 1,
+                                                       2 * n]))))
+    got = combine(signal, jam, sigma2, seed).samples
+    want = zero_buffer_combine(signal, jam, sigma2, seed)
+    if sigma2:
+        assert array_bits(got) == array_bits(want)
+    else:
+        # the zero buffer turned a -0.0 part into +0.0 (0.0 + -0.0 is +0.0);
+        # without noise that sign is all that differs
+        assert array_bits(got + 0.0) == array_bits(want)

@@ -38,6 +38,19 @@ def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
                                           phi0=phi0))
 
 
+@pytest.mark.parametrize("candidates", [[-1, 0, 1], [0.7, 1.2], [np.inf],
+                                        [[0, 1]], 3])
+def test_sync_config_rejects_non_block_candidates(candidates):
+    # a negative offset names no block and made every pre-FFT call fail;
+    # a fractional one was truncated to a different offset
+    with pytest.raises(ValueError, match="candidates"):
+        SyncConfig(candidates=candidates)
+
+
+def test_sync_config_takes_whole_float_candidates():
+    assert SyncConfig(candidates=[2.0, 0]).candidates.tolist() == [2, 0]
+
+
 def v_expected(tau: float | np.ndarray, t_cp1: float) -> np.ndarray:
     """Limit shape of the averaged CP1 correlation: a triangle of height and
     half-width T_CP1 centred at zero offset (the criterion-3 oracle)."""
@@ -261,7 +274,7 @@ class TestEstimateIntegerCfo:
         (n0, zeta0, low), z = self.estimate(r_blocks, phases, sync_cfg)
         assert n0 == 0
         assert abs(zeta0) < 1e-12
-        assert abs(_gamma_avg(z)[-sync_cfg.n_l, 0] - 1.0) < 1e-12
+        assert abs(_gamma_avg(z, 1)[0, -sync_cfg.n_l, 0] - 1.0) < 1e-12
         assert not low
 
     def test_integer_offset_moves_peak(self):
