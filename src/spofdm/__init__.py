@@ -2,7 +2,7 @@
 
 Modules:
     keystream   shared-secret phase shift generation (AES counter mode)
-    txchain     precoding, modulation, split cyclic prefix, waveform assembly
+    txchain     secret phase rotation, modulation, split cyclic prefix, waveforms
     channel     offsets, multipath fading, AWGN
     jammer      adversary strategies (Gaussian, disguised OFDM)
     sync        two-stage synchronization (pre-FFT and post-FFT)

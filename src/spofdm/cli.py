@@ -12,13 +12,14 @@ from .avc import avc_capacity
 from .keystream import SecretKey, aes_encrypt_block
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
     parser.add_argument("--scenario", type=Path, default=None,
                         help="scenario JSON file (default: built-in preset)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario's master seed")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override the scenario's trial count")
+    if trials:
+        parser.add_argument("--trials", type=int, default=None,
+                            help="override the scenario's trial count")
     parser.add_argument("--sjr-db", type=float, default=None,
                         help="override the signal-to-jamming ratio in dB")
     parser.add_argument("--out-dir", type=Path, default=Path("results"),
@@ -31,9 +32,9 @@ def _load(args) -> harness.Scenario:
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         overrides["trials"] = args.trials
-    if getattr(args, "sjr_db", None) is not None:
+    if args.sjr_db is not None:
         overrides["sjr_db"] = args.sjr_db
     return replace(scenario, **overrides) if overrides else scenario
 
@@ -55,19 +56,16 @@ def _cmd_sync(args) -> int:
 
 
 def _cmd_ber(args) -> int:
-    report = harness.run_ber_experiment(
-        _load(args), args.rates, args.snrs_db,
-        precoding=args.precoding == "on")
+    report = harness.run_ber_experiment(_load(args), args.rates, args.snrs_db)
     return _emit(report, args.out_dir)
 
 
 def _cmd_surface(args) -> int:
     scenario = _load(args)
-    result = harness.correlation_surface(
-        scenario, precoding=args.precoding == "on", n_trials=args.surface_trials)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"surface_precoding_{args.precoding}.csv"
+    result = harness.correlation_surface(scenario, n_trials=scenario.trials)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    mode = "on" if scenario.psk_order > 1 else "off"
+    path = args.out_dir / f"surface_precoding_{mode}.csv"
     path.write_text(harness.surface_csv(result))
     print(f"signal offset: {result['signal_offset_samples']} samples, "
           f"jammer offset: {result['jammer_offset_samples']} samples")
@@ -106,8 +104,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_sync)
 
     p = sub.add_parser("ber", help="coded BER sweep under disguised jamming")
-    _add_common(p)
-    p.add_argument("--precoding", choices=("on", "off"), default="on")
+    _add_common(p, trials=False)  # its sample size is the codeword budget
     p.add_argument("--rates", nargs="+", default=["1_4", "1_3", "1_2"],
                    help="code rate labels, e.g. 1_4 1_3 1_2")
     p.add_argument("--snrs-db", nargs="+", type=float, default=[9.0, 12.0, 15.0])
@@ -115,8 +112,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("surface", help="pre-FFT correlation surface")
     _add_common(p)
-    p.add_argument("--precoding", choices=("on", "off"), default="on")
-    p.add_argument("--surface-trials", type=int, default=10)
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("capacity", help="closed-form jamming channel capacity")

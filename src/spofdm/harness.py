@@ -491,13 +491,13 @@ def _encoder_for_rate(rate_label: str) -> LdpcEncoder:
 
 
 def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
-               precoding: bool, rician_k0_db: float | None, seed_tag: int,
+               rician_k0_db: float | None, seed_tag: int,
                target_errors: int, max_codewords: int) -> dict:
     """BER at one (rate, SNR) operating point.
 
     Unit-power QPSK symbols; the jammer transmits an independent codeword
     from the same codebook at equal symbol power; the secret M-PSK rotation
-    randomizes the jamming term (M = 1 without precoding: no rotation). Perfect
+    randomizes the jamming term (classical OFDM, M = 1: no rotation). Perfect
     synchronization and, on fading channels, perfect channel knowledge are
     assumed. Stops once target_errors bit errors accumulate.
     """
@@ -506,7 +506,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     rng = np.random.default_rng([scenario.master_seed, 7001, seed_tag])
     sigma2 = 10 ** (-snr_db / 10)
     jam_amp = 10 ** (-scenario.sjr_db / 20)
-    m = scenario.psk_order if precoding else 1
+    m = scenario.psk_order
     rotations = psk_phasors(m)
     k0_lin = None if rician_k0_db is None else 10 ** (rician_k0_db / 10)
 
@@ -553,7 +553,7 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     return {
         "rate": rate_label,
         "snr_db": snr_db,
-        "precoding": int(precoding),
+        "precoding": int(m > 1),
         "rician_k0_db": rician_k0_db,
         "codewords": codewords,
         "bits": bits_counted,
@@ -575,8 +575,12 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
 
     Runs at the symbol level with perfect synchronization; the disguised
     jammer sends an independent codeword from the same codebook at the
-    scenario's SJR. Every argument is checked before the first point runs.
+    scenario's SJR. ``precoding=False`` is an alias for the classical
+    scenario (``psk_order`` and ``n_candidates`` 1), whose hash the report
+    carries. Every argument is checked before the first point runs.
     """
+    if not precoding:
+        scenario = replace(scenario, psk_order=1, n_candidates=1)
     start = time.monotonic()
     records = []
     tag = 0
@@ -599,7 +603,7 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
         for rate in rates:
             for snr in snrs_db:
                 records.append(_ber_point(
-                    scenario, rate, float(snr), precoding, k0_db, tag,
+                    scenario, rate, float(snr), k0_db, tag,
                     target_errors, max_codewords))
                 tag += 1
     aggregates = {
@@ -626,19 +630,19 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
                         n_trials: int = 1) -> dict:
     """Trial-averaged magnitude of the pre-FFT correlation.
 
-    With precoding the surface spans the (time offset, candidate sequence
-    offset) grid; without it the scenario runs as classical OFDM (psk_order
-    1, one candidate) and the surface is its one column, with no candidates
-    or k0. The signal goes through the scenario's
-    channel. The legitimate time offset is drawn once and the jammer sits
-    half a block from it; both stay fixed across trials so the averaged
-    peaks do not smear, while data, fading, jamming and noise are redrawn.
-    Returns the surface, the axes, and the true offsets in samples.
+    The surface spans the (time offset, candidate sequence offset) grid; a
+    classical scenario (``psk_order`` 1, which ``precoding=False`` sets)
+    gives its one column, with no candidates or k0. The signal goes through
+    the scenario's channel. The legitimate time offset is drawn once and the
+    jammer sits half a block from it; both stay fixed across trials so the
+    averaged peaks do not smear, while data, fading, jamming and noise are
+    redrawn. Returns the surface, the axes, and the true offsets in samples.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     if not precoding:
         scenario = replace(scenario, psk_order=1, n_candidates=1)
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    classical = scenario.psk_order == 1
     link = _link(scenario)
     config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq
     seed_rng = np.random.default_rng([scenario.master_seed, 4242])
@@ -662,12 +666,12 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
         acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg, phase_seq))
 
     return {
-        "surface": acc / n_trials if precoding else acc[:, 0] / n_trials,
+        "surface": acc[:, 0] / n_trials if classical else acc / n_trials,
         "tau_samples": np.arange(block),
-        "candidates": sync_cfg.candidates if precoding else None,
+        "candidates": None if classical else sync_cfg.candidates,
         "signal_offset_samples": signal_offset_samples,
         "jammer_offset_samples": jammer_offset_samples,
-        "k0": k0 if precoding else None,
+        "k0": None if classical else k0,
     }
 
 

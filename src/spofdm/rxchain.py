@@ -178,8 +178,8 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
     """Deterministic near-regular LDPC construction.
 
     Every variable has degree ``col_degree``; check degrees are as even as
-    possible. Parallel edges are repaired by swapping; 4-cycles are reduced
-    best-effort.
+    possible. Parallel edges are repaired by random swaps; 4-cycles are
+    left as they fall.
     """
     if col_degree > m:  # a variable cannot meet more distinct checks than m
         raise ValueError(f"col_degree {col_degree} exceeds the {m} checks")

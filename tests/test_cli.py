@@ -1,5 +1,6 @@
 """Smoke tests for the command line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,40 @@ import pytest
 
 import spofdm
 from spofdm.cli import main
-from spofdm.harness import save_scenario, table1_scenario
+from spofdm.harness import (correlation_surface, save_scenario, surface_csv,
+                            table1_scenario)
+
+# classical OFDM is a scenario: the one-point phase alphabet, one offset
+CLASSICAL = table1_scenario(psk_order=1, n_candidates=1)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def classical_path(tmp_path):
+    path = tmp_path / "classical.json"
+    save_scenario(CLASSICAL, path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--precoding", "off"],
+    ["ber", "--trials", "3"],
+    ["surface", "--precoding", "off"],
+    ["surface", "--surface-trials", "1"],
+])
+def test_removed_options_are_usage_errors(argv, tmp_path, capsys):
+    # classical runs come from the scenario, and ber's sample size is its
+    # codeword budget
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "results")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spofdm ")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert not (tmp_path / "results").exists()
 
 
 class TestCapacity:
@@ -84,6 +118,16 @@ class TestBer:
         body = (out_dir / "ber_records.csv").read_text()
         assert body.splitlines()[0].startswith("rate,snr_db")
 
+    def test_classical_scenario_file(self, tmp_path, classical_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["ber", "--scenario", str(classical_path), "--rates", "1_2",
+                     "--snrs-db", "15", "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "ber_records.csv").read_text().splitlines()
+        assert rows[0].split(",")[2] == "precoding"
+        assert [row.split(",")[2] for row in rows[1:]] == ["0"]
+        summary = (out_dir / "ber_summary.txt").read_text()
+        assert f"scenario_hash: {CLASSICAL.scenario_hash()}\n" in summary
+
     def test_unknown_rate_exits_nonzero_with_message(self, tmp_path):
         out_dir = tmp_path / "results"
         env = {**os.environ, "PYTHONPATH": str(Path(spofdm.__file__).parents[1])}
@@ -138,25 +182,35 @@ class TestInputErrors:
 class TestSurface:
     def test_writes_csv(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
-        assert main(["surface", "--surface-trials", "1",
+        assert main(["surface", "--trials", "1",
                      "--out-dir", str(out_dir)]) == 0
         path = out_dir / "surface_precoding_on.csv"
         assert path.exists()
         assert "jammer offset" in capsys.readouterr().out
 
-    def test_classical_surface_csv(self, tmp_path, capsys):
+    def test_trials_sets_the_average(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert main(["surface", "--trials", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        expect = surface_csv(correlation_surface(table1_scenario(), n_trials=2))
+        got = (out_dir / "surface_precoding_on.csv").read_text()
+        # digests: a failing report then skips a diff of 7,601 lines
+        assert _sha256(got) == _sha256(expect)
+
+    def test_classical_surface_csv(self, tmp_path, classical_path, capsys):
         # classical OFDM: one column, one row per time offset of a block
         out_dir = tmp_path / "results"
-        assert main(["surface", "--precoding", "off", "--surface-trials", "1",
-                     "--out-dir", str(out_dir)]) == 0
+        assert main(["surface", "--scenario", str(classical_path),
+                     "--trials", "1", "--out-dir", str(out_dir)]) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["surface_precoding_off.csv"]
         lines = (out_dir / "surface_precoding_off.csv").read_text().splitlines()
         assert lines[0] == "tau_samples,magnitude"
         assert len(lines) == 1 + 152
 
     def test_zero_surface_trials(self, tmp_path, capsys):
         out_dir = tmp_path / "results"
-        assert main(["surface", "--surface-trials", "0",
+        assert main(["surface", "--trials", "0",
                      "--out-dir", str(out_dir)]) == 2
         assert (capsys.readouterr().err
-                == "spofdm: error: n_trials must be at least 1\n")
+                == "spofdm: error: trials must be at least 1\n")
         assert not out_dir.exists()

@@ -429,6 +429,22 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# classical OFDM: the one-point phase alphabet and its one sequence offset
+CLASSICAL = dict(psk_order=1, n_candidates=1)
+
+BER_RUNS = [  # rate, scenario overrides, precoding flag, records digest
+    ("1_3", {}, True,
+     "fee3a6780e6fb80aa1b6556c4a38f918315304580ce7054f7ad137350b297bf2"),
+    ("1_2", {}, False,
+     "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
+    # the classical scenario itself: precoding=False is only its alias
+    ("1_2", CLASSICAL, True,
+     "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
+    # precoded with bit errors, so the jammer's secret rotations show
+    ("1_2", {}, True,
+     "a2be926f0b3bf2eb747387606781ed2ba5767017f7553e8a3f59b8932a57bc53"),
+]
+
 SYNC_RUNS = {
     "awgn": {},
     "multipath_random_cp": dict(channel="multipath", jammer_cp_mode="random_cp"),
@@ -462,14 +478,24 @@ class TestRecordsPinned:
             table1_scenario(trials=20, **SYNC_RUNS[run]))
         assert _sha256(report.records_csv().encode()) == SYNC_DIGESTS[run]
 
-    @pytest.mark.parametrize("precoding, digest", [
-        (True, "b4ca95e033fd7951efd0e9d2056a2648ed58342f1656caa3f303290c48282fe8"),
-        (False, "3561e837f6b8c79bc5b39b7ec7caa2e03d254bd5260d5b6d3c3122e62a382673"),
-    ], ids=["precoded", "classical"])
-    def test_awgn_surfaces(self, precoding, digest):
-        result = correlation_surface(table1_scenario(sync_blocks=10),
-                                     precoding=precoding, n_trials=2)
+    @pytest.mark.parametrize("overrides, precoding, digest", [
+        ({}, True,
+         "b4ca95e033fd7951efd0e9d2056a2648ed58342f1656caa3f303290c48282fe8"),
+        ({}, False,
+         "3561e837f6b8c79bc5b39b7ec7caa2e03d254bd5260d5b6d3c3122e62a382673"),
+        # the classical scenario itself: precoding=False is only its alias
+        (CLASSICAL, True,
+         "3561e837f6b8c79bc5b39b7ec7caa2e03d254bd5260d5b6d3c3122e62a382673"),
+    ], ids=["precoded", "classical", "classical_scenario"])
+    def test_awgn_surfaces(self, overrides, precoding, digest):
+        result = correlation_surface(
+            table1_scenario(sync_blocks=10, **overrides),
+            precoding=precoding, n_trials=2)
         assert _sha256(result["surface"].tobytes()) == digest
+        classical = bool(overrides) or not precoding
+        assert result["surface"].ndim == (1 if classical else 2)
+        if classical:  # one column, with no candidate axis and no k0
+            assert result["candidates"] is None and result["k0"] is None
 
     def test_multipath_precoded_surface(self):
         result = correlation_surface(
@@ -478,19 +504,18 @@ class TestRecordsPinned:
         assert _sha256(result["surface"].tobytes()) == (
             "8350dc9a95e421d618ff0e830c29e74ca3e03e2997375729b97f01a0bb3e3190")
 
-    @pytest.mark.parametrize("rate, precoding, digest", [
-        ("1_3", True,
-         "fee3a6780e6fb80aa1b6556c4a38f918315304580ce7054f7ad137350b297bf2"),
-        ("1_2", False,
-         "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
-        # precoded with bit errors, so the jammer's secret rotations show
-        ("1_2", True,
-         "a2be926f0b3bf2eb747387606781ed2ba5767017f7553e8a3f59b8932a57bc53"),
-    ])
-    def test_ber_records(self, rate, precoding, digest):
-        report = run_ber_experiment(table1_scenario(), [rate], [15.0],
+    @pytest.mark.parametrize(  # ids as rate-flag-digest, plus a classical mark
+        "rate, overrides, precoding, digest", BER_RUNS,
+        ids=[f"{rate}{'-classical' * bool(o)}-{p}-{d}" for rate, o, p, d in BER_RUNS])
+    def test_ber_records(self, rate, overrides, precoding, digest):
+        scenario = table1_scenario(**overrides)
+        report = run_ber_experiment(scenario, [rate], [15.0],
                                     precoding=precoding,
                                     target_errors=math.inf, max_codewords=50)
+        # the report names what ran: the classical scenario for either form
+        ran = scenario if precoding else table1_scenario(**CLASSICAL)
+        assert report.scenario_hash == ran.scenario_hash()
+        assert report.records[0]["precoding"] == int(ran.psk_order > 1)
         assert report.records[0]["codewords"] == 50
         assert _sha256(report.records_csv().encode()) == digest
 
