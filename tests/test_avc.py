@@ -192,6 +192,31 @@ class TestMiEstimate:
         assert est.ci_low <= est.bits <= est.ci_high
         assert est.n_samples == 20_000
 
+    @pytest.mark.parametrize("p_s", [1.0, 10.0])
+    def test_ci_covers_capacity_at_95_percent(self, p_s):
+        # Gaussian input and jammer with M = 1 is the closed-form channel;
+        # 0.95 +- 4 binomial sigmas over 1,000 intervals is [0.922, 0.978]
+        spec = SymbolChannelSpec(InputDist("gaussian", p_s), 1.0, 1)
+        jam = InputDist("gaussian", 1.0)
+        cap = avc_capacity(p_s, 1.0, 1.0)
+        rng = np.random.default_rng(int(p_s))
+        hits = sum(mi_estimate(spec, jam, 2000, rng).contains(cap)
+                   for _ in range(1000))
+        assert 0.922 <= hits / 1000 <= 0.978
+
+    def test_draws_only_the_channel_samples(self):
+        spec = SymbolChannelSpec(InputDist.qpsk(), 0.2, 16)
+        jam = InputDist.qpsk(0.8)
+        after_mi = np.random.default_rng(7)
+        mi_estimate(spec, jam, 500, after_mi)
+        after_sim = np.random.default_rng(7)
+        simulate_symbol_channel(spec, jam, 500, after_sim)
+        assert after_mi.bit_generator.state == after_sim.bit_generator.state
+
+    def test_one_sample_has_a_zero_width_ci(self):
+        est = mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), 1, 3)
+        assert est.ci_low == est.bits == est.ci_high
+
     def test_rejects_no_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), 0, 0)
@@ -239,18 +264,18 @@ def test_import_loads_no_scipy():
 # (input, jamming, phase order) -> (bits, ci_low, ci_high) of
 # mi_estimate(..., 2000, seed=5) with noise power 0.2; pins every float
 PINNED_MI = {
-    ("gaussian", "none", 1): (2.5476965132713247, 2.453262248971471, 2.63009824374773),
-    ("gaussian", "none", 16): (2.5863290591774866, 2.506725586107928, 2.6579258466811764),
-    ("gaussian", "gaussian", 1): (1.2205459628710555, 1.1472080375041922, 1.2851126523934495),
-    ("gaussian", "gaussian", 16): (1.2712514813547622, 1.2033542924325287, 1.326643633298254),
-    ("gaussian", "disguised", 1): (1.463875296194359, 1.3880363510781113, 1.534363625739837),
-    ("gaussian", "disguised", 16): (1.2582916019896244, 1.195187230444725, 1.3146753324642757),
-    ("qpsk", "none", 1): (1.887209007751384, 1.8626941148711833, 1.908494811088826),
-    ("qpsk", "none", 16): (1.8939934635261755, 1.8682196482103126, 1.9120054992506845),
-    ("qpsk", "gaussian", 1): (1.192749210608122, 1.1322198013673033, 1.2434149412553475),
-    ("qpsk", "gaussian", 16): (1.2005643993280772, 1.153925389806677, 1.2524957195890667),
-    ("qpsk", "disguised", 1): (1.0091004812300564, 0.9695741557810497, 1.049031793927611),
-    ("qpsk", "disguised", 16): (1.0567794269846595, 1.012987292192654, 1.0978221619693498),
+    ("gaussian", "none", 1): (2.5476965132713247, 2.467709619665991, 2.6276834068766584),
+    ("gaussian", "none", 16): (2.5863290591774866, 2.50601561765578, 2.666642500699193),
+    ("gaussian", "gaussian", 1): (1.2205459628710555, 1.1520051831234785, 1.2890867426186325),
+    ("gaussian", "gaussian", 16): (1.2712514813547622, 1.2041898188002425, 1.338313143909282),
+    ("gaussian", "disguised", 1): (1.463875296194359, 1.3933375216210926, 1.5344130707676256),
+    ("gaussian", "disguised", 16): (1.2582916019896244, 1.1950568979507734, 1.3215263060284754),
+    ("qpsk", "none", 1): (1.887209007751384, 1.8620299610340882, 1.9123880544686795),
+    ("qpsk", "none", 16): (1.8939934635261755, 1.8694462508666763, 1.9185406761856747),
+    ("qpsk", "gaussian", 1): (1.192749210608122, 1.1409835835629074, 1.2445148376533364),
+    ("qpsk", "gaussian", 16): (1.2005643993280772, 1.1483094627523005, 1.252819335903854),
+    ("qpsk", "disguised", 1): (1.0091004812300564, 0.9716127111483263, 1.0465882513117866),
+    ("qpsk", "disguised", 16): (1.0567794269846595, 1.0144271506461346, 1.0991317033231844),
 }
 
 
