@@ -157,7 +157,7 @@ class Scenario:
     def sync_config(self) -> SyncConfig:
         return SyncConfig(
             n_blocks=self.sync_blocks,
-            candidates=np.arange(self.n_candidates),
+            n_candidates=self.n_candidates,
             n_l=self.n_l,
             n_u=self.n_u,
         )
@@ -424,10 +424,7 @@ def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
 
-    backoff_t = sync_cfg.backoff(config) * config.sample_interval
-    est_time = est.t0_hat + est.t0p_hat - backoff_t - est.k0_hat * config.t_block
-    true_time = t0_true - k0 * config.t_block
-    delta = est_time - true_time
+    delta = est.frame_time(config) - (t0_true - k0 * config.t_block)
     delta -= config.t_block * round(delta / config.t_block)
     record["time_error"] = abs(delta) / config.t_block
     record["freq_error"] = abs(est.total_cfo_normalized() - nu_true)
@@ -653,9 +650,8 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
 
     n_blocks = scenario.sync_blocks + 4
     # one derive for the transmitted rows and the CP rows the surface reads
-    cp_first = FIRST_BLOCK + int(sync_cfg.candidates.min())
-    cp_last = FIRST_BLOCK + int(sync_cfg.candidates.max()) + sync_cfg.n_blocks - 1
-    phase_seq.plan(min(k0, cp_first), max(k0 + n_blocks - 1, cp_last))
+    cp_last = FIRST_BLOCK + sync_cfg.n_candidates + sync_cfg.n_blocks - 2
+    phase_seq.plan(min(k0, FIRST_BLOCK), max(k0 + n_blocks - 1, cp_last))
     phasors = phase_seq.phasors(k0, k0 + n_blocks - 1)
     acc = 0.0
     for trial in range(n_trials):

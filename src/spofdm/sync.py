@@ -11,7 +11,8 @@ time offset), plus the carrier phase.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,32 +39,33 @@ FIRST_BLOCK = 1
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Synchronizer parameters."""
+    """Synchronizer parameters; it searches sequence offsets 0..n_candidates-1."""
 
     n_blocks: int = 25                      # K, blocks averaged
-    candidates: np.ndarray = field(default_factory=lambda: np.arange(50))
+    n_candidates: int = 50                  # D, sequence offsets searched
     n_l: int = -2                           # integer CFO search bounds
     n_u: int = 2
 
     def __post_init__(self):
-        cands = np.asarray(self.candidates)
-        # a negative offset names no block, and a cast would truncate 0.7 to 0
-        if (cands.ndim != 1 or cands.dtype.kind not in "iuf"
-                or not np.all((0 <= cands) & (cands < np.inf)
-                              & (cands == np.floor(cands)))):
-            raise ValueError("candidates must be a sequence of whole numbers "
-                             f">= 0, got {self.candidates!r}")
-        object.__setattr__(self, "candidates", cands.astype(int))
-        if self.n_blocks < 1:
-            raise ValueError("need at least one block")
-        if self.candidates.size < 1:
-            raise ValueError("candidate set must be nonempty")
+        # a fractional count would fail only in the first trial, as a TypeError
+        for name in ("n_blocks", "n_candidates", "n_l", "n_u"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name in ("n_blocks", "n_candidates") and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
         if self.n_l > self.n_u:
             raise ValueError("n_l must not exceed n_u")
 
-    def backoff(self, config: OfdmConfig) -> int:
-        """FFT window backoff into CP2, in samples."""
-        return config.cp2_samples // 2
+    @property
+    def candidates(self) -> np.ndarray:
+        """The candidate sequence offsets, 0..n_candidates-1."""
+        return np.arange(self.n_candidates)
+
+
+def _backoff(config: OfdmConfig) -> int:
+    """FFT window backoff into CP2, in samples."""
+    return config.cp2_samples // 2
 
 
 @dataclass
@@ -84,15 +86,19 @@ class SyncEstimate:
         """Full frequency estimate in units of the subcarrier spacing 1/T_s."""
         return self.frac_cfo_hat + self.n0_hat + self.zeta0_hat
 
+    def frame_time(self, config: OfdmConfig) -> float:
+        """Estimated start time of keystream block 0, the one timing reference."""
+        return (self.t0_hat + self.t0p_hat - _backoff(config) * config.sample_interval
+                - self.k0_hat * config.t_block)
+
 
 def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
                     phase_seq: PhaseSequence) -> np.ndarray:
     """Averaged correlation (1/K) sum_k Y_k(tau, d) over the (tau, d) grid.
 
     Returns a complex array of shape (block_samples, n_candidates); row tau is
-    the trial time offset in samples, column j the candidate offset
-    sync_cfg.candidates[j]. The classical receiver is an M = 1 sequence (unit
-    CP phases) with one candidate: shape (block_samples, 1).
+    the trial time offset in samples, column d is sequence offset d. The M = 1
+    classical receiver (unit CP phases, one candidate) gets (block_samples, 1).
     """
     x = r.samples
     dt = r.sample_interval
@@ -116,13 +122,10 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
 
     # row k, column tau: the window of block FIRST_BLOCK+k at offset tau
     y = w[FIRST_BLOCK * block - cp:][:k_count * block].reshape(k_count, block)
-    ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + k_count)
-    d_vals = sync_cfg.candidates
-    k_max = int(ks[-1] + d_vals.max())
-    k_min = int(ks[0] + d_vals.min())
-    cp_seq = phase_seq.phasors(k_min, k_max)[:, 0]
-    idx = (ks[:, None] + d_vals[None, :]) - k_min                  # (K, D)
-    c = cp_seq[idx]
+    # entry (k, d): the CP phasor of block FIRST_BLOCK + k + d
+    n_d = sync_cfg.n_candidates
+    cp_seq = phase_seq.phasors(FIRST_BLOCK, FIRST_BLOCK + k_count + n_d - 2)[:, 0]
+    c = cp_seq[np.arange(k_count)[:, None] + np.arange(n_d)]       # (K, D)
     # numpy's complex division by K + 0j forms each part as (a + b*0) * (1/K),
     # the same number as this product with 1/K
     return (y.T @ np.conj(c)) * (1.0 / k_count)                    # (tau, D)
@@ -147,7 +150,7 @@ def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     # waveform origin sits at the start of block 0's CP1, not its body.
     est = SyncEstimate(
         t0_hat=float((tau_idx - config.cp_samples) * r.sample_interval),
-        k0_hat=int(sync_cfg.candidates[d_idx]),
+        k0_hat=int(d_idx),
         frac_cfo_hat=frac,
         peak_metric=float(np.abs(peak)),
         low_confidence=low_conf,
@@ -306,7 +309,7 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
         raise ValueError("post-FFT synchronization needs two pilot carriers")
     idx = [i for i, _ in pilots]
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks + 1)
-    window0 = tau_samp - sync_cfg.backoff(config) + config.cp_samples
+    window0 = tau_samp - _backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
                                 est.frac_cfo_hat, config)
     phasors = phase_seq.phasors(ks[0] + est.k0_hat,

@@ -89,7 +89,7 @@ class TestCriterion2SymmetryWitness:
 class TestCriterion3CorrelationShape:
     def test_shape_and_off_candidates(self):
         scenario = table1_scenario(sync_blocks=1000)
-        result = correlation_surface(scenario, precoding=True, n_trials=1)
+        result = correlation_surface(scenario, n_trials=1)
         surf = result["surface"]
         config = scenario.ofdm_config()
         dt = config.sample_interval
@@ -121,15 +121,15 @@ class TestCriterion3CorrelationShape:
 
 class TestCriterion4TwoPeaks:
     def test_traditional_vs_precoded(self):
-        trad = correlation_surface(table1_scenario(sync_blocks=25),
-                                   precoding=False, n_trials=100)
+        trad = correlation_surface(
+            table1_scenario(sync_blocks=25, psk_order=1, n_candidates=1),
+            n_trials=100)
         block = 152
         sig_tau = (trad["signal_offset_samples"] + 24) % block
         jam_tau = (trad["jammer_offset_samples"] + 24) % block
         ratio = trad["surface"][jam_tau] / trad["surface"][sig_tau]
 
-        sp = correlation_surface(table1_scenario(sync_blocks=40),
-                                 precoding=True, n_trials=100)
+        sp = correlation_surface(table1_scenario(sync_blocks=40), n_trials=100)
         jam_tau_sp = (sp["jammer_offset_samples"] + 24) % block
         jam_peak = sp["surface"][jam_tau_sp, :].max()
         global_peak = sp["surface"].max()
@@ -184,22 +184,22 @@ class TestCriterion6BerDirection:
         scenario = table1_scenario()
         details = []
 
-        off = run_ber_experiment(scenario, ["1_4", "1_3", "1_2"],
-                                 [9.0, 12.0, 15.0], precoding=False,
+        off = run_ber_experiment(table1_scenario(psk_order=1, n_candidates=1),
+                                 ["1_4", "1_3", "1_2"], [9.0, 12.0, 15.0],
                                  target_errors=100, max_codewords=50)
         off_ok = all(r["ber"] > 1e-2 for r in off.records)
         details.append(f"off_min_ber={min(r['ber'] for r in off.records):.3g}")
 
         bers = {}
         for rate, n_cw in [("1_2", 100), ("1_3", 1600), ("1_4", 3000)]:
-            rep = run_ber_experiment(scenario, [rate], [15.0], precoding=True,
+            rep = run_ber_experiment(scenario, [rate], [15.0],
                                      target_errors=300, max_codewords=n_cw)
             bers[rate] = rep.records[0]["ber"]
         on_ok = bers["1_2"] > bers["1_3"] > bers["1_4"] and bers["1_4"] < 1e-4
         details.append("on_ber " + " ".join(f"{r}:{bers[r]:.3g}"
                                             for r in ("1_2", "1_3", "1_4")))
 
-        rician = run_ber_experiment(scenario, ["1_3"], [15.0], precoding=True,
+        rician = run_ber_experiment(scenario, ["1_3"], [15.0],
                                     rician_k0_db_list=[3.0, 6.0, 10.0],
                                     target_errors=10 ** 9, max_codewords=600)
         r_bers = [r["ber"] for r in rician.records]

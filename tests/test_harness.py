@@ -370,7 +370,7 @@ class TestBerExperiment:
 class TestCorrelationSurface:
     def test_precoded_surface_shape_and_peak(self):
         sc = table1_scenario(sync_blocks=50)
-        result = correlation_surface(sc, precoding=True, n_trials=1)
+        result = correlation_surface(sc, n_trials=1)
         surf = result["surface"]
         assert surf.shape == (152, 50)
         tau_star, d_star = np.unravel_index(np.argmax(surf), surf.shape)
@@ -379,8 +379,8 @@ class TestCorrelationSurface:
         assert result["candidates"][d_star] == result["k0"]
 
     def test_plain_surface_is_one_dimensional(self):
-        sc = table1_scenario(sync_blocks=20)
-        result = correlation_surface(sc, precoding=False, n_trials=1)
+        sc = table1_scenario(sync_blocks=20, **CLASSICAL)
+        result = correlation_surface(sc, n_trials=1)
         assert result["surface"].shape == (152,)
         assert result["candidates"] is None
 
@@ -393,8 +393,8 @@ class TestCorrelationSurface:
         cipher = keystream.Cipher
         monkeypatch.setattr(keystream, "Cipher",
                             lambda *a: calls.append(a) or cipher(*a))
-        correlation_surface(table1_scenario(sync_blocks=10),
-                            precoding=precoding)
+        correlation_surface(table1_scenario(
+            sync_blocks=10, **({} if precoding else CLASSICAL)))
         assert len(calls) == inits
 
     def test_jammer_offset_half_a_block_from_signal(self):
@@ -410,7 +410,7 @@ class TestCorrelationSurface:
 
     def test_surface_csv_grid(self):
         sc = table1_scenario(sync_blocks=5)
-        result = correlation_surface(sc, precoding=True)
+        result = correlation_surface(sc)
         lines = surface_csv(result).splitlines()
         assert lines[0] == "tau_samples,candidate,magnitude"
         assert len(lines) == 1 + 152 * 50
@@ -437,7 +437,8 @@ BER_RUNS = [  # rate, scenario overrides, precoding flag, records digest
      "fee3a6780e6fb80aa1b6556c4a38f918315304580ce7054f7ad137350b297bf2"),
     ("1_2", {}, False,
      "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
-    # the classical scenario itself: precoding=False is only its alias
+    # the classical scenario itself: precoding=False (which bench/worker.py
+    # still passes) is only its alias
     ("1_2", CLASSICAL, True,
      "df9318137d63c6f324610a73e7dd16482262d33d20cbda0b3dd076f79d5f9c9d"),
     # precoded with bit errors, so the jammer's secret rotations show
@@ -483,7 +484,8 @@ class TestRecordsPinned:
          "b4ca95e033fd7951efd0e9d2056a2648ed58342f1656caa3f303290c48282fe8"),
         ({}, False,
          "3561e837f6b8c79bc5b39b7ec7caa2e03d254bd5260d5b6d3c3122e62a382673"),
-        # the classical scenario itself: precoding=False is only its alias
+        # the classical scenario itself: precoding=False (which
+        # bench/worker.py still passes) is only its alias
         (CLASSICAL, True,
          "3561e837f6b8c79bc5b39b7ec7caa2e03d254bd5260d5b6d3c3122e62a382673"),
     ], ids=["precoded", "classical", "classical_scenario"])
@@ -499,8 +501,7 @@ class TestRecordsPinned:
 
     def test_multipath_precoded_surface(self):
         result = correlation_surface(
-            table1_scenario(sync_blocks=10, channel="multipath"),
-            precoding=True, n_trials=2)
+            table1_scenario(sync_blocks=10, channel="multipath"), n_trials=2)
         assert _sha256(result["surface"].tobytes()) == (
             "8350dc9a95e421d618ff0e830c29e74ca3e03e2997375729b97f01a0bb3e3190")
 

@@ -4,12 +4,16 @@
         --claim ops_per_s
     python3 tools/bench_pairs.py --workload analysis --parent HEAD~1
 
-The parent's committed files are exported with ``git archive`` into a
-temporary directory, which is deleted on exit. Pair i runs
-``bench/run.py --workload W --seed SEED+i --trace 0`` once in the parent
-and once in this checkout, alternating which side runs first. Each run goes
-in its own process group, which is killed if the script stops early, so no
-worker outlives it. The metrics are read from each side's ``.bench_out/``.
+Both sides run outside this checkout, in sibling directories of one
+temporary directory that is deleted on exit, so their paths differ only in
+the side's name: ``parent/`` holds the parent's committed files, exported
+with ``git archive``, and ``change/`` a copy of this checkout's working
+tree (every file ``git ls-files --cached --others --exclude-standard``
+names that exists). Nothing is written into the checkout. Pair i runs
+``bench/run.py --workload W --seed SEED+i --trace 0`` once on each side,
+alternating which side runs first. Each run goes in its own process group,
+which is killed if the script stops early, so no worker outlives it. The
+metrics are read from each side's ``.bench_out/``.
 
 For every end-to-end metric of ``BENCHMARK.json``, and for the wall-clock
 rates and ``machine_speed``, it prints each side's median and quartiles and
@@ -30,6 +34,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -48,6 +53,18 @@ def export(rev: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def copy_worktree(dest: Path) -> None:
+    """This checkout's tracked and untracked, not ignored, files under
+    ``dest``, as they are in the working tree."""
+    names = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], capture_output=True, check=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        if (ROOT / name).is_file():  # a deleted tracked file is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds) -> dict:
@@ -129,9 +146,10 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     runs = {"parent": [], "change": []}
     incorrect = 0
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        export(args.parent, Path(tmp))
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {side: Path(tmp) / side for side in runs}
+        export(args.parent, sides["parent"])
+        copy_worktree(sides["change"])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
