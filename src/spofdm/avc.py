@@ -141,27 +141,50 @@ def avc_capacity(p_s: float, p_j: float, p_n: float) -> float:
 _BLOCK_CELLS = 2 ** 15  # sample x component cells per block (256 KiB)
 
 
+def _pairwise_rows(d: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a (K, n) array in numpy's pairwise order for a
+    contiguous axis: sequential below 8 rows, 8 strided partial sums up to
+    128, halves split at a multiple of 8 above. So it is bitwise
+    ``d.T.sum(axis=1)``, without numpy's overhead per row of K values."""
+    k = d.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _pairwise_rows(d[:half]) + _pairwise_rows(d[half:])
+    if k < 8:
+        out, rest = d[0].copy(), d[1:]
+    else:
+        p = d[:k - k % 8].reshape(-1, 8, d.shape[1]).sum(axis=0)
+        out = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+        rest = d[k - k % 8:]
+    for row in rest:
+        out += row
+    return out
+
+
 def _log_mixture(r: np.ndarray, means: np.ndarray, logw: np.ndarray,
                  var: float) -> np.ndarray:
     """log sum_k w_k CN(r; means_k, var) for each sample of r; ``means`` is
-    (K,) or per sample (len(r), K). The (len(r), K) work array is reused in
-    place through scipy's logsumexp steps (row max, ties to -inf and
-    counted, shifted exp and sum, log1p), so the result is bitwise
-    ``logsumexp(log CN + logw, axis=1)``."""
-    d = np.abs(r[:, None] - means)
+    (K,) or per sample (K, len(r)). The work array is component-major,
+    (K, len(r)), and is reused in place through scipy's logsumexp steps
+    (maximum, ties to -inf and counted, shifted exp and sum, log1p). The
+    maximum and the tie count over the K rows are exact element-wise
+    operations and the sum replays numpy's pairwise order
+    (:func:`_pairwise_rows`), so the result is bitwise
+    ``logsumexp(log CN + logw, axis=1)`` of the sample-major array."""
+    d = np.abs(r - (means if means.ndim == 2 else means[:, None]))
     np.square(d, out=d)
     d /= var
     np.subtract(-np.log(np.pi * var), d, out=d)
-    d += logw
-    top = d.max(axis=1, keepdims=True)
+    d += logw[:, None]
+    top = d.max(axis=0)
     ties = d == top
-    m = ties.sum(axis=1, keepdims=True, dtype=float)
+    m = ties.sum(axis=0, dtype=float)
     np.copyto(d, -np.inf, where=ties)
     d -= top
     np.exp(d, out=d)
-    s = d.sum(axis=1, keepdims=True)
+    s = _pairwise_rows(d)
     s = np.where(s == 0, s, s / m)
-    return (np.log1p(s) + np.log(m) + top)[:, 0]
+    return np.log1p(s) + np.log(m) + top
 
 
 def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
@@ -187,7 +210,7 @@ def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
     rows = max(1, _BLOCK_CELLS // all_means.size)
     for lo in range(0, r.size, rows):
         sl = slice(lo, lo + rows)
-        cond = _log_mixture(r[sl], s[sl, None] + means, logw, var)
+        cond = _log_mixture(r[sl], means[:, None] + s[sl], logw, var)
         marg = _log_mixture(r[sl], all_means, all_logw, var + s_var)
         out[sl] = (cond - marg) / math.log(2)
     return out

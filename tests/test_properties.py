@@ -794,21 +794,29 @@ def scipy_log_mixture(r, means, logw, var):
     return logsumexp(dens + logw, axis=1)
 
 
+# the kernel's sum replays numpy's pairwise order, which changes at 8 and
+# 128 components and splits above 128 at multiples of 8
 @FAST
 @given(n=st.integers(1, 300), k=st.integers(1, 256), per_sample=st.booleans(),
        copies=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
 @example(n=5, k=256, per_sample=False, copies=2, seed=0)
 @example(n=3, k=9, per_sample=True, copies=1, seed=1)
+@example(n=40, k=129, per_sample=True, copies=1, seed=2)
+@example(n=31, k=300, per_sample=False, copies=1, seed=3)
+@example(n=29, k=848, per_sample=True, copies=1, seed=4)
+@example(n=7, k=1100, per_sample=False, copies=3, seed=5)
 def test_log_mixture_is_scipy_logsumexp(n, k, per_sample, copies, seed):
     rng = np.random.default_rng(seed)
-    shape = (n, k) if per_sample else (k,)
+    shape = (k, n) if per_sample else (k,)
     spread = rng.uniform(0.1, 5.0)
     means = spread * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
     logw = np.log(rng.dirichlet(np.ones(k)))
     r = spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
     var = rng.uniform(0.05, 2.0)
     got = _log_mixture(r, means, logw, var)
-    assert got.tobytes() == scipy_log_mixture(r, means, logw, var).tobytes()
+    # scipy sums the rows of a sample-major, C-ordered array
+    rows = np.ascontiguousarray(means.T) if per_sample else means
+    assert got.tobytes() == scipy_log_mixture(r, rows, logw, var).tobytes()
     # exact ties: r = 0 is equidistant from the points of a QPSK
     # constellation, so equal-weight components tie for the row maximum
     tie_means = np.tile(InputDist.qpsk(spread ** 2).points, copies)
