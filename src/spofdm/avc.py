@@ -6,9 +6,12 @@ symbol plane (:class:`InputDist`), Theta the secret phase (uniform over the
 M-PSK alphabet, the point 0 when M = 1), and N circular complex Gaussian.
 Every law is a finite Gaussian mixture (:meth:`InputDist.mixture`), so the
 conditional and marginal densities are exact mixtures and mutual information
-is estimated by Monte-Carlo averaging of exact log density ratios. The
-mixture log-densities are evaluated in cache-sized blocks of samples with
-scipy's ``logsumexp`` arithmetic, so this module needs numpy only.
+is estimated by Monte-Carlo averaging of exact log density ratios. Each
+mixture is evaluated once per distinct component: components whose means
+coincide, as the M rotations of a QPSK jammer do in fours, are merged and
+their weights added. The log-densities are evaluated in cache-sized blocks
+of samples, component-major, with scipy's ``logsumexp`` arithmetic bit for
+bit, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def avc_capacity(p_s: float, p_j: float, p_n: float) -> float:
 # Mutual information via exact conditional mixture densities
 
 
-_BLOCK_CELLS = 2 ** 15  # sample x component cells per block (256 KiB)
+_BLOCK_CELLS = 2 ** 15  # component x sample cells per block (256 KiB)
 
 
 def _pairwise_rows(d: np.ndarray) -> np.ndarray:
@@ -187,6 +190,20 @@ def _log_mixture(r: np.ndarray, means: np.ndarray, logw: np.ndarray,
     return np.log1p(s) + np.log(m) + top
 
 
+def _merge_components(means: np.ndarray, logw: np.ndarray) -> tuple:
+    """(means, logw) with the components whose means coincide, to 1e-12 of
+    the largest |mean|, merged into one whose weight is their sum. A mixture
+    with no coincident components comes back as it is."""
+    tol = 1e-12 * (np.abs(means).max() or 1.0)
+    _, first, group = np.unique(np.round(means / tol), return_index=True,
+                                return_inverse=True)
+    if first.size == means.size:
+        return means, logw
+    merged = np.full(first.size, -np.inf)
+    np.logaddexp.at(merged, group, logw)
+    return means[first], merged
+
+
 def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
                 jamming: InputDist) -> np.ndarray:
     """log2 p(r | s) - log2 p(r), both from one interference mixture.
@@ -194,18 +211,24 @@ def _log2_ratio(r: np.ndarray, s: np.ndarray, spec: SymbolChannelSpec,
     The additive term e^{j Theta} J + N is the jamming mixture with each
     discrete point rotated by the M phases (a Gaussian jammer is rotation
     invariant) and the noise added to the variance; the marginal adds the
-    input mixture on top of it. Samples go through in blocks of at most
-    ``_BLOCK_CELLS`` cells of the marginal's (samples x components) array.
+    input mixture on top of it. Both mixtures are evaluated once per
+    distinct component (:func:`_merge_components`): a rotation that maps
+    the jamming alphabet onto itself, as pi/2 does QPSK, or an input point
+    plus a jamming point that lands on another such sum, adds weight, not
+    components. Samples go through in blocks of at most ``_BLOCK_CELLS``
+    cells of the marginal's (components x samples) array.
     """
     means, logw, j_var = jamming.mixture()
     m = spec.phase_order
     if jamming.kind == "discrete":
         means = (means[:, None] * psk_phasors(m)[None, :]).ravel()
         logw = (logw[:, None] - math.log(m) + np.zeros((1, m))).ravel()
+        means, logw = _merge_components(means, logw)
     var = spec.noise_power + j_var
     s_means, s_logw, s_var = spec.input_dist.mixture()
-    all_means = (s_means[:, None] + means[None, :]).ravel()
-    all_logw = (s_logw[:, None] + logw[None, :]).ravel()
+    all_means, all_logw = _merge_components(
+        (s_means[:, None] + means[None, :]).ravel(),
+        (s_logw[:, None] + logw[None, :]).ravel())
     out = np.empty(r.size)
     rows = max(1, _BLOCK_CELLS // all_means.size)
     for lo in range(0, r.size, rows):
@@ -235,9 +258,10 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
     """Monte-Carlo mutual information I(S; R) with a 95% CI.
 
     Uses exact conditional and marginal densities, so the only error is the
-    Monte-Carlo average itself. They are evaluated in blocks of at most
-    2^15 (sample x component) cells with scipy's ``logsumexp`` arithmetic,
-    so the work arrays stay cache-sized whatever ``n_samples`` is. The CI
+    Monte-Carlo average itself. Their mixtures are merged to one component
+    per distinct mean, and they are evaluated in blocks of at most 2^15
+    (component x sample) cells with scipy's ``logsumexp`` arithmetic, so
+    the work arrays stay cache-sized whatever ``n_samples`` is. The CI
     is the normal-theory interval of that average, bits +- 1.96 sigma /
     sqrt(n_samples) with sigma the (ddof 0) standard deviation of the log
     density ratios, so the rng draws nothing beyond the channel samples.
@@ -281,14 +305,19 @@ def saddle_check(p_s: float, p_j: float, p_n: float, n_samples: int = 200_000,
     Input deviations must not beat the Gaussian input against Gaussian
     jamming; jamming deviations must not push the MI below the saddle value
     against the Gaussian input. Each inequality is accepted when it holds up
-    to the Monte-Carlo CI.
+    to the Monte-Carlo CI. The powers are checked before any estimate, and
+    p_n must be positive: the two-point jamming deviation has no Gaussian
+    part.
     """
+    cap = avc_capacity(p_s, p_j, p_n)
+    if p_n <= 0:
+        raise ValueError(f"p_n must be positive, since the two-point jamming "
+                         f"deviation has no Gaussian part; got {p_n!r}")
     rng = np.random.default_rng(seed)
     gauss_in = InputDist("gaussian", p_s)
     gauss_jam = InputDist("gaussian", p_j)
     saddle_spec = SymbolChannelSpec(gauss_in, p_n)
     saddle = mi_estimate(saddle_spec, gauss_jam, n_samples, rng)
-    cap = avc_capacity(p_s, p_j, p_n)
 
     deviations = [
         ("qpsk_input", "input", InputDist.qpsk(p_s)),

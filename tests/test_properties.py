@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from spofdm.avc import (InputDist, SymbolChannelSpec, _log2_ratio,
-                        _log_mixture, simulate_symbol_channel)
+                        _log_mixture, _merge_components,
+                        simulate_symbol_channel)
 from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
                             table1_scenario)
 from spofdm.channel import (FadingSpec, _delay, add_awgn, apply_fading,
@@ -827,26 +828,38 @@ def test_log_mixture_is_scipy_logsumexp(n, k, per_sample, copies, seed):
     assert got.tobytes() == want.tobytes()
 
 
-def scipy_log2_ratio(r, s, spec, jamming):
-    """log2 p(r | s) - log2 p(r) over all samples at once, with the
-    interference and marginal mixtures built as in spofdm.avc."""
+def interference_mixture(spec, jamming, merge):
+    """e^{j Theta} J + N as (means, logw, var), built as in spofdm.avc; with
+    ``merge`` its coincident components are merged by avc's helper."""
     means, logw, j_var = jamming.mixture()
-    m = spec.phase_order
-    if jamming.kind == "discrete" and m is not None:
+    if jamming.kind == "discrete":
+        m = spec.phase_order
         means = (means[:, None] * psk_phasors(m)).ravel()
         logw = np.repeat(logw - math.log(m), m)
-    var = spec.noise_power + j_var
+        if merge:
+            means, logw = _merge_components(means, logw)
+    return means, logw, spec.noise_power + j_var
+
+
+def scipy_log2_ratio(r, s, spec, jamming, merge=True):
+    """log2 p(r | s) - log2 p(r) over all samples at once, with the
+    interference and marginal mixtures merged as in spofdm.avc, or, without
+    ``merge``, with every component as the laws and rotations give it."""
+    means, logw, var = interference_mixture(spec, jamming, merge)
     s_means, s_logw, s_var = spec.input_dist.mixture()
+    all_means = (s_means[:, None] + means).ravel()
+    all_logw = (s_logw[:, None] + logw).ravel()
+    if merge:
+        all_means, all_logw = _merge_components(all_means, all_logw)
     cond = scipy_log_mixture(r, s[:, None] + means, logw, var)
-    marg = scipy_log_mixture(r, (s_means[:, None] + means).ravel(),
-                             (s_logw[:, None] + logw).ravel(), var + s_var)
+    marg = scipy_log_mixture(r, all_means, all_logw, var + s_var)
     return (cond - marg) / math.log(2)
 
 
-# QPSK input and disguised jamming at M = 16 have 4 x 4 x 16 = 256 marginal
-# components, so blocks hold 128 samples; a Gaussian input has 64 components
-# and blocks of 512 samples
-@pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300, 513])
+# QPSK input and disguised jamming at M = 16 have 4 x 16 = 64 distinct
+# marginal components, so blocks hold 512 samples; a Gaussian input has 16
+# components and blocks of 2048 samples
+@pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 300, 511, 512, 513, 2049])
 @pytest.mark.parametrize("input_dist", [InputDist.qpsk(),
                                         InputDist("gaussian", 1.0)])
 def test_log2_ratio_blocks_are_one_scipy_pass(n, input_dist):
@@ -855,6 +868,58 @@ def test_log2_ratio_blocks_are_one_scipy_pass(n, input_dist):
     s, r = simulate_symbol_channel(spec, jamming, n, n)
     got = _log2_ratio(r, s, spec, jamming)
     assert got.tobytes() == scipy_log2_ratio(r, s, spec, jamming).tobytes()
+
+
+RNG_POINTS = np.random.default_rng(9).normal(size=(4, 2)) @ [1, 1j]
+NEAR_POINTS = InputDist("discrete", points=[1.0, 1.0 + 1e-6])
+MERGE_CASES = [
+    *(pytest.param(SymbolChannelSpec(dist, 0.2, m), InputDist.qpsk(p_j),
+                   id=f"{name}-qpsk{p_j}-M{m}")
+      for m in (1, 2, 4, 8, 16) for p_j in (0.8, 1.0)
+      for name, dist in (("qpsk", InputDist.qpsk()),
+                         ("gaussian", InputDist("gaussian", 1.0)))),
+    pytest.param(SymbolChannelSpec(InputDist("gaussian", 1.0), 1.0, 16),
+                 InputDist("discrete", points=[1.0, -1.0]), id="two-point"),
+    pytest.param(SymbolChannelSpec(
+        InputDist("discrete", points=RNG_POINTS[[0, 1, 1, 2]]), 0.2, 4),
+        InputDist("discrete", points=RNG_POINTS[[3, 0, 3, 3]],
+                  probs=[0.1, 0.2, 0.3, 0.4]), id="duplicates"),
+    pytest.param(SymbolChannelSpec(InputDist.qpsk(), 0.2, 2), NEAR_POINTS,
+                 id="1e-6-apart"),
+]
+
+
+@pytest.mark.parametrize("spec, jamming", MERGE_CASES)
+def test_merged_log2_ratio_is_the_unmerged_pass(spec, jamming):
+    s, r = simulate_symbol_channel(spec, jamming, 300, 11)
+    got = _log2_ratio(r, s, spec, jamming)
+    want = scipy_log2_ratio(r, s, spec, jamming, merge=False)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_merge_keeps_points_1e6_apart():
+    spec = SymbolChannelSpec(InputDist.qpsk(), 0.2, 1)
+    assert interference_mixture(spec, NEAR_POINTS, True)[0].size == 2
+    assert _merge_components(np.array([1.0, 1.0 + 1e-14]),
+                             np.log([0.5, 0.5]))[0].size == 1
+
+
+def test_qpsk_jammer_is_its_own_quarter_turn():
+    # M = 2 and M = 4 rotate the QPSK jammer onto itself, so their merged
+    # interference is M = 1's four components and the MI does not move
+    jamming = InputDist.qpsk(0.8)
+    specs = {m: SymbolChannelSpec(InputDist.qpsk(), 0.2, m) for m in (1, 2, 4)}
+    base, base_logw, _ = interference_mixture(specs[1], jamming, True)
+    for m in (2, 4):
+        means, logw, _ = interference_mixture(specs[m], jamming, True)
+        assert means.size == 4
+        np.testing.assert_allclose(np.sort_complex(means.round(12)),
+                                   np.sort_complex(base.round(12)), atol=1e-12)
+        np.testing.assert_allclose(logw, base_logw, rtol=0, atol=1e-12)
+    s, r = simulate_symbol_channel(specs[4], jamming, 500, 12)
+    ratios = {m: _log2_ratio(r, s, spec, jamming) for m, spec in specs.items()}
+    for m in (2, 4):
+        np.testing.assert_allclose(ratios[m], ratios[1], rtol=0, atol=1e-12)
 
 
 def zero_buffer_fading(signal, spec):
