@@ -27,8 +27,17 @@ def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
 
 
 def _load(args) -> harness.Scenario:
-    scenario = (harness.load_scenario(args.scenario) if args.scenario
-                else harness.table1_scenario())
+    """The scenario with the command line's overrides; checks ``--out-dir``
+    too, so a bad path fails before the run rather than after it."""
+    try:
+        scenario = (harness.load_scenario(args.scenario) if args.scenario
+                    else harness.table1_scenario())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ValueError(f"{args.scenario}: {exc.strerror}") from None
+    # the nearest existing ancestor ("." or "/" at the latest)
+    found = next(p for p in (args.out_dir, *args.out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"--out-dir {args.out_dir}: {found} is not a directory")
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = args.seed

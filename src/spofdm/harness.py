@@ -28,8 +28,8 @@ from .channel import (FadingSpec, OffsetSpec, apply_fading, apply_offsets,
 from .jammer import (CP_PHASE_MODES, STRATEGIES, JammerSpec, combine,
                      generate_jamming)
 from .keystream import PhaseSequence, SecretKey, psk_phasors
-from .rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
-                      llr_qpsk, load_alist, qpsk_map)
+from .rxchain import (BUILTIN_CODE_CHECKS, LdpcEncoder, builtin_code,
+                      ldpc_bp_decode, llr_qpsk, qpsk_map)
 from .sync import FIRST_BLOCK, SyncConfig, pre_fft_surface, synchronize
 from .txchain import (ComplexSignal, OfdmConfig, build_waveform,
                       random_symbol_blocks)
@@ -194,9 +194,11 @@ def table1_scenario(**overrides) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario from a JSON file with descriptive validation errors."""
-    text = Path(path).read_text()
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_bytes().decode())
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -482,9 +484,17 @@ def run_sync_experiment(scenario: Scenario) -> ExperimentReport:
 # Coded BER experiment (symbol level, perfect synchronization)
 
 
+def _check_count(name: str, value) -> None:
+    # a fractional count fails only inside the first point, a bool runs as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def _encoder_for_rate(rate_label: str) -> LdpcEncoder:
-    return LdpcEncoder(load_alist(bundled_code_path(rate_label)))
+    return LdpcEncoder(builtin_code(rate_label))
 
 
 def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
@@ -583,19 +593,18 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
     tag = 0
     k0_list = [None] if rician_k0_db_list is None else rician_k0_db_list
     for rate in rates:
-        try:
-            bundled_code_path(rate)
-        except FileNotFoundError:
-            raise ValueError(f"rates: unknown rate label {rate!r}") from None
+        if rate not in BUILTIN_CODE_CHECKS:
+            raise ValueError(f"rates: unknown rate label {rate!r}")
     for name, values in (("snrs_db", snrs_db),
                          ("rician_k0_db_list", rician_k0_db_list or [])):
         for value in values:
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{name} must be finite numbers, got {value!r}")
-    if max_codewords < 1:
-        raise ValueError(f"max_codewords must be at least 1, got {max_codewords}")
-    if target_errors <= 0:
-        raise ValueError(f"target_errors must be positive, got {target_errors}")
+    _check_count("max_codewords", max_codewords)
+    if (isinstance(target_errors, bool)
+            or not isinstance(target_errors, numbers.Real) or not target_errors > 0):
+        raise ValueError(f"target_errors must be positive and real (math.inf "
+                         f"allowed), got {target_errors!r}")
     for k0_db in k0_list:
         for rate in rates:
             for snr in snrs_db:
@@ -637,8 +646,7 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """
     if not precoding:
         scenario = replace(scenario, psk_order=1, n_candidates=1)
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    _check_count("n_trials", n_trials)
     classical = scenario.psk_order == 1
     link = _link(scenario)
     config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq

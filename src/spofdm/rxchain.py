@@ -3,8 +3,8 @@
 FFT demodulation lives in :mod:`spofdm.sync` (``demod_fft``) and secure
 decoding in :mod:`spofdm.txchain` (``decode_phases``).
 
-Parity-check matrices are pluggable: any alist-format file can be loaded, and
-a deterministic near-regular construction is provided for desk-scale codes.
+Parity-check matrices are pluggable through alist import/export; the four
+built-in n = 2016 codes are built on first use by make_regular_parity_check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ __all__ = [
     "load_alist",
     "save_alist",
     "make_regular_parity_check",
-    "bundled_code_path",
+    "BUILTIN_CODE_CHECKS",
+    "builtin_code",
 ]
 
 
@@ -179,7 +180,8 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
 
     Every variable has degree ``col_degree``; check degrees are as even as
     possible. Parallel edges are repaired by random swaps; 4-cycles are
-    left as they fall.
+    left as they fall. The built-in codes are its output at seed 12345 and
+    are pinned, so changing the construction changes them.
     """
     if col_degree > m:  # a variable cannot meet more distinct checks than m
         raise ValueError(f"col_degree {col_degree} exceeds the {m} checks")
@@ -205,12 +207,16 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
     raise RuntimeError("failed to build a simple parity-check matrix")
 
 
-def bundled_code_path(rate_label: str) -> Path:
-    """Path of a shipped alist file; labels: '1_4', '1_3', '1_2', '2_3'."""
-    path = Path(__file__).parent / "codes" / f"rate{rate_label}.alist"
-    if not path.exists():
-        raise FileNotFoundError(f"no bundled code for rate {rate_label}")
-    return path
+# rate label -> check count m of the built-in n = 2016 code
+BUILTIN_CODE_CHECKS = {"1_4": 1512, "1_3": 1344, "1_2": 1008, "2_3": 672}
+
+
+def builtin_code(rate_label: str) -> ParityCheckCode:
+    """The built-in code of a label in ``BUILTIN_CODE_CHECKS``."""
+    if rate_label not in BUILTIN_CODE_CHECKS:
+        raise ValueError(f"no built-in code for rate {rate_label!r}")
+    return make_regular_parity_check(2016, BUILTIN_CODE_CHECKS[rate_label],
+                                     col_degree=3, seed=12345)
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:

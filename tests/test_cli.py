@@ -179,6 +179,37 @@ class TestInputErrors:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("name, message", [
+        ("missing.json", "missing.json: No such file or directory"),
+        ("a_directory", "a_directory: Is a directory"),
+        ("latin1.json", "latin1.json: not UTF-8 text (byte 0: invalid start byte)"),
+    ])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, name, message):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+        out_dir = tmp_path / "results"
+        assert main(["sync", "--scenario", str(tmp_path / name),
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (f"spofdm: error: {tmp_path}"
+                                           f"{os.sep}{message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [["surface", "--trials", "1"],
+                                         ["sync", "--trials", "1"]])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_not_a_directory_exits_2(self, tmp_path, capsys, command,
+                                            below):
+        # checked before the run, which then writes nothing
+        blocker = tmp_path / "results"
+        blocker.write_text("not a directory")
+        out_dir = blocker / below
+        assert main(command + ["--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (f"spofdm: error: --out-dir {out_dir}: "
+                                           f"{blocker} is not a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["results"]
+        assert blocker.read_text() == "not a directory"
+
+
 class TestSurface:
     def test_writes_csv(self, tmp_path, capsys):
         out_dir = tmp_path / "results"

@@ -12,8 +12,7 @@ from spofdm.harness import (Scenario, ScenarioFormatError, correlation_surface,
                             emit_report, load_scenario, run_ber_experiment,
                             run_sync_experiment, save_scenario, surface_csv,
                             table1_scenario)
-from spofdm.rxchain import (LdpcEncoder, bundled_code_path, ldpc_bp_decode,
-                            load_alist)
+from spofdm.rxchain import LdpcEncoder, builtin_code, ldpc_bp_decode
 
 
 class TestScenario:
@@ -356,6 +355,11 @@ class TestBerExperiment:
          "rician_k0_db_list must be finite"),
         ({"max_codewords": 0}, "max_codewords must be at least 1"),
         ({"target_errors": 0}, "target_errors must be positive"),
+        ({"max_codewords": 2.5}, "max_codewords must be an integer, got 2.5"),
+        ({"max_codewords": True}, "max_codewords must be an integer, got True"),
+        ({"target_errors": "5"}, "target_errors must be positive.*got '5'"),
+        ({"target_errors": True}, "target_errors must be positive.*got True"),
+        ({"target_errors": float("nan")}, "target_errors must be positive"),
     ])
     def test_rejects_bad_arguments_before_any_point(self, monkeypatch,
                                                    kwargs, message):
@@ -407,6 +411,13 @@ class TestCorrelationSurface:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="n_trials must be at least 1"):
             correlation_surface(table1_scenario(sync_blocks=10), n_trials=0)
+
+    @pytest.mark.parametrize("n_trials", [2.5, True])
+    def test_rejects_non_integer_trials(self, n_trials):
+        # 2.5 used to fail inside the first trial, True to run one trial
+        with pytest.raises(ValueError,
+                           match=f"n_trials must be an integer, got {n_trials}"):
+            correlation_surface(table1_scenario(sync_blocks=10), n_trials=n_trials)
 
     def test_surface_csv_grid(self):
         sc = table1_scenario(sync_blocks=5)
@@ -529,7 +540,7 @@ class TestRecordsPinned:
     def test_bp_decode(self, rate, digest):
         # frames of rising LLR reliability: one to three never converge, the
         # rest converge at different iterations
-        enc = LdpcEncoder(load_alist(bundled_code_path(rate)))
+        enc = LdpcEncoder(builtin_code(rate))
         rng = np.random.default_rng(2024)
         cw = enc.encode(rng.integers(0, 2, size=(8, enc.k), dtype=np.uint8))
         mu = np.linspace(1.0, 8.0, 8)[:, None]

@@ -5,7 +5,7 @@ waveform as the secure waveform with zero angles (unit phasors), batched
 keystream, modulation and demodulation against their per-block forms, the
 feasible-bin integer CFO search and the body-span CFO derotation against
 their full-grid and whole-signal forms, sync trials against a shared
-keystream cache and a longer run, the bundled LDPC codes' encoder, the
+keystream cache and a longer run, the built-in LDPC codes' encoder, the
 LDPC syndrome and encoder against their dense GF(2) forms, and LDPC belief
 propagation against a flooding reference decoder, bitwise in float32 and
 statistically in float64, the MI module's blocked mixture log-density
@@ -33,8 +33,8 @@ from spofdm.channel import (FadingSpec, _delay, add_awgn, apply_fading,
 from spofdm.jammer import combine
 from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
                               phase_plans, psk_phasors)
-from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
-                            ldpc_bp_decode, llr_qpsk, load_alist,
+from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, builtin_code,
+                            ldpc_bp_decode, llr_qpsk,
                             make_regular_parity_check, qpsk_map)
 from spofdm.sync import (FIRST_BLOCK, SyncConfig, _backoff, _demod_derotated,
                          demod_fft, estimate_fine_time, estimate_integer_cfo,
@@ -570,8 +570,8 @@ def test_sync_records_are_a_prefix_of_a_longer_run(overrides, master_seed):
 
 
 @lru_cache(maxsize=None)
-def bundled_encoder(rate_label):
-    return LdpcEncoder(load_alist(bundled_code_path(rate_label)))
+def builtin_encoder(rate_label):
+    return LdpcEncoder(builtin_code(rate_label))
 
 
 @settings(max_examples=8, deadline=None)
@@ -579,7 +579,7 @@ def bundled_encoder(rate_label):
        n_words=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_bundled_codewords_have_zero_syndrome(rate, n_words, seed):
-    enc = bundled_encoder(rate)
+    enc = builtin_encoder(rate)
     msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
                                                dtype=np.uint8)
     words = enc.encode(msg)
@@ -627,8 +627,8 @@ def dense_encode(code, message):
 
 
 @lru_cache(maxsize=None)
-def bundled_dense_words(rate_label, n_words, seed):
-    enc = bundled_encoder(rate_label)
+def builtin_dense_words(rate_label, n_words, seed):
+    enc = builtin_encoder(rate_label)
     msg = np.random.default_rng(seed).integers(0, 2, size=(n_words, enc.k),
                                                dtype=np.uint8)
     return (msg, *dense_encode(enc.code, msg))
@@ -646,8 +646,8 @@ def bundled_dense_words(rate_label, n_words, seed):
 @example(code="2_3", n_words=2, seed=0)
 def test_encode_is_dense_product(code, n_words, seed):
     if isinstance(code, str):
-        enc = bundled_encoder(code)
-        msg, expect, pivots = bundled_dense_words(code, n_words, seed)
+        enc = builtin_encoder(code)
+        msg, expect, pivots = builtin_dense_words(code, n_words, seed)
     else:
         n, ratio, code_seed = code  # k = n - rank spans 64-bit word edges
         enc = LdpcEncoder(make_regular_parity_check(n, n // ratio, 3,
@@ -757,7 +757,7 @@ def table1_llrs(rate_label, precoding, n_frames, seed):
     """Gaussian-surrogate LLRs of criterion 6's model at SJR 0 dB, SNR 15 dB:
     a codeword plus a jammer codeword of the same code at equal power,
     rotated by uniform 16-PSK phases when precoding is on."""
-    enc = bundled_encoder(rate_label)
+    enc = builtin_encoder(rate_label)
     rng = np.random.default_rng(seed)
     shape, sigma2 = (n_frames, enc.code.n // 2), 10 ** -1.5
     s, j = (qpsk_map(enc.encode(rng.integers(0, 2, (n_frames, enc.k),

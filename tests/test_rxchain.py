@@ -4,12 +4,14 @@ Demodulation is ``sync.demod_fft``, the N_c-point FFT of a block body, and
 decoding is ``txchain.decode_phases``.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from spofdm.keystream import SecretKey, phase_plans
-from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, bundled_code_path,
+from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, builtin_code,
                             ldpc_bp_decode, llr_qpsk, load_alist,
                             make_regular_parity_check, qpsk_map, save_alist)
 from spofdm.sync import demod_fft
@@ -251,20 +253,37 @@ class TestParityCheckCode:
     def test_bundled_codes(self):
         for label, rate in [("1_4", 0.25), ("1_3", 1 / 3), ("1_2", 0.5),
                             ("2_3", 2 / 3)]:
-            code = load_alist(bundled_code_path(label))
+            code = builtin_code(label)
             assert code.n == 2016
             assert (code.n - code.m) / code.n == pytest.approx(rate, abs=1e-9)
             enc = LdpcEncoder(code)
             assert enc.k == round(2016 * rate)
 
     def test_missing_bundled_code(self):
-        with pytest.raises(FileNotFoundError):
-            bundled_code_path("9_10")
+        with pytest.raises(ValueError, match="no built-in code for rate '9_10'"):
+            builtin_code("9_10")
+
+    @pytest.mark.parametrize("label, digest", [
+        ("1_4", "6556e3ce611f3963154e7d073d7b5a323b4aaca0ba448c998d9b688c62570460"),
+        ("1_3", "8be7a0abfc6b6edb7c105a5afba4cc260b8c65bd106be4c825b28bee8bfa5fd5"),
+        ("1_2", "2289ab6bc9ba60f14a9e8398f48229c99f7c0f3b347480cd10bb6697f6e5d86e"),
+        ("2_3", "97f3a01fa06c5ed1d1ad1bead63d0f3d2cd6b2389e2ffbfd71e60a51e482c78c"),
+    ])
+    def test_builtin_code_alist_pinned(self, tmp_path, label, digest):
+        # the digests of the alist files the built-in codes were once shipped
+        # as: a change to make_regular_parity_check changes every code
+        code = builtin_code(label)
+        path = tmp_path / "code.alist"
+        save_alist(code, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back = load_alist(path)
+        assert (sorted(zip(back.var_of_edge.tolist(), back.check_of_edge.tolist()))
+                == sorted(zip(code.var_of_edge.tolist(), code.check_of_edge.tolist())))
 
 
 class TestEncoder:
     def test_codewords_satisfy_checks(self):
-        code = load_alist(bundled_code_path("1_2"))
+        code = builtin_code("1_2")
         enc = LdpcEncoder(code)
         rng = np.random.default_rng(10)
         msg = rng.integers(0, 2, (4, enc.k)).astype(np.uint8)
@@ -298,7 +317,7 @@ class TestBpDecode:
         assert np.array_equal(hard, cw)
 
     def test_corrects_single_flips(self):
-        code = load_alist(bundled_code_path("1_2"))
+        code = builtin_code("1_2")
         enc = LdpcEncoder(code)
         rng = np.random.default_rng(12)
         cw = enc.encode(rng.integers(0, 2, enc.k).astype(np.uint8))
@@ -311,7 +330,7 @@ class TestBpDecode:
         assert np.array_equal(hard, np.tile(cw, (30, 1)))
 
     def test_converged_output_is_a_codeword(self):
-        code = load_alist(bundled_code_path("1_4"))
+        code = builtin_code("1_4")
         enc = LdpcEncoder(code)
         rng = np.random.default_rng(13)
         cw = enc.encode(rng.integers(0, 2, (3, enc.k)).astype(np.uint8))
@@ -326,11 +345,11 @@ class TestBpDecode:
         assert np.array_equal(hard, cw)
 
     def test_batch_matches_individual(self):
-        # (code, LLR mean shift): check degrees 6, 4 and 5 (bundled rate
+        # (code, LLR mean shift): check degrees 6, 4 and 5 (built-in rate
         # 1/3), 2 and 3, and 1 and 2; the shifted frames converge at
         # different iterations, so the batch's working set shrinks
         cases = [(make_regular_parity_check(48, 24, seed=8), 0.0),
-                 (load_alist(bundled_code_path("1_3")), 3.0),
+                 (builtin_code("1_3"), 3.0),
                  (make_regular_parity_check(30, 29, col_degree=2, seed=1), 0.0),
                  (make_regular_parity_check(30, 20, col_degree=1, seed=1), 0.0)]
         for code, shift in cases:
@@ -370,7 +389,7 @@ class TestBpDecode:
     def test_infinite_and_huge_llrs_saturate(self):
         # beyond the float32 range (a warning-raising cast if unclamped);
         # the weak flipped bits are corrected through saturated messages
-        code = load_alist(bundled_code_path("1_2"))
+        code = builtin_code("1_2")
         enc = LdpcEncoder(code)
         rng = np.random.default_rng(15)
         cw = enc.encode(rng.integers(0, 2, (2, enc.k)).astype(np.uint8))

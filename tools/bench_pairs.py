@@ -109,6 +109,13 @@ def quartiles(xs: list) -> tuple:
     return q1, q2, q3
 
 
+def count_wins(parent, change, higher) -> int:
+    """Pairs the change won, in the metric's better direction; ties count
+    for neither side."""
+    sign = 1 if higher else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
 def verdict(parent, change, wins, higher, bound, claimed) -> tuple:
     """(text, passed) for one metric; a metric without a bound passes."""
     sign = 1 if higher else -1
@@ -190,8 +197,7 @@ def main(argv=None) -> int:
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
         higher, bound = better.get(name, (not name.endswith("setup_s"), None))
-        sign = 1 if higher else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        wins = count_wins(parent, change, higher)
         text, passed = (speed_verdict(parent, change)
                         if name == "machine_speed" else
                         verdict(parent, change, wins, higher, bound,
