@@ -34,9 +34,18 @@ __all__ = [
 _GRAY = np.array([0, 3, 1, 2])
 
 
+def _check_bits(bits: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every value is 0 or 1 (before any cast,
+    which would wrap 256 to 0 and -1 to 255)."""
+    bad = bits[(bits != 0) & (bits != 1)]
+    if bad.size:
+        raise ValueError(f"bit values must be 0 or 1, got {bad[0]}")
+
+
 def qpsk_map(bits: np.ndarray) -> np.ndarray:
     """Gray-mapped unit-power QPSK: bit pair (b0, b1) -> ((1-2b0)+j(1-2b1))/sqrt(2)."""
     bits = np.asarray(bits)
+    _check_bits(bits)
     if bits.size % 2:
         raise ValueError("bit count must be even for QPSK")
     pairs = bits.reshape(-1, 2).astype(np.int64)
@@ -49,8 +58,9 @@ def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:
     LLR = 2*sqrt(2)*component/noise_power for the real (bit 0) and imaginary
     (bit 1) components; positive LLR favours bit value 0.
     """
-    if noise_power_model <= 0:
-        raise ValueError("noise power model must be positive")
+    if not np.isfinite(noise_power_model) or noise_power_model <= 0:
+        raise ValueError("noise_power_model must be positive and finite, "
+                         f"got {noise_power_model}")
     symbols = np.asarray(symbols, dtype=complex)
     llr = np.empty(2 * symbols.size)
     scale = 2 * np.sqrt(2) / noise_power_model
@@ -268,9 +278,10 @@ class LdpcEncoder:
 
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Map k message bits (or a batch of rows) to n-bit codewords."""
-        message = np.asarray(message, dtype=np.uint8)
+        message = np.asarray(message)
+        _check_bits(message)
         single = message.ndim == 1
-        msg = np.atleast_2d(message)
+        msg = np.atleast_2d(message.astype(np.uint8, copy=False))
         if msg.shape[1] != self.k:
             raise ValueError(f"message length must be {self.k}")
         msg_words = _pack_words(msg)
@@ -296,8 +307,9 @@ _EXT_CAP = np.nextafter(np.float32(1), np.float32(0))
 def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     """Sum-product belief propagation on the Tanner graph.
 
-    ``llr`` may be a single length-n vector or a (batch, n) array. Stops early
-    once all parity checks are satisfied (per batch element). Returns
+    ``llr`` may be a single length-n vector or a (batch, n) array; any other
+    rank raises ``ValueError``. Stops early once all parity checks are
+    satisfied (per batch element). Returns
     (hard bits, converged flags, iterations used); scalars for 1-D input.
 
     Messages run in float32. The LLRs are cast once, after ±inf and values
@@ -307,11 +319,19 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     products are clipped to ±(1 - 2^-24), the largest float32 below 1, so
     every check message has magnitude at most 2 artanh(1 - 2^-24) = 17.33.
 
+    Messages are stored edge-major, as (edges, frames) arrays with a column
+    per frame still active, so both Tanner-graph permutations, the gather of
+    check messages into variable order and that of the posteriors back into
+    BP edge order, copy whole rows, and each degree slot of a check-degree
+    group is one contiguous (checks, frames) block.
+
     A variable of degree d sums its check messages in check order as
     ``g[0] + (g[1] + ... + g[d-1])``, the order of ``np.add.reduceat`` for
     d <= 8; at d >= 9 ``reduceat`` sums pairwise and may round differently.
     """
     llr = np.asarray(llr, dtype=float)
+    if llr.ndim not in (1, 2):
+        raise ValueError(f"llr must be 1-D or 2-D, got shape {llr.shape}")
     if np.isnan(llr).any():
         raise ValueError("llr contains NaN")
     single = llr.ndim == 1
@@ -322,60 +342,65 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     converged = ~code.syndrome(hard).any(axis=1)
     iters = np.zeros(lin.shape[0], dtype=int)
 
-    # working arrays hold only the frames still active, messages in BP order
-    # and variables in BP variable order
+    # working arrays hold a column per frame still active: messages have a
+    # row per edge in BP order, LLRs a row per variable in BP variable order
     active = np.flatnonzero(~converged)
-    lin_a = lin[active][:, code._var_order]
-    v2c = lin_a[:, code._bp_var]
+    lin_a = np.take(lin[active].T, code._var_order, axis=0)
+    v2c = np.take(lin_a, code._bp_var, axis=0)
     for it in range(1, 51):  # at most 50 iterations
         if not active.size:
             break
         v2c *= 0.5  # float32 tanh is exactly ±1 from |x| = 10 on
         t = np.tanh(v2c, out=v2c)
         # leave-one-out products per check: exclusive prefix times exclusive
-        # suffix, a slot at a time (np.cumprod along the short axis is slower);
-        # the empty product is 1, so no slot is multiplied by 1
+        # suffix, a slot at a time (np.cumprod along the slot axis is about
+        # three times slower); the empty product is 1, so no slot is
+        # multiplied by 1
         ext = np.empty_like(t)
         for deg, edges in code._bp_groups:
-            blk = t[:, edges].reshape(len(t), deg, -1)
-            out = ext[:, edges].reshape(blk.shape)
+            blk = t[edges].reshape(deg, -1, active.size)
+            out = ext[edges].reshape(blk.shape)
             if deg == 1:
-                out[:, 0] = 1.0
+                out[0] = 1.0
                 continue
-            out[:, 1] = blk[:, 0]
+            out[1] = blk[0]
             for j in range(2, deg):
-                np.multiply(out[:, j - 1], blk[:, j - 1], out=out[:, j])
-            suffix = blk[:, deg - 1]
+                np.multiply(out[j - 1], blk[j - 1], out=out[j])
+            suffix = blk[deg - 1]
             for j in range(deg - 2, 0, -1):
-                out[:, j] *= suffix
-                suffix = suffix * blk[:, j]
-            out[:, 0] = suffix
+                out[j] *= suffix
+                suffix = suffix * blk[j]
+            out[0] = suffix
         np.clip(ext, -_EXT_CAP, _EXT_CAP, out=ext)
         c2v = np.arctanh(ext, out=ext)
         c2v *= 2.0
         posterior = np.empty_like(lin_a)
         for cols, pos in code._bp_sums:
-            g = c2v[:, pos]
-            np.add(lin_a[:, cols], g[:, 0] + g[:, 1:].sum(axis=1),
-                   out=posterior[:, cols])
-        v2c = posterior[:, code._bp_var]
+            g = np.take(c2v, pos, axis=0)
+            np.add(lin_a[cols], g[0] + g[1:].sum(axis=0), out=posterior[cols])
+        v2c = np.take(posterior, code._bp_var, axis=0)
         # a check is satisfied when an even number of its variables are 1
         negative = v2c < 0
-        failed = np.zeros(len(v2c), dtype=bool)
+        failed = np.zeros(active.size, dtype=bool)
         for deg, edges in code._bp_groups:
             parity = np.logical_xor.reduce(
-                negative[:, edges].reshape(len(v2c), deg, -1), axis=1)
-            failed |= parity.any(axis=1)
+                negative[edges].reshape(deg, -1, active.size), axis=0)
+            failed |= parity.any(axis=0)
         v2c -= c2v
         iters[active] = it
         ok = ~failed
         done = ok | (it == 50)  # frames whose hard decisions are final
         if done.any():
             rows = np.empty((done.sum(), code.n), dtype=np.uint8)
-            rows[:, code._var_order] = posterior[done] < 0
+            rows[:, code._var_order] = (posterior[:, done] < 0).T
             hard[active[done]] = rows
             converged[active[ok]] = True
-            active, lin_a, v2c = active[~done], lin_a[~done], v2c[~done]
+            # np.take returns C order, where [:, mask] returns Fortran order;
+            # keep is in range, and mode "wrap" skips the slower bounds check
+            keep = np.flatnonzero(~done)
+            active = active[keep]
+            lin_a = np.take(lin_a, keep, axis=1, mode="wrap")
+            v2c = np.take(v2c, keep, axis=1, mode="wrap")
 
     if single:
         return hard[0], bool(converged[0]), int(iters[0])

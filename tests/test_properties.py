@@ -718,8 +718,9 @@ def reference_bp_decode(code, llr, dtype=np.float32):
 @st.composite
 def mixed_degree_codes(draw):
     """An edge-list code with variable degrees 1 to 8 and mixed check
-    degrees, degree-1 checks included, and a batch of LLRs around the zero
-    codeword whose frames converge at different iterations, or never."""
+    degrees, degree-1 checks included, and a batch of 1 to 40 frames of
+    LLRs (the harness decodes 25 at a time) around the zero codeword, which
+    converge at different iterations, or never."""
     n = draw(st.integers(3, 40))
     m = draw(st.integers(1, min(24, 3 * n)))
     n_unit = draw(st.integers(0, 3))  # extra degree-1 checks
@@ -735,7 +736,7 @@ def mixed_degree_codes(draw):
     assume(np.bincount(variables).max() <= 8)
     code = ParityCheckCode(n=n, m=m + n_unit, check_of_edge=checks,
                            var_of_edge=variables)
-    n_frames = draw(st.integers(1, 8))
+    n_frames = draw(st.integers(1, 40))
     mean = np.linspace(draw(st.floats(-1.0, 2.0)), draw(st.floats(2.0, 8.0)),
                        n_frames)[:, None]
     llr = mean + draw(st.floats(0.5, 4.0)) * rng.normal(size=(n_frames, n))

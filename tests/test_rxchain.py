@@ -5,6 +5,7 @@ decoding is ``txchain.decode_phases``.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,17 @@ class TestQpskAndLlr:
         with pytest.raises(ValueError):
             llr_qpsk(np.zeros(2, dtype=complex), 0.0)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+    def test_llr_rejects_non_finite_noise(self, noise):
+        # NaN passed the <= 0 test and gave all-NaN LLRs
+        with pytest.raises(ValueError, match="noise_power_model"):
+            llr_qpsk(np.zeros(2, dtype=complex), noise)
+
+    @pytest.mark.parametrize("bits", [[2, 0], [0, 256], [-1, 0], [0.5, 1]])
+    def test_qpsk_rejects_non_binary_bits(self, bits):
+        with pytest.raises(ValueError, match="bit values must be 0 or 1"):
+            qpsk_map(np.array(bits))
+
     def test_uncoded_ber_matches_q_function(self):
         rng = np.random.default_rng(8)
         n_bits = 1_000_000
@@ -303,6 +315,15 @@ class TestEncoder:
         with pytest.raises(ValueError):
             enc.encode(np.zeros(enc.k + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [2, 256, -1])
+    def test_rejects_non_binary_message(self, value):
+        # 2 used to reach the codeword, 256 and -1 to wrap in the uint8 cast
+        enc = LdpcEncoder(make_regular_parity_check(24, 12, seed=5))
+        message = np.zeros((2, enc.k), dtype=np.int64)
+        message[1, 3] = value
+        with pytest.raises(ValueError, match=f"got {value}"):
+            enc.encode(message)
+
 
 class TestBpDecode:
     def test_clean_llr_converges_immediately(self):
@@ -377,6 +398,12 @@ class TestBpDecode:
         code = make_regular_parity_check(24, 12, seed=9)
         with pytest.raises(ValueError):
             ldpc_bp_decode(code, np.zeros(23))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 24), (1, 1, 1, 24)])
+    def test_llr_rank_rejected(self, shape):
+        code = make_regular_parity_check(24, 12, seed=9)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            ldpc_bp_decode(code, np.zeros(shape))
 
     def test_nan_llr_rejected(self):
         # NaN < 0 is False: unchecked, this frame passed as converged at 0
