@@ -267,8 +267,10 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
     density ratios, so the rng draws nothing beyond the channel samples.
     The densities need a Gaussian part: noise or Gaussian jamming.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     if spec.noise_power + jamming.mixture()[2] == 0:
         raise ValueError("mi_estimate needs noise_power > 0 or Gaussian jamming")
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered

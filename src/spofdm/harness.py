@@ -110,8 +110,12 @@ class Scenario:
                 raise ValueError(f"{name} must be one of {kinds}, got {value!r}")
         pilots = tuple((int(i), complex(v)) for i, v in self.pilot_positions)
         object.__setattr__(self, "pilot_positions", pilots)
-        # configurations under which every synchronization trial would fail
         carriers = sorted(dict(pilots))
+        if len(carriers) != len(pilots):  # ofdm_config would keep the last
+            index = [i for i, _ in pilots]
+            repeated = next(i for i in carriers if index.count(i) > 1)
+            raise ValueError(f"pilot_positions: carrier {repeated} is repeated")
+        # configurations under which every synchronization trial would fail
         if (len(carriers) < 2 or (carriers[1] - carriers[0]) * self.cp2_samples
                 > self.n_carriers):
             raise ValueError(

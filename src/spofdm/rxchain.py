@@ -3,14 +3,13 @@
 FFT demodulation lives in :mod:`spofdm.sync` (``demod_fft``) and secure
 decoding in :mod:`spofdm.txchain` (``decode_phases``).
 
-Parity-check matrices are pluggable through alist import/export; the four
-built-in n = 2016 codes are built on first use by make_regular_parity_check.
+The four built-in n = 2016 codes are built on first use by
+make_regular_parity_check; they are the only codes the harness and CLI decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +21,6 @@ __all__ = [
     "qpsk_map",
     "llr_qpsk",
     "ldpc_bp_decode",
-    "load_alist",
-    "save_alist",
     "make_regular_parity_check",
     "BUILTIN_CODE_CHECKS",
     "builtin_code",
@@ -138,50 +135,6 @@ class ParityCheckCode:
         bits = np.asarray(bits, dtype=np.uint8)
         return np.bitwise_xor.reduceat(bits[..., self._var_by_check],
                                        self._check_starts, axis=-1)
-
-
-def load_alist(path: str | Path) -> ParityCheckCode:
-    """Read a parity-check matrix in MacKay alist format.
-
-    The row section must list the same edges as the column section."""
-    rows = [line.split() for line in Path(path).read_text().split("\n")
-            if line.strip()]
-    for line, what in enumerate(("n m", "maximum degrees", "column degrees",
-                                 "row degrees")):
-        if len(rows) <= line or line == 0 and len(rows[0]) != 2:
-            raise ValueError(f"alist {path}: header line {line + 1} "
-                             f"({what}) missing")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = []
-    for name, size, lines, degrees in (("column", n, rows[4:4 + n], rows[2]),
-                                       ("row", m, rows[4 + n:], rows[3])):
-        if len(degrees) != size or len(lines) != size:
-            raise ValueError(f"alist {name} section must have {size} entries")
-        owner = np.repeat(np.arange(size), [len(line) for line in lines])
-        idx = np.array([v for line in lines for v in line], dtype=np.int64)
-        owner, idx = owner[idx > 0], idx[idx > 0] - 1  # drop zero padding
-        bad = np.flatnonzero(np.bincount(owner, minlength=size)
-                             != np.array(degrees, dtype=np.int64))
-        if bad.size:
-            raise ValueError(f"alist {name} {bad[0]} degree mismatch")
-        edges.append((owner, idx))
-    (var_c, check_c), (check_r, var_r) = edges
-    by_col, by_row = (e[:, np.lexsort(e)] for e in (np.stack([check_c, var_c]),
-                                                    np.stack([check_r, var_r])))
-    if by_col.shape != by_row.shape or not np.array_equal(by_col, by_row):
-        raise ValueError("alist row section disagrees with the column section")
-    return ParityCheckCode(n=n, m=m, check_of_edge=by_col[0],
-                           var_of_edge=by_col[1])
-
-
-def save_alist(code: ParityCheckCode, path: str | Path) -> None:
-    # 1-based check indices per column, then variable indices per row
-    cols = np.split(code.check_of_edge + 1, code._var_starts[1:])
-    rows = np.split(code._var_by_check + 1, code._check_starts[1:])
-    col_deg, row_deg = [c.size for c in cols], [r.size for r in rows]
-    lines = [f"{code.n} {code.m}", f"{max(col_deg)} {max(row_deg)}"]
-    lines += [" ".join(map(str, idx)) for idx in [col_deg, row_deg] + cols + rows]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def make_regular_parity_check(n: int, m: int, col_degree: int = 3,

@@ -221,6 +221,12 @@ class TestMiEstimate:
         with pytest.raises(ValueError, match="n_samples"):
             mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), 0, 0)
 
+    @pytest.mark.parametrize("n_samples", [True, 10.5, "10"])
+    def test_rejects_non_integer_samples(self, n_samples):
+        # checked before the draw, where numpy would fail on its own terms
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), n_samples, 0)
+
     def test_rejects_zero_gaussian_variance(self):
         spec = SymbolChannelSpec(InputDist.qpsk(), noise_power=0.0)
         with pytest.raises(ValueError, match="noise_power"):

@@ -95,6 +95,9 @@ class TestScenario:
         (dict(pilot_positions=((24, 1), (32, -1e300))), "pilot_positions"),
         # one phase point: every candidate offset has the same CP phases
         (dict(psk_order=1, n_candidates=2), "n_candidates"),
+        # a repeated carrier: ofdm_config's dict would keep the last value
+        (dict(pilot_positions=((24, 1), (24, 2), (32, 1))),
+         "pilot_positions: carrier 24 is repeated"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -236,6 +239,9 @@ class TestScenarioFiles:
         ("pilot_positions", {"24": [1.0, 0.0], "32": [1e160, 0.0]}),
         ("pilot_positions", {"24": [1.0, 0.0], "32": [0.0, -1e300]}),
         ("psk_order", 1),
+        # the keys "24" and "024" both parse as carrier 24
+        ("pilot_positions", {"24": [1.0, 0.0], "024": [2.0, 0.0],
+                             "32": [1.0, 0.0]}),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())

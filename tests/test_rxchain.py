@@ -13,8 +13,8 @@ from scipy import stats
 
 from spofdm.keystream import SecretKey, phase_plans
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, builtin_code,
-                            ldpc_bp_decode, llr_qpsk, load_alist,
-                            make_regular_parity_check, qpsk_map, save_alist)
+                            ldpc_bp_decode, llr_qpsk,
+                            make_regular_parity_check, qpsk_map)
 from spofdm.sync import demod_fft
 from spofdm.txchain import (OfdmConfig, build_waveform, decode_phases,
                             modulate_block, random_symbol_blocks)
@@ -220,48 +220,6 @@ class TestParityCheckCode:
             ParityCheckCode(n=2, m=1, check_of_edge=np.array([0, 1]),
                             var_of_edge=np.array([0, 1]))
 
-    def test_alist_zero_degree_variable(self, tmp_path):
-        path = tmp_path / "code.alist"
-        # variable 1 is declared with degree 0 and a zero-padding entry
-        path.write_text("3 2\n1 1\n1 0 1\n1 1\n1\n0\n2\n1\n3\n")
-        with pytest.raises(ValueError, match="variable 1 has no edges"):
-            load_alist(path)
-
-    @pytest.mark.parametrize("text, line", [
-        ("", "1 \\(n m\\)"), ("4\n", "1 \\(n m\\)"),
-        ("4 2\n", "2 \\(maximum degrees\\)"),
-        ("4 2\n3 2\n", "3 \\(column degrees\\)"),
-        ("4 2\n3 2\n1 1 1 1\n", "4 \\(row degrees\\)"),
-    ])
-    def test_alist_truncated_header_named(self, tmp_path, text, line):
-        path = tmp_path / "short.alist"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"short.alist: header line {line}"):
-            load_alist(path)
-
-    def test_alist_round_trip(self, tmp_path):
-        code = make_regular_parity_check(30, 15, seed=3)
-        path = tmp_path / "code.alist"
-        save_alist(code, path)
-        back = load_alist(path)
-        assert back.n == code.n and back.m == code.m
-        assert np.array_equal(back.dense(), code.dense())
-
-    def test_alist_row_section_cross_checked(self, tmp_path):
-        code = make_regular_parity_check(30, 15, seed=3)
-        path = tmp_path / "code.alist"
-        save_alist(code, path)
-        lines = path.read_text().splitlines()
-        first_row = [int(v) for v in lines[4 + code.n].split()]
-        absent = next(v for v in range(1, code.n + 1) if v not in first_row)
-        lines[4 + code.n] = " ".join(map(str, [absent] + first_row[1:]))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="row section disagrees"):
-            load_alist(path)
-        path.write_text("\n".join(lines[:4 + code.n]) + "\n")
-        with pytest.raises(ValueError, match="row section must have 15 entries"):
-            load_alist(path)
-
     def test_bundled_codes(self):
         for label, rate in [("1_4", 0.25), ("1_3", 1 / 3), ("1_2", 0.5),
                             ("2_3", 2 / 3)]:
@@ -276,21 +234,17 @@ class TestParityCheckCode:
             builtin_code("9_10")
 
     @pytest.mark.parametrize("label, digest", [
-        ("1_4", "6556e3ce611f3963154e7d073d7b5a323b4aaca0ba448c998d9b688c62570460"),
-        ("1_3", "8be7a0abfc6b6edb7c105a5afba4cc260b8c65bd106be4c825b28bee8bfa5fd5"),
-        ("1_2", "2289ab6bc9ba60f14a9e8398f48229c99f7c0f3b347480cd10bb6697f6e5d86e"),
-        ("2_3", "97f3a01fa06c5ed1d1ad1bead63d0f3d2cd6b2389e2ffbfd71e60a51e482c78c"),
+        ("1_4", "2c80d8ff858a437c9e0323503c1fd6a0466acaa0bc0616340f48e7c314254f42"),
+        ("1_3", "d7070015f0f487916864b21750b70f505dc356afac031ed2e0827dc7e8a5d4d9"),
+        ("1_2", "b70eb17931ba9f38c6fd3bad061ce516716ddc4c659035b7a367a22babc825af"),
+        ("2_3", "8e18aa88d45abc8483a0936d5684a68719118274ec5bc9bedea3438207f1dee5"),
     ])
-    def test_builtin_code_alist_pinned(self, tmp_path, label, digest):
-        # the digests of the alist files the built-in codes were once shipped
-        # as: a change to make_regular_parity_check changes every code
+    def test_builtin_code_edges_pinned(self, label, digest):
+        # the digest of the variable-sorted edge arrays: a change to
+        # make_regular_parity_check changes every code
         code = builtin_code(label)
-        path = tmp_path / "code.alist"
-        save_alist(code, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        back = load_alist(path)
-        assert (sorted(zip(back.var_of_edge.tolist(), back.check_of_edge.tolist()))
-                == sorted(zip(code.var_of_edge.tolist(), code.check_of_edge.tolist())))
+        edges = np.stack([code.var_of_edge, code.check_of_edge]).astype("<i8")
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
 
 class TestEncoder:
