@@ -1,0 +1,27 @@
+"""The argument rule of every public entry point: a count or index is an
+integer and a power a finite real, neither of them a bool, each at least
+its lower bound. A bad value is rejected by name before numpy sees it."""
+
+import math
+import numbers
+
+
+def check_int(name: str, value, low=None):
+    """``value``, if it is an integer of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return _at_least(name, value, low)
+
+
+def check_real(name: str, value, low=None):
+    """``value``, if it is a finite real of at least ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return _at_least(name, value, low)
+
+
+def _at_least(name: str, value, low):
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return value

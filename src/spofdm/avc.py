@@ -17,11 +17,11 @@ bit, so this module needs numpy only.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .channel import complex_normal
 from .keystream import psk_phasors
 from .txchain import QPSK
@@ -70,9 +70,8 @@ class InputDist:
             object.__setattr__(self, "probs", probs / probs.sum())
             object.__setattr__(self, "power",
                                float(np.sum(self.probs * np.abs(pts) ** 2)))
-        elif not (math.isfinite(self.power) and self.power >= 0):
-            raise ValueError(f"power must be finite and non-negative, "
-                             f"got {self.power!r}")
+        else:
+            check_real("power", self.power, 0)
 
     @classmethod
     def qpsk(cls, power: float = 1.0) -> "InputDist":
@@ -106,12 +105,8 @@ class SymbolChannelSpec:
     phase_order: int = 16
 
     def __post_init__(self):
-        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
-            raise ValueError(f"noise_power must be finite and non-negative, "
-                             f"got {self.noise_power!r}")
-        m = self.phase_order
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"phase_order must be a positive integer, got {m!r}")
+        check_real("noise_power", self.noise_power, 0)
+        check_int("phase_order", self.phase_order, 1)
 
 
 def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
@@ -129,8 +124,7 @@ def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
 def avc_capacity(p_s: float, p_j: float, p_n: float) -> float:
     """Maximin capacity log2(1 + P_S/(P_J+P_N)) bits per symbol."""
     for name, value in zip(("p_s", "p_j", "p_n"), (p_s, p_j, p_n)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        check_real(name, value, 0)
     denom = p_j + p_n
     if denom == 0:
         return math.inf
@@ -267,10 +261,7 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
     density ratios, so the rng draws nothing beyond the channel samples.
     The densities need a Gaussian part: noise or Gaussian jamming.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    check_int("n_samples", n_samples, 1)
     if spec.noise_power + jamming.mixture()[2] == 0:
         raise ValueError("mi_estimate needs noise_power > 0 or Gaussian jamming")
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .txchain import ComplexSignal, phase_ramp
 
 __all__ = [
@@ -21,16 +21,6 @@ __all__ = [
 ]
 
 
-def _check_delay(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a whole sample count >= 0, got {value!r}")
-
-
-def _check_finite(name: str, value) -> None:
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class OffsetSpec:
     """Delay (whole samples), carrier frequency and phase offsets."""
@@ -40,9 +30,9 @@ class OffsetSpec:
     phi0: float = 0.0
 
     def __post_init__(self):
-        _check_delay("delay", self.delay)
-        _check_finite("omega0", self.omega0)
-        _check_finite("phi0", self.phi0)
+        check_int("delay", self.delay, 0)
+        check_real("omega0", self.omega0)
+        check_real("phi0", self.phi0)
 
 
 @dataclass(frozen=True)
@@ -55,9 +45,10 @@ class FadingSpec:
         if not self.taps:
             raise ValueError("taps must not be empty")
         for delay, gain, doppler in self.taps:
-            _check_delay("tap delay", delay)
-            _check_finite("tap gain", gain)
-            _check_finite("tap doppler", doppler)
+            check_int("tap delay", delay, 0)
+            if not cmath.isfinite(gain):
+                raise ValueError(f"tap gain must be finite, got {gain!r}")
+            check_real("tap doppler", doppler)
 
 
 def _delay(x: np.ndarray, n: int) -> np.ndarray:
@@ -109,8 +100,7 @@ def complex_normal(rng: np.random.Generator, power: float,
 def add_awgn(signal: ComplexSignal, sigma2: float,
              rng: np.random.Generator | int) -> ComplexSignal:
     """Add circularly symmetric complex Gaussian noise of variance sigma2."""
-    if not 0 <= sigma2 < np.inf:
-        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
+    check_real("sigma2", sigma2, 0)
     if sigma2 == 0:
         return ComplexSignal(signal.samples.copy(), signal.sample_interval)
     rng = np.random.default_rng(rng)  # a Generator is returned unaltered
@@ -130,8 +120,10 @@ def random_multipath_taps(rng: np.random.Generator, n_paths: int,
     equal powers), normalized to unit total power. Per-tap Doppler shifts
     are drawn uniformly in [-max_doppler, max_doppler] (rad/T_s).
     """
-    _check_delay("max_delay", max_delay)
-    if not 0 < decay <= 1:
+    check_int("n_paths", n_paths, 1)
+    check_int("max_delay", max_delay, 0)
+    check_real("max_doppler", max_doppler, 0)
+    if not 0 < check_real("decay", decay) <= 1:
         raise ValueError("decay must be in (0, 1]")
     delays = np.rint(np.linspace(0, max_delay, n_paths))
     # a list: numpy's float64 power rounds differently under AVX-512 and AVX2

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .channel import (FadingSpec, OffsetSpec, apply_fading, apply_offsets,
                       complex_normal, random_multipath_taps)
 from .jammer import (CP_PHASE_MODES, STRATEGIES, JammerSpec, combine,
@@ -50,11 +51,6 @@ __all__ = [
 DEFAULT_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 
 CHANNEL_KINDS = ("awgn", "multipath", "doppler")
-
-# scenario field annotation -> accepted type (bool excluded) and its name; a
-# float field must also be finite, so a missing SJR cannot switch jamming off
-FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "str": (str, "a string"),
-               "float": (numbers.Real, "a finite real number")}
 
 
 class ScenarioFormatError(ValueError):
@@ -96,14 +92,16 @@ class Scenario:
     epoch: int = 0
 
     def __post_init__(self):
+        # a float field is finite, so a missing SJR cannot switch jamming off,
+        # and a float, so 15 and 15.0 serialize, and hash, alike
         for f in fields(self):
-            kind, what = FIELD_TYPES.get(f.type, (object, None))
             value = getattr(self, f.name)
-            if what and (isinstance(value, bool) or not isinstance(value, kind)
-                         or kind is numbers.Real and not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
-            if kind is numbers.Real:  # so 15 and 15.0 serialize, and hash, alike
-                object.__setattr__(self, f.name, float(value))
+            if f.type == "int":
+                check_int(f.name, value)
+            elif f.type == "float":
+                object.__setattr__(self, f.name, float(check_real(f.name, value)))
+            elif f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
         for name, kinds in (("channel", CHANNEL_KINDS), ("jammer_strategy", STRATEGIES),
                             ("jammer_cp_mode", CP_PHASE_MODES)):
             if (value := getattr(self, name)) not in kinds:
@@ -122,8 +120,7 @@ class Scenario:
                 "pilot_positions: need two distinct pilots whose spacing times "
                 "cp2_samples is at most n_carriers (unambiguous fine time)")
         for name in ("trials", "n_candidates", "sync_blocks", "n_paths"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            check_int(name, getattr(self, name), 1)
         # one phase point: every candidate offset has the same CP phases
         if self.psk_order == 1 and self.n_candidates != 1:
             raise ValueError(f"n_candidates must be 1 when psk_order is 1, "
@@ -193,7 +190,7 @@ class Scenario:
 def table1_scenario(**overrides) -> Scenario:
     """Canonical preset: 128 carriers, CP split 16+8 samples, 16-ary phase
     alphabet, 50 candidate sequence offsets, SNR 15 dB, SJR 0 dB."""
-    return replace(Scenario(), **overrides) if overrides else Scenario()
+    return Scenario(**overrides)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -488,14 +485,6 @@ def run_sync_experiment(scenario: Scenario) -> ExperimentReport:
 # Coded BER experiment (symbol level, perfect synchronization)
 
 
-def _check_count(name: str, value) -> None:
-    # a fractional count fails only inside the first point, a bool runs as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
-
-
 @lru_cache(maxsize=None)
 def _encoder_for_rate(rate_label: str) -> LdpcEncoder:
     return LdpcEncoder(builtin_code(rate_label))
@@ -602,9 +591,8 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
     for name, values in (("snrs_db", snrs_db),
                          ("rician_k0_db_list", rician_k0_db_list or [])):
         for value in values:
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite numbers, got {value!r}")
-    _check_count("max_codewords", max_codewords)
+            check_real(name, value)
+    check_int("max_codewords", max_codewords, 1)
     if (isinstance(target_errors, bool)
             or not isinstance(target_errors, numbers.Real) or not target_errors > 0):
         raise ValueError(f"target_errors must be positive and real (math.inf "
@@ -650,7 +638,7 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     """
     if not precoding:
         scenario = replace(scenario, psk_order=1, n_candidates=1)
-    _check_count("n_trials", n_trials)
+    check_int("n_trials", n_trials, 1)
     classical = scenario.psk_order == 1
     link = _link(scenario)
     config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq

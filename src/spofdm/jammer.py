@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int
 from .channel import OffsetSpec, add_awgn, apply_offsets, complex_normal
 from .keystream import psk_phasors
 from .txchain import ComplexSignal, OfdmConfig, modulate_block, random_symbol_blocks
@@ -43,7 +44,7 @@ class JammerSpec:
             raise JammerConfigError(f"unknown strategy {self.strategy!r}")
         if self.cp_phase_mode not in CP_PHASE_MODES:
             raise JammerConfigError(f"unknown cp_phase_mode {self.cp_phase_mode!r}")
-        if not 0 <= self.power < np.inf:
+        if isinstance(self.power, bool) or not 0 <= self.power < np.inf:
             raise JammerConfigError(
                 f"power must be finite and non-negative, got {self.power!r}")
 
@@ -55,8 +56,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     The jammer's randomness (data, CP phases, offsets) comes from its own RNG
     stream, independent of the legitimate transmitter's keystream.
     """
-    if duration_samples <= 0:
-        raise ValueError("duration must be positive")
+    check_int("duration_samples", duration_samples, 1)
     rng = np.random.default_rng(rng)  # a Generator is returned unaltered
     dt = config.sample_interval
 

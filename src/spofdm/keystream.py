@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from ._checks import check_int
+
 __all__ = [
     "SecretKey",
     "phase_plans",
@@ -81,12 +83,12 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     counter (4B), counters 0, 1, ... within each block.
     """
     m = int(psk_order)
-    if m < 1 or m & (m - 1):
+    if isinstance(psk_order, bool) or m != psk_order or m < 1 or m & (m - 1):
         raise KeystreamConfigError(f"PSK order must be a power of 2, got {psk_order}")
-    if k_first < 0:
-        raise ValueError("block index must be non-negative")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    check_int("epoch", epoch)  # its range is part of the stream address
+    check_int("k_first", k_first, 0)
+    check_int("count", count, 1)
+    check_int("n_carriers", n_carriers, 1)
     log2m = m.bit_length() - 1
     n_bits = (n_carriers + 1) * log2m
     n_aes = -(-n_bits // _AES_BLOCK_BITS)

@@ -55,7 +55,8 @@ def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:
     LLR = 2*sqrt(2)*component/noise_power for the real (bit 0) and imaginary
     (bit 1) components; positive LLR favours bit value 0.
     """
-    if not np.isfinite(noise_power_model) or noise_power_model <= 0:
+    if (isinstance(noise_power_model, bool) or not np.isfinite(noise_power_model)
+            or noise_power_model <= 0):
         raise ValueError("noise_power_model must be positive and finite, "
                          f"got {noise_power_model}")
     symbols = np.asarray(symbols, dtype=complex)

@@ -11,11 +11,11 @@ time offset), plus the carrier phase.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int
 from .keystream import PhaseSequence
 from .txchain import ComplexSignal, OfdmConfig, decode_phases, phase_ramp
 
@@ -48,12 +48,9 @@ class SyncConfig:
 
     def __post_init__(self):
         # a fractional count would fail only in the first trial, as a TypeError
-        for name in ("n_blocks", "n_candidates", "n_l", "n_u"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name in ("n_blocks", "n_candidates") and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        for name, low in (("n_blocks", 1), ("n_candidates", 1), ("n_l", None),
+                          ("n_u", None)):
+            check_int(name, getattr(self, name), low)
         if self.n_l > self.n_u:
             raise ValueError("n_l must not exceed n_u")
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int
+
 __all__ = [
     "OfdmConfig",
     "ComplexSignal",
@@ -43,14 +45,11 @@ class OfdmConfig:
     pilot_positions: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_carriers <= 0:
-            raise ValueError("n_carriers must be positive")
-        if self.cp1_samples <= 0 or self.cp2_samples <= 0:
-            raise ValueError("cp1_samples and cp2_samples must be positive")
+        for name in ("n_carriers", "cp1_samples", "cp2_samples", "psk_order"):
+            check_int(name, getattr(self, name), 1)
         if self.cp1_samples + self.cp2_samples > self.n_carriers:
             raise ValueError("cp1_samples + cp2_samples cannot exceed n_carriers")
-        m = self.psk_order
-        if m < 1 or m & (m - 1):
+        if self.psk_order & (self.psk_order - 1):
             raise ValueError("psk_order must be a power of 2")
         for idx, value in self.pilot_positions.items():
             if not (0 <= idx < self.n_carriers

@@ -1,0 +1,109 @@
+"""Every public count, index and power is rejected by name: a bool, a
+fractional value, a value below range and, for a real, NaN each raise a
+ValueError whose message starts with the argument's name."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from spofdm.avc import InputDist, SymbolChannelSpec, avc_capacity, mi_estimate
+from spofdm.channel import (FadingSpec, OffsetSpec, add_awgn,
+                            random_multipath_taps)
+from spofdm.harness import (correlation_surface, run_ber_experiment,
+                            table1_scenario)
+from spofdm.jammer import JammerSpec, generate_jamming
+from spofdm.keystream import SecretKey, phase_plans
+from spofdm.rxchain import llr_qpsk
+from spofdm.sync import SyncConfig
+from spofdm.txchain import ComplexSignal, OfdmConfig
+
+KEY = SecretKey(bytes(16))
+CONFIG = OfdmConfig(128, 16, 8, 16)
+
+INTEGER = (True, 2.5)
+COUNT = INTEGER + (0,)   # at least 1
+INDEX = INTEGER + (-1,)  # at least 0
+REAL = (True, math.nan)
+POWER = REAL + (-1.0,)   # at least 0
+
+
+def _ofdm(**field):
+    return OfdmConfig(**{"n_carriers": 128, "cp1_samples": 16,
+                         "cp2_samples": 8, "psk_order": 16, **field})
+
+
+def _plans(**arg):
+    return phase_plans(**{"key": KEY, "epoch": 0, "k_first": 0, "count": 1,
+                          "n_carriers": 128, "psk_order": 16, **arg})
+
+
+# (entry point, argument, call with the bad value, bad values)
+ENTRY_POINTS = [
+    *[("Scenario", name, lambda v, name=name: table1_scenario(**{name: v}), COUNT)
+      for name in ("trials", "n_candidates", "sync_blocks", "n_paths")],
+    *[("Scenario", name, lambda v, name=name: table1_scenario(**{name: v}), INDEX)
+      for name in ("epoch", "master_seed")],
+    *[("Scenario", name, lambda v, name=name: table1_scenario(**{name: v}), REAL)
+      for name in ("snr_db", "sjr_db")],
+    ("run_ber_experiment", "max_codewords", lambda v: run_ber_experiment(
+        table1_scenario(), ["1_3"], [15.0], max_codewords=v), COUNT),
+    ("run_ber_experiment", "snrs_db", lambda v: run_ber_experiment(
+        table1_scenario(), ["1_3"], [v]), REAL),
+    ("run_ber_experiment", "rician_k0_db_list", lambda v: run_ber_experiment(
+        table1_scenario(), ["1_3"], [15.0], rician_k0_db_list=[v]), REAL),
+    ("correlation_surface", "n_trials", lambda v: correlation_surface(
+        table1_scenario(), n_trials=v), COUNT),
+    *[("SyncConfig", name, lambda v, name=name: SyncConfig(**{name: v}), COUNT)
+      for name in ("n_blocks", "n_candidates")],
+    *[("SyncConfig", name, lambda v, name=name: SyncConfig(**{name: v}), INTEGER)
+      for name in ("n_l", "n_u")],
+    ("SymbolChannelSpec", "noise_power",
+     lambda v: SymbolChannelSpec(noise_power=v), POWER),
+    ("SymbolChannelSpec", "phase_order",
+     lambda v: SymbolChannelSpec(phase_order=v), COUNT),
+    ("InputDist", "power", lambda v: InputDist("gaussian", v), POWER),
+    *[("avc_capacity", name,
+       lambda v, name=name: avc_capacity(**{"p_s": 1.0, "p_j": 1.0, "p_n": 1.0,
+                                            name: v}), POWER)
+      for name in ("p_s", "p_j", "p_n")],
+    ("mi_estimate", "n_samples", lambda v: mi_estimate(
+        SymbolChannelSpec(), InputDist.qpsk(), v, 0), COUNT),
+    ("OffsetSpec", "delay", lambda v: OffsetSpec(delay=v), INDEX),
+    *[("OffsetSpec", name, lambda v, name=name: OffsetSpec(**{name: v}), REAL)
+      for name in ("omega0", "phi0")],
+    ("FadingSpec", "tap delay", lambda v: FadingSpec(taps=((v, 1.0, 0.0),)),
+     INDEX),
+    ("FadingSpec", "tap doppler", lambda v: FadingSpec(taps=((0, 1.0, v),)),
+     REAL),
+    ("random_multipath_taps", "n_paths",
+     lambda v: random_multipath_taps(np.random.default_rng(0), v, 3), COUNT),
+    ("random_multipath_taps", "max_delay",
+     lambda v: random_multipath_taps(np.random.default_rng(0), 4, v), INDEX),
+    ("random_multipath_taps", "max_doppler", lambda v: random_multipath_taps(
+        np.random.default_rng(0), 4, 3, max_doppler=v), POWER),
+    ("random_multipath_taps", "decay", lambda v: random_multipath_taps(
+        np.random.default_rng(0), 4, 3, decay=v), REAL + (0.0,)),
+    ("add_awgn", "sigma2",
+     lambda v: add_awgn(ComplexSignal(np.zeros(4), 1.0), v, 0), POWER),
+    *[("OfdmConfig", name, lambda v, name=name: _ofdm(**{name: v}), COUNT)
+      for name in ("n_carriers", "cp1_samples", "cp2_samples", "psk_order")],
+    ("phase_plans", "epoch", lambda v: _plans(epoch=v), INTEGER),
+    ("phase_plans", "k_first", lambda v: _plans(k_first=v), INDEX),
+    ("phase_plans", "count", lambda v: _plans(count=v), COUNT),
+    ("phase_plans", "n_carriers", lambda v: _plans(n_carriers=v), COUNT),
+    ("generate_jamming", "duration_samples", lambda v: generate_jamming(
+        JammerSpec("disguised_ofdm", 1.0), CONFIG, v, 0), COUNT),
+    ("JammerSpec", "power", lambda v: JammerSpec("gaussian", v), POWER),
+    ("llr_qpsk", "noise_power_model",
+     lambda v: llr_qpsk(np.zeros(2, dtype=complex), v), REAL + (0.0,)),
+]
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{entry}-{name}-{value!r}")
+    for entry, name, call, values in ENTRY_POINTS for value in values])
+def test_bad_argument_rejected_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+        call(value)

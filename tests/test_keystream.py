@@ -130,6 +130,13 @@ class TestMapPsk:
             with pytest.raises(KeystreamConfigError):
                 phase_plans(KEY, 0, 0, 1, 128, m)
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_rejects_non_integer_psk_order(self, m):
+        # int() used to read 2.5 as the binary alphabet and True as M = 1,
+        # classical OFDM with no secret phases at all
+        with pytest.raises(KeystreamConfigError):
+            phase_plans(KEY, 0, 0, 1, 128, m)
+
     def test_one_point_alphabet(self, monkeypatch):
         # M = 1 = 2**0 (classical OFDM) takes no keystream bits: every index
         # is 0 and every phasor exactly 1+0j, with no cipher built
