@@ -112,6 +112,7 @@ class SymbolChannelSpec:
 def simulate_symbol_channel(spec: SymbolChannelSpec, jamming: InputDist,
                             n_samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Paired (S, R) draws of R = S + e^{j Theta} J + N."""
+    check_int("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s = spec.input_dist.sample(rng, n_samples)
     j = jamming.sample(rng, n_samples)

@@ -28,10 +28,10 @@ from .channel import (FadingSpec, OffsetSpec, apply_fading, apply_offsets,
                       complex_normal, random_multipath_taps)
 from .jammer import (CP_PHASE_MODES, STRATEGIES, JammerSpec, combine,
                      generate_jamming)
-from .keystream import PhaseSequence, SecretKey, psk_phasors
+from .keystream import SecretKey, phase_plans, psk_phasors
 from .rxchain import (BUILTIN_CODE_CHECKS, LdpcEncoder, builtin_code,
                       ldpc_bp_decode, llr_qpsk, qpsk_map)
-from .sync import FIRST_BLOCK, SyncConfig, pre_fft_surface, synchronize
+from .sync import SyncConfig, pre_fft_surface, synchronize
 from .txchain import (ComplexSignal, OfdmConfig, build_waveform,
                       random_symbol_blocks)
 
@@ -330,21 +330,30 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict:
 
 class _Link(NamedTuple):
     """What every trial of one experiment shares, built once per experiment.
-    Keystream rows are a pure function of (key, epoch, block), so one cached
-    sequence serves every trial."""
+    Keystream rows are a pure function of (key, epoch, block), so one
+    read-only array serves every trial: row k of ``phasors`` is block k."""
 
     config: OfdmConfig
     sync_cfg: SyncConfig
-    phase_seq: PhaseSequence
+    phasors: np.ndarray
     noise_sigma2: float
     jammer_power: float
 
 
+def _sent_blocks(scenario: Scenario) -> int:
+    """Blocks one trial transmits, from its sequence offset k0 on."""
+    return scenario.sync_blocks + 4
+
+
 def _link(scenario: Scenario) -> _Link:
     config = scenario.ofdm_config()
-    return _Link(config, scenario.sync_config(),
-                 PhaseSequence(scenario.key(), scenario.epoch,
-                               config.n_carriers, config.psk_order),
+    # the transmitter reads the most rows, at k0 = n_candidates - 1
+    n_rows = scenario.n_candidates - 1 + _sent_blocks(scenario)
+    phasors = psk_phasors(config.psk_order)[phase_plans(
+        scenario.key(), scenario.epoch, 0, n_rows, config.n_carriers,
+        config.psk_order)]
+    phasors.flags.writeable = False
+    return _Link(config, scenario.sync_config(), phasors,
                  scenario.noise_sigma2(), scenario.jammer_power())
 
 
@@ -397,16 +406,15 @@ def _transmit(scenario: Scenario, link: _Link, rng: np.random.Generator,
 
 
 def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
-    config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq
+    config = link.config
     rng = np.random.default_rng([scenario.master_seed, trial])
 
     k0 = int(rng.integers(0, scenario.n_candidates))
     offsets = _draw_offsets(scenario, config, rng)
     nu_true = offsets.omega0 * config.t_body / (2 * np.pi)
 
-    n_blocks = scenario.sync_blocks + 4
-    phasors = phase_seq.phasors(k0, k0 + n_blocks - 1)
-    r = _transmit(scenario, link, rng, phasors, offsets,
+    r = _transmit(scenario, link, rng,
+                  link.phasors[k0:k0 + _sent_blocks(scenario)], offsets,
                   lambda: _draw_offsets(scenario, config, rng))
 
     t0_true = offsets.delay * config.sample_interval
@@ -422,7 +430,7 @@ def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
         "error": None,
     }
     try:
-        est, _ = synchronize(r, config, sync_cfg, phase_seq)
+        est, _ = synchronize(r, config, link.sync_cfg, link.phasors)
     except ValueError as exc:  # estimation failures are recorded, not fatal
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
@@ -456,7 +464,7 @@ def run_sync_experiment(scenario: Scenario) -> ExperimentReport:
     received signal (fading, jamming, noise) is built and the two-stage
     synchronizer runs. Errors are normalized: time by the block duration,
     frequency by the subcarrier spacing. The configurations, powers and the
-    keystream cache are built once and shared by all trials.
+    secret phasors are built once and shared by all trials.
     """
     start = time.monotonic()
     link = _link(scenario)
@@ -641,25 +649,21 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
     check_int("n_trials", n_trials, 1)
     classical = scenario.psk_order == 1
     link = _link(scenario)
-    config, sync_cfg, phase_seq = link.config, link.sync_cfg, link.phase_seq
+    config, sync_cfg = link.config, link.sync_cfg
     seed_rng = np.random.default_rng([scenario.master_seed, 4242])
     block = config.block_samples
     signal_offset_samples = int(seed_rng.integers(0, block))
     jammer_offset_samples = (signal_offset_samples + block // 2) % block
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
 
-    n_blocks = scenario.sync_blocks + 4
-    # one derive for the transmitted rows and the CP rows the surface reads
-    cp_last = FIRST_BLOCK + sync_cfg.n_candidates + sync_cfg.n_blocks - 2
-    phase_seq.plan(min(k0, FIRST_BLOCK), max(k0 + n_blocks - 1, cp_last))
-    phasors = phase_seq.phasors(k0, k0 + n_blocks - 1)
+    phasors = link.phasors[k0:k0 + _sent_blocks(scenario)]
     acc = 0.0
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
         r = _transmit(scenario, link, rng, phasors,
                       OffsetSpec(delay=signal_offset_samples),
                       lambda: OffsetSpec(delay=jammer_offset_samples))
-        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg, phase_seq))
+        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg, link.phasors))
 
     return {
         "surface": acc[:, 0] / n_trials if classical else acc / n_trials,

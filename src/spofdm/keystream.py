@@ -117,8 +117,9 @@ class PhaseSequence:
     One window of consecutive rows is cached: ``plan`` derives only the
     blocks missing on either side of a request that overlaps or touches it,
     and starts a new window for any other, so a far block costs only its own
-    rows. The receiver's nominal sequence; the transmitter's sequence is the
-    same rows at a shifted block index.
+    rows. No module of the package uses it: an experiment derives its rows
+    once with :func:`phase_plans`. ``bench/`` still wraps and checks its
+    methods, so it goes when the benchmark stops naming it.
     """
 
     def __init__(self, key: SecretKey, epoch: int, n_carriers: int, psk_order: int):

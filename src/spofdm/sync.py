@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_int
-from .keystream import PhaseSequence
 from .txchain import ComplexSignal, OfdmConfig, decode_phases, phase_ramp
 
 __all__ = [
@@ -90,12 +89,14 @@ class SyncEstimate:
 
 
 def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                    phase_seq: PhaseSequence) -> np.ndarray:
+                    phasors: np.ndarray) -> np.ndarray:
     """Averaged correlation (1/K) sum_k Y_k(tau, d) over the (tau, d) grid.
 
-    Returns a complex array of shape (block_samples, n_candidates); row tau is
-    the trial time offset in samples, column d is sequence offset d. The M = 1
-    classical receiver (unit CP phases, one candidate) gets (block_samples, 1).
+    Row k of ``phasors`` is keystream block k as unit phasors; the receiver
+    reads rows up to FIRST_BLOCK + K + n_candidates - 1. Returns a complex
+    array of shape (block_samples, n_candidates); row tau is the trial time
+    offset in samples, column d is sequence offset d. The M = 1 classical
+    receiver (unit CP phases, one candidate) gets (block_samples, 1).
     """
     x = r.samples
     dt = r.sample_interval
@@ -104,6 +105,10 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     cp = config.cp_samples
     cp1 = config.cp1_samples
     k_count = sync_cfg.n_blocks
+    n_d = sync_cfg.n_candidates
+    if len(phasors) < FIRST_BLOCK + k_count + n_d:
+        raise ValueError(f"phasors needs {FIRST_BLOCK + k_count + n_d} rows, "
+                         f"got {len(phasors)}")
     needed = (FIRST_BLOCK + k_count) * block - config.cp2_samples + n_c
     if x.size < needed:
         raise ValueError(
@@ -120,8 +125,7 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     # row k, column tau: the window of block FIRST_BLOCK+k at offset tau
     y = w[FIRST_BLOCK * block - cp:][:k_count * block].reshape(k_count, block)
     # entry (k, d): the CP phasor of block FIRST_BLOCK + k + d
-    n_d = sync_cfg.n_candidates
-    cp_seq = phase_seq.phasors(FIRST_BLOCK, FIRST_BLOCK + k_count + n_d - 2)[:, 0]
+    cp_seq = phasors[FIRST_BLOCK:, 0]
     c = cp_seq[np.arange(k_count)[:, None] + np.arange(n_d)]       # (K, D)
     # numpy's complex division by K + 0j forms each part as (a + b*0) * (1/K),
     # the same number as this product with 1/K
@@ -129,14 +133,14 @@ def pre_fft_surface(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
 
 
 def estimate_pre_fft(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                     phase_seq: PhaseSequence):
+                     phasors: np.ndarray):
     """Coarse estimates from the pre-FFT surface.
 
     Returns (estimate, surface); the estimate carries the argmax time offset,
     the winning candidate offset and the fractional CFO from the peak phase.
     Ties break toward the lowest (tau, d) index.
     """
-    surface = pre_fft_surface(r, config, sync_cfg, phase_seq)
+    surface = pre_fft_surface(r, config, sync_cfg, phasors)
     mag = np.abs(surface)
     tau_idx, d_idx = np.unravel_index(np.argmax(mag), mag.shape)
     peak = surface[tau_idx, d_idx]
@@ -284,9 +288,9 @@ def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
 
 
 def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
-                phase_seq: PhaseSequence):
+                phasors: np.ndarray):
     """Full two-stage pipeline. Returns (SyncEstimate, pre-FFT surface).
-    The classical receiver is the same pipeline on an M = 1 sequence with
+    The classical receiver is the same pipeline on M = 1 ``phasors`` with
     the one candidate 0: unit CP and pilot phasors, sequence offset 0.
 
     After the coarse stage the fractional CFO is compensated on absolute time
@@ -297,7 +301,7 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     division by the pilot value) at their feasible bins (index + n0) mod N_c;
     the fine-time and phase estimators read them at the decided n0.
     """
-    est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
+    est, surface = estimate_pre_fft(r, config, sync_cfg, phasors)
     dt = r.sample_interval
     tau_samp = int(round(est.t0_hat / dt))
 
@@ -309,11 +313,12 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     window0 = tau_samp - _backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
                                 est.frac_cfo_hat, config)
-    phasors = phase_seq.phasors(ks[0] + est.k0_hat,
-                                ks[-1] + est.k0_hat)[:, [1 + i for i in idx]]
+    # slice, then gather, so each pilot's blocks lie contiguous: in another
+    # memory order the pilot sums below round differently on some dispatches
+    pilot_phasors = phasors[ks[0] + est.k0_hat:][:ks.size, [1 + i for i in idx]]
     bins = (np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)[:, None]
             + idx) % config.n_carriers
-    z = (decode_phases(r_blocks[:, bins], phasors[:, None])
+    z = (decode_phases(r_blocks[:, bins], pilot_phasors[:, None])
          / np.array([v for _, v in pilots]))                    # (K+1, C, P)
 
     n0, zeta0, cfo_low_conf = estimate_integer_cfo(z, config, sync_cfg)

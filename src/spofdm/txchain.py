@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real
 
 __all__ = [
     "OfdmConfig",
@@ -91,7 +91,7 @@ class ComplexSignal:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
-        if self.sample_interval <= 0:
+        if check_real("sample_interval", self.sample_interval) <= 0:
             raise ValueError("sample_interval must be positive")
 
 
@@ -99,6 +99,7 @@ def random_symbol_blocks(rng: np.random.Generator, n_blocks: int,
                          config: OfdmConfig) -> np.ndarray:
     """(n_blocks, N_c) i.i.d. QPSK symbols with the pilot values placed on
     their fixed subcarriers."""
+    check_int("n_blocks", n_blocks, 1)
     symbols = QPSK[rng.integers(0, QPSK.size, size=(n_blocks, config.n_carriers))]
     for idx, value in config.pilot_positions.items():
         symbols[:, idx] = value
@@ -146,8 +147,8 @@ def build_waveform(symbols: np.ndarray, phasors: np.ndarray,
     """SP-OFDM waveform of consecutive blocks.
 
     Row b of ``phasors`` is the secret randomness of block b as unit phasors,
-    as returned by :meth:`spofdm.keystream.PhaseSequence.phasors`: the CP
-    phase symbol, then the subcarrier phasors. All-one phasors give the
+    ``psk_phasors(M)`` read at its :func:`spofdm.keystream.phase_plans` row:
+    the CP phase symbol, then the subcarrier phasors. All-one phasors give the
     classical OFDM waveform, ``modulate_block(symbols, 1.0, config)``.
     """
     phasors = np.asarray(phasors)

@@ -16,8 +16,8 @@ from spofdm.avc import (InputDist, SymbolChannelSpec, avc_capacity,
                         saddle_check, simulate_symbol_channel)
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             run_sync_experiment, table1_scenario)
-from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
-                              phase_plans)
+from spofdm.keystream import (SecretKey, aes_encrypt_block, phase_plans,
+                              psk_phasors)
 from spofdm.sync import demod_fft
 from test_sync import v_expected
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
@@ -237,10 +237,10 @@ class TestCriterion8Exactness:
             np.array_equal(sig[16:24], body[-8:])
             and np.max(np.abs(sig[:16] - c * body[-24:-8])) < 1e-12)
 
-        # the package's cached phasors out, the PSK formula on the plans back
+        # the package's phasor table out, the PSK formula on the plans back
         blocks = random_symbol_blocks(rng, 2, config)
         wave = build_waveform(
-            blocks, PhaseSequence(KEY, 0, 128, 16).phasors(0, 1), config)
+            blocks, psk_phasors(16)[phase_plans(KEY, 0, 0, 2, 128, 16)], config)
         round_ok = True
         for k, block in enumerate(blocks):
             v = phase_plans(KEY, 0, k, 1, 128, 16)[0, 1:]
@@ -252,7 +252,7 @@ class TestCriterion8Exactness:
         checks["fft_round_trip"] = round_ok
 
         a = phase_plans(KEY, 2, 5, 1, 128, 16)
-        b = PhaseSequence(KEY, 2, 128, 16).phasors(5, 5)
+        b = psk_phasors(16)[a]
         checks["keystream_determinism"] = (
             np.array_equal(a, phase_plans(KEY, 2, 5, 1, 128, 16))
             and b.tobytes() == np.exp(1j * (2.0 * np.pi * a / 16)).tobytes())

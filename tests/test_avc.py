@@ -224,8 +224,9 @@ class TestMiEstimate:
     @pytest.mark.parametrize("n_samples", [True, 10.5, "10"])
     def test_rejects_non_integer_samples(self, n_samples):
         # checked before the draw, where numpy would fail on its own terms
-        with pytest.raises(ValueError, match="n_samples must be an integer"):
-            mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), n_samples, 0)
+        for draw in (mi_estimate, simulate_symbol_channel):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                draw(SymbolChannelSpec(), InputDist.qpsk(), n_samples, 0)
 
     def test_rejects_zero_gaussian_variance(self):
         spec = SymbolChannelSpec(InputDist.qpsk(), noise_power=0.0)

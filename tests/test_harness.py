@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from spofdm import keystream
-from spofdm.harness import (Scenario, ScenarioFormatError, correlation_surface,
-                            emit_report, load_scenario, run_ber_experiment,
+from spofdm.harness import (Scenario, ScenarioFormatError, _link, _sent_blocks,
+                            _sync_trial, correlation_surface, emit_report,
+                            load_scenario, run_ber_experiment,
                             run_sync_experiment, save_scenario, surface_csv,
                             table1_scenario)
 from spofdm.rxchain import LdpcEncoder, builtin_code, ldpc_bp_decode
@@ -322,6 +323,39 @@ class TestSyncExperiment:
         header = paths["records"].read_text().splitlines()[0]
         assert header.split(",")[0] == "trial"
         assert "scenario_hash" in paths["summary"].read_text()
+
+
+class TestLink:
+    @pytest.mark.parametrize("psk_order, inits", [(16, 1), (1, 0)])
+    def test_phasors_are_read_only_keystream_rows(self, monkeypatch, psk_order,
+                                                   inits):
+        # row k is keystream block k, from one derive; classical OFDM
+        # (M = 1) builds no cipher
+        calls = []
+        cipher = keystream.Cipher
+        monkeypatch.setattr(keystream, "Cipher",
+                            lambda *a: calls.append(a) or cipher(*a))
+        sc = table1_scenario(sync_blocks=10, psk_order=psk_order,
+                             n_candidates=50 if psk_order > 1 else 1)
+        phasors = _link(sc).phasors
+        assert len(calls) == inits
+        assert len(phasors) == sc.n_candidates + sc.sync_blocks + 3
+        rows = [keystream.psk_phasors(psk_order)[keystream.phase_plans(
+            sc.key(), sc.epoch, k, 1, 128, psk_order)[0]]
+            for k in range(len(phasors))]
+        assert phasors.tobytes() == np.array(rows).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            phasors[0, 0] = 1.0
+
+    def test_last_offset_sends_every_block(self):
+        # a short transmitter slice would show only as failed trials
+        sc = table1_scenario(sync_blocks=10, n_candidates=3)
+        link = _link(sc)
+        k0 = sc.n_candidates - 1
+        assert len(link.phasors[k0:k0 + _sent_blocks(sc)]) == sc.sync_blocks + 4
+        records = [_sync_trial(sc, trial, link) for trial in range(12)]
+        last = [r for r in records if r["k0_true"] == k0]
+        assert last and all(r["error"] is None for r in last)
 
 
 class TestBerExperiment:

@@ -4,8 +4,8 @@ receiver as the secure receiver with unit CP phases, the classical
 waveform as the secure waveform with zero angles (unit phasors), batched
 keystream, modulation and demodulation against their per-block forms, the
 feasible-bin integer CFO search and the body-span CFO derotation against
-their full-grid and whole-signal forms, sync trials against a shared
-keystream cache and a longer run, the built-in LDPC codes' encoder, the
+their full-grid and whole-signal forms, sync trials against a shared link
+and a longer run, the built-in LDPC codes' encoder, the
 LDPC syndrome and encoder against their dense GF(2) forms, and LDPC belief
 propagation against a flooding reference decoder, bitwise in float32 and
 statistically in float64, the MI module's blocked mixture log-density
@@ -43,7 +43,7 @@ from spofdm.sync import (FIRST_BLOCK, SyncConfig, _backoff, _demod_derotated,
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, phase_ramp, precode,
                             random_symbol_blocks)
-from test_sync import corr_pre_fft, despread
+from test_sync import corr_pre_fft, despread, receiver_phasors
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -92,18 +92,18 @@ def small_links(draw, max_blocks=3):
 @given(small_links())
 def test_surface_matches_direct_correlator(link):
     config, sync_cfg, r = link
-    seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
-    surface = pre_fft_surface(r, config, sync_cfg, seq)
+    phasors = receiver_phasors(config, sync_cfg)
+    surface = pre_fft_surface(r, config, sync_cfg, phasors)
     ks = range(FIRST_BLOCK, FIRST_BLOCK + sync_cfg.n_blocks)
     assert surface.shape == (config.block_samples, sync_cfg.n_candidates)
     for tau in range(config.block_samples):
         for j, d in enumerate(sync_cfg.candidates):
-            direct = np.mean([corr_pre_fft(r, k, tau, int(d), seq, config)
+            direct = np.mean([corr_pre_fft(r, k, tau, int(d), phasors, config)
                               for k in ks])
             assert abs(surface[tau, j] - direct) < 1e-12
 
 
-def gather_pre_fft_surface(r, config, sync_cfg, phase_seq):
+def gather_pre_fft_surface(r, config, sync_cfg, phasors):
     """The pre-FFT surface with the CP1-window sums of the K blocks gathered
     by a (K, tau) fancy index and averaged by a division by K."""
     x, n_c, block = r.samples, config.n_carriers, config.block_samples
@@ -114,10 +114,7 @@ def gather_pre_fft_surface(r, config, sync_cfg, phase_seq):
     w = csum[config.cp1_samples:] - csum[:-config.cp1_samples]
     ks = np.arange(FIRST_BLOCK, FIRST_BLOCK + k_count)
     y = w[ks[:, None] * block + np.arange(block)[None, :] - config.cp_samples]
-    d_vals = sync_cfg.candidates
-    k_min = int(ks[0] + d_vals.min())
-    cp_seq = phase_seq.phasors(k_min, int(ks[-1] + d_vals.max()))[:, 0]
-    c = cp_seq[(ks[:, None] + d_vals[None, :]) - k_min]
+    c = phasors[ks[:, None] + sync_cfg.candidates[None, :], 0]
     return (y.T @ np.conj(c)) / k_count
 
 
@@ -128,9 +125,9 @@ def gather_pre_fft_surface(r, config, sync_cfg, phase_seq):
           ComplexSignal(np.exp(1j * np.arange(8 * 11 * 30)), 1 / 8)))
 def test_surface_view_and_reciprocal_are_gather_and_division(link):
     config, sync_cfg, r = link
-    seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
-    assert array_bits(pre_fft_surface(r, config, sync_cfg, seq)) == (
-        array_bits(gather_pre_fft_surface(r, config, sync_cfg, seq)))
+    phasors = receiver_phasors(config, sync_cfg)
+    assert array_bits(pre_fft_surface(r, config, sync_cfg, phasors)) == (
+        array_bits(gather_pre_fft_surface(r, config, sync_cfg, phasors)))
 
 
 @FAST
@@ -230,8 +227,7 @@ def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
        k_first=st.integers(0, 10 ** 6),
        count=st.integers(1, 5))
 def test_cached_phasors_are_exp_of_the_plans(m, n_c, epoch, k_first, count):
-    seq = PhaseSequence(KEY, epoch, n_c, m)
-    phasors = seq.phasors(k_first, k_first + count - 1)
+    phasors = psk_phasors(m)[phase_plans(KEY, epoch, k_first, count, n_c, m)]
     angles = psk_angles(phase_plans(KEY, epoch, k_first, count, n_c, m), m)
     assert phasors.tobytes() == np.exp(1j * angles).tobytes()
     assert np.conj(phasors).tobytes() == np.exp(-1j * angles).tobytes()
@@ -248,13 +244,12 @@ def test_waveform_from_phasors_is_angle_formula(n_c, psk_order, n_blocks,
     config = OfdmConfig(n_carriers=n_c, cp1_samples=n_c // 8 or 1,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     blocks = random_symbol_blocks(np.random.default_rng(seed), n_blocks, config)
-    seq = PhaseSequence(KEY, 0, n_c, psk_order)
     angles = psk_angles(phase_plans(KEY, 0, k_first, n_blocks, n_c, psk_order),
                         psk_order)
     direct = modulate_block(blocks * np.exp(-1j * angles[:, 1:]),
                             np.exp(1j * angles[:, 0]), config)
-    wave = build_waveform(blocks, seq.phasors(k_first, k_first + n_blocks - 1),
-                          config)
+    wave = build_waveform(blocks, psk_phasors(psk_order)[phase_plans(
+        KEY, 0, k_first, n_blocks, n_c, psk_order)], config)
     assert wave.samples.tobytes() == direct.samples.tobytes()
 
 
@@ -358,12 +353,12 @@ def whole_signal_demod(r, body_starts, frac_cfo, config):
     return np.ascontiguousarray(demod_fft(corrected, body_starts, config))
 
 
-def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
+def whole_signal_synchronize(r, config, sync_cfg, phasors):
     """The two-stage synchronizer with the fractional CFO removed from the
     whole signal, the pilot phasors computed from their angles, the integer
     CFO searched on the full grid and the pilot bins at the decided n0
     despread afterwards."""
-    est, surface = estimate_pre_fft(r, config, sync_cfg, phase_seq)
+    est, surface = estimate_pre_fft(r, config, sync_cfg, phasors)
     dt = r.sample_interval
     tau_samp = int(round(est.t0_hat / dt))
     pilots = sorted(config.pilot_positions.items())[:2]
@@ -373,13 +368,13 @@ def whole_signal_synchronize(r, config, sync_cfg, phase_seq):
     r_blocks = whole_signal_demod(r, window0 + ks * config.block_samples,
                                   est.frac_cfo_hat, config)
     angles = psk_angles(phase_plans(
-        phase_seq.key, phase_seq.epoch, ks[0] + est.k0_hat, ks.size,
+        KEY, 0, ks[0] + est.k0_hat, ks.size,
         config.n_carriers, config.psk_order), config.psk_order)
-    phasors = np.exp(1j * angles[:, [1 + i for i in idx]])
-    n0, zeta0, cfo_low_conf = full_grid_integer_cfo(r_blocks, pilots, phasors,
-                                                    config, sync_cfg)
+    pilot_phasors = np.exp(1j * angles[:, [1 + i for i in idx]])
+    n0, zeta0, cfo_low_conf = full_grid_integer_cfo(
+        r_blocks, pilots, pilot_phasors, config, sync_cfg)
     bins = [[(i + n0) % config.n_carriers for i in idx]]
-    z = despread(r_blocks[:-1], bins, pilots, phasors[:-1])[:, 0]
+    z = despread(r_blocks[:-1], bins, pilots, pilot_phasors[:-1])[:, 0]
     t0p = estimate_fine_time(z, idx, config)
     t_window0 = (window0 + FIRST_BLOCK * config.block_samples) * dt
     est.n0_hat = n0
@@ -503,9 +498,9 @@ def test_synchronize_is_whole_signal_synchronize(link):
     config, sync_cfg, r = link
 
     def run(fn):
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         return outcome(lambda: (lambda est, surface: (
-            repr(est), array_bits(surface)))(*fn(r, config, sync_cfg, seq)))
+            repr(est), array_bits(surface)))(*fn(r, config, sync_cfg, phasors)))
 
     assert run(synchronize) == run(whole_signal_synchronize)
 
@@ -524,10 +519,9 @@ def test_synchronize_body_past_the_end_still_raises():
     r = ComplexSignal(np.concatenate([np.zeros(delay, dtype=complex),
                                       wave.samples])[:shortest],
                       config.sample_interval)
-    seq = PhaseSequence(KEY, 0, 32, 4)
     for fn in (synchronize, whole_signal_synchronize):
         with pytest.raises(ValueError, match="block body out of range"):
-            fn(r, config, sync_cfg, seq)
+            fn(r, config, sync_cfg, receiver_phasors(config, sync_cfg))
 
 
 SYNC_TRIAL_SETTINGS = st.sampled_from([
@@ -544,17 +538,16 @@ SYNC_TRIAL_SETTINGS = st.sampled_from([
        trials=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8))
 def test_sync_trial_ignores_keystream_cache_state(overrides, sync_blocks,
                                                   master_seed, trials):
-    # each trial on a fresh sequence against all trials on one sequence
-    # grown past block 200 first, and on one whose window starts far away
+    # each trial on a fresh link against all trials on one shared link,
+    # whose read-only phasors no trial changes
     scenario = table1_scenario(sync_blocks=sync_blocks,
                                master_seed=master_seed, **overrides)
-    grown, far = _link(scenario), _link(scenario)
-    grown.phase_seq.phasors(0, 201)
-    far.phase_seq.phasors(10 ** 6, 10 ** 6)
+    shared = _link(scenario)
+    before = shared.phasors.tobytes()
     for trial in trials:
         fresh = repr(_sync_trial(scenario, trial, _link(scenario)))
-        assert fresh == repr(_sync_trial(scenario, trial, grown))
-        assert fresh == repr(_sync_trial(scenario, trial, far))
+        assert fresh == repr(_sync_trial(scenario, trial, shared))
+    assert shared.phasors.tobytes() == before
 
 
 @settings(max_examples=5, deadline=None)

@@ -6,8 +6,8 @@ import pytest
 from spofdm.channel import OffsetSpec, apply_offsets
 from spofdm.harness import run_sync_experiment, table1_scenario
 from spofdm.jammer import JammerSpec, combine, generate_jamming
-from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
-from spofdm.sync import (SyncConfig, _gamma_avg, demod_fft,
+from spofdm.keystream import SecretKey, phase_plans, psk_phasors
+from spofdm.sync import (FIRST_BLOCK, SyncConfig, _gamma_avg, demod_fft,
                          estimate_fine_time, estimate_integer_cfo,
                          estimate_phase, estimate_pre_fft, pre_fft_surface, synchronize)
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
@@ -24,6 +24,18 @@ def table1_config(pilots=PILOTS):
 
 def toy_config():
     return OfdmConfig(n_carriers=8, cp1_samples=2, cp2_samples=1, psk_order=4)
+
+
+def secret_phasors(config, n_rows):
+    """Keystream blocks 0..n_rows-1 as unit phasors: row k is block k."""
+    return psk_phasors(config.psk_order)[phase_plans(
+        KEY, 0, 0, n_rows, config.n_carriers, config.psk_order)]
+
+
+def receiver_phasors(config, sync_cfg):
+    """The secret phasors of every block the receiver reads, and no more."""
+    return secret_phasors(config, FIRST_BLOCK + sync_cfg.n_blocks
+                          + sync_cfg.n_candidates)
 
 
 def make_received(config, n_blocks, k0=0, t0_samples=0, nu=0.0, phi0=0.0,
@@ -57,7 +69,7 @@ def v_expected(tau: float | np.ndarray, t_cp1: float) -> np.ndarray:
 
 
 def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
-                 phase_seq: PhaseSequence, config: OfdmConfig) -> complex:
+                 phasors: np.ndarray, config: OfdmConfig) -> complex:
     """Single correlation coefficient Y_k(tau, d) as a direct Riemann sum
     (the oracle of the pre-FFT surface).
 
@@ -71,7 +83,7 @@ def corr_pre_fft(r: ComplexSignal, k: int, tau_samples: int, d: int,
     if start < 0 or stop + n_c > x.size:
         raise ValueError("correlation window out of range")
     window = x[start:stop] * np.conj(x[start + n_c:stop + n_c])
-    cp_phase = phase_seq.phasors(k + d, k + d)[0, 0]
+    cp_phase = phasors[k + d, 0]
     return complex(np.sum(window) * np.conj(cp_phase) * r.sample_interval)
 
 
@@ -88,13 +100,13 @@ class TestVExpected:
 class TestCorrPreFft:
     def test_matches_brute_force_double_sum(self):
         config = toy_config()
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = secret_phasors(config, 8)
         r = make_received(config, 6, seed=1)
         dt = config.sample_interval
         for k in (1, 2):
             for tau in (0, 3, 7):
                 for d in (0, 2):
-                    got = corr_pre_fft(r, k, tau, d, seq, config)
+                    got = corr_pre_fft(r, k, tau, d, phasors, config)
                     start = tau - config.cp_samples + k * config.block_samples
                     acc = 0.0 + 0j
                     for i in range(config.cp1_samples):
@@ -109,58 +121,79 @@ class TestCorrPreFft:
 
     def test_aligned_value_real_positive(self):
         config = table1_config()
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = secret_phasors(config, 8)
         r = make_received(config, 4, seed=2)
-        y = corr_pre_fft(r, 1, config.cp_samples, 0, seq, config)
+        y = corr_pre_fft(r, 1, config.cp_samples, 0, phasors, config)
         assert y.real > 0
         assert abs(y.imag) < 1e-12 * max(1.0, y.real)
 
     def test_wrong_candidate_same_magnitude(self):
         config = table1_config()
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = secret_phasors(config, 8)
         r = make_received(config, 4, seed=3)
-        y0 = corr_pre_fft(r, 1, config.cp_samples, 0, seq, config)
-        y5 = corr_pre_fft(r, 1, config.cp_samples, 5, seq, config)
+        y0 = corr_pre_fft(r, 1, config.cp_samples, 0, phasors, config)
+        y5 = corr_pre_fft(r, 1, config.cp_samples, 5, phasors, config)
         assert abs(abs(y5) - abs(y0)) < 1e-12
 
     def test_out_of_range_window(self):
         config = table1_config()
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = secret_phasors(config, 8)
         r = make_received(config, 2, seed=4)
         with pytest.raises(ValueError):
-            corr_pre_fft(r, 0, 0, 0, seq, config)
+            corr_pre_fft(r, 0, 0, 0, phasors, config)
 
 
 class TestPreFftSurface:
     def test_matches_direct_correlator(self):
         config = toy_config()
         sync_cfg = SyncConfig(n_blocks=3, n_candidates=4)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         r = make_received(config, 6, seed=5)
-        surface = pre_fft_surface(r, config, sync_cfg, seq)
+        surface = pre_fft_surface(r, config, sync_cfg, phasors)
         for tau in range(config.block_samples):
             for j, d in enumerate(sync_cfg.candidates):
                 direct = np.mean([
-                    corr_pre_fft(r, k, tau, int(d), seq, config)
+                    corr_pre_fft(r, k, tau, int(d), phasors, config)
                     for k in range(1, 4)])
                 assert abs(surface[tau, j] - direct) < 1e-12
 
     def test_rejects_short_signal(self):
         config = table1_config()
         sync_cfg = SyncConfig(n_blocks=25)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         r = make_received(config, 5, seed=6)
         with pytest.raises(ValueError):
-            pre_fft_surface(r, config, sync_cfg, seq)
+            pre_fft_surface(r, config, sync_cfg, phasors)
+
+
+class TestPhasorRows:
+    @pytest.mark.parametrize("receiver", [pre_fft_surface, synchronize])
+    def test_rejects_phasors_one_row_short(self, receiver):
+        config = table1_config()
+        sync_cfg = SyncConfig(n_blocks=10, n_candidates=50)
+        phasors = receiver_phasors(config, sync_cfg)
+        r = make_received(config, 15, seed=0)
+        with pytest.raises(ValueError, match="phasors needs 61 rows, got 60"):
+            receiver(r, config, sync_cfg, phasors[:-1])
+
+    def test_last_candidate_reads_no_row_past_them(self):
+        # at k0_hat = n_candidates - 1 the post-FFT stage reads the last row
+        config = table1_config()
+        sync_cfg = SyncConfig(n_blocks=10, n_candidates=50)
+        r = make_received(config, 15, k0=49, t0_samples=40, seed=4)
+        est, _ = synchronize(r, config, sync_cfg,
+                             receiver_phasors(config, sync_cfg))
+        assert est.k0_hat == 49 and est.n0_hat == 0
+        assert abs(est.total_cfo_normalized()) < 1e-9
 
 
 class TestEstimatePreFft:
     def test_noiseless_exact_time_and_candidate(self):
         config = table1_config()
         sync_cfg = SyncConfig(n_blocks=10, n_candidates=50)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         r = make_received(config, 14, k0=17, t0_samples=40, seed=7)
-        est, _ = estimate_pre_fft(r, config, sync_cfg, seq)
+        est, _ = estimate_pre_fft(r, config, sync_cfg, phasors)
         assert est.t0_hat == pytest.approx(40 * config.sample_interval)
         assert est.k0_hat == 17
         assert min(est.frac_cfo_hat, 1.0 - est.frac_cfo_hat) < 1e-9
@@ -168,18 +201,18 @@ class TestEstimatePreFft:
     def test_fractional_cfo_from_peak_phase(self):
         config = table1_config()
         sync_cfg = SyncConfig(n_blocks=10, n_candidates=50)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         r = make_received(config, 14, k0=3, t0_samples=12, nu=0.125, seed=8)
-        est, _ = estimate_pre_fft(r, config, sync_cfg, seq)
+        est, _ = estimate_pre_fft(r, config, sync_cfg, phasors)
         assert est.k0_hat == 3
         assert abs(est.frac_cfo_hat - 0.125) < 1e-6
 
     def test_peak_value_matches_cp1_energy(self):
         config = table1_config()
         sync_cfg = SyncConfig(n_blocks=10, n_candidates=50)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         r = make_received(config, 14, seed=9)
-        est, _ = estimate_pre_fft(r, config, sync_cfg, seq)
+        est, _ = estimate_pre_fft(r, config, sync_cfg, phasors)
         dt = config.sample_interval
         energies = []
         for k in range(1, 11):
@@ -203,8 +236,7 @@ class TestDemodFft:
         config = table1_config()
         rng = np.random.default_rng(11)
         blocks = random_symbol_blocks(rng, 3, config)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
-        wave = build_waveform(blocks, seq.phasors(0, 2), config)
+        wave = build_waveform(blocks, secret_phasors(config, 3), config)
         start = config.block_samples + config.cp_samples
         out = demod_fft(wave, start, config)
         v = phase_plans(KEY, 0, 1, 1, 128, 16)[0, 1:]
@@ -354,10 +386,10 @@ class TestSynchronizeNoiseless:
                  pilots=PILOTS):
         config = table1_config(pilots)
         sync_cfg = SyncConfig(n_blocks=10, n_candidates=50)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         r = make_received(config, 15, k0=k0, t0_samples=t0_samples, nu=nu,
                           phi0=phi0, seed=seed)
-        est, _ = synchronize(r, config, sync_cfg, seq)
+        est, _ = synchronize(r, config, sync_cfg, phasors)
         return config, est
 
     def test_zero_offsets(self):
@@ -415,7 +447,7 @@ class TestSynchronizeUnderJamming:
     def run_trials(self, n_trials, sync_blocks, seed_base=0):
         config = table1_config()
         sync_cfg = SyncConfig(n_blocks=sync_blocks, n_candidates=50)
-        seq = PhaseSequence(KEY, 0, config.n_carriers, config.psk_order)
+        phasors = receiver_phasors(config, sync_cfg)
         p = config.symbol_power / config.n_carriers
         sigma2 = p * 10 ** (-1.5)
         results = []
@@ -433,7 +465,7 @@ class TestSynchronizeUnderJamming:
                                delay=int(rng.integers(0, config.block_samples)))),
                 config, r.samples.size, rng)
             rx = combine(r, jam, sigma2, rng)
-            est, _ = synchronize(rx, config, sync_cfg, seq)
+            est, _ = synchronize(rx, config, sync_cfg, phasors)
             phase_err = (est.phi0_hat - phi0 + np.pi) % (2 * np.pi) - np.pi
             results.append({
                 "freq_err": abs(est.total_cfo_normalized() - nu),

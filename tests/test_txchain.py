@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spofdm.keystream import SecretKey, phase_plans
-from spofdm.txchain import (QPSK, OfdmConfig, build_waveform,
+from spofdm.txchain import (QPSK, ComplexSignal, OfdmConfig, build_waveform,
                             modulate_block, precode, decode_phases,
                             random_symbol_blocks)
 
@@ -21,6 +21,19 @@ def plans(k_first, count):
     """Unit phasors of the secret plans of blocks k_first.. ."""
     v = phase_plans(KEY, 0, k_first, count, 128, 16)
     return np.exp(1j * (2.0 * np.pi * v / 16))
+
+
+class TestArguments:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 0, -1])
+    def test_complex_signal_rejects_bad_sample_interval(self, value):
+        with pytest.raises(ValueError, match="sample_interval"):
+            ComplexSignal(np.zeros(2), value)
+
+    @pytest.mark.parametrize("n_blocks", [True, 2.5, 0])
+    def test_random_symbol_blocks_rejects_bad_count(self, n_blocks):
+        with pytest.raises(ValueError, match="n_blocks must be"):
+            random_symbol_blocks(np.random.default_rng(0), n_blocks,
+                                 table1_config())
 
 
 class TestOfdmConfig:
