@@ -21,6 +21,13 @@ def check_real(name: str, value, low=None):
     return _at_least(name, value, low)
 
 
+def check_psk_order(value):
+    """``value``, if it is an integer of at least 1 and a power of 2."""
+    if check_int("psk_order", value, 1) & (value - 1):
+        raise ValueError(f"psk_order must be a power of 2, got {value!r}")
+    return value
+
+
 def _at_least(name: str, value, low):
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}")

@@ -166,15 +166,11 @@ class Scenario:
     def key(self) -> SecretKey:
         return SecretKey.from_hex(self.key_hex)
 
-    def signal_sample_power(self) -> float:
-        config = self.ofdm_config()
-        return config.symbol_power / config.n_carriers
-
     def noise_sigma2(self) -> float:
-        return self.signal_sample_power() * 10 ** (-self.snr_db / 10)
+        return self.ofdm_config().sample_power * 10 ** (-self.snr_db / 10)
 
     def jammer_power(self) -> float:
-        return self.signal_sample_power() * 10 ** (-self.sjr_db / 10)
+        return self.ofdm_config().sample_power * 10 ** (-self.sjr_db / 10)
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -516,7 +512,6 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
     jam_amp = 10 ** (-scenario.sjr_db / 20)
     m = scenario.psk_order
     rotations = psk_phasors(m)
-    k0_lin = None if rician_k0_db is None else 10 ** (rician_k0_db / 10)
 
     n_sym = code.n // 2
     bit_errors = 0
@@ -534,24 +529,22 @@ def _ber_point(scenario: Scenario, rate_label: str, snr_db: float,
 
         noise = complex_normal(rng, sigma2, (b, n_sym))
 
-        if k0_lin is None:
-            r = s + j + noise
-            llr = llr_qpsk(r.ravel(), jam_amp ** 2 + sigma2).reshape(b, code.n)
-        else:
+        h = 1.0  # flat channel
+        if rician_k0_db is not None:
             # direct path plus diffuse component with power ratio K0,
             # normalized to unit average gain so the sweep isolates fading
             # severity; the fade is constant over one OFDM block and
-            # independent across blocks, and the receiver equalizes with
-            # known per-block gains
+            # independent across blocks
+            k0_lin = 10 ** (rician_k0_db / 10)
             n_groups = -(-n_sym // scenario.n_carriers)
             diffuse = complex_normal(rng, 1 / k0_lin, (b, n_groups))
             h_blocks = (1 + diffuse) / math.sqrt(1 + 1 / k0_lin)
             h = np.repeat(h_blocks, scenario.n_carriers, axis=1)[:, :n_sym]
-            r = (h * s + j + noise) / h
-            noise_sym = (jam_amp ** 2 + sigma2) / np.abs(h) ** 2
-            llr = llr_qpsk(r.ravel(), 1.0).reshape(b, code.n)
-            llr /= np.repeat(noise_sym, 2, axis=1)
-        hard, _, _ = ldpc_bp_decode(code, llr)
+        y = h * s + j + noise
+        # matched filter with the known gains: the LLR of conj(h)*y at noise
+        # power N is that of the equalized y/h at N/|h|^2
+        llr = llr_qpsk((np.conj(h) * y).ravel(), jam_amp ** 2 + sigma2)
+        hard, _, _ = ldpc_bp_decode(code, llr.reshape(b, code.n))
         decoded_msg = enc.extract_message(hard)
         bit_errors += int(np.sum(decoded_msg != msg))
         bits_counted += msg.size

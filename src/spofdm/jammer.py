@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_int, check_real
 from .channel import OffsetSpec, add_awgn, apply_offsets, complex_normal
 from .keystream import psk_phasors
 from .txchain import ComplexSignal, OfdmConfig, modulate_block, random_symbol_blocks
@@ -21,10 +21,6 @@ __all__ = ["JammerSpec", "generate_jamming", "combine"]
 
 STRATEGIES = ("none", "gaussian", "disguised_ofdm")
 CP_PHASE_MODES = ("plain_cp", "random_cp")
-
-
-class JammerConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,12 +37,10 @@ class JammerSpec:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise JammerConfigError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.cp_phase_mode not in CP_PHASE_MODES:
-            raise JammerConfigError(f"unknown cp_phase_mode {self.cp_phase_mode!r}")
-        if isinstance(self.power, bool) or not 0 <= self.power < np.inf:
-            raise JammerConfigError(
-                f"power must be finite and non-negative, got {self.power!r}")
+            raise ValueError(f"unknown cp_phase_mode {self.cp_phase_mode!r}")
+        check_real("power", self.power, 0)
 
 
 def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int,
@@ -76,10 +70,7 @@ def generate_jamming(spec: JammerSpec, config: OfdmConfig, duration_samples: int
     # offsets act sample by sample, so only the kept samples are rotated
     samples = apply_offsets(ComplexSignal(wave.samples[:duration_samples], dt),
                             spec.offsets).samples
-    # CP samples carry the same per-sample power as the body, so the analytic
-    # mean per-sample power of the OFDM waveform is P_S/N_c.
-    mean_power = config.symbol_power / config.n_carriers
-    return ComplexSignal(samples * np.sqrt(spec.power / mean_power), dt)
+    return ComplexSignal(samples * np.sqrt(spec.power / config.sample_power), dt)
 
 
 def combine(signal: ComplexSignal, jam: ComplexSignal, noise_sigma2: float,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from ._checks import check_int
+from ._checks import check_int, check_psk_order
 
 __all__ = [
     "SecretKey",
@@ -26,10 +26,6 @@ _AES_BLOCK_BYTES = 16
 _AES_BLOCK_BITS = 128
 
 
-class KeystreamConfigError(ValueError):
-    """Raised for invalid key material or PSK configuration."""
-
-
 class SecretKey:
     """AES key shared by transmitter and receiver (16 or 32 bytes)."""
 
@@ -37,9 +33,7 @@ class SecretKey:
 
     def __init__(self, key_bytes: bytes):
         if len(key_bytes) not in (16, 32):
-            raise KeystreamConfigError(
-                f"key must be 16 or 32 bytes, got {len(key_bytes)}"
-            )
+            raise ValueError(f"key must be 16 or 32 bytes, got {len(key_bytes)}")
         self.key_bytes = bytes(key_bytes)
 
     @classmethod
@@ -47,7 +41,7 @@ class SecretKey:
         try:
             raw = bytes.fromhex(hex_str)
         except ValueError as exc:
-            raise KeystreamConfigError(f"invalid hex key: {exc}") from exc
+            raise ValueError(f"invalid hex key: {exc}") from exc
         return cls(raw)
 
     def __eq__(self, other):
@@ -82,9 +76,7 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     AES-ECB call on the counter blocks epoch (4B) | block index (8B) |
     counter (4B), counters 0, 1, ... within each block.
     """
-    m = int(psk_order)
-    if isinstance(psk_order, bool) or m != psk_order or m < 1 or m & (m - 1):
-        raise KeystreamConfigError(f"PSK order must be a power of 2, got {psk_order}")
+    m = int(check_psk_order(psk_order))
     check_int("epoch", epoch)  # its range is part of the stream address
     check_int("k_first", k_first, 0)
     check_int("count", count, 1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real
 from .txchain import QPSK
 
 __all__ = [
@@ -55,10 +56,9 @@ def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:
     LLR = 2*sqrt(2)*component/noise_power for the real (bit 0) and imaginary
     (bit 1) components; positive LLR favours bit value 0.
     """
-    if (isinstance(noise_power_model, bool) or not np.isfinite(noise_power_model)
-            or noise_power_model <= 0):
-        raise ValueError("noise_power_model must be positive and finite, "
-                         f"got {noise_power_model}")
+    if check_real("noise_power_model", noise_power_model) <= 0:
+        raise ValueError("noise_power_model must be positive, "
+                         f"got {noise_power_model!r}")
     symbols = np.asarray(symbols, dtype=complex)
     llr = np.empty(2 * symbols.size)
     scale = 2 * np.sqrt(2) / noise_power_model
@@ -83,8 +83,8 @@ class ParityCheckCode:
     var_of_edge: np.ndarray
 
     def __post_init__(self):
-        if self.n <= 0 or self.m <= 0:
-            raise ValueError("H must be nonempty")
+        check_int("n", self.n, 1)
+        check_int("m", self.m, 1)
         order = np.lexsort((self.check_of_edge, self.var_of_edge))
         self.var_of_edge = np.asarray(self.var_of_edge, dtype=np.int64)[order]
         self.check_of_edge = np.asarray(self.check_of_edge, dtype=np.int64)[order]

@@ -269,8 +269,11 @@ def estimate_phase(z: np.ndarray, pilot_idx, n0: int, zeta0: float,
     # the ramp is evaluated at the pilot's own carrier, not the moved bin.
     ramp = np.exp(2j * np.pi * np.asarray(pilot_idx) * t0p_samples
                   / config.n_carriers)
-    # cmath: numpy's float64 angle rounds differently under AVX-512 and AVX2
-    return cmath.phase(complex((z * drift[:, None] * ramp).mean(axis=0).sum()))
+    # cumsum adds the blocks in order, whatever the memory layout of z, where
+    # mean(axis=0) sums pairwise along a contiguous block axis; cmath: numpy's
+    # float64 angle rounds differently under AVX-512 and AVX2
+    block_sums = np.cumsum(z * drift[:, None] * ramp, axis=0)[-1]
+    return cmath.phase(complex((block_sums / z.shape[0]).sum()))
 
 
 def _demod_derotated(r: ComplexSignal, body_starts: np.ndarray, frac_cfo: float,
@@ -313,9 +316,7 @@ def synchronize(r: ComplexSignal, config: OfdmConfig, sync_cfg: SyncConfig,
     window0 = tau_samp - _backoff(config) + config.cp_samples
     r_blocks = _demod_derotated(r, window0 + ks * config.block_samples,
                                 est.frac_cfo_hat, config)
-    # slice, then gather, so each pilot's blocks lie contiguous: in another
-    # memory order the pilot sums below round differently on some dispatches
-    pilot_phasors = phasors[ks[0] + est.k0_hat:][:ks.size, [1 + i for i in idx]]
+    pilot_phasors = phasors[ks[:, None] + est.k0_hat, [1 + i for i in idx]]
     bins = (np.arange(sync_cfg.n_l, sync_cfg.n_u + 1)[:, None]
             + idx) % config.n_carriers
     z = (decode_phases(r_blocks[:, bins], pilot_phasors[:, None])

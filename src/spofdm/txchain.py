@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_int, check_real
+from ._checks import check_int, check_psk_order, check_real
 
 __all__ = [
     "OfdmConfig",
@@ -45,12 +45,11 @@ class OfdmConfig:
     pilot_positions: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("n_carriers", "cp1_samples", "cp2_samples", "psk_order"):
+        for name in ("n_carriers", "cp1_samples", "cp2_samples"):
             check_int(name, getattr(self, name), 1)
+        check_psk_order(self.psk_order)
         if self.cp1_samples + self.cp2_samples > self.n_carriers:
             raise ValueError("cp1_samples + cp2_samples cannot exceed n_carriers")
-        if self.psk_order & (self.psk_order - 1):
-            raise ValueError("psk_order must be a power of 2")
         for idx, value in self.pilot_positions.items():
             if not (0 <= idx < self.n_carriers
                     and _PILOT_RANGE[0] <= abs(value) <= _PILOT_RANGE[1]):
@@ -78,8 +77,10 @@ class OfdmConfig:
         return self.block_samples * self.sample_interval
 
     @property
-    def symbol_power(self) -> float:
-        return _QPSK_POWER
+    def sample_power(self) -> float:
+        """Mean power of one waveform sample, the QPSK symbol power over N_c.
+        CP samples copy body samples, so they carry the body's power."""
+        return _QPSK_POWER / self.n_carriers
 
 
 @dataclass

@@ -100,7 +100,7 @@ class TestCriterion3CorrelationShape:
         half = config.block_samples // 2
         delta = (((tau - config.cp_samples - off + half) % config.block_samples)
                  - half) * dt
-        expected = scenario.signal_sample_power() * v_expected(
+        expected = config.sample_power * v_expected(
             delta, config.cp1_samples * dt)
         peak = expected.max()
         shape_dev = np.max(np.abs(surf[:, k0_col] - expected)) / peak

@@ -15,7 +15,7 @@ from spofdm.harness import (correlation_surface, run_ber_experiment,
                             table1_scenario)
 from spofdm.jammer import JammerSpec, generate_jamming
 from spofdm.keystream import SecretKey, phase_plans
-from spofdm.rxchain import llr_qpsk
+from spofdm.rxchain import ParityCheckCode, llr_qpsk
 from spofdm.sync import SyncConfig
 from spofdm.txchain import ComplexSignal, OfdmConfig
 
@@ -27,6 +27,7 @@ COUNT = INTEGER + (0,)   # at least 1
 INDEX = INTEGER + (-1,)  # at least 0
 REAL = (True, math.nan)
 POWER = REAL + (-1.0,)   # at least 0
+PSK_ORDER = COUNT + (3,)  # a power of 2
 
 
 def _ofdm(**field):
@@ -37,6 +38,11 @@ def _ofdm(**field):
 def _plans(**arg):
     return phase_plans(**{"key": KEY, "epoch": 0, "k_first": 0, "count": 1,
                           "n_carriers": 128, "psk_order": 16, **arg})
+
+
+def _code(**field):
+    return ParityCheckCode(**{"n": 2, "m": 1, "check_of_edge": np.zeros(2, int),
+                              "var_of_edge": np.arange(2), **field})
 
 
 # (entry point, argument, call with the bad value, bad values)
@@ -88,7 +94,9 @@ ENTRY_POINTS = [
     ("add_awgn", "sigma2",
      lambda v: add_awgn(ComplexSignal(np.zeros(4), 1.0), v, 0), POWER),
     *[("OfdmConfig", name, lambda v, name=name: _ofdm(**{name: v}), COUNT)
-      for name in ("n_carriers", "cp1_samples", "cp2_samples", "psk_order")],
+      for name in ("n_carriers", "cp1_samples", "cp2_samples")],
+    ("OfdmConfig", "psk_order", lambda v: _ofdm(psk_order=v), PSK_ORDER),
+    ("phase_plans", "psk_order", lambda v: _plans(psk_order=v), PSK_ORDER),
     ("phase_plans", "epoch", lambda v: _plans(epoch=v), INTEGER),
     ("phase_plans", "k_first", lambda v: _plans(k_first=v), INDEX),
     ("phase_plans", "count", lambda v: _plans(count=v), COUNT),
@@ -98,6 +106,8 @@ ENTRY_POINTS = [
     ("JammerSpec", "power", lambda v: JammerSpec("gaussian", v), POWER),
     ("llr_qpsk", "noise_power_model",
      lambda v: llr_qpsk(np.zeros(2, dtype=complex), v), REAL + (0.0,)),
+    *[("ParityCheckCode", name, lambda v, name=name: _code(**{name: v}), COUNT)
+      for name in ("n", "m")],
 ]
 
 

@@ -27,7 +27,7 @@ class TestScenario:
 
     def test_power_budget(self):
         sc = table1_scenario()
-        p = sc.signal_sample_power()
+        p = sc.ofdm_config().sample_power
         assert p == pytest.approx(1 / 128)
         assert sc.noise_sigma2() == pytest.approx(p * 10 ** -1.5)
         assert sc.jammer_power() == pytest.approx(p)

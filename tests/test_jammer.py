@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spofdm.channel import OffsetSpec
-from spofdm.jammer import JammerConfigError, JammerSpec, combine, generate_jamming
+from spofdm.jammer import JammerSpec, combine, generate_jamming
 from spofdm.txchain import ComplexSignal, OfdmConfig, random_symbol_blocks
 
 CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8, psk_order=16)
@@ -12,20 +12,20 @@ CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8, psk_order=16)
 
 class TestJammerSpec:
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(JammerConfigError):
+        with pytest.raises(ValueError, match="unknown strategy 'pulse'"):
             JammerSpec(strategy="pulse")
 
     def test_rejects_unknown_cp_mode(self):
-        with pytest.raises(JammerConfigError):
+        with pytest.raises(ValueError, match="unknown cp_phase_mode 'weird'"):
             JammerSpec(strategy="disguised_ofdm", cp_phase_mode="weird")
 
     def test_rejects_negative_power(self):
-        with pytest.raises(JammerConfigError):
+        with pytest.raises(ValueError, match="^power must be at least 0"):
             JammerSpec(strategy="gaussian", power=-1.0)
 
     @pytest.mark.parametrize("power", [np.nan, np.inf])
     def test_rejects_non_finite_power(self, power):
-        with pytest.raises(JammerConfigError, match="power"):
+        with pytest.raises(ValueError, match="^power must be finite"):
             JammerSpec(strategy="gaussian", power=power)
 
 
@@ -41,7 +41,7 @@ class TestGenerateJamming:
         assert abs(power - 1.0) < 0.005
 
     def test_disguised_power(self):
-        p_j = CONFIG.symbol_power / CONFIG.n_carriers  # 0 dB versus the signal
+        p_j = CONFIG.sample_power  # 0 dB versus the signal
         spec = JammerSpec("disguised_ofdm", power=p_j)
         out = generate_jamming(spec, CONFIG, 100_000, 1)
         power = np.mean(np.abs(out.samples) ** 2)
@@ -49,7 +49,7 @@ class TestGenerateJamming:
 
     def test_disguised_format_mimicry(self):
         # zero offset, plain CP mode: every block passes the classical CP check
-        p_j = CONFIG.symbol_power / CONFIG.n_carriers
+        p_j = CONFIG.sample_power
         spec = JammerSpec("disguised_ofdm", power=p_j)
         out = generate_jamming(spec, CONFIG, 5 * 152, 2)
         for k in range(5):
@@ -57,7 +57,7 @@ class TestGenerateJamming:
             assert np.max(np.abs(seg[:24] - seg[-24:])) < 1e-12
 
     def test_disguised_random_cp_rotates_cp1_only(self):
-        p_j = CONFIG.symbol_power / CONFIG.n_carriers
+        p_j = CONFIG.sample_power
         spec = JammerSpec("disguised_ofdm", power=p_j,
                           cp_phase_mode="random_cp")
         out = generate_jamming(spec, CONFIG, 5 * 152, 3)
@@ -69,7 +69,7 @@ class TestGenerateJamming:
             assert abs(abs(ratio[0]) - 1.0) < 1e-9
 
     def test_jammer_time_offset(self):
-        p_j = CONFIG.symbol_power / CONFIG.n_carriers
+        p_j = CONFIG.sample_power
         base = generate_jamming(
             JammerSpec("disguised_ofdm", power=p_j), CONFIG, 1000, 4)
         moved = generate_jamming(
@@ -78,7 +78,7 @@ class TestGenerateJamming:
         assert np.max(np.abs(moved.samples[10:] - base.samples[:-10])) < 1e-12
 
     def test_independent_seeds_give_independent_data(self):
-        p_j = CONFIG.symbol_power / CONFIG.n_carriers
+        p_j = CONFIG.sample_power
         spec = JammerSpec("disguised_ofdm", power=p_j)
         a = generate_jamming(spec, CONFIG, 10_000, 5).samples
         b = generate_jamming(spec, CONFIG, 10_000, 6).samples
@@ -90,7 +90,7 @@ class TestGenerateJamming:
     def test_disguised_draws_only_the_blocks_it_keeps(self, duration):
         # ceil(duration / block) blocks of symbols and nothing more: the
         # generator is left where drawing exactly those blocks leaves it
-        p_j = CONFIG.symbol_power / CONFIG.n_carriers
+        p_j = CONFIG.sample_power
         rng, ref = np.random.default_rng(9), np.random.default_rng(9)
         out = generate_jamming(JammerSpec("disguised_ofdm", power=p_j), CONFIG,
                                duration, rng)
@@ -129,7 +129,7 @@ class TestCombine:
     def test_equal_power_at_zero_db_sjr(self):
         rng = np.random.default_rng(1)
         n = 100_000
-        p = CONFIG.symbol_power / CONFIG.n_carriers
+        p = CONFIG.sample_power
         sig = ComplexSignal(
             rng.normal(0, np.sqrt(p / 2), (n, 2)) @ np.array([1, 1j]),
             CONFIG.sample_interval)

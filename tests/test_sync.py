@@ -380,6 +380,17 @@ class TestEstimatePhase:
         got = estimate_phase(z, [24, 32], 0, 0.0, 0.0, config)
         assert abs(got - phi0) < 1e-12
 
+    def test_independent_of_memory_layout(self):
+        # the block sums run in block order for a row-major and a
+        # pilot-major copy of the same pilots alike
+        config = table1_config()
+        args = ([24, 32], 1, 0.013, 2.5, config, 0.7)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            z = rng.normal(size=(25, 2)) + 1j * rng.normal(size=(25, 2))
+            by_row = estimate_phase(np.ascontiguousarray(z), *args)
+            assert by_row == estimate_phase(np.asfortranarray(z), *args)
+
 
 class TestSynchronizeNoiseless:
     def run_case(self, k0=0, t0_samples=0, nu=0.0, phi0=0.0, seed=0,
@@ -448,7 +459,7 @@ class TestSynchronizeUnderJamming:
         config = table1_config()
         sync_cfg = SyncConfig(n_blocks=sync_blocks, n_candidates=50)
         phasors = receiver_phasors(config, sync_cfg)
-        p = config.symbol_power / config.n_carriers
+        p = config.sample_power
         sigma2 = p * 10 ** (-1.5)
         results = []
         for trial in range(n_trials):

@@ -43,7 +43,7 @@ class TestOfdmConfig:
         assert config.cp_samples == 24
         assert config.t_body == pytest.approx(1.0)
         assert config.t_block == pytest.approx(152 / 128)
-        assert config.symbol_power == pytest.approx(1.0)
+        assert config.sample_power == pytest.approx(1 / 128)
 
     def test_rejects_oversized_cp(self):
         with pytest.raises(ValueError):
