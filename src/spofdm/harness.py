@@ -19,7 +19,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +64,8 @@ class Scenario:
     noise only), 'multipath' (static random-phase paths, tap m of power
     proportional to tap_decay**m) or 'doppler' (multipath with per-path
     Doppler shifts). sjr_db is the per-sample signal-to-jamming ratio in dB.
+    The OFDM and sync configurations and the key are built once, when the
+    scenario is, and every experiment reads those objects.
     """
 
     name: str = "table1"
@@ -106,7 +107,8 @@ class Scenario:
                             ("jammer_cp_mode", CP_PHASE_MODES)):
             if (value := getattr(self, name)) not in kinds:
                 raise ValueError(f"{name} must be one of {kinds}, got {value!r}")
-        pilots = tuple((int(i), complex(v)) for i, v in self.pilot_positions)
+        pilots = tuple((int(check_int("pilot_positions", i, 0)), complex(v))
+                       for i, v in self.pilot_positions)
         object.__setattr__(self, "pilot_positions", pilots)
         carriers = sorted(dict(pilots))
         if len(carriers) != len(pilots):  # ofdm_config would keep the last
@@ -135,42 +137,37 @@ class Scenario:
         if not 0 <= self.max_delay_samples < self.cp1_samples + self.cp2_samples:
             raise ValueError("max_delay_samples must be in [0, cp1_samples + "
                              f"cp2_samples), got {self.max_delay_samples!r}")
-        self.ofdm_config()  # their checks run here, not at the first trial
-        self.sync_config()
+        # their checks run here, not at the first trial
+        object.__setattr__(self, "_ofdm", OfdmConfig(
+            n_carriers=self.n_carriers, cp1_samples=self.cp1_samples,
+            cp2_samples=self.cp2_samples, psk_order=self.psk_order,
+            pilot_positions=dict(pilots)))
+        object.__setattr__(self, "_sync", SyncConfig(
+            n_blocks=self.sync_blocks, n_candidates=self.n_candidates,
+            n_l=self.n_l, n_u=self.n_u))
         # bins n0 and n0 + N_c coincide: the integer CFO would be aliased
         if self.n_u - self.n_l >= self.n_carriers:
             raise ValueError(f"n_l, n_u: n_u - n_l must be below n_carriers "
                              f"({self.n_carriers}), got {self.n_l}, {self.n_u}")
         try:
-            self.key()
+            object.__setattr__(self, "_key", SecretKey.from_hex(self.key_hex))
         except ValueError as exc:
             raise ValueError(f"key_hex: {exc}") from None
 
     def ofdm_config(self) -> OfdmConfig:
-        return OfdmConfig(
-            n_carriers=self.n_carriers,
-            cp1_samples=self.cp1_samples,
-            cp2_samples=self.cp2_samples,
-            psk_order=self.psk_order,
-            pilot_positions=dict(self.pilot_positions),
-        )
+        return self._ofdm
 
     def sync_config(self) -> SyncConfig:
-        return SyncConfig(
-            n_blocks=self.sync_blocks,
-            n_candidates=self.n_candidates,
-            n_l=self.n_l,
-            n_u=self.n_u,
-        )
+        return self._sync
 
     def key(self) -> SecretKey:
-        return SecretKey.from_hex(self.key_hex)
+        return self._key
 
     def noise_sigma2(self) -> float:
-        return self.ofdm_config().sample_power * 10 ** (-self.snr_db / 10)
+        return self._ofdm.sample_power * 10 ** (-self.snr_db / 10)
 
     def jammer_power(self) -> float:
-        return self.ofdm_config().sample_power * 10 ** (-self.sjr_db / 10)
+        return self._ofdm.sample_power * 10 ** (-self.sjr_db / 10)
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -217,10 +214,10 @@ def load_scenario(path: str | Path) -> Scenario:
     pilots = payload["pilot_positions"]
     try:
         payload["pilot_positions"] = tuple(
-            (int(i), complex(v[0], v[1])) for i, v in sorted(
+            (int(i), _pilot_value(i, v)) for i, v in sorted(
                 pilots.items(), key=lambda kv: int(kv[0]))
         )
-    except (AttributeError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, ValueError) as exc:
         raise ScenarioFormatError(
             f"{path}: field 'pilot_positions' must map carrier index to "
             f"[real, imag]: {exc}"
@@ -229,6 +226,13 @@ def load_scenario(path: str | Path) -> Scenario:
         return Scenario(**payload)
     except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
+
+
+def _pilot_value(carrier: str, value) -> complex:
+    """A scenario file's pilot value: a list of two finite reals."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"carrier {carrier}: got {value!r}")
+    return complex(*(check_real(f"carrier {carrier}", x) for x in value))
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -324,51 +328,41 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict:
 # Synchronization experiment
 
 
-class _Link(NamedTuple):
-    """What every trial of one experiment shares, built once per experiment.
-    Keystream rows are a pure function of (key, epoch, block), so one
-    read-only array serves every trial: row k of ``phasors`` is block k."""
-
-    config: OfdmConfig
-    sync_cfg: SyncConfig
-    phasors: np.ndarray
-    noise_sigma2: float
-    jammer_power: float
-
-
 def _sent_blocks(scenario: Scenario) -> int:
     """Blocks one trial transmits, from its sequence offset k0 on."""
     return scenario.sync_blocks + 4
 
 
-def _link(scenario: Scenario) -> _Link:
-    config = scenario.ofdm_config()
+def _secret_phasors(scenario: Scenario) -> np.ndarray:
+    """What every trial of one experiment shares, derived once per
+    experiment. Keystream rows are a pure function of (key, epoch, block),
+    so one read-only array serves every trial: row k is block k."""
+    m = scenario.psk_order
     # the transmitter reads the most rows, at k0 = n_candidates - 1
     n_rows = scenario.n_candidates - 1 + _sent_blocks(scenario)
-    phasors = psk_phasors(config.psk_order)[phase_plans(
-        scenario.key(), scenario.epoch, 0, n_rows, config.n_carriers,
-        config.psk_order)]
+    phasors = psk_phasors(m)[phase_plans(
+        scenario.key(), scenario.epoch, 0, n_rows, scenario.n_carriers, m)]
     phasors.flags.writeable = False
-    return _Link(config, scenario.sync_config(), phasors,
-                 scenario.noise_sigma2(), scenario.jammer_power())
+    return phasors
 
 
-def _draw_fading(scenario: Scenario, config: OfdmConfig,
+def _draw_fading(scenario: Scenario,
                  rng: np.random.Generator) -> FadingSpec | None:
     if scenario.channel == "awgn":
         return None
     max_doppler = 0.0
     if scenario.channel == "doppler":
         # peak Doppler given in subcarrier spacings 1/T_s
-        max_doppler = 2 * np.pi * scenario.max_doppler_normalized / config.t_body
+        max_doppler = (2 * np.pi * scenario.max_doppler_normalized
+                       / scenario.ofdm_config().t_body)
     taps = random_multipath_taps(
         rng, scenario.n_paths, scenario.max_delay_samples,
         max_doppler=max_doppler, decay=scenario.tap_decay)
     return FadingSpec(taps=taps)
 
 
-def _draw_offsets(scenario: Scenario, config: OfdmConfig,
-                  rng: np.random.Generator) -> OffsetSpec:
+def _draw_offsets(scenario: Scenario, rng: np.random.Generator) -> OffsetSpec:
+    config = scenario.ofdm_config()
     delay = int(rng.integers(0, config.block_samples))
     nu = float(rng.uniform(scenario.n_l, scenario.n_u))
     omega0 = 2 * np.pi * nu / config.t_body
@@ -376,42 +370,41 @@ def _draw_offsets(scenario: Scenario, config: OfdmConfig,
     return OffsetSpec(delay=delay, omega0=omega0, phi0=phi0)
 
 
-def _transmit(scenario: Scenario, link: _Link, rng: np.random.Generator,
+def _transmit(scenario: Scenario, rng: np.random.Generator,
               phasors: np.ndarray, offsets: OffsetSpec,
               jam_offsets) -> ComplexSignal:
     """Random symbol blocks, one per row of secret ``phasors`` (all one for
     classical OFDM), through the scenario's fading and the ``offsets``, plus
     jamming emitted with the offsets ``jam_offsets()`` returns, plus receiver
     noise. A silent jammer draws no offsets, so the noise keeps its RNG place."""
-    config = link.config
+    config = scenario.ofdm_config()
     blocks = random_symbol_blocks(rng, len(phasors), config)
     wave = build_waveform(blocks, phasors, config)
-    fading = _draw_fading(scenario, config, rng)
+    fading = _draw_fading(scenario, rng)
     if fading is not None:
         wave = apply_fading(wave, fading)
     wave = apply_offsets(wave, offsets)
     jam_spec = JammerSpec(
         strategy=scenario.jammer_strategy,
-        power=link.jammer_power,
+        power=scenario.jammer_power(),
         offsets=(OffsetSpec() if scenario.jammer_strategy == "none"
                  else jam_offsets()),
         cp_phase_mode=scenario.jammer_cp_mode,
     )
     jam = generate_jamming(jam_spec, config, wave.samples.size, rng)
-    return combine(wave, jam, link.noise_sigma2, rng)
+    return combine(wave, jam, scenario.noise_sigma2(), rng)
 
 
-def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
-    config = link.config
+def _sync_trial(scenario: Scenario, trial: int, phasors: np.ndarray) -> dict:
+    config = scenario.ofdm_config()
     rng = np.random.default_rng([scenario.master_seed, trial])
 
     k0 = int(rng.integers(0, scenario.n_candidates))
-    offsets = _draw_offsets(scenario, config, rng)
+    offsets = _draw_offsets(scenario, rng)
     nu_true = offsets.omega0 * config.t_body / (2 * np.pi)
 
-    r = _transmit(scenario, link, rng,
-                  link.phasors[k0:k0 + _sent_blocks(scenario)], offsets,
-                  lambda: _draw_offsets(scenario, config, rng))
+    r = _transmit(scenario, rng, phasors[k0:k0 + _sent_blocks(scenario)],
+                  offsets, lambda: _draw_offsets(scenario, rng))
 
     t0_true = offsets.delay * config.sample_interval
     record = {
@@ -426,7 +419,7 @@ def _sync_trial(scenario: Scenario, trial: int, link: _Link) -> dict:
         "error": None,
     }
     try:
-        est, _ = synchronize(r, config, link.sync_cfg, link.phasors)
+        est, _ = synchronize(r, config, scenario.sync_config(), phasors)
     except ValueError as exc:  # estimation failures are recorded, not fatal
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
@@ -459,12 +452,12 @@ def run_sync_experiment(scenario: Scenario) -> ExperimentReport:
     Per trial: random offsets, sequence offset and data are drawn, the full
     received signal (fading, jamming, noise) is built and the two-stage
     synchronizer runs. Errors are normalized: time by the block duration,
-    frequency by the subcarrier spacing. The configurations, powers and the
-    secret phasors are built once and shared by all trials.
+    frequency by the subcarrier spacing. The secret phasors are derived once
+    and shared by all trials.
     """
     start = time.monotonic()
-    link = _link(scenario)
-    records = [_sync_trial(scenario, t, link) for t in range(scenario.trials)]
+    phasors = _secret_phasors(scenario)
+    records = [_sync_trial(scenario, t, phasors) for t in range(scenario.trials)]
 
     time_err = np.array([r["time_error"] for r in records])
     freq_err = np.array([r["freq_error"] for r in records])
@@ -631,40 +624,40 @@ def correlation_surface(scenario: Scenario, precoding: bool = True,
 
     The surface spans the (time offset, candidate sequence offset) grid; a
     classical scenario (``psk_order`` 1, which ``precoding=False`` sets)
-    gives its one column, with no candidates or k0. The signal goes through
-    the scenario's channel. The legitimate time offset is drawn once and the
-    jammer sits half a block from it; both stay fixed across trials so the
-    averaged peaks do not smear, while data, fading, jamming and noise are
-    redrawn. Returns the surface, the axes, and the true offsets in samples.
+    gives its one column, whose candidate is 0, as is its k0. The signal
+    goes through the scenario's channel. The legitimate time offset is drawn
+    once and the jammer sits half a block from it; both stay fixed across
+    trials so the averaged peaks do not smear, while data, fading, jamming
+    and noise are redrawn. Returns the surface, the axes, and the true
+    offsets in samples.
     """
     if not precoding:
         scenario = replace(scenario, psk_order=1, n_candidates=1)
     check_int("n_trials", n_trials, 1)
-    classical = scenario.psk_order == 1
-    link = _link(scenario)
-    config, sync_cfg = link.config, link.sync_cfg
+    config, sync_cfg = scenario.ofdm_config(), scenario.sync_config()
+    phasors = _secret_phasors(scenario)
     seed_rng = np.random.default_rng([scenario.master_seed, 4242])
     block = config.block_samples
     signal_offset_samples = int(seed_rng.integers(0, block))
     jammer_offset_samples = (signal_offset_samples + block // 2) % block
     k0 = int(seed_rng.integers(0, scenario.n_candidates))
 
-    phasors = link.phasors[k0:k0 + _sent_blocks(scenario)]
+    sent = phasors[k0:k0 + _sent_blocks(scenario)]
     acc = 0.0
     for trial in range(n_trials):
         rng = np.random.default_rng([scenario.master_seed, 4242, trial])
-        r = _transmit(scenario, link, rng, phasors,
+        r = _transmit(scenario, rng, sent,
                       OffsetSpec(delay=signal_offset_samples),
                       lambda: OffsetSpec(delay=jammer_offset_samples))
-        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg, link.phasors))
+        acc = acc + np.abs(pre_fft_surface(r, config, sync_cfg, phasors))
 
     return {
-        "surface": acc[:, 0] / n_trials if classical else acc / n_trials,
+        "surface": (acc[:, 0] if scenario.psk_order == 1 else acc) / n_trials,
         "tau_samples": np.arange(block),
-        "candidates": None if classical else sync_cfg.candidates,
+        "candidates": sync_cfg.candidates,
         "signal_offset_samples": signal_offset_samples,
         "jammer_offset_samples": jammer_offset_samples,
-        "k0": None if classical else k0,
+        "k0": k0,
     }
 
 

@@ -61,7 +61,8 @@ def aes_encrypt_block(key: SecretKey, block: bytes) -> bytes:
 
 def psk_phasors(psk_order: int) -> np.ndarray:
     """e^{j 2 pi v/M} for v = 0..M-1: the M-PSK phasor of index v."""
-    return np.exp(1j * (2.0 * np.pi * np.arange(psk_order) / psk_order))
+    m = check_int("psk_order", psk_order, 1)
+    return np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
 
 
 def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,

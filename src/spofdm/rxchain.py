@@ -147,6 +147,8 @@ def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
     left as they fall. The built-in codes are its output at seed 12345 and
     are pinned, so changing the construction changes them.
     """
+    for name, value in (("n", n), ("m", m), ("col_degree", col_degree)):
+        check_int(name, value, 1)
     if col_degree > m:  # a variable cannot meet more distinct checks than m
         raise ValueError(f"col_degree {col_degree} exceeds the {m} checks")
     rng = np.random.default_rng(seed)

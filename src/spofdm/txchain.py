@@ -51,7 +51,7 @@ class OfdmConfig:
         if self.cp1_samples + self.cp2_samples > self.n_carriers:
             raise ValueError("cp1_samples + cp2_samples cannot exceed n_carriers")
         for idx, value in self.pilot_positions.items():
-            if not (0 <= idx < self.n_carriers
+            if not (check_int("pilot_positions", idx, 0) < self.n_carriers
                     and _PILOT_RANGE[0] <= abs(value) <= _PILOT_RANGE[1]):
                 raise ValueError(f"pilot_positions: {idx}: {value!r} needs a carrier "
                                  f"in [0, {self.n_carriers}), 2**-256 <= |p| <= 2**256")
@@ -164,6 +164,8 @@ def phase_ramp(step: float, phase: float, n: int, first: int = 0) -> np.ndarray:
     formed, then sliced, so sample k depends only on k: any span is bitwise
     the same slice of the ramp over [0, first+n).
     """
+    check_int("n", n, 0)
+    check_int("first", first, 0)
     q0, q1 = first // 64, -(-(first + n) // 64)
     coarse = np.exp(1j * (step * 64 * np.arange(q0, q1) + phase))
     fine = np.exp(1j * (step * np.arange(64)))

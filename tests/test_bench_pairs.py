@@ -107,3 +107,32 @@ def test_machine_speed_ratio_outside_the_band_fails(ratio, passed):
     text, ok = bench_pairs.speed_verdict([1.0, 1.0, 1.0], [ratio] * 3)
     assert ok is passed
     assert text.startswith("ALLOCATOR STATE MOVED") is not passed
+
+
+
+@pytest.mark.parametrize("change_runs, line", [
+    ([(5, "a"), (5, "b"), (5, "c")], "records_digest: identical in 3/3 pairs"),
+    ([(5, "a"), (5, "x"), (5, "c")], "records_digest: identical in 2/3 pairs"),
+    # a digest covers every round, so a pair of unequal rounds is not compared
+    ([(5, "a"), (6, "y"), (5, "c")],
+     "records_digest: identical in 2/2 pairs; 1 pairs ran unequal round counts"),
+])
+def test_records_digest_line(monkeypatch, capsys, change_runs, line):
+    # stubbed runs: pair i of the parent does 5 rounds with digest "abc"[i]
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
+    # main's SIGTERM handler would outlive the test
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+
+    def run_bench(checkout, workload, seed, seconds):
+        rounds, digest = ((5, "abc"[seed - 1]) if checkout.name == "parent"
+                          else change_runs[seed - 1])
+        return {"metrics": {"ops_per_s": 1.0}, "wall": {"ops_per_s": 1.0},
+                "machine_speed": 1.0, "correct": True, "rounds": rounds,
+                "records_digest": digest}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    code = bench_pairs.main(["--workload", "sync_cdf", "--pairs", "3",
+                             "--seed", "1"])
+    assert code == 0
+    assert line in capsys.readouterr().out.splitlines()

@@ -14,10 +14,11 @@ from spofdm.channel import (FadingSpec, OffsetSpec, add_awgn,
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             table1_scenario)
 from spofdm.jammer import JammerSpec, generate_jamming
-from spofdm.keystream import SecretKey, phase_plans
-from spofdm.rxchain import ParityCheckCode, llr_qpsk
+from spofdm.keystream import SecretKey, phase_plans, psk_phasors
+from spofdm.rxchain import (ParityCheckCode, llr_qpsk,
+                            make_regular_parity_check)
 from spofdm.sync import SyncConfig
-from spofdm.txchain import ComplexSignal, OfdmConfig
+from spofdm.txchain import ComplexSignal, OfdmConfig, phase_ramp
 
 KEY = SecretKey(bytes(16))
 CONFIG = OfdmConfig(128, 16, 8, 16)
@@ -108,6 +109,18 @@ ENTRY_POINTS = [
      lambda v: llr_qpsk(np.zeros(2, dtype=complex), v), REAL + (0.0,)),
     *[("ParityCheckCode", name, lambda v, name=name: _code(**{name: v}), COUNT)
       for name in ("n", "m")],
+    ("psk_phasors", "psk_order", psk_phasors, COUNT),
+    *[("phase_ramp", name, lambda v, name=name: phase_ramp(
+        0.1, 0.0, **{"n": 4, "first": 0, name: v}), INDEX)
+      for name in ("n", "first")],
+    *[("make_regular_parity_check", name,
+       lambda v, name=name: make_regular_parity_check(
+           **{"n": 20, "m": 10, "col_degree": 3, name: v}), COUNT + (20.0,))
+      for name in ("n", "m", "col_degree")],
+    ("OfdmConfig", "pilot_positions",
+     lambda v: _ofdm(pilot_positions={v: 1.0}), INDEX),
+    ("Scenario", "pilot_positions", lambda v: table1_scenario(
+        pilot_positions=((v, 1.0), (32, 1.0))), INDEX),
 ]
 
 

@@ -3,14 +3,15 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spofdm import keystream
-from spofdm.harness import (Scenario, ScenarioFormatError, _link, _sent_blocks,
-                            _sync_trial, correlation_surface, emit_report,
-                            load_scenario, run_ber_experiment,
+from spofdm.harness import (Scenario, ScenarioFormatError, _secret_phasors,
+                            _sent_blocks, _sync_trial, correlation_surface,
+                            emit_report, load_scenario, run_ber_experiment,
                             run_sync_experiment, save_scenario, surface_csv,
                             table1_scenario)
 from spofdm.rxchain import LdpcEncoder, builtin_code, ldpc_bp_decode
@@ -31,6 +32,15 @@ class TestScenario:
         assert p == pytest.approx(1 / 128)
         assert sc.noise_sigma2() == pytest.approx(p * 10 ** -1.5)
         assert sc.jammer_power() == pytest.approx(p)
+
+    def test_configurations_built_once(self):
+        # each call returns the object the scenario built, and a replaced
+        # field builds a new one
+        sc = table1_scenario()
+        for build in (Scenario.ofdm_config, Scenario.sync_config, Scenario.key):
+            assert build(sc) is build(sc)
+        assert replace(sc, n_candidates=7).sync_config().n_candidates == 7
+        assert replace(sc, n_candidates=7).key() == sc.key()
 
     def test_overrides(self):
         sc = table1_scenario(channel="multipath", trials=7)
@@ -243,6 +253,9 @@ class TestScenarioFiles:
         # the keys "24" and "024" both parse as carrier 24
         ("pilot_positions", {"24": [1.0, 0.0], "024": [2.0, 0.0],
                              "32": [1.0, 0.0]}),
+        # a pilot value is exactly two reals, [real, imag]
+        ("pilot_positions", {"24": [1.0, 0.0, 7.0], "32": [1.0, 0.0]}),
+        ("pilot_positions", {"24": [True, False], "32": [1.0, 0.0]}),
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -337,7 +350,7 @@ class TestLink:
                             lambda *a: calls.append(a) or cipher(*a))
         sc = table1_scenario(sync_blocks=10, psk_order=psk_order,
                              n_candidates=50 if psk_order > 1 else 1)
-        phasors = _link(sc).phasors
+        phasors = _secret_phasors(sc)
         assert len(calls) == inits
         assert len(phasors) == sc.n_candidates + sc.sync_blocks + 3
         rows = [keystream.psk_phasors(psk_order)[keystream.phase_plans(
@@ -350,10 +363,10 @@ class TestLink:
     def test_last_offset_sends_every_block(self):
         # a short transmitter slice would show only as failed trials
         sc = table1_scenario(sync_blocks=10, n_candidates=3)
-        link = _link(sc)
+        phasors = _secret_phasors(sc)
         k0 = sc.n_candidates - 1
-        assert len(link.phasors[k0:k0 + _sent_blocks(sc)]) == sc.sync_blocks + 4
-        records = [_sync_trial(sc, trial, link) for trial in range(12)]
+        assert len(phasors[k0:k0 + _sent_blocks(sc)]) == sc.sync_blocks + 4
+        records = [_sync_trial(sc, trial, phasors) for trial in range(12)]
         last = [r for r in records if r["k0_true"] == k0]
         assert last and all(r["error"] is None for r in last)
 
@@ -423,10 +436,11 @@ class TestCorrelationSurface:
         assert result["candidates"][d_star] == result["k0"]
 
     def test_plain_surface_is_one_dimensional(self):
+        # one column, at the one candidate 0, which is also k0
         sc = table1_scenario(sync_blocks=20, **CLASSICAL)
         result = correlation_surface(sc, n_trials=1)
         assert result["surface"].shape == (152,)
-        assert result["candidates"] is None
+        assert list(result["candidates"]) == [0] and result["k0"] == 0
 
     @pytest.mark.parametrize("precoding, inits", [(True, 1), (False, 0)])
     def test_surface_derives_its_keystream_once(self, monkeypatch, precoding,
@@ -547,8 +561,8 @@ class TestRecordsPinned:
         assert _sha256(result["surface"].tobytes()) == digest
         classical = bool(overrides) or not precoding
         assert result["surface"].ndim == (1 if classical else 2)
-        if classical:  # one column, with no candidate axis and no k0
-            assert result["candidates"] is None and result["k0"] is None
+        if classical:  # one column, at candidate 0 and k0 0
+            assert list(result["candidates"]) == [0] and result["k0"] == 0
 
     def test_multipath_precoded_surface(self):
         result = correlation_surface(

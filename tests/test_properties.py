@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 from spofdm.avc import (InputDist, SymbolChannelSpec, _log2_ratio,
                         _log_mixture, _merge_components,
                         simulate_symbol_channel)
-from spofdm.harness import (_link, _sync_trial, run_sync_experiment,
+from spofdm.harness import (_secret_phasors, _sync_trial, run_sync_experiment,
                             table1_scenario)
 from spofdm.channel import (FadingSpec, _delay, add_awgn, apply_fading,
                             complex_normal)
@@ -536,18 +536,18 @@ SYNC_TRIAL_SETTINGS = st.sampled_from([
        sync_blocks=st.integers(1, 12),
        master_seed=st.integers(0, 2 ** 32 - 1),
        trials=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8))
-def test_sync_trial_ignores_keystream_cache_state(overrides, sync_blocks,
-                                                  master_seed, trials):
-    # each trial on a fresh link against all trials on one shared link,
-    # whose read-only phasors no trial changes
+def test_sync_trial_on_fresh_or_shared_phasors(overrides, sync_blocks,
+                                               master_seed, trials):
+    # each trial on a fresh phasor array against all trials on one shared
+    # array, which no trial changes
     scenario = table1_scenario(sync_blocks=sync_blocks,
                                master_seed=master_seed, **overrides)
-    shared = _link(scenario)
-    before = shared.phasors.tobytes()
+    shared = _secret_phasors(scenario)
+    before = shared.tobytes()
     for trial in trials:
-        fresh = repr(_sync_trial(scenario, trial, _link(scenario)))
+        fresh = repr(_sync_trial(scenario, trial, _secret_phasors(scenario)))
         assert fresh == repr(_sync_trial(scenario, trial, shared))
-    assert shared.phasors.tobytes() == before
+    assert shared.tobytes() == before
 
 
 @settings(max_examples=5, deadline=None)

@@ -29,8 +29,11 @@ differ by a ratio outside [0.8, 1.25]: that is an allocator flip, not a
 change in speed. glibc raises its mmap threshold once a process frees a
 larger array, the kernel's megabyte-sized temporaries then come from the
 heap instead of page-faulting, and every reference-unit rate of that side
-moves by about 30%. The exit code is 0 only when every verdict passes and
-every run passed its output checks.
+moves by about 30%. Both runs of a pair use one seed, and a run's
+``records_digest`` covers all its rounds, so it also prints in how many of
+the pairs whose runs did the same number of rounds the two digests are
+identical. The exit code is 0 only when every verdict passes and every run
+passed its output checks.
 Nothing under ``bench/`` is changed.
 """
 
@@ -169,6 +172,7 @@ def main(argv=None) -> int:
     # a terminated script still kills its run and deletes the export
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     runs = {"parent": [], "change": []}
+    digests = {"parent": [], "change": []}  # (rounds, records digest)
     incorrect = 0
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {side: Path(tmp) / side for side in runs}
@@ -180,6 +184,8 @@ def main(argv=None) -> int:
                 result = run_bench(sides[side], args.workload, args.seed + i,
                                    args.seconds)
                 runs[side].append(values(result))
+                digests[side].append((result["rounds"],
+                                      result["records_digest"]))
                 if not result["correct"]:
                     incorrect += 1
                     print(f"pair {i + 1}: {side} failed its output checks or "
@@ -207,6 +213,13 @@ def main(argv=None) -> int:
                  for xs in (parent, change)]
         print(f"{name:22s} {cells[0]:>32s} {cells[1]:>32s} "
               f"{wins:>3d}/{len(parent):<2d}  {text}")
+    comparable = [(p, c) for p, c in zip(digests["parent"], digests["change"])
+                  if p[0] == c[0]]
+    same = sum(p == c for p, c in comparable)
+    line = f"records_digest: identical in {same}/{len(comparable)} pairs"
+    if len(comparable) < args.pairs:
+        line += f"; {args.pairs - len(comparable)} pairs ran unequal round counts"
+    print(line)
     print(json.dumps(runs))
     return 0 if ok else 1
 
