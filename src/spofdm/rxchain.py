@@ -1,4 +1,7 @@
-"""Receiver chain: QPSK LLRs and LDPC belief propagation.
+"""Receiver chain: QPSK LLRs, LDPC encoding and LDPC belief propagation.
+
+The encoder reads each codeword's parity bits from one table per code,
+indexed by message nibble. The decoder keeps its messages in half-LLR units.
 
 FFT demodulation lives in :mod:`spofdm.sync` (``demod_fft``) and secure
 decoding in :mod:`spofdm.txchain` (``decode_phases``).
@@ -197,6 +200,12 @@ class LdpcEncoder:
     Column pivoting selects m parity positions; the remaining columns carry
     the message bits. Redundant rows reduce the check count and raise the
     effective rate.
+
+    The parity bits are A @ message (mod 2), with A from the reduced system,
+    read from one table: row 16 g + v is the XOR of the bit-packed columns
+    of A that the value v of message nibble g selects (bit b of v for
+    message bit 4 g + b; the last nibble is zero-padded). A codeword's
+    parity is the XOR of its k/4 table rows.
     """
 
     def __init__(self, code: ParityCheckCode):
@@ -223,10 +232,14 @@ class LdpcEncoder:
         self.rank = row
         self.pivot_cols = np.array(pivot_cols)
         self.message_cols = np.setdiff1d(np.arange(code.n), self.pivot_cols)
-        # parity = A @ message (mod 2), from the reduced system; row w of
-        # gen_words is 64-bit word w of every bit-packed row of A
         reduced = np.unpackbits(row_bytes[:row], axis=1, count=code.n)
-        self.gen_words = _pack_words(reduced[:, self.message_cols]).T.copy()
+        cols = _pack_words(np.pad(reduced[:, self.message_cols].T,
+                                  ((0, -self.k % 4), (0, 0))))
+        cols = cols.reshape(-1, 4, cols.shape[1])
+        table = np.zeros((cols.shape[0], 16, cols.shape[2]), dtype=np.uint64)
+        for b in range(4):  # values with top bit b: the ones below, plus b
+            table[:, 1 << b:2 << b] = table[:, :1 << b] ^ cols[:, b, None]
+        self._table = table.reshape(-1, cols.shape[2])
 
     @property
     def k(self) -> int:
@@ -240,15 +253,16 @@ class LdpcEncoder:
         msg = np.atleast_2d(message.astype(np.uint8, copy=False))
         if msg.shape[1] != self.k:
             raise ValueError(f"message length must be {self.k}")
-        msg_words = _pack_words(msg)
-        words = np.zeros((msg.shape[0], self.rank), dtype=np.uint64)
-        for w, gen in enumerate(self.gen_words):
-            words ^= msg_words[:, w, None] & gen
-        for shift in (32, 16, 8, 4, 2, 1):  # fold each word to its parity bit
-            words ^= words >> np.uint64(shift)
-        out = np.zeros((msg.shape[0], self.code.n), dtype=np.uint8)
+        groups = len(self._table) // 16
+        nibbles = np.zeros((len(msg), groups, 4), dtype=np.uint8)
+        nibbles.reshape(len(msg), 4 * groups)[:, :self.k] = msg
+        rows = np.packbits(nibbles, axis=-1, bitorder="little")[..., 0]
+        rows = rows + 16 * np.arange(groups)
+        words = np.bitwise_xor.reduce(np.take(self._table, rows, axis=0), axis=1)
+        out = np.zeros((len(msg), self.code.n), dtype=np.uint8)
         out[:, self.message_cols] = msg
-        out[:, self.pivot_cols] = words & np.uint64(1)
+        out[:, self.pivot_cols] = np.unpackbits(words.view(np.uint8), axis=1,
+                                                count=self.rank)
         return out[0] if single else out
 
     def extract_message(self, codeword: np.ndarray) -> np.ndarray:
@@ -275,15 +289,24 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     products are clipped to ±(1 - 2^-24), the largest float32 below 1, so
     every check message has magnitude at most 2 artanh(1 - 2^-24) = 17.33.
 
+    Every message is kept in half-LLR units: the cast LLRs are halved once,
+    so ``tanh`` reads the variable messages as they are and ``arctanh``
+    returns the half check message. Halving is exact in float32's normal
+    range, so each ``tanh`` input, hard decision, convergence flag and
+    iteration count is that of the recursion in LLR units, which halves
+    before ``tanh`` and doubles after ``arctanh``. Below 2^-126 (subnormal)
+    a halving may round.
+
     Messages are stored edge-major, as (edges, frames) arrays with a column
     per frame still active, so both Tanner-graph permutations, the gather of
     check messages into variable order and that of the posteriors back into
     BP edge order, copy whole rows, and each degree slot of a check-degree
     group is one contiguous (checks, frames) block.
 
-    A variable of degree d sums its check messages in check order as
-    ``g[0] + (g[1] + ... + g[d-1])``, the order of ``np.add.reduceat`` for
-    d <= 8; at d >= 9 ``reduceat`` sums pairwise and may round differently.
+    A variable of degree d sums its check messages in place, in check order,
+    as ``g[0] + (g[1] + ... + g[d-1])`` with the inner sum left to right,
+    the order of ``np.add.reduceat`` for d <= 8; at d >= 9 ``reduceat``
+    sums pairwise and may round differently.
     """
     llr = np.asarray(llr, dtype=float)
     if llr.ndim not in (1, 2):
@@ -302,12 +325,12 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     # row per edge in BP order, LLRs a row per variable in BP variable order
     active = np.flatnonzero(~converged)
     lin_a = np.take(lin[active].T, code._var_order, axis=0)
+    lin_a *= 0.5  # half-LLR units from here on
     v2c = np.take(lin_a, code._bp_var, axis=0)
     for it in range(1, 51):  # at most 50 iterations
         if not active.size:
             break
-        v2c *= 0.5  # float32 tanh is exactly ±1 from |x| = 10 on
-        t = np.tanh(v2c, out=v2c)
+        t = np.tanh(v2c, out=v2c)  # exactly ±1 from |x| = 10 on
         # leave-one-out products per check: exclusive prefix times exclusive
         # suffix, a slot at a time (np.cumprod along the slot axis is about
         # three times slower); the empty product is 1, so no slot is
@@ -329,11 +352,14 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
             out[0] = suffix
         np.clip(ext, -_EXT_CAP, _EXT_CAP, out=ext)
         c2v = np.arctanh(ext, out=ext)
-        c2v *= 2.0
         posterior = np.empty_like(lin_a)
         for cols, pos in code._bp_sums:
             g = np.take(c2v, pos, axis=0)
-            np.add(lin_a[cols], g[0] + g[1:].sum(axis=0), out=posterior[cols])
+            for j in range(2, len(g)):
+                g[1] += g[j]
+            if len(g) > 1:
+                g[0] += g[1]
+            np.add(lin_a[cols], g[0], out=posterior[cols])
         v2c = np.take(posterior, code._bp_var, axis=0)
         # a check is satisfied when an even number of its variables are 1
         negative = v2c < 0

@@ -637,6 +637,9 @@ def builtin_dense_words(rate_label, n_words, seed):
 @example(code="1_3", n_words=2, seed=0)
 @example(code="1_2", n_words=2, seed=0)
 @example(code="2_3", n_words=2, seed=0)
+@example(code=(150, 2, 150), n_words=3, seed=0)  # k = 75, 3 mod 4
+@example(code=(153, 2, 153), n_words=3, seed=0)  # k = 77, 1 mod 4
+@example(code=(155, 2, 155), n_words=3, seed=0)  # k = 78, 2 mod 4
 def test_encode_is_dense_product(code, n_words, seed):
     if isinstance(code, str):
         enc = builtin_encoder(code)
@@ -742,6 +745,38 @@ def test_bp_decode_matches_reference(case):
     code, llr = case
     hard, converged, iters = ldpc_bp_decode(code, llr)
     ref_hard, ref_converged, ref_iters = reference_bp_decode(code, llr)
+    assert hard.tobytes() == ref_hard.tobytes()
+    assert np.array_equal(converged, ref_converged)
+    assert np.array_equal(iters, ref_iters)
+
+
+def float32_edge_llrs():
+    """Rate-1/2 batches of noisy codeword LLRs with a tenth of the positions
+    set to one of float32's edge values, with the codeword's sign or a random
+    one, and an all-(-0.0) batch."""
+    enc = builtin_encoder("1_2")
+    rng = np.random.default_rng(1)
+    sign = 1 - 2.0 * enc.encode(rng.integers(0, 2, (6, enc.k), dtype=np.uint8))
+    noisy = sign * 3.0 + rng.normal(0, 2.0, sign.shape)
+    at = rng.random(sign.shape) < 0.1
+    signs = {"codeword": sign, "random": rng.choice([-1.0, 1.0], sign.shape)}
+    for value in (np.inf, 3.5e38, 0.0, 1e-39):  # 1e-39 is subnormal
+        for name, edge_sign in signs.items():
+            llr = noisy.copy()
+            llr[at] = value * edge_sign[at]
+            yield pytest.param(enc.code, llr, id=f"{value}-{name}")
+    yield pytest.param(enc.code, np.full((3, enc.code.n), -0.0),
+                       id="all-neg-zero")
+
+
+@pytest.mark.parametrize("code, llr", float32_edge_llrs())
+def test_bp_decode_float32_edges_match_reference(code, llr):
+    # BP halves the LLRs once; halving is exact down to 2**-126 and may
+    # round below it. The reference casts 3.5e38 to inf, BP clamps it to
+    # the largest float32: both give tanh = ±1.
+    hard, converged, iters = ldpc_bp_decode(code, llr)
+    with np.errstate(over="ignore"):
+        ref_hard, ref_converged, ref_iters = reference_bp_decode(code, llr)
     assert hard.tobytes() == ref_hard.tobytes()
     assert np.array_equal(converged, ref_converged)
     assert np.array_equal(iters, ref_iters)

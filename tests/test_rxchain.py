@@ -264,6 +264,12 @@ class TestEncoder:
         assert cw.shape == (24,)
         assert np.all(cw == 0)
 
+    def test_empty_batch(self):
+        enc = LdpcEncoder(make_regular_parity_check(24, 12, seed=5))
+        cw = enc.encode(np.zeros((0, enc.k), dtype=np.uint8))
+        assert cw.shape == (0, 24)
+        assert cw.dtype == np.uint8
+
     def test_wrong_message_length(self):
         enc = LdpcEncoder(make_regular_parity_check(24, 12, seed=5))
         with pytest.raises(ValueError):
