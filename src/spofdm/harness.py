@@ -107,9 +107,8 @@ class Scenario:
                             ("jammer_cp_mode", CP_PHASE_MODES)):
             if (value := getattr(self, name)) not in kinds:
                 raise ValueError(f"{name} must be one of {kinds}, got {value!r}")
-        pilots = tuple((int(check_int("pilot_positions", i, 0)), complex(v))
+        pilots = tuple((int(check_int("pilot_positions", i, 0)), v)
                        for i, v in self.pilot_positions)
-        object.__setattr__(self, "pilot_positions", pilots)
         carriers = sorted(dict(pilots))
         if len(carriers) != len(pilots):  # ofdm_config would keep the last
             index = [i for i, _ in pilots]
@@ -142,6 +141,9 @@ class Scenario:
             n_carriers=self.n_carriers, cp1_samples=self.cp1_samples,
             cp2_samples=self.cp2_samples, psk_order=self.psk_order,
             pilot_positions=dict(pilots)))
+        # the values as OfdmConfig checked them and made them complex
+        object.__setattr__(self, "pilot_positions",
+                           tuple(self._ofdm.pilot_positions.items()))
         object.__setattr__(self, "_sync", SyncConfig(
             n_blocks=self.sync_blocks, n_candidates=self.n_candidates,
             n_l=self.n_l, n_u=self.n_u))

@@ -97,23 +97,22 @@ class ParityCheckCode:
             degrees[name] = deg = np.bincount(idx, minlength=size)
             if deg.size > size:
                 raise ValueError(f"{name} index {deg.size - 1} out of range")
-            if not deg.all():  # reduceat would hand it its neighbour's edges
+            if not deg.all():  # BP's degree groups read slot 0 of each node
                 raise ValueError(f"{name} {np.argmin(deg)} has no edges")
-        # check-ordered variable index and group boundaries, for the syndrome
+        # BP edge order: checks grouped by degree, in _check_order, each group
+        # a slot-major (degree, checks) block, so slot j of every check in it
+        # is one run; _bp_groups holds each group's degree, checks and edges
         by_check = np.lexsort((self.var_of_edge, self.check_of_edge))
-        self._var_by_check = self.var_of_edge[by_check]
-        self._var_starts = np.cumsum(degrees["variable"]) - degrees["variable"]
-        self._check_starts = np.cumsum(degrees["check"]) - degrees["check"]
-        # BP edge order: checks grouped by degree, each group a slot-major
-        # (degree, checks) block, so slot j of every check in it is one run
+        check_starts = np.cumsum(degrees["check"]) - degrees["check"]
         slot = np.empty_like(by_check)
         slot[by_check] = (np.arange(by_check.size)
-                          - self._check_starts[self.check_of_edge[by_check]])
+                          - check_starts[self.check_of_edge[by_check]])
         bp = np.lexsort((self.check_of_edge, slot,
                          degrees["check"][self.check_of_edge]))
+        self._check_order = np.argsort(degrees["check"], kind="stable")
         group_deg, group_checks = np.unique(degrees["check"], return_counts=True)
         ends = np.cumsum(group_deg * group_checks).tolist()
-        self._bp_groups = [(d, slice(e - d * c, e)) for d, c, e in
+        self._bp_groups = [(d, c, slice(e - d * c, e)) for d, c, e in
                            zip(group_deg.tolist(), group_checks.tolist(), ends)]
         # BP variable order: variables grouped by degree; _bp_var is each
         # edge's variable in it, and _bp_sums holds per variable degree d the
@@ -122,13 +121,20 @@ class ParityCheckCode:
         self._var_order = np.argsort(degrees["variable"], kind="stable")
         self._bp_var = np.argsort(self._var_order)[self.var_of_edge[bp]]
         bp_pos = np.argsort(bp)
+        var_starts = np.cumsum(degrees["variable"]) - degrees["variable"]
         group_deg, group_vars = np.unique(degrees["variable"],
                                           return_counts=True)
         ends = np.cumsum(group_vars).tolist()
         self._bp_sums = [
-            (slice(e - c, e), bp_pos[self._var_starts[self._var_order[e - c:e]]
+            (slice(e - c, e), bp_pos[var_starts[self._var_order[e - c:e]]
                                      + np.arange(d)[:, None]])
             for d, c, e in zip(group_deg.tolist(), group_vars.tolist(), ends)]
+
+    def _parity(self, edge_bits: np.ndarray) -> np.ndarray:
+        """XOR of each check's values in (edges, frames) ``edge_bits``, rows
+        in BP edge order: a (m, frames) array, rows in ``_check_order``."""
+        return np.concatenate([np.bitwise_xor.reduce(edge_bits[e].reshape(
+            d, c, edge_bits.shape[1]), axis=0) for d, c, e in self._bp_groups])
 
     def dense(self) -> np.ndarray:
         h = np.zeros((self.m, self.n), dtype=np.uint8)
@@ -137,8 +143,11 @@ class ParityCheckCode:
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.uint8)
-        return np.bitwise_xor.reduceat(bits[..., self._var_by_check],
-                                       self._check_starts, axis=-1)
+        frames = bits.reshape(-1, bits.shape[-1]).T
+        parity = self._parity(frames[self._var_order[self._bp_var]])
+        out = np.empty(parity.shape[::-1], dtype=np.uint8)
+        out[:, self._check_order] = parity.T
+        return out.reshape(*bits.shape[:-1], self.m)
 
 
 def make_regular_parity_check(n: int, m: int, col_degree: int = 3,
@@ -279,23 +288,23 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
 
     ``llr`` may be a single length-n vector or a (batch, n) array; any other
     rank raises ``ValueError``. Stops early once all parity checks are
-    satisfied (per batch element). Returns
-    (hard bits, converged flags, iterations used); scalars for 1-D input.
+    satisfied (per batch element). Returns (hard bits, converged flags,
+    iterations used); scalars for 1-D input.
 
     Messages run in float32. The LLRs are cast once, after ±inf and values
     beyond the float32 range are clamped to its largest finite value (they
-    still give tanh(v/2) = ±1); a NaN LLR raises ``ValueError``. The initial
-    hard decisions are the signs of the cast LLRs. The leave-one-out tanh
-    products are clipped to ±(1 - 2^-24), the largest float32 below 1, so
-    every check message has magnitude at most 2 artanh(1 - 2^-24) = 17.33.
+    still give tanh(v/2) = ±1); a NaN LLR raises ``ValueError``. The
+    leave-one-out tanh products are clipped to ±(1 - 2^-24), the largest
+    float32 below 1, so every check message has magnitude at most
+    2 artanh(1 - 2^-24) = 17.33.
 
     Every message is kept in half-LLR units: the cast LLRs are halved once,
-    so ``tanh`` reads the variable messages as they are and ``arctanh``
-    returns the half check message. Halving is exact in float32's normal
-    range, so each ``tanh`` input, hard decision, convergence flag and
-    iteration count is that of the recursion in LLR units, which halves
-    before ``tanh`` and doubles after ``arctanh``. Below 2^-126 (subnormal)
-    a halving may round.
+    after iteration 0, the loop's own parity test on their signs, so
+    ``tanh`` reads the variable messages as they are and ``arctanh`` returns
+    the half check message. Halving is exact in float32's normal range, so
+    each ``tanh`` input, hard decision, convergence flag and iteration count
+    is that of the recursion in LLR units, which halves before ``tanh`` and
+    doubles after ``arctanh``. Below 2^-126 (subnormal) a halving may round.
 
     Messages are stored edge-major, as (edges, frames) arrays with a column
     per frame still active, so both Tanner-graph permutations, the gather of
@@ -317,17 +326,36 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
     lin = np.atleast_2d(np.clip(llr, -_F32_MAX, _F32_MAX).astype(np.float32))
     if lin.shape[1] != code.n:
         raise ValueError(f"LLR length must be {code.n}")
-    hard = (lin < 0).astype(np.uint8)
-    converged = ~code.syndrome(hard).any(axis=1)
+    hard = np.empty(lin.shape, dtype=np.uint8)
+    converged = np.zeros(lin.shape[0], dtype=bool)
     iters = np.zeros(lin.shape[0], dtype=int)
 
     # working arrays hold a column per frame still active: messages have a
     # row per edge in BP order, LLRs a row per variable in BP variable order
-    active = np.flatnonzero(~converged)
-    lin_a = np.take(lin[active].T, code._var_order, axis=0)
-    lin_a *= 0.5  # half-LLR units from here on
-    v2c = np.take(lin_a, code._bp_var, axis=0)
-    for it in range(1, 51):  # at most 50 iterations
+    active = np.arange(lin.shape[0])
+    posterior = np.take(lin.T, code._var_order, axis=0)  # the cast LLRs
+    for it in range(51):  # iteration 0, then at most 50
+        v2c = np.take(posterior, code._bp_var, axis=0)
+        # a check is satisfied when an even number of its variables are 1
+        ok = ~code._parity(v2c < 0).any(axis=0)
+        if it:
+            v2c -= c2v
+        else:  # half-LLR units from here on, once the LLR signs are read
+            lin_a = posterior * 0.5
+            v2c *= 0.5
+        iters[active] = it
+        done = ok | (it == 50)  # frames whose hard decisions are final
+        if done.any():
+            rows = np.empty((done.sum(), code.n), dtype=np.uint8)
+            rows[:, code._var_order] = (posterior[:, done] < 0).T
+            hard[active[done]] = rows
+            converged[active[ok]] = True
+            # np.take returns C order, where [:, mask] returns Fortran order;
+            # keep is in range, and mode "wrap" skips the slower bounds check
+            keep = np.flatnonzero(~done)
+            active = active[keep]
+            lin_a = np.take(lin_a, keep, axis=1, mode="wrap")
+            v2c = np.take(v2c, keep, axis=1, mode="wrap")
         if not active.size:
             break
         t = np.tanh(v2c, out=v2c)  # exactly ±1 from |x| = 10 on
@@ -336,8 +364,8 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
         # three times slower); the empty product is 1, so no slot is
         # multiplied by 1
         ext = np.empty_like(t)
-        for deg, edges in code._bp_groups:
-            blk = t[edges].reshape(deg, -1, active.size)
+        for deg, checks, edges in code._bp_groups:
+            blk = t[edges].reshape(deg, checks, active.size)
             out = ext[edges].reshape(blk.shape)
             if deg == 1:
                 out[0] = 1.0
@@ -360,29 +388,6 @@ def ldpc_bp_decode(code: ParityCheckCode, llr: np.ndarray):
             if len(g) > 1:
                 g[0] += g[1]
             np.add(lin_a[cols], g[0], out=posterior[cols])
-        v2c = np.take(posterior, code._bp_var, axis=0)
-        # a check is satisfied when an even number of its variables are 1
-        negative = v2c < 0
-        failed = np.zeros(active.size, dtype=bool)
-        for deg, edges in code._bp_groups:
-            parity = np.logical_xor.reduce(
-                negative[edges].reshape(deg, -1, active.size), axis=0)
-            failed |= parity.any(axis=0)
-        v2c -= c2v
-        iters[active] = it
-        ok = ~failed
-        done = ok | (it == 50)  # frames whose hard decisions are final
-        if done.any():
-            rows = np.empty((done.sum(), code.n), dtype=np.uint8)
-            rows[:, code._var_order] = (posterior[:, done] < 0).T
-            hard[active[done]] = rows
-            converged[active[ok]] = True
-            # np.take returns C order, where [:, mask] returns Fortran order;
-            # keep is in range, and mode "wrap" skips the slower bounds check
-            keep = np.flatnonzero(~done)
-            active = active[keep]
-            lin_a = np.take(lin_a, keep, axis=1, mode="wrap")
-            v2c = np.take(v2c, keep, axis=1, mode="wrap")
 
     if single:
         return hard[0], bool(converged[0]), int(iters[0])

@@ -9,6 +9,7 @@ back into the baseband waveform, sampled at the critical rate N_c/T_s.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,13 @@ class OfdmConfig:
             raise ValueError("cp1_samples + cp2_samples cannot exceed n_carriers")
         for idx, value in self.pilot_positions.items():
             if not (check_int("pilot_positions", idx, 0) < self.n_carriers
+                    and type(value) is not bool and isinstance(value, numbers.Complex)
                     and _PILOT_RANGE[0] <= abs(value) <= _PILOT_RANGE[1]):
-                raise ValueError(f"pilot_positions: {idx}: {value!r} needs a carrier "
-                                 f"in [0, {self.n_carriers}), 2**-256 <= |p| <= 2**256")
+                raise ValueError(
+                    f"pilot_positions {idx}: {value!r} needs a carrier in [0, "
+                    f"{self.n_carriers}) and a number p, 2**-256 <= |p| <= 2**256")
+        object.__setattr__(self, "pilot_positions", {
+            idx: complex(value) for idx, value in self.pilot_positions.items()})
 
     @property
     def sample_interval(self) -> float:

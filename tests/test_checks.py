@@ -1,6 +1,7 @@
 """Every public count, index and power is rejected by name: a bool, a
 fractional value, a value below range and, for a real, NaN each raise a
-ValueError whose message starts with the argument's name."""
+ValueError whose message starts with the argument's name, and so does a
+pilot value that is not a number of finite nonzero magnitude."""
 
 import math
 import re
@@ -29,6 +30,9 @@ INDEX = INTEGER + (-1,)  # at least 0
 REAL = (True, math.nan)
 POWER = REAL + (-1.0,)   # at least 0
 PSK_ORDER = COUNT + (3,)  # a power of 2
+# a pilot value is a number, not a bool or a string, with a finite nonzero
+# magnitude
+PILOT = (True, "1", "1+1j", None, math.nan, 0.0)
 
 
 def _ofdm(**field):
@@ -121,6 +125,10 @@ ENTRY_POINTS = [
      lambda v: _ofdm(pilot_positions={v: 1.0}), INDEX),
     ("Scenario", "pilot_positions", lambda v: table1_scenario(
         pilot_positions=((v, 1.0), (32, 1.0))), INDEX),
+    ("OfdmConfig-value", "pilot_positions",
+     lambda v: _ofdm(pilot_positions={24: v}), PILOT),
+    ("Scenario-value", "pilot_positions", lambda v: table1_scenario(
+        pilot_positions=((24, v), (32, 1.0))), PILOT),
 ]
 
 

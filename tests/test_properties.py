@@ -750,33 +750,58 @@ def test_bp_decode_matches_reference(case):
     assert np.array_equal(iters, ref_iters)
 
 
+@FAST
+@given(mixed_degree_codes(), st.integers(0, 2 ** 32 - 1))
+def test_syndrome_on_mixed_check_degrees_is_dense_product(case, seed):
+    # degree-1 checks and up to 8 check degrees, so up to 8 parity groups
+    code, _ = case
+    bits = np.random.default_rng(seed).integers(0, 2, size=(2, 3, code.n),
+                                                dtype=np.uint8)
+    expect = (bits.astype(np.int64) @ code.dense().T) % 2
+    for frames in (bits, bits[0], bits[0, 0]):
+        got = code.syndrome(frames)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expect[(0,) * (3 - frames.ndim)])
+    assert code.syndrome(bits[0, :0]).shape == (0, code.m)
+
+
 def float32_edge_llrs():
     """Rate-1/2 batches of noisy codeword LLRs with a tenth of the positions
     set to one of float32's edge values, with the codeword's sign or a random
-    one, and an all-(-0.0) batch."""
+    one, an all-(-0.0) batch, and the batch edges: no frame, frames whose
+    signs are codewords (iteration 0) alone and among frames that need
+    iterations, and codeword signs at magnitude 2^-149, where halving the
+    LLRs before iteration 0 would pass the all-zero codeword instead."""
     enc = builtin_encoder("1_2")
     rng = np.random.default_rng(1)
     sign = 1 - 2.0 * enc.encode(rng.integers(0, 2, (6, enc.k), dtype=np.uint8))
     noisy = sign * 3.0 + rng.normal(0, 2.0, sign.shape)
     at = rng.random(sign.shape) < 0.1
     signs = {"codeword": sign, "random": rng.choice([-1.0, 1.0], sign.shape)}
-    for value in (np.inf, 3.5e38, 0.0, 1e-39):  # 1e-39 is subnormal
+    for value in (np.inf, 3.5e38, 0.0, 1e-39, 2.0 ** -149):  # subnormal last two
         for name, edge_sign in signs.items():
             llr = noisy.copy()
             llr[at] = value * edge_sign[at]
             yield pytest.param(enc.code, llr, id=f"{value}-{name}")
     yield pytest.param(enc.code, np.full((3, enc.code.n), -0.0),
                        id="all-neg-zero")
+    clean = sign * rng.uniform(0.5, 4.0, sign.shape)
+    yield pytest.param(enc.code, noisy[:0], id="no-frames")
+    yield pytest.param(enc.code, clean, id="codewords")
+    yield pytest.param(enc.code, np.where(np.arange(6)[:, None] % 2, clean,
+                                          noisy), id="codewords-and-noisy")
+    yield pytest.param(enc.code, 2.0 ** -149 * sign, id="tiny-codewords")
 
 
 @pytest.mark.parametrize("code, llr", float32_edge_llrs())
 def test_bp_decode_float32_edges_match_reference(code, llr):
-    # BP halves the LLRs once; halving is exact down to 2**-126 and may
-    # round below it. The reference casts 3.5e38 to inf, BP clamps it to
-    # the largest float32: both give tanh = ±1.
+    # BP halves the LLRs once, after iteration 0; halving is exact down to
+    # 2**-126 and may round below it. The reference casts 3.5e38 to inf,
+    # BP clamps it to the largest float32: both give tanh = ±1.
     hard, converged, iters = ldpc_bp_decode(code, llr)
     with np.errstate(over="ignore"):
         ref_hard, ref_converged, ref_iters = reference_bp_decode(code, llr)
+    assert hard.shape == llr.shape
     assert hard.tobytes() == ref_hard.tobytes()
     assert np.array_equal(converged, ref_converged)
     assert np.array_equal(iters, ref_iters)
