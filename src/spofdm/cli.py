@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import harness
 from .avc import avc_capacity
-from .keystream import SecretKey, aes_encrypt_block
+from .keystream import SecretKey, phase_plans
 
 
 def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
@@ -89,15 +89,21 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_keystream_selftest(args) -> int:
-    # FIPS-197 appendix known-answer vector
-    key = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
-    pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-    expect = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    got = aes_encrypt_block(key, pt)
-    if got != expect:
-        print(f"FAIL: AES known-answer mismatch: {got.hex()}")
-        return 1
-    print("ok: AES known-answer test passed")
+    # AESAVS count-0 known answers (KeySbox AES-128 and AES-256, VarTxt
+    # AES-128) whose plaintext is the counter block epoch | 0 | 0: at N_c = 15
+    # and M = 256 a phase_plans row is that AES block, byte by byte
+    for key, epoch, ciphertext in (
+            ("10a58869d74be5a374cf867cfb473859", 0,
+             "6d251e6944b051e04eaa6fb4dbf78465"),
+            ("c47b0294dbbbee0fec4757f22ffeee3587ca4730c3d33b691df38bab076bc558",
+             0, "46f2fb342d6f0ab477476fc501242c5f"),
+            (16 * "00", 1 << 31, "3ad78e726c1ec02b7ebfe92b23d9ec34")):
+        row = phase_plans(SecretKey.from_hex(key), epoch, 0, 1, 15, 256)[0]
+        if row.tolist() != list(bytes.fromhex(ciphertext)):
+            print(f"FAIL: keystream of key {key} at epoch {epoch} is not "
+                  f"the AES known answer {ciphertext}")
+            return 1
+    print("ok: keystream matches 3 AES known answers")
     return 0
 
 
@@ -130,7 +136,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("keystream-selftest",
-                       help="AES known-answer self test")
+                       help="check the keystream against AES known answers")
     p.set_defaults(func=_cmd_keystream_selftest)
 
     args = parser.parse_args(argv)

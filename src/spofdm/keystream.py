@@ -22,7 +22,6 @@ __all__ = [
     "psk_phasors",
 ]
 
-_AES_BLOCK_BYTES = 16
 _AES_BLOCK_BITS = 128
 
 
@@ -49,14 +48,6 @@ class SecretKey:
 
     def __hash__(self):
         return hash(self.key_bytes)
-
-
-def aes_encrypt_block(key: SecretKey, block: bytes) -> bytes:
-    """Single-block AES encryption (ECB on one block); exposed for self-test."""
-    if len(block) != _AES_BLOCK_BYTES:
-        raise ValueError("AES block must be 16 bytes")
-    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
 
 
 def psk_phasors(psk_order: int) -> np.ndarray:

@@ -94,9 +94,10 @@ class ParityCheckCode:
         degrees = {}
         for name, idx, size in (("check", self.check_of_edge, self.m),
                                 ("variable", self.var_of_edge, self.n)):
+            bad = idx[(idx < 0) | (idx >= size)]
+            if bad.size:
+                raise ValueError(f"{name} index {bad[0]} out of range")
             degrees[name] = deg = np.bincount(idx, minlength=size)
-            if deg.size > size:
-                raise ValueError(f"{name} index {deg.size - 1} out of range")
             if not deg.all():  # BP's degree groups read slot 0 of each node
                 raise ValueError(f"{name} {np.argmin(deg)} has no edges")
         # BP edge order: checks grouped by degree, in _check_order, each group
@@ -142,7 +143,12 @@ class ParityCheckCode:
         return h
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
+        """The (..., m) parity checks of (..., n) 0/1 ``bits``."""
+        bits = np.asarray(bits)
+        _check_bits(bits)
+        if bits.shape[-1:] != (self.n,):
+            raise ValueError(f"bits length must be {self.n}")
+        bits = bits.astype(np.uint8, copy=False)
         frames = bits.reshape(-1, bits.shape[-1]).T
         parity = self._parity(frames[self._var_order[self._bp_var]])
         out = np.empty(parity.shape[::-1], dtype=np.uint8)
@@ -275,7 +281,10 @@ class LdpcEncoder:
         return out[0] if single else out
 
     def extract_message(self, codeword: np.ndarray) -> np.ndarray:
-        return np.asarray(codeword)[..., self.message_cols]
+        codeword = np.asarray(codeword)
+        if codeword.shape[-1:] != (self.code.n,):
+            raise ValueError(f"codeword length must be {self.code.n}")
+        return codeword[..., self.message_cols]
 
 
 _F32_MAX = float(np.finfo(np.float32).max)

@@ -13,6 +13,7 @@ import spofdm
 from spofdm.cli import main
 from spofdm.harness import (correlation_surface, save_scenario, surface_csv,
                             table1_scenario)
+from spofdm.keystream import SecretKey
 
 # classical OFDM is a scenario: the one-point phase alphabet, one offset
 CLASSICAL = table1_scenario(psk_order=1, n_candidates=1)
@@ -65,7 +66,28 @@ class TestCapacity:
 class TestKeystreamSelftest:
     def test_passes(self, capsys):
         assert main(["keystream-selftest"]) == 0
-        assert "ok" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("ok:")
+
+    @pytest.mark.parametrize("key", [
+        "10a58869d74be5a374cf867cfb473859",
+        "c47b0294dbbbee0fec4757f22ffeee3587ca4730c3d33b691df38bab076bc558",
+        32 * "0"])
+    def test_one_wrong_index_fails(self, key, capsys, monkeypatch):
+        # the self-test reads the link's keystream, so a change to one
+        # index of one known-answer row is caught and the key named
+        plans = spofdm.cli.phase_plans
+
+        def one_index_off(secret, *args):
+            rows = plans(secret, *args)
+            if secret == SecretKey.from_hex(key):
+                rows[0, 7] ^= 1
+            return rows
+
+        monkeypatch.setattr(spofdm.cli, "phase_plans", one_index_off)
+        assert main(["keystream-selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL:") and key in out
+        assert out.count("\n") == 1
 
 
 class TestSync:

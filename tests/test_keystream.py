@@ -4,11 +4,28 @@ import numpy as np
 import pytest
 
 from spofdm import keystream
-from spofdm.keystream import (PhaseSequence, SecretKey, aes_encrypt_block,
-                              phase_plans)
+from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
 
 KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 KEY2 = SecretKey.from_hex("ffeeddccbbaa99887766554433221100")
+
+# AESAVS (NIST 2002) count-0 known answers (name, key, epoch, ciphertext)
+# whose plaintext is the counter block of epoch, block 0 and counter 0
+AESAVS = [
+    ("KeySbox-AES128", "10a58869d74be5a374cf867cfb473859", 0,
+     "6d251e6944b051e04eaa6fb4dbf78465"),
+    ("KeySbox-AES256",
+     "c47b0294dbbbee0fec4757f22ffeee3587ca4730c3d33b691df38bab076bc558", 0,
+     "46f2fb342d6f0ab477476fc501242c5f"),
+    ("VarTxt-AES128", 32 * "0", 1 << 31, "3ad78e726c1ec02b7ebfe92b23d9ec34"),
+]
+
+
+def aesavs_row_matches(key, epoch, ciphertext):
+    """Whether the phase_plans row at N_c = 15, M = 256, one AES block of
+    8-bit indices, is the ciphertext byte by byte."""
+    row = phase_plans(SecretKey.from_hex(key), epoch, 0, 1, 15, 256)[0]
+    return row.tolist() == list(bytes.fromhex(ciphertext))
 
 
 def stream_bits(key, n_bits, epoch=0, block=0):
@@ -87,10 +104,8 @@ class TestDeriveBits:
             phase_plans(KEY, 0, 0, 0, 128, 16)
 
     def test_aes_known_answer(self):
-        # FIPS-197 appendix C.1 vector
-        pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-        ct = aes_encrypt_block(KEY, pt)
-        assert ct.hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
+        for name, key, epoch, ciphertext in AESAVS:
+            assert aesavs_row_matches(key, epoch, ciphertext), name
 
     def test_bit_balance(self):
         n = 100_000

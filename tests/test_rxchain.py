@@ -220,6 +220,27 @@ class TestParityCheckCode:
             ParityCheckCode(n=2, m=1, check_of_edge=np.array([0, 1]),
                             var_of_edge=np.array([0, 1]))
 
+    @pytest.mark.parametrize("name, checks, variables", [
+        ("check", [0, -1], [0, 1]), ("variable", [0, 0], [-1, 1])])
+    def test_rejects_negative_index(self, name, checks, variables):
+        with pytest.raises(ValueError, match=f"^{name} index -1 out of range"):
+            ParityCheckCode(n=2, m=1, check_of_edge=np.array(checks),
+                            var_of_edge=np.array(variables))
+
+    @pytest.mark.parametrize("shape", [(25,), (19,), (3, 21), ()])
+    def test_syndrome_rejects_wrong_length(self, shape):
+        # 25 bits used to give the syndrome of the first 20
+        code = make_regular_parity_check(20, 10, 3)
+        with pytest.raises(ValueError, match="^bits length must be 20"):
+            code.syndrome(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("value", [2, 256, -1])
+    def test_syndrome_rejects_non_binary_bits(self, value):
+        # all 2s (or -1s, cast to 255) used to read as a codeword
+        code = make_regular_parity_check(20, 10, 3)
+        with pytest.raises(ValueError, match=f"got {value}"):
+            code.syndrome(np.full((2, 20), value))
+
     def test_bundled_codes(self):
         for label, rate in [("1_4", 0.25), ("1_3", 1 / 3), ("1_2", 0.5),
                             ("2_3", 2 / 3)]:
@@ -274,6 +295,13 @@ class TestEncoder:
         enc = LdpcEncoder(make_regular_parity_check(24, 12, seed=5))
         with pytest.raises(ValueError):
             enc.encode(np.zeros(enc.k + 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(25,), (19,), (2, 21)])
+    def test_extract_message_rejects_wrong_length(self, shape):
+        # 25 bits used to give 10 message bits, 19 an IndexError
+        enc = LdpcEncoder(make_regular_parity_check(20, 10, 3))
+        with pytest.raises(ValueError, match="^codeword length must be 20"):
+            enc.extract_message(np.zeros(shape, dtype=np.uint8))
 
     @pytest.mark.parametrize("value", [2, 256, -1])
     def test_rejects_non_binary_message(self, value):

@@ -328,6 +328,21 @@ class TestEstimateIntegerCfo:
         assert n0 == 1
         assert abs(zeta0 - 0.013) < 1e-9
 
+    @pytest.mark.parametrize("k_count", [1, 2, 4, 9, 25])
+    def test_independent_of_memory_layout(self, k_count):
+        # every lag's block sum runs in block order for a block-major and a
+        # pilot-major copy of the same observations alike
+        sync_cfg = SyncConfig(n_blocks=k_count)
+        shape = (k_count + 1, sync_cfg.n_u - sync_cfg.n_l + 1, 2)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            by_block, by_pilot = (
+                estimate_integer_cfo(layout(z), table1_config(), sync_cfg)
+                for layout in (np.ascontiguousarray, np.asfortranarray))
+            assert by_block[1].hex() == by_pilot[1].hex()
+            assert by_block == by_pilot
+
 
 class TestEstimateFineTime:
     PILOTS = [(24, 1.0 + 0j), (32, 1.0 + 0j)]
