@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import numbers
@@ -132,6 +133,10 @@ class Scenario:
                             ("max_doppler_normalized", math.inf)):
             if not 0 <= (value := getattr(self, name)) < bound:
                 raise ValueError(f"{name} must be in [0, {bound}), got {value!r}")
+        # only the Doppler channel reads it: elsewhere it would be dropped
+        if self.max_doppler_normalized and self.channel != "doppler":
+            raise ValueError(f"max_doppler_normalized must be 0 unless channel "
+                             f"is 'doppler', got {self.max_doppler_normalized!r}")
         # the guard interval: a longer echo leaks into the next block
         if not 0 <= self.max_delay_samples < self.cp1_samples + self.cp2_samples:
             raise ValueError("max_delay_samples must be in [0, cp1_samples + "
@@ -562,6 +567,12 @@ BER_COLUMNS = ["rate", "snr_db", "precoding", "rician_k0_db", "codewords",
                "bits", "bit_errors", "ber"]
 
 
+def _ber_key(rate: str, snr_db: float, rician_k0_db: float | None) -> str:
+    """The aggregate key of one BER point."""
+    return (f"ber.rate{rate}.snr{snr_db:g}"
+            + ("" if rician_k0_db is None else f".k0{rician_k0_db:g}"))
+
+
 def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
                        precoding: bool = True,
                        rician_k0_db_list: list | None = None,
@@ -573,13 +584,12 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
     jammer sends an independent codeword from the same codebook at the
     scenario's SJR. ``precoding=False`` is an alias for the classical
     scenario (``psk_order`` and ``n_candidates`` 1), whose hash the report
-    carries. Every argument is checked before the first point runs.
+    carries. Every argument is checked before the first point runs, and no
+    two points may share an aggregate key.
     """
     if not precoding:
         scenario = replace(scenario, psk_order=1, n_candidates=1)
     start = time.monotonic()
-    records = []
-    tag = 0
     k0_list = [None] if rician_k0_db_list is None else rician_k0_db_list
     for rate in rates:
         if rate not in BUILTIN_CODE_CHECKS:
@@ -588,24 +598,28 @@ def run_ber_experiment(scenario: Scenario, rates: list, snrs_db: list,
                          ("rician_k0_db_list", rician_k0_db_list or [])):
         for value in values:
             check_real(name, value)
+    # one aggregate per point: no two values of an argument may share a key
+    sweep = {"rates": rates, "snrs_db": snrs_db, "rician_k0_db_list": k0_list}
+    for name, values in sweep.items():
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+    first = [values[0] for values in sweep.values()]
+    for axis, (name, values) in enumerate(sweep.items()):
+        keys = [_ber_key(*first[:axis], v, *first[axis + 1:]) for v in values]
+        if repeated := next((k for k in keys if keys.count(k) > 1), None):
+            raise ValueError(f"{name}: two values share the aggregate key "
+                             f"{repeated!r}")
     check_int("max_codewords", max_codewords, 1)
     if (isinstance(target_errors, bool)
             or not isinstance(target_errors, numbers.Real) or not target_errors > 0):
         raise ValueError(f"target_errors must be positive and real (math.inf "
                          f"allowed), got {target_errors!r}")
-    for k0_db in k0_list:
-        for rate in rates:
-            for snr in snrs_db:
-                records.append(_ber_point(
-                    scenario, rate, float(snr), k0_db, tag,
-                    target_errors, max_codewords))
-                tag += 1
-    aggregates = {
-        f"ber.rate{r['rate']}.snr{r['snr_db']:g}"
-        + ("" if r["rician_k0_db"] is None else f".k0{r['rician_k0_db']:g}"):
-        r["ber"]
-        for r in records
-    }
+    records = [_ber_point(scenario, rate, float(snr), k0_db, tag,
+                          target_errors, max_codewords)
+               for tag, (k0_db, rate, snr)
+               in enumerate(itertools.product(k0_list, rates, snrs_db))]
+    aggregates = {_ber_key(r["rate"], r["snr_db"], r["rician_k0_db"]): r["ber"]
+                  for r in records}
     return ExperimentReport(
         kind="ber",
         scenario_hash=scenario.scenario_hash(),

@@ -162,6 +162,16 @@ class TestBer:
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
+    def test_repeated_snr_exits_2(self, tmp_path, capsys):
+        # two points with one aggregate key: one BER line would be lost
+        out_dir = tmp_path / "results"
+        assert main(["ber", "--rates", "1_2", "--snrs-db", "15", "15",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "spofdm: error: snrs_db: two values share the aggregate key "
+            "'ber.rate1_2.snr15'\n")
+        assert not out_dir.exists()
+
 
 class TestInputErrors:
     def test_malformed_scenario_file(self, tmp_path, capsys):

@@ -109,6 +109,10 @@ class TestScenario:
         # a repeated carrier: ofdm_config's dict would keep the last value
         (dict(pilot_positions=((24, 1), (24, 2), (32, 1))),
          "pilot_positions: carrier 24 is repeated"),
+        # only the Doppler channel reads it
+        (dict(channel="multipath", max_doppler_normalized=0.05),
+         "max_doppler_normalized must be 0 unless channel is 'doppler'"),
+        (dict(max_doppler_normalized=0.02), "max_doppler_normalized"),
     ])
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
@@ -400,6 +404,16 @@ class TestBerExperiment:
         by_snr = {r["snr_db"]: r["ber"] for r in report.records}
         assert by_snr[0.0] > by_snr[15.0]
 
+    def test_aggregates_recomputable_from_records(self):
+        report = run_ber_experiment(table1_scenario(), ["1_2", "1_3"],
+                                    [9.0, 15.0], rician_k0_db_list=[3.0, 6.0],
+                                    max_codewords=1)
+        assert len(report.records) == len(report.aggregates) == 8
+        for r in report.records:
+            key = (f"ber.rate{r['rate']}.snr{r['snr_db']:g}"
+                   f".k0{r['rician_k0_db']:g}")
+            assert report.aggregates[key] == r["ber"]
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"rates": ["1_3", "3_4"]}, "rates: unknown rate label '3_4'"),
         ({"snrs_db": [15.0, float("nan")]}, "snrs_db must be finite"),
@@ -413,6 +427,17 @@ class TestBerExperiment:
         ({"target_errors": "5"}, "target_errors must be positive.*got '5'"),
         ({"target_errors": True}, "target_errors must be positive.*got True"),
         ({"target_errors": float("nan")}, "target_errors must be positive"),
+        # one aggregate per point: values that share a key would drop one
+        ({"snrs_db": [15.0, 15.0000001]},
+         "snrs_db: two values share the aggregate key 'ber.rate1_3.snr15'"),
+        ({"snrs_db": [15.0, 15]}, "snrs_db: two values share"),
+        ({"rates": ["1_3", "1_2", "1_3"]}, "rates: two values share"),
+        ({"rician_k0_db_list": [3.0, 6.0, 3.0]},
+         "rician_k0_db_list: two values share the aggregate key "
+         "'ber.rate1_3.snr15.k03'"),
+        ({"rates": []}, "rates must not be empty"),
+        ({"snrs_db": []}, "snrs_db must not be empty"),
+        ({"rician_k0_db_list": []}, "rician_k0_db_list must not be empty"),
     ])
     def test_rejects_bad_arguments_before_any_point(self, monkeypatch,
                                                    kwargs, message):
@@ -538,12 +563,14 @@ class TestRecordsPinned:
     sample of a sync trial or a surface, or of the LDPC encoder or decoder
     that moves any BER record or decoded bit, shows here."""
 
+    @pytest.mark.blas_kernel
     @pytest.mark.parametrize("run", SYNC_RUNS)
     def test_sync_records(self, run):
         report = run_sync_experiment(
             table1_scenario(trials=20, **SYNC_RUNS[run]))
         assert _sha256(report.records_csv().encode()) == SYNC_DIGESTS[run]
 
+    @pytest.mark.blas_kernel
     @pytest.mark.parametrize("overrides, precoding, digest", [
         ({}, True,
          "b4ca95e033fd7951efd0e9d2056a2648ed58342f1656caa3f303290c48282fe8"),
@@ -564,6 +591,7 @@ class TestRecordsPinned:
         if classical:  # one column, at candidate 0 and k0 0
             assert list(result["candidates"]) == [0] and result["k0"] == 0
 
+    @pytest.mark.blas_kernel
     def test_multipath_precoded_surface(self):
         result = correlation_surface(
             table1_scenario(sync_blocks=10, channel="multipath"), n_trials=2)
