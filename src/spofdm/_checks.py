@@ -1,6 +1,10 @@
 """The argument rule of every public entry point: a count or index is an
 integer and a power a finite real, neither of them a bool, each at least
-its lower bound. A bad value is rejected by name before numpy sees it."""
+its lower bound. A bad value is rejected by name before numpy sees it.
+
+A value whose type is exactly ``int`` or ``float`` skips the ``numbers``
+ABC tests, which cost most of a call; every other type, bools, numpy
+scalars and subclasses included, takes them."""
 
 import math
 import numbers
@@ -8,14 +12,16 @@ import numbers
 
 def check_int(name: str, value, low=None):
     """``value``, if it is an integer of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or
+                                   not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return _at_least(name, value, low)
 
 
 def check_real(name: str, value, low=None):
     """``value``, if it is a finite real of at least ``low``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    if ((type(value) is not float and type(value) is not int
+         and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
             or not math.isfinite(value)):
         raise ValueError(f"{name} must be finite and real, got {value!r}")
     return _at_least(name, value, low)

@@ -72,6 +72,10 @@ class InputDist:
                                float(np.sum(self.probs * np.abs(pts) ** 2)))
         else:
             check_real("power", self.power, 0)
+            for name in ("points", "probs"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} must be None for a Gaussian "
+                                     f"law, got {getattr(self, name)!r}")
 
     @classmethod
     def qpsk(cls, power: float = 1.0) -> "InputDist":
@@ -178,7 +182,9 @@ def _log_mixture(r: np.ndarray, means: np.ndarray, logw: np.ndarray,
     ties = d == top
     m = ties.sum(axis=0, dtype=float)
     np.copyto(d, -np.inf, where=ties)
-    d -= top
+    # a column of -inf terms, shifted by a finite value instead of by its
+    # -inf maximum, sums to 0 and gives scipy's -inf, not -inf - -inf = NaN
+    d -= np.maximum(top, -np.finfo(float).max)
     np.exp(d, out=d)
     s = _pairwise_rows(d)
     s = np.where(s == 0, s, s / m)
@@ -260,17 +266,27 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
     is the normal-theory interval of that average, bits +- 1.96 sigma /
     sqrt(n_samples) with sigma the (ddof 0) standard deviation of the log
     density ratios, so the rng draws nothing beyond the channel samples.
-    The densities need a Gaussian part: noise or Gaussian jamming.
+    The densities need a Gaussian part: noise or Gaussian jamming. An
+    estimate whose CI is not finite, as from a noise power too small for
+    the densities, is rejected.
     """
     check_int("n_samples", n_samples, 1)
     if spec.noise_power + jamming.mixture()[2] == 0:
         raise ValueError("mi_estimate needs noise_power > 0 or Gaussian jamming")
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s, r = simulate_symbol_channel(spec, jamming, n_samples, rng)
-    terms = _log2_ratio(r, s, spec, jamming)
-    est = float(terms.mean())
-    half = 1.96 * float(terms.std()) / math.sqrt(n_samples)
-    return MiEstimate(est, est - half, est + half, n_samples)
+    # a density that overflows to 0 is a term of the sums; a result that
+    # overflows is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _log2_ratio(r, s, spec, jamming)
+        est = float(terms.mean())
+        half = 1.96 * float(terms.std()) / math.sqrt(n_samples)
+    low, high = est - half, est + half
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"noise_power {spec.noise_power!r} is too small for "
+                         f"finite densities: the estimate is {est!r} bits, "
+                         f"its CI ({low!r}, {high!r})")
+    return MiEstimate(est, low, high, n_samples)
 
 
 @dataclass

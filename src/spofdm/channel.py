@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,13 +126,24 @@ def random_multipath_taps(rng: np.random.Generator, n_paths: int,
     check_real("max_doppler", max_doppler, 0)
     if not 0 < check_real("decay", decay) <= 1:
         raise ValueError("decay must be in (0, 1]")
+    delays, amplitudes = _tap_profile(n_paths, max_delay, decay)
+    # one draw in the per-tap order: phase, then Doppler when there is one
+    if max_doppler:
+        draws = rng.uniform((0, -max_doppler), (2 * np.pi, max_doppler),
+                            size=(n_paths, 2))
+        phases, dopplers = draws[:, 0], draws[:, 1].tolist()
+    else:
+        phases, dopplers = rng.uniform(0, 2 * np.pi, n_paths), [0.0] * n_paths
+    return tuple(zip(delays, amplitudes * np.exp(1j * phases), dopplers))
+
+
+@lru_cache(maxsize=16)
+def _tap_profile(n_paths: int, max_delay: int, decay: float) -> tuple:
+    """The tap delays, whole samples, and amplitudes sqrt(decay**m / sum)."""
     delays = np.rint(np.linspace(0, max_delay, n_paths))
     # a list: numpy's float64 power rounds differently under AVX-512 and AVX2
     powers = np.array([decay ** m for m in range(n_paths)])
     powers *= 1.0 / powers.sum()  # not /=: a division rounds the taps differently
-    taps = []
-    for d, p in zip(delays, powers):
-        phase = rng.uniform(0, 2 * np.pi)
-        doppler = rng.uniform(-max_doppler, max_doppler) if max_doppler else 0.0
-        taps.append((int(d), np.sqrt(p) * np.exp(1j * phase), float(doppler)))
-    return tuple(taps)
+    amplitudes = np.sqrt(powers)
+    amplitudes.flags.writeable = False
+    return tuple(int(d) for d in delays), amplitudes

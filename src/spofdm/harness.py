@@ -341,14 +341,21 @@ def _sent_blocks(scenario: Scenario) -> int:
 
 
 def _secret_phasors(scenario: Scenario) -> np.ndarray:
-    """What every trial of one experiment shares, derived once per
-    experiment. Keystream rows are a pure function of (key, epoch, block),
-    so one read-only array serves every trial: row k is block k."""
-    m = scenario.psk_order
+    """What every trial of one experiment shares. Keystream rows are a pure
+    function of (key, epoch, block), so one read-only array serves every
+    trial, and every experiment on the same key, epoch and sizes: row k is
+    block k."""
     # the transmitter reads the most rows, at k0 = n_candidates - 1
     n_rows = scenario.n_candidates - 1 + _sent_blocks(scenario)
-    phasors = psk_phasors(m)[phase_plans(
-        scenario.key(), scenario.epoch, 0, n_rows, scenario.n_carriers, m)]
+    return _phasor_rows(scenario.key(), scenario.epoch, n_rows,
+                        scenario.n_carriers, scenario.psk_order)
+
+
+@lru_cache(maxsize=8)
+def _phasor_rows(key: SecretKey, epoch: int, n_rows: int, n_carriers: int,
+                 psk_order: int) -> np.ndarray:
+    phasors = psk_phasors(psk_order)[phase_plans(
+        key, epoch, 0, n_rows, n_carriers, psk_order)]
     phasors.flags.writeable = False
     return phasors
 

@@ -68,6 +68,12 @@ class TestDistributions:
         with pytest.raises(ValueError, match="power"):
             InputDist("gaussian", power)
 
+    @pytest.mark.parametrize("field", ["points", "probs"])
+    def test_gaussian_rejects_a_discrete_field(self, field):
+        # a Gaussian law used to keep the field and ignore it
+        with pytest.raises(ValueError, match=f"^{field} "):
+            InputDist("gaussian", 1.0, **{field: [1.0, 2.0]})
+
 
 class TestMixture:
     def test_gaussian_is_one_component_at_zero(self):
@@ -229,9 +235,13 @@ class TestMiEstimate:
                 draw(SymbolChannelSpec(), InputDist.qpsk(), n_samples, 0)
 
     def test_rejects_zero_gaussian_variance(self):
-        spec = SymbolChannelSpec(InputDist.qpsk(), noise_power=0.0)
-        with pytest.raises(ValueError, match="noise_power"):
-            mi_estimate(spec, InputDist.qpsk(), 100, 0)
+        # and a variance so small that the densities overflow, which gave
+        # 6.4e267 bits with CI (-inf, inf)
+        for noise_power, jamming in ((0.0, InputDist.qpsk()),
+                                     (1e-300, InputDist("discrete", points=[1]))):
+            spec = SymbolChannelSpec(InputDist.qpsk(), noise_power=noise_power)
+            with pytest.raises(ValueError, match="noise_power"):
+                mi_estimate(spec, jamming, 100, 0)
 
     def test_zero_weight_jamming_point_is_no_point(self):
         # log(0) weights used to warn (an error here) and poison the sums

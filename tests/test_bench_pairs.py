@@ -109,26 +109,26 @@ def test_machine_speed_ratio_outside_the_band_fails(ratio, passed):
     assert text.startswith("ALLOCATOR STATE MOVED") is not passed
 
 
-
-@pytest.mark.parametrize("change_runs, line", [
-    ([(5, "a"), (5, "b"), (5, "c")], "records_digest: identical in 3/3 pairs"),
-    ([(5, "a"), (5, "x"), (5, "c")], "records_digest: identical in 2/3 pairs"),
-    # a digest covers every round, so a pair of unequal rounds is not compared
-    ([(5, "a"), (6, "y"), (5, "c")],
-     "records_digest: identical in 2/2 pairs; 1 pairs ran unequal round counts"),
-])
-def test_records_digest_line(monkeypatch, capsys, change_runs, line):
-    # stubbed runs: pair i of the parent does 5 rounds with digest "abc"[i]
+@pytest.mark.parametrize("change_digest, line", [
+    ("abc", "records_digest, 3 rounds of seed 1: identical"),
+    ("xyz", "records_digest, 3 rounds of seed 1: DIFFERENT, parent abc, "
+            "change xyz"),
+], ids=["identical", "different"])
+def test_records_digest_line(monkeypatch, capsys, change_digest, line):
+    # stubbed runs: a timed run's digest covers the rounds its time allowed,
+    # so only the one run of fixed rounds on each side is compared
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: None)
     # main's SIGTERM handler would outlive the test
     monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+    calls = []
 
-    def run_bench(checkout, workload, seed, seconds):
-        rounds, digest = ((5, "abc"[seed - 1]) if checkout.name == "parent"
-                          else change_runs[seed - 1])
+    def run_bench(checkout, workload, seed, seconds=None, rounds=None):
+        calls.append((checkout.name, seed, seconds, rounds))
+        digest = ("timed" if rounds is None else
+                  "abc" if checkout.name == "parent" else change_digest)
         return {"metrics": {"ops_per_s": 1.0}, "wall": {"ops_per_s": 1.0},
-                "machine_speed": 1.0, "correct": True, "rounds": rounds,
+                "machine_speed": 1.0, "correct": True, "rounds": 5,
                 "records_digest": digest}
 
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
@@ -136,3 +136,4 @@ def test_records_digest_line(monkeypatch, capsys, change_runs, line):
                              "--seed", "1"])
     assert code == 0
     assert line in capsys.readouterr().out.splitlines()
+    assert calls[6:] == [("parent", 1, None, 3), ("change", 1, None, 3)]

@@ -3,12 +3,16 @@ fractional value, a value below range and, for a real, NaN each raise a
 ValueError whose message starts with the argument's name, and so does a
 pilot value that is not a number of finite nonzero magnitude."""
 
+import enum
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spofdm._checks import check_int, check_real
 from spofdm.avc import InputDist, SymbolChannelSpec, avc_capacity, mi_estimate
 from spofdm.channel import (FadingSpec, OffsetSpec, add_awgn,
                             random_multipath_taps)
@@ -138,3 +142,48 @@ ENTRY_POINTS = [
 def test_bad_argument_rejected_by_name(name, call, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
         call(value)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Enum(enum.IntEnum):
+    THREE = 3
+
+
+# (value, accepted by check_int, accepted by check_real): exact ints and
+# floats skip the numbers ABCs, and every other type must get the answer
+# those ABCs give
+ARGUMENT_TYPES = [
+    (3, True, True),
+    (2.5, False, True),
+    (True, False, False),
+    (np.True_, False, False),
+    (Decimal("1.5"), False, False),
+    (1 + 0j, False, False),
+    ("3", False, False),
+    (math.nan, False, False),
+    (math.inf, False, False),
+    (np.int64(3), True, True),
+    (_Int(3), True, True),
+    (_Enum.THREE, True, True),
+    (np.float64(2.5), False, True),
+    (_Float(2.5), False, True),
+    (Fraction(1, 2), False, True),
+]
+
+
+@pytest.mark.parametrize("value, as_int, as_real", ARGUMENT_TYPES,
+                         ids=[repr(row[0]) for row in ARGUMENT_TYPES])
+def test_argument_rule_by_type(value, as_int, as_real):
+    for check, accepted in ((check_int, as_int), (check_real, as_real)):
+        if accepted:
+            assert check("x", value, 0) is value
+        else:
+            with pytest.raises(ValueError, match="^x must be "):
+                check("x", value, 0)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from spofdm import keystream
-from spofdm.harness import (Scenario, ScenarioFormatError, _secret_phasors,
-                            _sent_blocks, _sync_trial, correlation_surface,
-                            emit_report, load_scenario, run_ber_experiment,
-                            run_sync_experiment, save_scenario, surface_csv,
-                            table1_scenario)
+from spofdm.harness import (Scenario, ScenarioFormatError, _phasor_rows,
+                            _secret_phasors, _sent_blocks, _sync_trial,
+                            correlation_surface, emit_report, load_scenario,
+                            run_ber_experiment, run_sync_experiment,
+                            save_scenario, surface_csv, table1_scenario)
 from spofdm.rxchain import LdpcEncoder, builtin_code, ldpc_bp_decode
 
 
@@ -346,16 +346,22 @@ class TestLink:
     @pytest.mark.parametrize("psk_order, inits", [(16, 1), (1, 0)])
     def test_phasors_are_read_only_keystream_rows(self, monkeypatch, psk_order,
                                                    inits):
-        # row k is keystream block k, from one derive; classical OFDM
-        # (M = 1) builds no cipher
+        # row k is keystream block k, from one derive that later
+        # experiments on the same key, epoch and sizes share; classical
+        # OFDM (M = 1) builds no cipher
         calls = []
         cipher = keystream.Cipher
         monkeypatch.setattr(keystream, "Cipher",
                             lambda *a: calls.append(a) or cipher(*a))
+        _phasor_rows.cache_clear()
         sc = table1_scenario(sync_blocks=10, psk_order=psk_order,
                              n_candidates=50 if psk_order > 1 else 1)
         phasors = _secret_phasors(sc)
         assert len(calls) == inits
+        assert _secret_phasors(replace(sc, trials=7)) is phasors
+        assert len(calls) == inits
+        _secret_phasors(replace(sc, epoch=1))
+        assert len(calls) == 2 * inits
         assert len(phasors) == sc.n_candidates + sc.sync_blocks + 3
         rows = [keystream.psk_phasors(psk_order)[keystream.phase_plans(
             sc.key(), sc.epoch, k, 1, 128, psk_order)[0]]
@@ -471,14 +477,20 @@ class TestCorrelationSurface:
     def test_surface_derives_its_keystream_once(self, monkeypatch, precoding,
                                                 inits):
         # the transmitted rows and the receiver's CP rows come from one
-        # derive; classical OFDM (M = 1) needs no cipher at all
+        # derive, which a repeat on the same key and epoch reuses;
+        # classical OFDM (M = 1) needs no cipher at all
         calls = []
         cipher = keystream.Cipher
         monkeypatch.setattr(keystream, "Cipher",
                             lambda *a: calls.append(a) or cipher(*a))
-        correlation_surface(table1_scenario(
-            sync_blocks=10, **({} if precoding else CLASSICAL)))
+        _phasor_rows.cache_clear()
+        sc = table1_scenario(sync_blocks=10, **({} if precoding else CLASSICAL))
+        correlation_surface(sc)
         assert len(calls) == inits
+        correlation_surface(sc)
+        assert len(calls) == inits
+        correlation_surface(replace(sc, epoch=1))
+        assert len(calls) == 2 * inits
 
     def test_jammer_offset_half_a_block_from_signal(self):
         result = correlation_surface(table1_scenario(sync_blocks=10))

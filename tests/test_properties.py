@@ -11,7 +11,8 @@ propagation against a flooding reference decoder, bitwise in float32 and
 statistically in float64, the MI module's blocked mixture log-density
 against scipy's logsumexp, bitwise, and the pre-FFT surface's window view,
 the in-place channel steps and the jammer sum against the gather, zero
-buffers and new arrays they replaced, bitwise."""
+buffers and new arrays they replaced, bitwise, and the multipath tap draws
+against a per-tap loop, bitwise and in the RNG state they leave."""
 
 import cmath
 import math
@@ -30,7 +31,7 @@ from spofdm.avc import (InputDist, SymbolChannelSpec, _log2_ratio,
 from spofdm.harness import (_secret_phasors, _sync_trial, run_sync_experiment,
                             table1_scenario)
 from spofdm.channel import (FadingSpec, _delay, add_awgn, apply_fading,
-                            complex_normal)
+                            complex_normal, random_multipath_taps)
 from spofdm.jammer import combine
 from spofdm.keystream import (PhaseSequence, SecretKey, phase_plans,
                               psk_phasors)
@@ -868,6 +869,9 @@ def scipy_log_mixture(r, means, logw, var):
 @example(n=31, k=300, per_sample=False, copies=1, seed=3)
 @example(n=29, k=848, per_sample=True, copies=1, seed=4)
 @example(n=7, k=1100, per_sample=False, copies=3, seed=5)
+@example(n=4, k=1, per_sample=False, copies=1, seed=6)
+@example(n=4, k=1, per_sample=True, copies=1, seed=7)
+@example(n=4, k=2, per_sample=True, copies=1, seed=8)
 def test_log_mixture_is_scipy_logsumexp(n, k, per_sample, copies, seed):
     rng = np.random.default_rng(seed)
     shape = (k, n) if per_sample else (k,)
@@ -887,6 +891,15 @@ def test_log_mixture_is_scipy_logsumexp(n, k, per_sample, copies, seed):
     zeros = np.zeros(n, dtype=complex)
     got = _log_mixture(zeros, tie_means, tie_logw, var)
     want = scipy_log_mixture(zeros, tie_means, tie_logw, var)
+    assert got.tobytes() == want.tobytes()
+    # every other sample so far from every mean that all its densities
+    # overflow to 0: -inf, scipy's log of the direct sum, not NaN
+    far = r.copy()
+    far[::2] = 1e200
+    with np.errstate(over="ignore"):
+        got = _log_mixture(far, means, logw, var)
+        want = scipy_log_mixture(far, rows, logw, var)
+    assert np.isneginf(got[::2]).all()
     assert got.tobytes() == want.tobytes()
 
 
@@ -1038,6 +1051,45 @@ def test_in_place_fading_is_zero_buffer_sum(signal, taps):
     spec = FadingSpec(taps=tuple(taps))
     assert array_bits(apply_fading(signal, spec).samples) == array_bits(
         zero_buffer_fading(signal, spec))
+
+
+def per_tap_multipath_taps(rng, n_paths, max_delay, max_doppler, decay):
+    """random_multipath_taps as a loop over the taps: the profile built on
+    each call, then a phase and, with Doppler, a Doppler drawn per tap."""
+    delays = np.rint(np.linspace(0, max_delay, n_paths))
+    powers = np.array([decay ** m for m in range(n_paths)])
+    powers *= 1.0 / powers.sum()
+    taps = []
+    for d, p in zip(delays, powers):
+        phase = rng.uniform(0, 2 * np.pi)
+        doppler = rng.uniform(-max_doppler, max_doppler) if max_doppler else 0.0
+        taps.append((int(d), np.sqrt(p) * np.exp(1j * phase), float(doppler)))
+    return tuple(taps)
+
+
+def tap_bits(taps):
+    """Each tap's field types and the bytes of its values."""
+    return [(type(d), d, type(g), np.complex128(g).tobytes(), type(f),
+             np.float64(f).tobytes()) for d, g, f in taps]
+
+
+# table 1's profile, without Doppler and with criterion 5's peak Doppler
+@FAST
+@given(n_paths=st.integers(1, 12), max_delay=st.integers(0, 40),
+       max_doppler=st.one_of(st.just(0.0), st.floats(1e-9, 10.0)),
+       decay=st.floats(0, 1, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+@example(n_paths=4, max_delay=3, max_doppler=0.0, decay=0.1, seed=0)
+@example(n_paths=4, max_delay=3, max_doppler=2 * np.pi * 0.02, decay=0.1, seed=1)
+def test_tap_draws_are_the_per_tap_loop(n_paths, max_delay, max_doppler, decay,
+                                        seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # twice: the second call reads the cached profile
+    for _ in range(2):
+        got = random_multipath_taps(rng, n_paths, max_delay, max_doppler, decay)
+        want = per_tap_multipath_taps(ref_rng, n_paths, max_delay, max_doppler,
+                                      decay)
+        assert tap_bits(got) == tap_bits(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 sigma2s = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
