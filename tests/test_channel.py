@@ -17,23 +17,6 @@ def random_signal(n=1000, seed=0):
     return ComplexSignal(x, DT)
 
 
-class TestOffsetSpec:
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            OffsetSpec(delay=-1)
-
-    def test_rejects_fractional_and_bool_delays(self):
-        for delay in (0.4, 3.0, True):
-            with pytest.raises(ValueError, match="delay"):
-                OffsetSpec(delay=delay)
-
-    @pytest.mark.parametrize("field", ["omega0", "phi0"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_rotation(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            OffsetSpec(**{field: value})
-
-
 class TestApplyOffsets:
     def test_identity(self):
         sig = random_signal()
@@ -148,12 +131,6 @@ class TestApplyFading:
         with pytest.raises(ValueError, match=field):
             FadingSpec(taps=((1, 0.5, 0.0), tap))
 
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            FadingSpec(taps=((-1, 1.0, 0.0),))
-        with pytest.raises(ValueError, match="tap delay"):
-            FadingSpec(taps=((0.5, 1.0, 0.0),))
-
 
 class TestAddAwgn:
     def test_zero_variance_identity(self):
@@ -188,15 +165,6 @@ class TestAddAwgn:
         rotated = np.exp(1j * 0.7) * add_awgn(sig, 1.0, 10).samples
         stat = stats.ks_2samp(noise.real, rotated.real)
         assert stat.pvalue > 0.01
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            add_awgn(random_signal(), -0.1, 0)
-
-    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
-    def test_rejects_non_finite_variance(self, sigma2):
-        with pytest.raises(ValueError, match="sigma2"):
-            add_awgn(random_signal(), sigma2, 0)
 
 
 class TestComplexNormal:
@@ -241,11 +209,6 @@ class TestTapFactories:
         taps = random_multipath_taps(rng, 4, 3, max_doppler=w_max)
         assert all(abs(w) <= w_max for _, _, w in taps)
 
-    def test_multipath_rejects_bad_decay(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            random_multipath_taps(rng, 4, 3, decay=0.0)
-
     @pytest.mark.parametrize("n_paths", [1, 2, 3, 4, 5, 7])
     @pytest.mark.parametrize("max_delay", [0, 1, 5, 23])
     def test_multipath_delays_within_max_delay(self, n_paths, max_delay):
@@ -253,7 +216,3 @@ class TestTapFactories:
         delays = [d for d, _, _ in taps]
         assert delays == sorted(delays)
         assert 0 <= delays[0] and delays[-1] <= max_delay
-
-    def test_multipath_rejects_fractional_max_delay(self):
-        with pytest.raises(ValueError, match="max_delay"):
-            random_multipath_taps(np.random.default_rng(6), 4, 23.6)

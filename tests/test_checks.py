@@ -1,11 +1,15 @@
-"""Every public count, index and power is rejected by name: a bool, a
-fractional value, a value below range and, for a real, NaN each raise a
-ValueError whose message starts with the argument's name, and so does a
-pilot value that is not a number of finite nonzero magnitude."""
+"""The one list of argument rules. Every public count, index and power is
+rejected by name: a bool, a fractional value, a float even when it is
+integral, a value below range and, for a real, NaN and infinities each raise
+a ValueError whose message starts with the argument's name, and so does a
+pilot value that is not a number of finite nonzero magnitude. The two
+checks behind them give one message for each kind of value, whatever its
+type."""
 
 import enum
 import math
 import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,35 +17,29 @@ import numpy as np
 import pytest
 
 from spofdm._checks import check_int, check_real
-from spofdm.avc import InputDist, SymbolChannelSpec, avc_capacity, mi_estimate
+from spofdm.avc import (InputDist, SymbolChannelSpec, avc_capacity, mi_estimate,
+                        simulate_symbol_channel)
 from spofdm.channel import (FadingSpec, OffsetSpec, add_awgn,
                             random_multipath_taps)
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             table1_scenario)
 from spofdm.jammer import JammerSpec, generate_jamming
-from spofdm.keystream import SecretKey, phase_plans, psk_phasors
+from spofdm.keystream import phase_plans, psk_phasors
 from spofdm.rxchain import (ParityCheckCode, llr_qpsk,
                             make_regular_parity_check)
 from spofdm.sync import SyncConfig
-from spofdm.txchain import ComplexSignal, OfdmConfig, phase_ramp
+from spofdm.txchain import ComplexSignal, phase_ramp, random_symbol_blocks
+from support import CONFIG, KEY
 
-KEY = SecretKey(bytes(16))
-CONFIG = OfdmConfig(128, 16, 8, 16)
-
-INTEGER = (True, 2.5)
+INTEGER = (True, 2.5, 3.0)
 COUNT = INTEGER + (0,)   # at least 1
 INDEX = INTEGER + (-1,)  # at least 0
-REAL = (True, math.nan)
+REAL = (True, math.nan, math.inf, -math.inf)
 POWER = REAL + (-1.0,)   # at least 0
-PSK_ORDER = COUNT + (3,)  # a power of 2
+PSK_ORDER = COUNT + (3, 12)  # a power of 2
 # a pilot value is a number, not a bool or a string, with a finite nonzero
 # magnitude
 PILOT = (True, "1", "1+1j", None, math.nan, 0.0)
-
-
-def _ofdm(**field):
-    return OfdmConfig(**{"n_carriers": 128, "cp1_samples": 16,
-                         "cp2_samples": 8, "psk_order": 16, **field})
 
 
 def _plans(**arg):
@@ -85,6 +83,8 @@ ENTRY_POINTS = [
       for name in ("p_s", "p_j", "p_n")],
     ("mi_estimate", "n_samples", lambda v: mi_estimate(
         SymbolChannelSpec(), InputDist.qpsk(), v, 0), COUNT),
+    ("simulate_symbol_channel", "n_samples", lambda v: simulate_symbol_channel(
+        SymbolChannelSpec(), InputDist.qpsk(), v, 0), COUNT),
     ("OffsetSpec", "delay", lambda v: OffsetSpec(delay=v), INDEX),
     *[("OffsetSpec", name, lambda v, name=name: OffsetSpec(**{name: v}), REAL)
       for name in ("omega0", "phi0")],
@@ -102,9 +102,15 @@ ENTRY_POINTS = [
         np.random.default_rng(0), 4, 3, decay=v), REAL + (0.0,)),
     ("add_awgn", "sigma2",
      lambda v: add_awgn(ComplexSignal(np.zeros(4), 1.0), v, 0), POWER),
-    *[("OfdmConfig", name, lambda v, name=name: _ofdm(**{name: v}), COUNT)
+    *[("OfdmConfig", name,
+       lambda v, name=name: replace(CONFIG, **{name: v}), COUNT)
       for name in ("n_carriers", "cp1_samples", "cp2_samples")],
-    ("OfdmConfig", "psk_order", lambda v: _ofdm(psk_order=v), PSK_ORDER),
+    ("OfdmConfig", "psk_order", lambda v: replace(CONFIG, psk_order=v),
+     PSK_ORDER),
+    ("ComplexSignal", "sample_interval",
+     lambda v: ComplexSignal(np.zeros(2), v), REAL + (0.0, -1.0)),
+    ("random_symbol_blocks", "n_blocks", lambda v: random_symbol_blocks(
+        np.random.default_rng(0), v, CONFIG), COUNT),
     ("phase_plans", "psk_order", lambda v: _plans(psk_order=v), PSK_ORDER),
     ("phase_plans", "epoch", lambda v: _plans(epoch=v), INTEGER),
     ("phase_plans", "k_first", lambda v: _plans(k_first=v), INDEX),
@@ -126,11 +132,11 @@ ENTRY_POINTS = [
            **{"n": 20, "m": 10, "col_degree": 3, name: v}), COUNT + (20.0,))
       for name in ("n", "m", "col_degree")],
     ("OfdmConfig", "pilot_positions",
-     lambda v: _ofdm(pilot_positions={v: 1.0}), INDEX),
+     lambda v: replace(CONFIG, pilot_positions={v: 1.0}), INDEX),
     ("Scenario", "pilot_positions", lambda v: table1_scenario(
         pilot_positions=((v, 1.0), (32, 1.0))), INDEX),
     ("OfdmConfig-value", "pilot_positions",
-     lambda v: _ofdm(pilot_positions={24: v}), PILOT),
+     lambda v: replace(CONFIG, pilot_positions={24: v}), PILOT),
     ("Scenario-value", "pilot_positions", lambda v: table1_scenario(
         pilot_positions=((24, v), (32, 1.0))), PILOT),
 ]
@@ -156,19 +162,26 @@ class _Enum(enum.IntEnum):
     THREE = 3
 
 
+BIG = 10 ** 400  # an integer beyond the float range
+
 # (value, accepted by check_int, accepted by check_real): exact ints and
 # floats skip the numbers ABCs, and every other type must get the answer
-# those ABCs give
+# those ABCs give; an accepted value below the bound 0 is rejected as such
 ARGUMENT_TYPES = [
     (3, True, True),
     (2.5, False, True),
+    (3.0, False, True),
     (True, False, False),
     (np.True_, False, False),
     (Decimal("1.5"), False, False),
     (1 + 0j, False, False),
     ("3", False, False),
+    (None, False, False),
     (math.nan, False, False),
     (math.inf, False, False),
+    (BIG, True, False),
+    (-1, True, True),
+    (-2.5, False, True),
     (np.int64(3), True, True),
     (_Int(3), True, True),
     (_Enum.THREE, True, True),
@@ -178,12 +191,16 @@ ARGUMENT_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("value, as_int, as_real", ARGUMENT_TYPES,
-                         ids=[repr(row[0]) for row in ARGUMENT_TYPES])
+@pytest.mark.parametrize(
+    "value, as_int, as_real", ARGUMENT_TYPES,
+    ids=["10**400" if row[0] is BIG else repr(row[0]) for row in ARGUMENT_TYPES])
 def test_argument_rule_by_type(value, as_int, as_real):
-    for check, accepted in ((check_int, as_int), (check_real, as_real)):
-        if accepted:
+    for check, accepted, rule in ((check_int, as_int, "an integer"),
+                                  (check_real, as_real, "finite and real")):
+        if accepted and value >= 0:
             assert check("x", value, 0) is value
-        else:
-            with pytest.raises(ValueError, match="^x must be "):
-                check("x", value, 0)
+            continue
+        message = ("x must be at least 0" if accepted
+                   else f"x must be {rule}, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check("x", value, 0)

@@ -1,6 +1,5 @@
 """Smoke tests for the command line front end."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -14,13 +13,10 @@ from spofdm.cli import main
 from spofdm.harness import (correlation_surface, save_scenario, surface_csv,
                             table1_scenario)
 from spofdm.keystream import SecretKey
+from support import AESAVS, sha256
 
 # classical OFDM is a scenario: the one-point phase alphabet, one offset
 CLASSICAL = table1_scenario(psk_order=1, n_candidates=1)
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -68,10 +64,7 @@ class TestKeystreamSelftest:
         assert main(["keystream-selftest"]) == 0
         assert capsys.readouterr().out.startswith("ok:")
 
-    @pytest.mark.parametrize("key", [
-        "10a58869d74be5a374cf867cfb473859",
-        "c47b0294dbbbee0fec4757f22ffeee3587ca4730c3d33b691df38bab076bc558",
-        32 * "0"])
+    @pytest.mark.parametrize("key", [key for _, key, _, _ in AESAVS])
     def test_one_wrong_index_fails(self, key, capsys, monkeypatch):
         # the self-test reads the link's keystream, so a change to one
         # index of one known-answer row is caught and the key named
@@ -196,20 +189,30 @@ class TestInputErrors:
         # despreading by it would overflow in every sync trial
         self.check_pilot_value_exits_2(tmp_path, capsys, 1e-300)
 
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # a 401-digit snr_db used to escape as an OverflowError traceback
+        err = self.sync_error(tmp_path, capsys, snr_db=10 ** 400)
+        assert err.endswith(f": snr_db must be finite and real, got {10 ** 400}\n")
+
+    def check_pilot_value_exits_2(self, tmp_path, capsys, value):
+        pilots = json.loads(table1_scenario().to_json())["pilot_positions"]
+        assert "pilot_positions" in self.sync_error(
+            tmp_path, capsys, pilot_positions={**pilots, "24": [value, 0.0]})
+
     @staticmethod
-    def check_pilot_value_exits_2(tmp_path, capsys, value):
-        payload = json.loads(table1_scenario().to_json())
-        payload["pilot_positions"]["24"] = [value, 0.0]
+    def sync_error(tmp_path, capsys, **fields):
+        """The one error line of ``spofdm sync`` on table 1's scenario file
+        with ``fields`` replaced; the run exits 2 and writes nothing."""
+        payload = {**json.loads(table1_scenario().to_json()), **fields}
         sc_path = tmp_path / "scenario.json"
         sc_path.write_text(json.dumps(payload))
         out_dir = tmp_path / "results"
         assert main(["sync", "--scenario", str(sc_path),
                      "--out-dir", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("spofdm: error: ")
-        assert "pilot_positions" in err and err.count("\n") == 1
         assert not out_dir.exists()
-
+        err = capsys.readouterr().err
+        assert err.startswith("spofdm: error: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("name, message", [
         ("missing.json", "missing.json: No such file or directory"),
@@ -258,7 +261,7 @@ class TestSurface:
         expect = surface_csv(correlation_surface(table1_scenario(), n_trials=2))
         got = (out_dir / "surface_precoding_on.csv").read_text()
         # digests: a failing report then skips a diff of 7,601 lines
-        assert _sha256(got) == _sha256(expect)
+        assert sha256(got) == sha256(expect)
 
     def test_classical_surface_csv(self, tmp_path, classical_path, capsys):
         # classical OFDM: one column, one row per time offset of a block

@@ -1,6 +1,6 @@
 """Tests for scenario files, reports, and the experiment drivers."""
 
-import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -9,12 +9,21 @@ import numpy as np
 import pytest
 
 from spofdm import keystream
-from spofdm.harness import (Scenario, ScenarioFormatError, _phasor_rows,
-                            _secret_phasors, _sent_blocks, _sync_trial,
-                            correlation_surface, emit_report, load_scenario,
-                            run_ber_experiment, run_sync_experiment,
-                            save_scenario, surface_csv, table1_scenario)
+from spofdm.harness import (ExperimentReport, Scenario, ScenarioFormatError,
+                            _phasor_rows, _secret_phasors, _sent_blocks,
+                            _sync_trial, correlation_surface, emit_report,
+                            load_scenario, run_ber_experiment,
+                            run_sync_experiment, save_scenario, surface_csv,
+                            table1_scenario)
 from spofdm.rxchain import LdpcEncoder, builtin_code, ldpc_bp_decode
+from support import sha256, table_phasors
+
+
+def _numbered_rows(gaps, rows):
+    """Parametrize `rows` with pytest's ids, numbered past the `gaps`."""
+    numbers = (i for i in itertools.count() if i not in gaps)
+    return [pytest.param(overrides, field, id=f"overrides{next(numbers)}-{field}")
+            for overrides, field in rows]
 
 
 class TestScenario:
@@ -51,23 +60,18 @@ class TestScenario:
         with pytest.raises(ValueError):
             table1_scenario(channel="underwater")
 
-    def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError):
-            table1_scenario(trials=0)
-
-    @pytest.mark.parametrize("overrides, field", [
+    # each row keeps the number in its id that it had before the rows that
+    # tests/test_checks.py makes (numbers 3-5, 8, 11, 20, 22, 24-27 and 35)
+    # left this table, so a row's test name stays the same
+    @pytest.mark.parametrize("overrides, field", _numbered_rows({
+        3, 4, 5, 8, 11, 20, 22, 24, 25, 26, 27, 35}, [
         (dict(pilot_positions=((24, 1),)), "pilot_positions"),
         (dict(pilot_positions=((24, 1), (24, 1))), "pilot_positions"),
         (dict(pilot_positions=((24, 1), (120, 1))), "pilot_positions"),
-        (dict(n_candidates=0), "n_candidates"),
-        (dict(sync_blocks=0), "sync_blocks"),
-        (dict(snr_db=float("nan")), "snr_db"),
         (dict(snr_db=None), "snr_db"),
         (dict(sjr_db=None), "sjr_db"),
-        (dict(sjr_db=float("inf")), "sjr_db"),
         (dict(jammer_strategy="loud"), "jammer_strategy"),
         (dict(jammer_cp_mode="secret_cp"), "jammer_cp_mode"),
-        (dict(channel="multipath", n_paths=0), "n_paths"),
         (dict(tap_decay=0.0), "tap_decay"),
         (dict(tap_decay=1.5), "tap_decay"),
         (dict(max_delay_samples=24.0), "max_delay_samples"),
@@ -76,15 +80,9 @@ class TestScenario:
         (dict(key_hex="zz"), "key_hex"),
         (dict(key_hex="0011"), "key_hex"),
         (dict(n_l=3), "n_l"),
-        (dict(epoch=-1), "epoch"),
         (dict(epoch=2 ** 32), "epoch"),
-        (dict(master_seed=-1), "master_seed"),
         (dict(channel="doppler", max_doppler_normalized=-0.1),
          "max_doppler_normalized"),
-        (dict(trials=2.5), "trials"),
-        (dict(trials=True), "trials"),
-        (dict(sync_blocks=3.5), "sync_blocks"),
-        (dict(master_seed=1.0), "master_seed"),
         (dict(max_delay_samples=23.6), "max_delay_samples"),
         (dict(pilot_positions=((24, 0), (32, 1))), "pilot_positions"),
         (dict(pilot_positions=((24, complex("nan")), (32, 1))),
@@ -93,7 +91,6 @@ class TestScenario:
         (dict(key_hex=5), "key_hex"),
         (dict(name=3), "name"),
         (dict(channel=None), "channel"),
-        (dict(snr_db=True), "snr_db"),
         (dict(tap_decay="0.1"), "tap_decay"),
         (dict(max_doppler_normalized=None), "max_doppler_normalized"),
         (dict(max_delay_samples=24), "max_delay_samples"),
@@ -113,7 +110,7 @@ class TestScenario:
         (dict(channel="multipath", max_doppler_normalized=0.05),
          "max_doppler_normalized must be 0 unless channel is 'doppler'"),
         (dict(max_doppler_normalized=0.02), "max_doppler_normalized"),
-    ])
+    ]))
     def test_rejects_configs_where_every_sync_trial_fails(self, overrides,
                                                          field):
         with pytest.raises(ValueError, match=field):
@@ -341,6 +338,15 @@ class TestSyncExperiment:
         assert header.split(",")[0] == "trial"
         assert "scenario_hash" in paths["summary"].read_text()
 
+    def test_numpy_float_and_none_cells(self):
+        # a numpy float is written as its value and None as an empty field
+        report = ExperimentReport("sync", "0", ["x", "error"],
+                                  [{"x": np.float64(0.1), "error": None}],
+                                  {"x": np.float64(0.1)})
+        assert report.records_csv() == "x,error\n0.1,\n"
+        assert report.aggregates_csv() == "key,value\nx,0.1\n"
+        assert report.summary_text().endswith("\nx: 0.1\n")
+
 
 class TestLink:
     @pytest.mark.parametrize("psk_order, inits", [(16, 1), (1, 0)])
@@ -363,9 +369,8 @@ class TestLink:
         _secret_phasors(replace(sc, epoch=1))
         assert len(calls) == 2 * inits
         assert len(phasors) == sc.n_candidates + sc.sync_blocks + 3
-        rows = [keystream.psk_phasors(psk_order)[keystream.phase_plans(
-            sc.key(), sc.epoch, k, 1, 128, psk_order)[0]]
-            for k in range(len(phasors))]
+        rows = [table_phasors(k, 1, 128, psk_order, key=sc.key(),
+                              epoch=sc.epoch)[0] for k in range(len(phasors))]
         assert phasors.tobytes() == np.array(rows).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             phasors[0, 0] = 1.0
@@ -499,17 +504,6 @@ class TestCorrelationSurface:
         assert all(type(o) is int and 0 <= o < 152 for o in offsets)
         assert (offsets[1] - offsets[0]) % 152 == 76
 
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError, match="n_trials must be at least 1"):
-            correlation_surface(table1_scenario(sync_blocks=10), n_trials=0)
-
-    @pytest.mark.parametrize("n_trials", [2.5, True])
-    def test_rejects_non_integer_trials(self, n_trials):
-        # 2.5 used to fail inside the first trial, True to run one trial
-        with pytest.raises(ValueError,
-                           match=f"n_trials must be an integer, got {n_trials}"):
-            correlation_surface(table1_scenario(sync_blocks=10), n_trials=n_trials)
-
     def test_surface_csv_grid(self):
         sc = table1_scenario(sync_blocks=5)
         result = correlation_surface(sc)
@@ -525,10 +519,6 @@ class TestCorrelationSurface:
             n_trials=2)["surface"]
         assert multipath.shape == awgn.shape
         assert not np.array_equal(multipath, awgn)
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 # classical OFDM: the one-point phase alphabet and its one sequence offset
@@ -580,7 +570,7 @@ class TestRecordsPinned:
     def test_sync_records(self, run):
         report = run_sync_experiment(
             table1_scenario(trials=20, **SYNC_RUNS[run]))
-        assert _sha256(report.records_csv().encode()) == SYNC_DIGESTS[run]
+        assert sha256(report.records_csv()) == SYNC_DIGESTS[run]
 
     @pytest.mark.blas_kernel
     @pytest.mark.parametrize("overrides, precoding, digest", [
@@ -597,7 +587,7 @@ class TestRecordsPinned:
         result = correlation_surface(
             table1_scenario(sync_blocks=10, **overrides),
             precoding=precoding, n_trials=2)
-        assert _sha256(result["surface"].tobytes()) == digest
+        assert sha256(result["surface"].tobytes()) == digest
         classical = bool(overrides) or not precoding
         assert result["surface"].ndim == (1 if classical else 2)
         if classical:  # one column, at candidate 0 and k0 0
@@ -607,7 +597,7 @@ class TestRecordsPinned:
     def test_multipath_precoded_surface(self):
         result = correlation_surface(
             table1_scenario(sync_blocks=10, channel="multipath"), n_trials=2)
-        assert _sha256(result["surface"].tobytes()) == (
+        assert sha256(result["surface"].tobytes()) == (
             "8350dc9a95e421d618ff0e830c29e74ca3e03e2997375729b97f01a0bb3e3190")
 
     @pytest.mark.parametrize(  # ids as rate-flag-digest, plus a classical mark
@@ -623,7 +613,7 @@ class TestRecordsPinned:
         assert report.scenario_hash == ran.scenario_hash()
         assert report.records[0]["precoding"] == int(ran.psk_order > 1)
         assert report.records[0]["codewords"] == 50
-        assert _sha256(report.records_csv().encode()) == digest
+        assert sha256(report.records_csv()) == digest
 
     @pytest.mark.parametrize("rate, digest", [
         ("1_4", "62c05f1c63eed6aa3ee1c53c15402dc57d6771019b7f3144aafd3406dc2c8d52"),
@@ -641,5 +631,5 @@ class TestRecordsPinned:
         llr = mu * (1 - 2.0 * cw) + np.sqrt(2 * mu) * rng.normal(size=cw.shape)
         hard, converged, iters = ldpc_bp_decode(enc.code, llr)
         assert 0 < converged.sum() < 8 and len(set(iters.tolist())) > 3
-        assert _sha256(hard.tobytes() + converged.tobytes()
+        assert sha256(hard.tobytes() + converged.tobytes()
                        + iters.astype(np.int64).tobytes()) == digest

@@ -5,9 +5,8 @@ import pytest
 
 from spofdm.channel import OffsetSpec
 from spofdm.jammer import JammerSpec, combine, generate_jamming
-from spofdm.txchain import ComplexSignal, OfdmConfig, random_symbol_blocks
-
-CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8, psk_order=16)
+from spofdm.txchain import ComplexSignal, random_symbol_blocks
+from support import CONFIG
 
 
 class TestJammerSpec:
@@ -18,15 +17,6 @@ class TestJammerSpec:
     def test_rejects_unknown_cp_mode(self):
         with pytest.raises(ValueError, match="unknown cp_phase_mode 'weird'"):
             JammerSpec(strategy="disguised_ofdm", cp_phase_mode="weird")
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError, match="^power must be at least 0"):
-            JammerSpec(strategy="gaussian", power=-1.0)
-
-    @pytest.mark.parametrize("power", [np.nan, np.inf])
-    def test_rejects_non_finite_power(self, power):
-        with pytest.raises(ValueError, match="^power must be finite"):
-            JammerSpec(strategy="gaussian", power=power)
 
 
 class TestGenerateJamming:
@@ -97,10 +87,6 @@ class TestGenerateJamming:
         random_symbol_blocks(ref, -(-duration // 152), CONFIG)
         assert out.samples.size == duration
         assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            generate_jamming(JammerSpec("none"), CONFIG, 0, 0)
 
 
 class TestCombine:

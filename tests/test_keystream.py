@@ -5,38 +5,15 @@ import pytest
 
 from spofdm import keystream
 from spofdm.keystream import PhaseSequence, SecretKey, phase_plans
+from support import AESAVS, KEY, aesavs_row_matches, plan_phasors, psk_exp
 
-KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
 KEY2 = SecretKey.from_hex("ffeeddccbbaa99887766554433221100")
-
-# AESAVS (NIST 2002) count-0 known answers (name, key, epoch, ciphertext)
-# whose plaintext is the counter block of epoch, block 0 and counter 0
-AESAVS = [
-    ("KeySbox-AES128", "10a58869d74be5a374cf867cfb473859", 0,
-     "6d251e6944b051e04eaa6fb4dbf78465"),
-    ("KeySbox-AES256",
-     "c47b0294dbbbee0fec4757f22ffeee3587ca4730c3d33b691df38bab076bc558", 0,
-     "46f2fb342d6f0ab477476fc501242c5f"),
-    ("VarTxt-AES128", 32 * "0", 1 << 31, "3ad78e726c1ec02b7ebfe92b23d9ec34"),
-]
-
-
-def aesavs_row_matches(key, epoch, ciphertext):
-    """Whether the phase_plans row at N_c = 15, M = 256, one AES block of
-    8-bit indices, is the ciphertext byte by byte."""
-    row = phase_plans(SecretKey.from_hex(key), epoch, 0, 1, 15, 256)[0]
-    return row.tolist() == list(bytes.fromhex(ciphertext))
 
 
 def stream_bits(key, n_bits, epoch=0, block=0):
     """The first n_bits keystream bits of one block address: a BPSK
     phase_plans row is its bits."""
     return phase_plans(key, epoch, block, 1, n_bits - 1, 2)[0].astype(np.uint8)
-
-
-def psk_exp(v, m):
-    """e^{j 2 pi v/M}, the formula of psk_phasors, at the indices v."""
-    return np.exp(1j * (2.0 * np.pi * v / m))
 
 
 def index_groups(m, n_sym):
@@ -99,10 +76,6 @@ class TestDeriveBits:
         short = stream_bits(KEY, 200)
         assert np.array_equal(long[:200], short)
 
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError, match="count must be at least 1"):
-            phase_plans(KEY, 0, 0, 0, 128, 16)
-
     def test_aes_known_answer(self):
         for name, key, epoch, ciphertext in AESAVS:
             assert aesavs_row_matches(key, epoch, ciphertext), name
@@ -139,18 +112,6 @@ class TestMapPsk:
         values, groups = index_groups(2, 1000)
         assert set(np.unique(values)) <= {0, 1}
         assert np.array_equal(values, groups[:, 0])
-
-    def test_rejects_non_power_of_two(self):
-        for m in (0, 3, 12):
-            with pytest.raises(ValueError, match="^psk_order must be"):
-                phase_plans(KEY, 0, 0, 1, 128, m)
-
-    @pytest.mark.parametrize("m", [2.5, True])
-    def test_rejects_non_integer_psk_order(self, m):
-        # int() used to read 2.5 as the binary alphabet and True as M = 1,
-        # classical OFDM with no secret phases at all
-        with pytest.raises(ValueError, match="^psk_order must be an integer"):
-            phase_plans(KEY, 0, 0, 1, 128, m)
 
     def test_one_point_alphabet(self, monkeypatch):
         # M = 1 = 2**0 (classical OFDM) takes no keystream bits: every index
@@ -258,8 +219,7 @@ class TestPhaseSequence:
         wanted = []
         for a, b in requests:
             got = seq.phasors(a, b)
-            assert got.tobytes() == psk_exp(
-                phase_plans(KEY, 0, a, b - a + 1, 128, 16), 16).tobytes()
+            assert got.tobytes() == plan_phasors(a, b - a + 1).tobytes()
             wanted.extend(range(a, b + 1))
         # each requested block derived once, and no other block
         assert sorted(derived) == sorted(set(wanted))

@@ -33,8 +33,7 @@ from spofdm.harness import (_secret_phasors, _sync_trial, run_sync_experiment,
 from spofdm.channel import (FadingSpec, _delay, add_awgn, apply_fading,
                             complex_normal, random_multipath_taps)
 from spofdm.jammer import combine
-from spofdm.keystream import (PhaseSequence, SecretKey, phase_plans,
-                              psk_phasors)
+from spofdm.keystream import PhaseSequence, phase_plans, psk_phasors
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, builtin_code,
                             ldpc_bp_decode, llr_qpsk,
                             make_regular_parity_check, qpsk_map)
@@ -45,16 +44,10 @@ from spofdm.sync import (FIRST_BLOCK, SyncConfig, _backoff, _demod_derotated,
 from spofdm.txchain import (ComplexSignal, OfdmConfig, build_waveform,
                             decode_phases, modulate_block, phase_ramp, precode,
                             random_symbol_blocks)
-from test_sync import corr_pre_fft, despread, receiver_phasors
-
-KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
+from support import (KEY, corr_pre_fft, despread, make_received,
+                     plan_phasors, psk_exp, receiver_phasors, table_phasors)
 
 FAST = settings(max_examples=25, deadline=None)
-
-
-def psk_angles(v, m):
-    """2 pi v/M, the angle formula of psk_phasors, at the PSK indices v."""
-    return 2.0 * np.pi * v / m
 
 
 def aes_block(block):
@@ -87,9 +80,8 @@ def small_links(draw, max_blocks=3):
     delay = draw(st.integers(0, config.block_samples - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     blocks = random_symbol_blocks(rng, n_blocks + 3, config)
-    angles = psk_angles(phase_plans(KEY, 0, k0, n_blocks + 3, n_c,
-                                    config.psk_order), config.psk_order)
-    wave = build_waveform(blocks, np.exp(1j * angles), config)
+    wave = build_waveform(blocks, plan_phasors(k0, n_blocks + 3, n_c,
+                                               config.psk_order), config)
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave.samples])
     samples += 0.1 * (rng.normal(size=samples.size)
                       + 1j * rng.normal(size=samples.size))
@@ -97,8 +89,14 @@ def small_links(draw, max_blocks=3):
     return config, SyncConfig(n_blocks=n_blocks, n_candidates=n_candidates), r
 
 
+# a noiseless toy link: three blocks, four candidates
+TOY = OfdmConfig(n_carriers=8, cp1_samples=2, cp2_samples=1, psk_order=4)
+
+
 @FAST
 @given(small_links())
+@example((TOY, SyncConfig(n_blocks=3, n_candidates=4),
+          make_received(TOY, 6, seed=5)))
 def test_surface_matches_direct_correlator(link):
     config, sync_cfg, r = link
     phasors = receiver_phasors(config, sync_cfg)
@@ -150,8 +148,7 @@ def test_precode_modulate_demodulate_decode_round_trip(n_c, psk_order,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     rng = np.random.default_rng(seed)
     block = random_symbol_blocks(rng, 1, config)[0]
-    plan = np.exp(1j * psk_angles(
-        phase_plans(KEY, 0, block_index, 1, n_c, psk_order)[0], psk_order))
+    plan = plan_phasors(block_index, 1, n_c, psk_order)[0]
     sig = modulate_block(precode(block, plan[1:]), plan[0], config)
     demod = demod_fft(sig, config.cp_samples, config)
     decoded = decode_phases(demod, plan[1:])
@@ -187,8 +184,8 @@ def test_sequence_rows_independent_of_growth_order(ranges):
     seq = PhaseSequence(KEY, 3, 16, 4)
     for a, b in ranges:
         a, b = min(a, b), max(a, b)
-        assert seq.phasors(a, b).tobytes() == np.exp(1j * psk_angles(
-            phase_plans(KEY, 3, a, b - a + 1, 16, 4), 4)).tobytes()
+        assert seq.phasors(a, b).tobytes() == plan_phasors(
+            a, b - a + 1, 16, 4, epoch=3).tobytes()
 
 
 @FAST
@@ -201,7 +198,7 @@ def test_batched_modulate_equals_per_block_calls(n_c, n_blocks, seed):
     rng = np.random.default_rng(seed)
     precoded = (rng.normal(size=(n_blocks, n_c))
                 + 1j * rng.normal(size=(n_blocks, n_c)))
-    cp_phases = np.exp(2j * np.pi * rng.integers(0, 16, n_blocks) / 16)
+    cp_phases = psk_exp(rng.integers(0, 16, n_blocks), 16)
     batched = modulate_block(precoded, cp_phases, config).samples
     rows = [modulate_block(precoded[b], cp_phases[b], config).samples
             for b in range(n_blocks)]
@@ -236,10 +233,10 @@ def test_zero_angle_waveform_is_classical_waveform(n_c, n_blocks, data):
        k_first=st.integers(0, 10 ** 6),
        count=st.integers(1, 5))
 def test_cached_phasors_are_exp_of_the_plans(m, n_c, epoch, k_first, count):
-    phasors = psk_phasors(m)[phase_plans(KEY, epoch, k_first, count, n_c, m)]
-    angles = psk_angles(phase_plans(KEY, epoch, k_first, count, n_c, m), m)
-    assert phasors.tobytes() == np.exp(1j * angles).tobytes()
-    assert np.conj(phasors).tobytes() == np.exp(-1j * angles).tobytes()
+    v = phase_plans(KEY, epoch, k_first, count, n_c, m)
+    phasors = psk_phasors(m)[v]
+    assert phasors.tobytes() == psk_exp(v, m).tobytes()
+    assert np.conj(phasors).tobytes() == psk_exp(v, m, -1).tobytes()
 
 
 @FAST
@@ -253,12 +250,11 @@ def test_waveform_from_phasors_is_angle_formula(n_c, psk_order, n_blocks,
     config = OfdmConfig(n_carriers=n_c, cp1_samples=n_c // 8 or 1,
                         cp2_samples=n_c // 16 or 1, psk_order=psk_order)
     blocks = random_symbol_blocks(np.random.default_rng(seed), n_blocks, config)
-    angles = psk_angles(phase_plans(KEY, 0, k_first, n_blocks, n_c, psk_order),
-                        psk_order)
-    direct = modulate_block(blocks * np.exp(-1j * angles[:, 1:]),
-                            np.exp(1j * angles[:, 0]), config)
-    wave = build_waveform(blocks, psk_phasors(psk_order)[phase_plans(
-        KEY, 0, k_first, n_blocks, n_c, psk_order)], config)
+    v = phase_plans(KEY, 0, k_first, n_blocks, n_c, psk_order)
+    direct = modulate_block(blocks * psk_exp(v[:, 1:], psk_order, -1),
+                            psk_exp(v[:, 0], psk_order), config)
+    wave = build_waveform(blocks, table_phasors(k_first, n_blocks, n_c,
+                                                psk_order), config)
     assert wave.samples.tobytes() == direct.samples.tobytes()
 
 
@@ -376,10 +372,8 @@ def whole_signal_synchronize(r, config, sync_cfg, phasors):
     window0 = tau_samp - _backoff(config) + config.cp_samples
     r_blocks = whole_signal_demod(r, window0 + ks * config.block_samples,
                                   est.frac_cfo_hat, config)
-    angles = psk_angles(phase_plans(
-        KEY, 0, ks[0] + est.k0_hat, ks.size,
-        config.n_carriers, config.psk_order), config.psk_order)
-    pilot_phasors = np.exp(1j * angles[:, [1 + i for i in idx]])
+    pilot_phasors = plan_phasors(ks[0] + est.k0_hat, ks.size, config.n_carriers,
+                                 config.psk_order)[:, [1 + i for i in idx]]
     n0, zeta0, cfo_low_conf = full_grid_integer_cfo(
         r_blocks, pilots, pilot_phasors, config, sync_cfg)
     bins = [[(i + n0) % config.n_carriers for i in idx]]
@@ -484,9 +478,8 @@ def sync_links(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_blocks = k_count + 4
     blocks = random_symbol_blocks(rng, n_blocks, config)
-    angles = psk_angles(phase_plans(KEY, 0, k0, n_blocks, n_c, config.psk_order),
-                        config.psk_order)
-    wave = build_waveform(blocks, np.exp(1j * angles), config).samples
+    wave = build_waveform(blocks, plan_phasors(k0, n_blocks, n_c,
+                                               config.psk_order), config).samples
     delay = draw(st.integers(0, config.block_samples - 1))
     samples = np.concatenate([np.zeros(delay, dtype=complex), wave])
     t = np.arange(samples.size) * config.sample_interval
@@ -521,7 +514,7 @@ def test_synchronize_body_past_the_end_still_raises():
                         psk_order=4, pilot_positions={3: 1.0 + 0j, 9: 1.0 + 0j})
     sync_cfg = SyncConfig(n_blocks=3, n_candidates=1)
     rng = np.random.default_rng(5)
-    phasors = np.exp(1j * psk_angles(phase_plans(KEY, 0, 0, 8, 32, 4), 4))
+    phasors = plan_phasors(0, 8, 32, 4)
     wave = build_waveform(random_symbol_blocks(rng, 8, config), phasors, config)
     delay = config.block_samples - 1 - config.cp_samples
     shortest = (FIRST_BLOCK + 3) * config.block_samples - 2 + 32

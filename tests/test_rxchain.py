@@ -4,35 +4,24 @@ Demodulation is ``sync.demod_fft``, the N_c-point FFT of a block body, and
 decoding is ``txchain.decode_phases``.
 """
 
-import hashlib
 import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from spofdm.keystream import SecretKey, phase_plans
+from spofdm.keystream import SecretKey
 from spofdm.rxchain import (LdpcEncoder, ParityCheckCode, builtin_code,
                             ldpc_bp_decode, llr_qpsk,
                             make_regular_parity_check, qpsk_map)
 from spofdm.sync import demod_fft
-from spofdm.txchain import (OfdmConfig, build_waveform, decode_phases,
-                            modulate_block, random_symbol_blocks)
-
-KEY = SecretKey.from_hex("000102030405060708090a0b0c0d0e0f")
-CONFIG = OfdmConfig(n_carriers=128, cp1_samples=16, cp2_samples=8,
-                    psk_order=16)
-
-
-def secret_phasors(key, k_first, count):
-    """Unit phasors of the secret plans of blocks k_first.. (one row per
-    block: the CP phase symbol, then the subcarriers)."""
-    v = phase_plans(key, 0, k_first, count, CONFIG.n_carriers, CONFIG.psk_order)
-    return np.exp(1j * (2.0 * np.pi * v / CONFIG.psk_order))
+from spofdm.txchain import (build_waveform, decode_phases, modulate_block,
+                            random_symbol_blocks)
+from support import CONFIG, plan_phasors, sha256
 
 
 def secure_waveform(blocks):
-    return build_waveform(blocks, secret_phasors(KEY, 0, len(blocks)), CONFIG)
+    return build_waveform(blocks, plan_phasors(0, len(blocks)), CONFIG)
 
 
 def block_fft(r, k, start_offset=0):
@@ -57,7 +46,7 @@ class TestCropAndFft:
         blocks = random_symbol_blocks(rng, 2, CONFIG)
         wave = secure_waveform(blocks)
         for k, block in enumerate(blocks):
-            phasors = secret_phasors(KEY, k, 1)[0, 1:]
+            phasors = plan_phasors(k, 1)[0, 1:]
             out = block_fft(wave, k)
             expect = block * np.conj(phasors)
             assert np.max(np.abs(out - expect)) < 1e-9
@@ -87,7 +76,7 @@ class TestSecureDecode:
         blocks = random_symbol_blocks(rng, 2, CONFIG)
         wave = secure_waveform(blocks)
         for k, block in enumerate(blocks):
-            phasors = secret_phasors(KEY, k, 1)[0, 1:]
+            phasors = plan_phasors(k, 1)[0, 1:]
             decoded = decode_phases(block_fft(wave, k), phasors)
             assert np.max(np.abs(decoded - block)) < 1e-9
 
@@ -101,7 +90,7 @@ class TestSecureDecode:
         total = 0
         qpsk = qpsk_map(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]).ravel())
         for k, block in enumerate(blocks):
-            phasors = secret_phasors(wrong, k, 1)[0, 1:]
+            phasors = plan_phasors(k, 1, key=wrong)[0, 1:]
             decoded = decode_phases(block_fft(wave, k), phasors)
             picks = np.argmin(
                 np.abs(decoded[:, None] - qpsk[None, :]), axis=1)
@@ -129,8 +118,7 @@ class TestSecureDecode:
         assert result.pvalue > 0.01
 
     def test_length_mismatch(self):
-        v = phase_plans(KEY, 0, 0, 1, 64, 16)[0, 1:]
-        phasors = np.exp(1j * (2.0 * np.pi * v / 16))
+        phasors = plan_phasors(0, 1, 64)[0, 1:]
         with pytest.raises(ValueError):
             decode_phases(np.zeros(128, dtype=complex), phasors)
 
@@ -156,16 +144,6 @@ class TestQpskAndLlr:
         llr = llr_qpsk(np.array([1 / np.sqrt(2) + 0j]), 0.5)
         assert llr[0] == pytest.approx(2 * np.sqrt(2) / np.sqrt(2) / 0.5)
         assert llr[1] == pytest.approx(0.0)
-
-    def test_llr_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            llr_qpsk(np.zeros(2, dtype=complex), 0.0)
-
-    @pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
-    def test_llr_rejects_non_finite_noise(self, noise):
-        # NaN passed the <= 0 test and gave all-NaN LLRs
-        with pytest.raises(ValueError, match="noise_power_model"):
-            llr_qpsk(np.zeros(2, dtype=complex), noise)
 
     @pytest.mark.parametrize("bits", [[2, 0], [0, 256], [-1, 0], [0.5, 1]])
     def test_qpsk_rejects_non_binary_bits(self, bits):
@@ -265,7 +243,7 @@ class TestParityCheckCode:
         # make_regular_parity_check changes every code
         code = builtin_code(label)
         edges = np.stack([code.var_of_edge, code.check_of_edge]).astype("<i8")
-        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
+        assert sha256(edges.tobytes()) == digest
 
 
 class TestEncoder:
