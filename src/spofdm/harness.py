@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import numbers
+import platform
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
@@ -271,11 +272,18 @@ class ExperimentReport:
                          sorted(_flatten(self.aggregates).items()))
 
     def summary_text(self) -> str:
+        # about 20 ms to import, so only a summary does; reading a version
+        # imports no package
+        from importlib import metadata
+
         lines = [
             f"experiment: {self.kind}",
             f"scenario_hash: {self.scenario_hash}",
             f"trials: {len(self.records)}",
             f"wall_clock_s: {self.wall_clock_s:.2f}",
+            f"python: {platform.python_version()}",
+            *(f"{name}: {metadata.version(name)}"
+              for name in ("numpy", "scipy", "cryptography")),
         ]
         for key, value in sorted(_flatten(self.aggregates).items()):
             lines.append(f"{key}: {value}")

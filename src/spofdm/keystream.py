@@ -6,12 +6,15 @@ AES-128/256 runs in counter mode where the counter block encodes
 phases of any OFDM block: block k can be derived without generating blocks
 0..k-1, which the receiver needs when searching over candidate sequence
 offsets.
+
+The AES backend (``cryptography``) is imported on the first cipher a
+:func:`phase_plans` call builds, not with the module, so a process that
+derives no keystream, such as a coded-BER sweep, never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ._checks import check_int, check_psk_order
 
@@ -23,6 +26,17 @@ __all__ = [
 ]
 
 _AES_BLOCK_BITS = 128
+
+
+def __getattr__(name: str):
+    # the module attribute ``Cipher`` is cryptography's, imported on first
+    # use; phase_plans builds its cipher through it, so a patch of
+    # ``keystream.Cipher`` (bench/tracer.py counts constructions) still acts
+    if name != "Cipher":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from cryptography.hazmat.primitives.ciphers import Cipher
+    globals()["Cipher"] = Cipher
+    return Cipher
 
 
 class SecretKey:
@@ -85,7 +99,9 @@ def phase_plans(key: SecretKey, epoch: int, k_first: int, count: int,
     ctr["epoch"] = epoch
     ctr["block"] = np.uint64(k_first) + np.arange(count, dtype=np.uint64)[:, None]
     ctr["counter"] = np.arange(n_aes, dtype=np.uint64)
-    enc = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
+    from cryptography.hazmat.primitives.ciphers import algorithms, modes
+    cipher = globals().get("Cipher") or __getattr__("Cipher")
+    enc = cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
     stream = np.frombuffer(enc.update(ctr.tobytes()) + enc.finalize(),
                            dtype=np.uint8).reshape(count, -1)
     bits = np.unpackbits(stream, axis=1)[:, :n_bits]
@@ -107,10 +123,11 @@ class PhaseSequence:
     """
 
     def __init__(self, key: SecretKey, epoch: int, n_carriers: int, psk_order: int):
+        # checked here, not at the first plan; no block is derived yet
         self.key = key
-        self.epoch = epoch
-        self.n_carriers = n_carriers
-        self.psk_order = psk_order
+        self.epoch = check_int("epoch", epoch)
+        self.n_carriers = check_int("n_carriers", n_carriers, 1)
+        self.psk_order = check_psk_order(psk_order)
         self._first = 0
         self._rows = np.empty((0, n_carriers + 1), dtype=complex)
         self._table = psk_phasors(psk_order)

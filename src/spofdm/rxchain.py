@@ -78,7 +78,8 @@ def llr_qpsk(symbols: np.ndarray, noise_power_model: float) -> np.ndarray:
 class ParityCheckCode:
     """Binary parity-check matrix in edge-list form.
 
-    Every check and every variable must have at least one edge."""
+    Every check and every variable must have at least one edge, and no
+    (check, variable) pair more than one."""
 
     n: int
     m: int
@@ -100,6 +101,15 @@ class ParityCheckCode:
             degrees[name] = deg = np.bincount(idx, minlength=size)
             if not deg.all():  # BP's degree groups read slot 0 of each node
                 raise ValueError(f"{name} {np.argmin(deg)} has no edges")
+        # H is 0/1: dense() would count a repeated edge once, while the
+        # parity XORs it twice; sorted by (variable, check), repeats are
+        # adjacent
+        repeat = np.flatnonzero((np.diff(self.var_of_edge) == 0)
+                                & (np.diff(self.check_of_edge) == 0))
+        if repeat.size:
+            e = repeat[0]
+            raise ValueError(f"check {self.check_of_edge[e]} and variable "
+                             f"{self.var_of_edge[e]} share more than one edge")
         # BP edge order: checks grouped by degree, in _check_order, each group
         # a slot-major (degree, checks) block, so slot j of every check in it
         # is one run; _bp_groups holds each group's degree, checks and edges

@@ -1,15 +1,10 @@
 """Tests for the symbol-level jamming channel analysis tools."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spofdm
 from spofdm.avc import (InputDist, MiEstimate, SymbolChannelSpec, avc_capacity,
                         mi_estimate, saddle_check, simulate_symbol_channel)
 from spofdm.txchain import QPSK
@@ -234,15 +229,6 @@ class TestSaddleCheck:
     def test_rejects_bad_power_by_name(self, args, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             saddle_check(*args, n_samples=10)
-
-
-def test_import_loads_no_scipy():
-    env = {**os.environ, "PYTHONPATH": str(Path(spofdm.__file__).parents[1])}
-    code = ("import sys, spofdm.avc; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
 
 
 # (input, jamming, phase order) -> (bits, ci_low, ci_high) of

@@ -24,7 +24,7 @@ from spofdm.channel import (FadingSpec, OffsetSpec, add_awgn,
 from spofdm.harness import (correlation_surface, run_ber_experiment,
                             table1_scenario)
 from spofdm.jammer import JammerSpec, generate_jamming
-from spofdm.keystream import phase_plans, psk_phasors
+from spofdm.keystream import PhaseSequence, phase_plans, psk_phasors
 from spofdm.rxchain import (ParityCheckCode, llr_qpsk,
                             make_regular_parity_check)
 from spofdm.sync import SyncConfig
@@ -116,6 +116,13 @@ ENTRY_POINTS = [
     ("phase_plans", "k_first", lambda v: _plans(k_first=v), INDEX),
     ("phase_plans", "count", lambda v: _plans(count=v), COUNT),
     ("phase_plans", "n_carriers", lambda v: _plans(n_carriers=v), COUNT),
+    # at construction, before any block is derived
+    ("PhaseSequence", "psk_order", lambda v: PhaseSequence(KEY, 0, 128, v),
+     PSK_ORDER),
+    ("PhaseSequence", "epoch", lambda v: PhaseSequence(KEY, v, 128, 16),
+     INTEGER),
+    ("PhaseSequence", "n_carriers", lambda v: PhaseSequence(KEY, 0, v, 16),
+     COUNT),
     ("generate_jamming", "duration_samples", lambda v: generate_jamming(
         JammerSpec("disguised_ofdm", 1.0), CONFIG, v, 0), COUNT),
     ("JammerSpec", "power", lambda v: JammerSpec("gaussian", v), POWER),

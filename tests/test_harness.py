@@ -3,10 +3,13 @@
 import itertools
 import json
 import math
+import platform
 from dataclasses import replace
 
+import cryptography
 import numpy as np
 import pytest
+import scipy
 
 from spofdm import keystream
 from spofdm.harness import (ExperimentReport, Scenario, ScenarioFormatError,
@@ -209,17 +212,16 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioFormatError):
             load_scenario(path)
 
+    # the rules of single fields are rows of tests/test_checks.py; here the
+    # file path adds the ScenarioFormatError wrapping, which the JSON token
+    # NaN shows, and rows that only a file can hold. pytest names a dict or
+    # list value by its row's place in the table, so those rows carry the
+    # ids they had before the rows test_checks.py holds left it
     @pytest.mark.parametrize("field, value", [
-        ("pilot_positions", {"24": [1.0, 0.0]}),
-        ("pilot_positions", {"24": [1.0, 0.0], "120": [1.0, 0.0]}),
-        ("n_candidates", 0),
-        ("sync_blocks", 0),
         ("snr_db", float("nan")),
         ("sjr_db", None),
-        ("sjr_db", float("-inf")),
         ("jammer_strategy", "loud"),
         ("jammer_cp_mode", "secret_cp"),
-        ("n_paths", 0),
         ("tap_decay", 0.0),
         ("tap_decay", 1.5),
         ("max_delay_samples", 24.0),
@@ -228,35 +230,32 @@ class TestScenarioFiles:
         ("key_hex", "zz"),
         ("key_hex", "0011"),
         ("n_l", 3),
-        ("epoch", -1),
         ("epoch", 2 ** 32),
-        ("master_seed", -1),
         ("max_doppler_normalized", -0.1),
-        ("pilot_positions", [[24, 1.0], [32, 1.0]]),
-        ("trials", 2.5),
-        ("trials", True),
-        ("sync_blocks", 3.5),
-        ("n_carriers", "128"),
         ("max_delay_samples", 23.6),
         ("max_delay_samples", 3.0),
-        ("pilot_positions", {"24": [0.0, 0.0], "32": [1.0, 0.0]}),
-        ("pilot_positions", {"24": [float("nan"), 0.0], "32": [1.0, 0.0]}),
         ("key_hex", 5),
         ("name", 3),
-        ("snr_db", True),
         ("tap_decay", "0.1"),
         ("max_delay_samples", 24),
-        ("pilot_positions", {"24": [1e-300, 0.0], "32": [1.0, 0.0]}),
-        ("pilot_positions", {"24": [0.0, 1e-154], "32": [1.0, 0.0]}),
-        ("pilot_positions", {"24": [1.0, 0.0], "32": [1e160, 0.0]}),
-        ("pilot_positions", {"24": [1.0, 0.0], "32": [0.0, -1e300]}),
         ("psk_order", 1),
-        # the keys "24" and "024" both parse as carrier 24
-        ("pilot_positions", {"24": [1.0, 0.0], "024": [2.0, 0.0],
-                             "32": [1.0, 0.0]}),
-        # a pilot value is exactly two reals, [real, imag]
-        ("pilot_positions", {"24": [1.0, 0.0, 7.0], "32": [1.0, 0.0]}),
-        ("pilot_positions", {"24": [True, False], "32": [1.0, 0.0]}),
+        *[pytest.param("pilot_positions", value, id=f"pilot_positions-value{n}")
+          for n, value in {
+              0: {"24": [1.0, 0.0]},
+              1: {"24": [1.0, 0.0], "120": [1.0, 0.0]},
+              22: [[24, 1.0], [32, 1.0]],
+              29: {"24": [0.0, 0.0], "32": [1.0, 0.0]},
+              30: {"24": [float("nan"), 0.0], "32": [1.0, 0.0]},
+              36: {"24": [1e-300, 0.0], "32": [1.0, 0.0]},
+              37: {"24": [0.0, 1e-154], "32": [1.0, 0.0]},
+              38: {"24": [1.0, 0.0], "32": [1e160, 0.0]},
+              39: {"24": [1.0, 0.0], "32": [0.0, -1e300]},
+              # the keys "24" and "024" both parse as carrier 24
+              41: {"24": [1.0, 0.0], "024": [2.0, 0.0], "32": [1.0, 0.0]},
+              # a pilot value is exactly two reals, [real, imag]
+              42: {"24": [1.0, 0.0, 7.0], "32": [1.0, 0.0]},
+              43: {"24": [True, False], "32": [1.0, 0.0]},
+          }.items()],
     ])
     def test_unusable_sync_config_named(self, tmp_path, field, value):
         payload = json.loads(table1_scenario().to_json())
@@ -346,6 +345,14 @@ class TestSyncExperiment:
         assert report.records_csv() == "x,error\n0.1,\n"
         assert report.aggregates_csv() == "key,value\nx,0.1\n"
         assert report.summary_text().endswith("\nx: 0.1\n")
+
+    def test_summary_names_dependency_versions(self):
+        # before the aggregates, which end the summary
+        text = ExperimentReport("ber", "0", ["x"], [], {"x": 0.1}).summary_text()
+        assert text.endswith(
+            f"\npython: {platform.python_version()}\nnumpy: {np.__version__}"
+            f"\nscipy: {scipy.__version__}\ncryptography: "
+            f"{cryptography.__version__}\nx: 0.1\n")
 
 
 class TestLink:

@@ -198,6 +198,17 @@ class TestParityCheckCode:
             ParityCheckCode(n=2, m=1, check_of_edge=np.array([0, 1]),
                             var_of_edge=np.array([0, 1]))
 
+    def test_rejects_repeated_edge(self):
+        # H has one 1 per (check, variable): counted twice, the edge would
+        # cancel in the syndrome but not in dense() or the encoder
+        with pytest.raises(ValueError,
+                           match="^check 0 and variable 0 share more than one edge"):
+            ParityCheckCode(n=4, m=2, check_of_edge=np.array([0, 0, 0, 0, 1, 1]),
+                            var_of_edge=np.array([0, 0, 1, 2, 2, 3]))
+        with pytest.raises(ValueError, match="^check 1 and variable 2 share"):
+            ParityCheckCode(n=3, m=2, check_of_edge=np.array([1, 0, 1, 0, 1]),
+                            var_of_edge=np.array([2, 0, 0, 1, 2]))
+
     @pytest.mark.parametrize("name, checks, variables", [
         ("check", [0, -1], [0, 1]), ("variable", [0, 0], [-1, 1])])
     def test_rejects_negative_index(self, name, checks, variables):
